@@ -14,7 +14,7 @@ from padic_bessel.schwartz import (
     random_test_function,
     serialize,
 )
-from padic_bessel.spectral import RadialProfile, fourier, inverse_fourier
+from padic_bessel.spectral import RadialMultiplier, RadialProfile, fourier, inverse_fourier
 from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent
 from padic_bessel.heat import EvolutionProblem, duhamel, solve_cauchy
 
@@ -27,6 +27,7 @@ __all__ = [
     "PAdicScalar",
     "PAdicVector",
     "PrimeContext",
+    "RadialMultiplier",
     "RadialProfile",
     "RandomFunctionConfig",
     "apply_bessel",

@@ -1,10 +1,12 @@
 """The Bessel multiplier, its convolution kernel, and the operator battery.
 
-The operator acts on test functions through two independent routes: as a
-Fourier multiplier (symbol side) and as convolution against the explicit
-radial kernel (space side).  Both are exact up to character phases, and the
-verification operations below check the dissipativity, self-adjointness,
-contraction, maximum-principle and resolvent statements on concrete inputs.
+The operator and its resolvent act on test functions as radial multipliers
+through concentric balls (``RadialMultiplier``), exact for rational symbol
+values.  Two independent routes serve as its oracles: the two Fourier
+transforms around ``multiply_radial`` (symbol side) and convolution against
+the explicit radial kernel at a point (space side).  The verification
+operations below check the dissipativity, self-adjointness, contraction,
+maximum-principle and resolvent statements on concrete inputs.
 """
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ from padic_bessel.padic import (
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum
 from padic_bessel.spectral import (
+    RadialMultiplier,
     RadialProfile,
     fourier,
-    inverse_fourier,
     multiply_radial,
     radial_transform,
 )
@@ -136,23 +138,30 @@ def kernel_profile(order: BesselOrder) -> RadialProfile:
     )
 
 
-def kernel_ball_mass(radius_exp: int, order: BesselOrder) -> float:
+def kernel_ball_mass(radius_exp: int, order: BesselOrder) -> Number:
     """Integral of the kernel over the ball of radius p**radius_exp at 0.
 
-    Closed geometric form; equals the total mass (which is 1) for any
-    nonnegative radius.
+    Closed geometric form, exact rational when alpha is an integer; equals
+    the total mass (which is 1) for any nonnegative radius.
     """
     ctx = order.ctx
-    p, n, alpha = ctx.p, ctx.n, order.alpha
+    n, alpha = ctx.n, order.alpha
     top = min(radius_exp, 0)
-    gamma = float(padic_gamma(alpha, ctx))
+    gamma = padic_gamma(alpha, ctx)
+    if order.alpha_is_integer:
+        a = int(alpha)
+        return (
+            (1 - ctx.p_power(-n)) * ctx.p_power(top * a) / (1 - ctx.p_power(-a))
+            - ctx.p_power(a - n + top * n)
+        ) / gamma
+    p = ctx.p
     return (
         (1.0 - p ** float(-n)) * p ** (top * alpha) / (1.0 - p ** (-alpha))
         - p ** (alpha - n + top * n)
     ) / gamma
 
 
-def kernel_mass(order: BesselOrder) -> float:
+def kernel_mass(order: BesselOrder) -> Number:
     """Total integral of the kernel (analytically 1)."""
     return kernel_ball_mass(0, order)
 
@@ -177,9 +186,14 @@ def khat_defect(
 # -- the operator ------------------------------------------------------------
 
 
+def symbol_multiplier(order: BesselOrder) -> RadialMultiplier:
+    """The operator as a radial multiplier."""
+    return RadialMultiplier(order.ctx, lambda k: symbol_value(k, order))
+
+
 def apply_bessel(order: BesselOrder, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
-    """Multiplier route: transform, scale by the symbol, transform back."""
-    return inverse_fourier(multiply_radial(fourier(f), symbol_profile(order)))
+    """The operator applied through concentric balls (``RadialMultiplier``)."""
+    return symbol_multiplier(order).apply(f)
 
 
 def apply_bessel_convolution(
@@ -205,26 +219,26 @@ def apply_bessel_convolution(
     return total
 
 
-def resolvent(
-    order: BesselOrder, lam: Number, f: BruhatSchwartzFunction
-) -> BruhatSchwartzFunction:
-    """Solve (lam + operator) u = f by dividing by lam + symbol on the
-    Fourier side; safe because the divisor is at least lam > 0."""
+def resolvent_multiplier(order: BesselOrder, lam: Number) -> RadialMultiplier:
+    """1 / (lam + symbol) as a radial multiplier; exact for rational lam
+    and integer alpha, and safe because the divisor is at least lam > 0."""
     if not lam > 0:
         raise ValueError(f"resolvent parameter lam = {lam} must be positive")
 
-    def weight_value(k: int) -> Number:
+    def value(k: int) -> Number:
         denom = lam + symbol_value(k, order)
         if isinstance(denom, float):
             return 1.0 / denom
         return Fraction(1) / Fraction(denom)
 
-    weight = RadialProfile(
-        ctx=order.ctx,
-        resid=weight_value,
-        constant_on_unit_ball=True,
-    )
-    return inverse_fourier(multiply_radial(fourier(f), weight))
+    return RadialMultiplier(order.ctx, value)
+
+
+def resolvent(
+    order: BesselOrder, lam: Number, f: BruhatSchwartzFunction
+) -> BruhatSchwartzFunction:
+    """Solve (lam + operator) u = f by the multiplier 1 / (lam + symbol)."""
+    return resolvent_multiplier(order, lam).apply(f)
 
 
 def resolvent_residual(

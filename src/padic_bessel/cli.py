@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from padic_bessel.padic import PrimeContext
@@ -22,10 +23,12 @@ from padic_bessel.schwartz import (
     random_test_function,
     serialize,
 )
-from padic_bessel.spectral import fourier, parseval_defect
+from padic_bessel.spectral import fourier, inverse_fourier, multiply_radial, parseval_defect
 from padic_bessel.bessel import (
     BesselOrder,
     adjoint_defect,
+    apply_bessel,
+    apply_bessel_convolution,
     c0_dissipativity_margin,
     contraction_ratio,
     kernel_mass,
@@ -33,17 +36,23 @@ from padic_bessel.bessel import (
     negdef_witness,
     pmp_check,
     quadratic_form,
+    resolvent_multiplier,
     resolvent_residual,
+    symbol_multiplier,
+    symbol_profile,
 )
 from padic_bessel.heat import (
     EvolutionProblem,
     convolution_defect,
     distributional_mass,
     duhamel,
+    multiplier_profile,
+    semigroup_multiplier,
     tail_envelope,
     z_closed,
     z_mass,
     z_oracle,
+    z_shells,
     z_value,
 )
 
@@ -56,6 +65,7 @@ SUITES = (
     "fourier",
     "heat",
     "negdef",
+    "routes",
     "all",
 )
 
@@ -115,8 +125,7 @@ def heat_table(cfg: RunConfig) -> str:
     lines = ["gamma,norm,z_value,tail_bound"]
     if cfg.gamma_max >= 0:
         p = cfg.p
-        for g in range(cfg.gamma_max + 1):
-            z = z_closed(g, t, order)
+        for g, z in zip(range(cfg.gamma_max + 1), z_shells(t, order)):
             lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(z)},{_fmt(tail_envelope(g, t, order))}")
         zm = z_mass(t, order)
         dist = distributional_mass(t, order)
@@ -324,6 +333,43 @@ def suite_heat(cfg: RunConfig) -> list:
     ]
 
 
+ROUTE_LAMBDA = Fraction(1, 2)
+ROUTE_TIME = 0.7
+
+
+def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> float:
+    """Largest gap, relative to max(1, ||f||_sup), between the concentric
+    route of the operator, the resolvent and the semigroup and their
+    two-transform oracle route (in sup norm), and between the operator and
+    its convolution route (at every output cell center)."""
+    fhat = fourier(f)
+    resolvent_m = resolvent_multiplier(order, ROUTE_LAMBDA)
+    pairs = (
+        (symbol_multiplier(order), symbol_profile(order)),
+        (resolvent_m, resolvent_m.profile()),
+        (semigroup_multiplier(ROUTE_TIME, order), multiplier_profile(ROUTE_TIME, order)),
+    )
+    worst = 0.0
+    for multiplier, profile in pairs:
+        oracle = inverse_fourier(multiply_radial(fhat, profile))
+        worst = max(worst, (multiplier.apply(f) - oracle).sup_norm())
+    u = apply_bessel(order, f)
+    for c, ball in u.terms:
+        worst = max(worst, abs(c - apply_bessel_convolution(order, f, ball.center)))
+    return worst / max(1.0, f.sup_norm())
+
+
+def suite_routes(cfg: RunConfig) -> list:
+    order = cfg.order()
+    tol = cfg.tol if cfg.tol is not None else 1e-10
+    worst = 0.0
+    trials = max(1, cfg.trials // 4)
+    for i in range(trials):
+        f = _random_f(_trial_seed(cfg.seed, i), order.ctx, complex_coeffs=True)
+        worst = max(worst, operator_route_defect(order, f))
+    return [("operator_routes", trials, worst, tol, worst <= tol)]
+
+
 def suite_negdef(cfg: RunConfig) -> list:
     order = cfg.order()
     shell, value = negdef_witness(order)
@@ -348,6 +394,7 @@ def run_verify(ns: argparse.Namespace) -> int:
         "fourier": suite_fourier,
         "heat": suite_heat,
         "negdef": suite_negdef,
+        "routes": suite_routes,
     }
     names = list(runners) if ns.suite == "all" else [ns.suite]
     lines = []

@@ -12,15 +12,17 @@ against each other:
 * the regularized inverse transform of the multiplier (``z_oracle``),
   a shell sum against exact character integrals.
 
-Inhomogeneous problems are integrated by composite Simpson quadrature of
-the propagated forcing.
+Evolution applies exp(-t * multiplier) through concentric balls
+(``RadialMultiplier``); inhomogeneous problems are integrated by composite
+Simpson quadrature of the propagated forcing.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from padic_bessel.padic import (
     EC_ZERO,
@@ -32,10 +34,9 @@ from padic_bessel.padic import (
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
 from padic_bessel.spectral import (
+    RadialMultiplier,
     RadialProfile,
-    fourier,
     inverse_fourier,
-    multiply_radial,
     radial_transform,
 )
 from padic_bessel.bessel import BesselOrder, symbol_value
@@ -53,25 +54,34 @@ def _require_positive_time(t: float) -> None:
 # -- the kernel's function part ----------------------------------------------
 
 
-def z_closed(gamma: int, t: float, order: BesselOrder) -> float:
-    """Function part of the heat kernel on the shell ||x|| = p**(-gamma).
+def z_shells(t: float, order: BesselOrder) -> Iterator[float]:
+    """Function part of the heat kernel on the shells ||x|| = p**(-gamma),
+    for gamma = 0, 1, 2, ... in turn, as one running telescoped sum.
 
-    Telescoping sum of p**(i*n) * (E_i - E_{i+1}) with E_i = exp(-t p**(-i*alpha)).
+    The running sum of p**(i*n) * (E_i - E_{i+1}) with E_i = exp(-t p**(-i*alpha)).
     Every difference is computed as exp * expm1, which keeps full relative
     accuracy even when both exponentials are close to 1, and every summand
     is strictly negative, so the sum suffers no cancellation.
     """
-    if gamma < 0:
-        raise ValueError(f"shell index gamma = {gamma} must be >= 0")
     _require_positive_time(t)
     p, n = order.ctx.p, order.ctx.n
     alpha = order.alpha
     shrink = p ** (-alpha)
     total = 0.0
-    for i in range(gamma + 1):
+    i = 0
+    while True:
         x_i = t * p ** (-i * alpha)
         total += p ** (i * n) * math.exp(-x_i * shrink) * math.expm1(-x_i * (1.0 - shrink))
-    return total
+        yield total
+        i += 1
+
+
+def z_closed(gamma: int, t: float, order: BesselOrder) -> float:
+    """Function part of the heat kernel on the shell ||x|| = p**(-gamma);
+    the gamma-th value of ``z_shells``."""
+    if gamma < 0:
+        raise ValueError(f"shell index gamma = {gamma} must be >= 0")
+    return next(islice(z_shells(t, order), gamma, None))
 
 
 def z_value(norm_exp: Union[int, float], t: float, order: BesselOrder) -> float:
@@ -133,22 +143,6 @@ def multiplier_profile(t: float, order: BesselOrder) -> RadialProfile:
     )
 
 
-def zhat_profile(t: float, order: BesselOrder) -> RadialProfile:
-    """Transform of the kernel's function part: exp(-t * multiplier) - 1."""
-    _require_positive_time(t)
-    base_profile = multiplier_profile(t, order)
-    return RadialProfile(
-        ctx=order.ctx,
-        resid=base_profile.resid,
-        base=0,
-        deep_pieces=base_profile.deep_pieces,
-        deep_cutoff=0,
-        support_max=None,
-        envelope=(t, -order.alpha),
-        constant_on_unit_ball=True,
-    )
-
-
 def z_oracle(gamma: int, t: float, order: BesselOrder) -> float:
     """Kernel function part by the independent route: the regularized
     inverse transform of the multiplier, summed shell by shell against
@@ -192,31 +186,6 @@ def z_mass_direct(t: float, order: BesselOrder, depth: int) -> float:
 def distributional_mass(t: float, order: BesselOrder) -> float:
     """Mass of the full kernel (point mass plus function part): exp(-t)."""
     return 1.0 + z_mass(t, order)
-
-
-@dataclass(frozen=True)
-class HeatKernelEval:
-    """Tabulated shell values of the kernel's function part at one time.
-
-    ``values[g]`` is the value on ||x|| = p**(-g); all entries are negative
-    and the kernel vanishes outside the unit ball.  ``tail_bound`` dominates
-    the gap between the deepest stored shell and the limit at the origin.
-    """
-
-    order: BesselOrder
-    t: float
-    values: tuple
-    tail_bound: float
-
-    @classmethod
-    def compute(
-        cls, order: BesselOrder, t: float, gamma_max: Optional[int] = None
-    ) -> "HeatKernelEval":
-        _require_positive_time(t)
-        if gamma_max is None:
-            gamma_max = default_depth(t, order)
-        values = tuple(z_closed(g, t, order) for g in range(gamma_max + 1))
-        return cls(order=order, t=t, values=values, tail_bound=tail_envelope(gamma_max, t, order))
 
 
 # -- convolution of kernel parts ----------------------------------------------
@@ -329,19 +298,35 @@ def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> E
 # -- evolution ------------------------------------------------------------------
 
 
+def semigroup_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
+    """exp(-t * multiplier) as a radial multiplier.
+
+    Shell differences are exp * expm1 products, as in ``z_shells``, so none
+    loses significance when both exponentials are close to 1.
+    """
+    if t < 0:
+        raise ValueError(f"time t = {t} must be nonnegative")
+
+    def value(k: int) -> float:
+        return math.exp(-t * float(symbol_value(k, order)))
+
+    def drop(k: int) -> float:
+        upper, lower = symbol_value(k, order), symbol_value(k + 1, order)
+        return math.exp(-t * float(lower)) * math.expm1(-t * float(upper - lower))
+
+    return RadialMultiplier(order.ctx, value, drop)
+
+
 def solve_cauchy(
     u0: BruhatSchwartzFunction, t: float, order: BesselOrder
 ) -> BruhatSchwartzFunction:
-    """Propagate an initial datum: scale frequencies by exp(-t * multiplier).
-
-    The multiplier is locally constant on the transform's support, so the
-    result is again a test function; t = 0 is the identity.
-    """
+    """Propagate an initial datum by the semigroup exp(-t * multiplier);
+    t = 0 is the identity."""
     if t < 0:
         raise ValueError(f"time t = {t} must be nonnegative")
     if t == 0:
         return u0.canonicalize()
-    return inverse_fourier(multiply_radial(fourier(u0), multiplier_profile(t, order)))
+    return semigroup_multiplier(t, order).apply(u0)
 
 
 @dataclass(frozen=True)
@@ -358,15 +343,12 @@ class EvolutionProblem:
     horizon: float
     forcing: tuple = ()
     steps: int = 64
-    rule: str = "simpson"
 
     def __post_init__(self) -> None:
         if not self.horizon > 0:
             raise ValueError(f"horizon = {self.horizon} must be positive")
         if self.steps < 2 or self.steps % 2:
             raise ValueError(f"steps = {self.steps} must be a positive even count")
-        if self.rule != "simpson":
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         times = [s for s, _ in self.forcing]
         if times != sorted(times):
             raise ScheduleError("forcing schedule must be sorted by time")
@@ -412,7 +394,8 @@ def duhamel(
             n_steps = problem.steps
             h = t / n_steps
             for i in range(n_steps + 1):
-                s = i * h
+                # i * h can land one rounding step past t at the last node
+                s = t if i == n_steps else i * h
                 weight = (h / 3.0) * (1 if i in (0, n_steps) else 4 if i % 2 else 2)
                 f_s = problem.forcing_at(s)
                 if f_s is not None and f_s.terms:

@@ -1,6 +1,9 @@
 """Fourier analysis on test functions and radial shell transforms.
 
-The transform of a single ball indicator is an explicitly modulated
+Radial Fourier multipliers act on test functions through concentric balls
+(``RadialMultiplier``), never through characters.  The transform itself
+remains, as the oracle of that route and for its own identities: the
+transform of a single ball indicator is an explicitly modulated
 indicator; the modulation is flattened into cells on which the character is
 constant, so the image stays inside the indicator representation, exactly.
 Radial transforms evaluate Fourier integrals of norm-dependent profiles as
@@ -18,6 +21,7 @@ from typing import Callable, Iterator, Optional, Union
 from padic_bessel.padic import (
     ZERO_NORM,
     Ball,
+    ContextMismatchError,
     ExactComplex,
     Number,
     PAdicVector,
@@ -68,6 +72,66 @@ class RadialProfile:
             deep_limit = sum(a for a, d in self.deep_pieces if d == 0)
             return self.base + deep_limit
         return self.base + self.resid(int(m))
+
+
+@dataclass(frozen=True)
+class RadialMultiplier:
+    """A radial Fourier multiplier, applied through concentric balls.
+
+    ``value(k)`` is the multiplier m on the frequency shell ||xi|| = p**k for
+    k >= 0; m is constant on the unit ball, so value(0) also covers every
+    k < 0.  ``drop(k)``, when given, is m(k) - m(k+1) in a form that does not
+    cancel; otherwise the difference of values is used.
+
+    The transform of B = B(a, p**r) with r < 0 is p**(rn) chi_p(xi . a) on
+    the dual ball ||xi|| <= p**(-r), where m telescopes into dual-ball
+    indicators: the sum over 0 <= k <= -r of w_k 1{||xi|| <= p**k}, with
+    w_k = m(k) - m(k+1) and w_{-r} = m(-r).  Each indicator times chi_p(xi . a)
+    transforms back to p**(kn) 1_{B(a, p**(-k))}, so
+
+        m(D) 1_B = sum_k w_k p**((r+k)n) 1_{B(a, p**(-k))},
+
+    and m(D) 1_B = m(0) 1_B for r >= 0.  No character is ever evaluated, and
+    exact shell values give exact output at every p.
+    """
+
+    ctx: PrimeContext
+    value: Callable[[int], Number]
+    drop: Optional[Callable[[int], Number]] = None
+
+    def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
+        """The function m(D) f, canonical."""
+        if f.ctx != self.ctx:
+            raise ContextMismatchError(f"{f.ctx} != {self.ctx}")
+        f = f.canonicalize()
+        depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
+        values = [self.value(k) for k in range(depth + 1)]
+        if self.drop is None:
+            drops = [values[k] - values[k + 1] for k in range(depth)]
+        else:
+            drops = [self.drop(k) for k in range(depth)]
+        n = self.ctx.n
+        out = []
+        for c, ball in f.terms:
+            r = ball.radius_exp
+            if r >= 0:
+                out.append((c * values[0], ball))
+                continue
+            for k in range(-r):
+                if drops[k]:
+                    weight = drops[k] * self.ctx.p_power((r + k) * n)
+                    out.append((c * weight, Ball(ball.center, -k)))
+            out.append((c * values[-r], ball))
+        return BruhatSchwartzFunction(self.ctx, tuple(out)).canonicalize()
+
+    def profile(self) -> RadialProfile:
+        """The same shell values as a profile for ``multiply_radial``, which
+        the two-transform oracle route of ``apply`` uses."""
+        return RadialProfile(
+            ctx=self.ctx,
+            resid=lambda k: self.value(max(k, 0)),
+            constant_on_unit_ball=True,
+        )
 
 
 def _ball_cells(ball: Ball, target_radius_exp: int) -> Iterator[Ball]:

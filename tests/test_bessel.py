@@ -117,6 +117,23 @@ def test_kernel_ball_mass_matches_brute_shells():
             assert abs(closed - brute) <= 1e-13
 
 
+def test_kernel_ball_mass_exact_at_integer_alpha():
+    order = BesselOrder(2.0, C21)
+    assert kernel_mass(order) == 1
+    # kernel (3/4)(2 - 2^m) on the shell 2^m of measure 2^(m-1), summed over m <= -3
+    assert kernel_ball_mass(-3, order) == Fraction(23, 128)
+    # the convolution route is then exact: the kernel average at 0 of
+    # 1_{2Z_2} + 1_{1/2+2Z_2} - 10 * 1_{3/2+2Z_2}
+    f = (
+        BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, 0), -1))
+        + BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(1, 2)), -1))
+        + BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(3, 2)), -1), -10)
+    )
+    value = apply_bessel_convolution(order, f, PAdicVector.zero(C21))
+    assert (value.re, value.im) == (Fraction(5, 8), 0)
+    assert value == apply_bessel(order, f).evaluate(PAdicVector.zero(C21))
+
+
 def test_kernel_partial_mass_monotone_to_one():
     order = BesselOrder(2.0, C21)
     previous = -1.0

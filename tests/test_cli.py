@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from padic_bessel.bessel import BesselOrder
 from padic_bessel.cli import main
+from padic_bessel.heat import z_closed
 from padic_bessel.padic import PrimeContext
 from padic_bessel.schwartz import BruhatSchwartzFunction, deserialize, serialize
 
@@ -61,6 +63,21 @@ def test_heat_table(capsys):
     assert footer[0] == "mass"
     assert abs(float(footer[2]) - math.exp(-1)) <= 1e-10
     assert float(footer[3]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "p,n,alpha,t,gamma", [(2, 1, 2.0, 1.0, 40), (3, 1, 3.0, 0.37, 120), (3, 2, 2.5, 1.9, 300)]
+)
+def test_heat_table_rows_are_z_closed(capsys, p, n, alpha, t, gamma):
+    # the table's running sum adds the same terms in the same order
+    code, out, _ = run(
+        capsys, "heat", "--p", str(p), "--n", str(n), "--alpha", str(alpha),
+        "--t", str(t), "--gamma-max", str(gamma),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:-1]]
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    assert [float(row[2]) for row in rows] == [z_closed(g, t, order) for g in range(gamma + 1)]
 
 
 def test_heat_rejects_zero_time(capsys):
@@ -158,6 +175,21 @@ def test_evolve_constant_forcing(tmp_path, capsys):
     assert abs(got - (1 - math.exp(-1))) <= 1e-8
 
 
+def test_evolve_last_simpson_node_is_t(tmp_path, capsys):
+    # 24 * (0.103 / 24) exceeds 0.103 by one rounding step; the last node
+    # must still propagate over the time 0, not a negative one
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps([{"time": 0.0, "function": json.loads(serialize(OMEGA))}]))
+    code, out, err = run(
+        capsys, "evolve", "--in", str(src), "--forcing", str(forcing),
+        "--t", "0.103", "--steps", "24",
+    )
+    assert code == 0, err
+    assert out.startswith("time,l2_norm,sup_norm\n0.10299999999999999,")
+
+
 def test_evolve_time_beyond_horizon(tmp_path, capsys):
     src = tmp_path / "u0.json"
     src.write_text(serialize(OMEGA))
@@ -190,7 +222,9 @@ def test_verify_negdef(capsys):
     assert out.strip().endswith("overall: PASS")
 
 
-@pytest.mark.parametrize("suite", ["heat", "fourier", "selfadjoint", "contraction", "resolvent", "dissipative"])
+@pytest.mark.parametrize(
+    "suite", ["heat", "fourier", "selfadjoint", "contraction", "resolvent", "dissipative", "routes"]
+)
 def test_verify_suites_pass(capsys, suite):
     code, out, _ = run(capsys, "verify", suite, "--trials", "25", "--seed", "3")
     assert code == 0, out

@@ -10,7 +10,6 @@ from padic_bessel.schwartz import BruhatSchwartzFunction, random_test_function
 from padic_bessel.bessel import BesselOrder
 from padic_bessel.heat import (
     EvolutionProblem,
-    HeatKernelEval,
     ScheduleError,
     convolution_defect,
     default_depth,
@@ -129,15 +128,6 @@ def test_z_mass_direct_route_agrees():
     for t in (0.1, 1.0, 10.0):
         direct = z_mass_direct(t, ORDER, depth=45)
         assert abs(direct - math.expm1(-t)) <= 1e-10
-
-
-def test_heat_kernel_eval_invariants():
-    table = HeatKernelEval.compute(ORDER, 1.0, gamma_max=12)
-    assert len(table.values) == 13
-    assert all(v < 0 for v in table.values)
-    assert table.tail_bound >= abs(z_origin_limit(1.0, ORDER) - table.values[-1])
-    auto = HeatKernelEval.compute(ORDER, 1.0)
-    assert auto.tail_bound <= tail_envelope(default_depth(1.0, ORDER), 1.0, ORDER)
 
 
 @pytest.mark.parametrize("t1,t2", [(0.5, 0.5), (1.0, 2.0)])
