@@ -10,6 +10,7 @@ maximum-principle and resolvent statements on concrete inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -36,7 +37,7 @@ from padic_bessel.spectral import (
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """Order alpha of the operator, constrained to alpha > n.
+    """Order alpha of the operator, constrained to a finite alpha > n.
 
     The constraint makes the kernel prefactor negative, which is what the
     sign analysis of the kernel and the heat profile rests on.
@@ -46,6 +47,8 @@ class BesselOrder:
     ctx: PrimeContext
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"order alpha = {self.alpha} must be finite")
         if not self.alpha > self.ctx.n:
             raise ValueError(
                 f"order alpha = {self.alpha} must exceed the dimension n = {self.ctx.n}"

@@ -347,7 +347,10 @@ def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> floa
     pairs = (
         (symbol_multiplier(order), symbol_profile(order)),
         (resolvent_m, resolvent_m.profile()),
-        (semigroup_multiplier(ROUTE_TIME, order), multiplier_profile(ROUTE_TIME, order)),
+        (
+            semigroup_multiplier(((1, ROUTE_TIME),), order),
+            multiplier_profile(ROUTE_TIME, order),
+        ),
     )
     worst = 0.0
     for multiplier, profile in pairs:

@@ -14,12 +14,12 @@ against each other:
 
 Evolution applies exp(-t * multiplier) through concentric balls
 (``RadialMultiplier``); inhomogeneous problems are integrated by composite
-Simpson quadrature of the propagated forcing.
+Simpson quadrature of the propagated forcing, split at the forcing's jumps,
+with the nodes of each forcing piece summed into one multiplier.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -61,7 +61,10 @@ def z_shells(t: float, order: BesselOrder) -> Iterator[float]:
     The running sum of p**(i*n) * (E_i - E_{i+1}) with E_i = exp(-t p**(-i*alpha)).
     Every difference is computed as exp * expm1, which keeps full relative
     accuracy even when both exponentials are close to 1, and every summand
-    is strictly negative, so the sum suffers no cancellation.
+    is strictly negative, so the sum suffers no cancellation.  The growing
+    p**(i*n) meets the shrinking exponent y_i = x_i (1 - p**-alpha) as one
+    float power, p**(i*n) y_i = t (1 - p**-alpha) p**(i*(n - alpha)), times
+    expm1(-y_i) / y_i, so no shell depth overflows.
     """
     _require_positive_time(t)
     p, n = order.ctx.p, order.ctx.n
@@ -71,7 +74,9 @@ def z_shells(t: float, order: BesselOrder) -> Iterator[float]:
     i = 0
     while True:
         x_i = t * p ** (-i * alpha)
-        total += p ** (i * n) * math.exp(-x_i * shrink) * math.expm1(-x_i * (1.0 - shrink))
+        y_i = x_i * (1.0 - shrink)
+        ratio = math.expm1(-y_i) / y_i if y_i else -1.0
+        total += t * (1.0 - shrink) * p ** (i * (n - alpha)) * math.exp(-x_i * shrink) * ratio
         yield total
         i += 1
 
@@ -104,13 +109,30 @@ def tail_envelope(depth: int, t: float, order: BesselOrder) -> float:
     )
 
 
+MAX_DEPTH = 100_000
+
+
 def default_depth(t: float, order: BesselOrder, tol: float = 1e-13) -> int:
-    """Smallest depth whose tail envelope drops below tol."""
-    depth = 0
-    while tail_envelope(depth, t, order) > tol:
+    """Smallest depth whose tail envelope drops below tol.
+
+    The envelope is C q**depth with q = p**(n - alpha) < 1, so the depth is
+    log(C / tol) / log(1 / q) rounded up; the comparisons after it absorb the
+    rounding of the logarithms.  Raises ValueError past MAX_DEPTH, which
+    alpha close to n reaches.
+    """
+    p, n = order.ctx.p, order.ctx.n
+    decay = (order.alpha - n) * math.log(p)
+    needed = math.log(tail_envelope(0, t, order) / tol) / decay
+    if needed > MAX_DEPTH:
+        raise ValueError(
+            f"heat kernel tail decays too slowly at alpha = {order.alpha}: "
+            f"depth {needed:.3g} needed for tolerance {tol}, at most {MAX_DEPTH} allowed"
+        )
+    depth = max(0, math.ceil(needed))
+    if depth > 0 and tail_envelope(depth - 1, t, order) <= tol:
+        depth -= 1
+    elif tail_envelope(depth, t, order) > tol:
         depth += 1
-        if depth > 100_000:
-            raise AssertionError("tail envelope failed to decay")
     return depth
 
 
@@ -179,7 +201,8 @@ def z_mass_direct(t: float, order: BesselOrder, depth: int) -> float:
     _require_positive_time(t)
     ctx = order.ctx
     return sum(
-        float(shell_measure(-g, ctx)) * z_closed(g, t, order) for g in range(depth + 1)
+        float(shell_measure(-g, ctx)) * z
+        for g, z in zip(range(depth + 1), z_shells(t, order))
     )
 
 
@@ -298,21 +321,27 @@ def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> E
 # -- evolution ------------------------------------------------------------------
 
 
-def semigroup_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
-    """exp(-t * multiplier) as a radial multiplier.
+def semigroup_multiplier(nodes: Sequence[tuple], order: BesselOrder) -> RadialMultiplier:
+    """The weighted sum of semigroups sum_i w_i exp(-t_i * multiplier), for
+    (weight, time) nodes, as one radial multiplier.
 
-    Shell differences are exp * expm1 products, as in ``z_shells``, so none
-    loses significance when both exponentials are close to 1.
+    Shell differences are sums of exp * expm1 products, as in ``z_shells``,
+    so none loses significance when both exponentials are close to 1; with
+    nonnegative weights every product has the same sign, so the sum does not
+    cancel either.  One node of weight 1 is the semigroup at that time.
     """
-    if t < 0:
-        raise ValueError(f"time t = {t} must be nonnegative")
+    for _, tau in nodes:
+        if tau < 0:
+            raise ValueError(f"time t = {tau} must be nonnegative")
 
     def value(k: int) -> float:
-        return math.exp(-t * float(symbol_value(k, order)))
+        sigma = float(symbol_value(k, order))
+        return math.fsum(w * math.exp(-tau * sigma) for w, tau in nodes)
 
     def drop(k: int) -> float:
         upper, lower = symbol_value(k, order), symbol_value(k + 1, order)
-        return math.exp(-t * float(lower)) * math.expm1(-t * float(upper - lower))
+        low, gap = float(lower), float(upper - lower)
+        return math.fsum(w * (math.exp(-tau * low) * math.expm1(-tau * gap)) for w, tau in nodes)
 
     return RadialMultiplier(order.ctx, value, drop)
 
@@ -326,7 +355,7 @@ def solve_cauchy(
         raise ValueError(f"time t = {t} must be nonnegative")
     if t == 0:
         return u0.canonicalize()
-    return semigroup_multiplier(t, order).apply(u0)
+    return semigroup_multiplier(((1, t),), order).apply(u0)
 
 
 @dataclass(frozen=True)
@@ -334,9 +363,9 @@ class EvolutionProblem:
     """Inhomogeneous Cauchy data: initial datum, stepwise forcing, horizon.
 
     The forcing schedule is a sorted tuple of (time, function) pairs read as
-    a left-continuous step function of time; an empty schedule means the
-    homogeneous problem.  Quadrature is composite Simpson with ``steps``
-    panels per evaluation.
+    a step function of time, each function in force from its tag to the
+    next; an empty schedule means the homogeneous problem.  Quadrature is
+    composite Simpson with about ``steps`` panels per evaluation.
     """
 
     u0: BruhatSchwartzFunction
@@ -362,13 +391,34 @@ class EvolutionProblem:
             if not 0 <= s < self.horizon:
                 raise ScheduleError(f"forcing tag {s} outside [0, horizon)")
 
-    def forcing_at(self, s: float) -> Optional[BruhatSchwartzFunction]:
-        if not self.forcing:
-            return None
-        idx = bisect_right([tag for tag, _ in self.forcing], s) - 1
-        if idx < 0:
-            raise ScheduleError(f"no forcing defined at time {s}")
-        return self.forcing[idx][1]
+
+def duhamel_nodes(problem: EvolutionProblem, t: float) -> list:
+    """Quadrature of the forcing integral over [0, t], as (forcing piece,
+    [(weight, t - s), ...]) for each piece of the schedule active there.
+
+    [0, t] is split at the schedule's tags, so the integrand is smooth on
+    every sub-interval and composite Simpson keeps fourth order on step
+    forcing.  A sub-interval of length L gets an even panel count near
+    steps * L / t, at least 2; without a tag inside (0, t) the nodes are
+    s_i = i t / steps.  Each sub-interval's last node is exactly its end.
+    """
+    if not problem.forcing or t <= 0:
+        return []
+    tags = [tag for tag, _ in problem.forcing] + [t]
+    out = []
+    for (a, f), b in zip(problem.forcing, tags[1:]):
+        b = min(b, t)
+        if b <= a or not f.terms:
+            continue
+        panels = 2 * max(1, round(problem.steps * (b - a) / (2 * t)))
+        h = (b - a) / panels
+        nodes = []
+        for i in range(panels + 1):
+            s = b if i == panels else a + i * h
+            weight = (h / 3.0) * (1 if i in (0, panels) else 4 if i % 2 else 2)
+            nodes.append((weight, t - s))
+        out.append((f, nodes))
+    return out
 
 
 def duhamel(
@@ -376,9 +426,10 @@ def duhamel(
 ) -> list:
     """Mild solutions u(t) = T(t) u0 + integral of T(t-s) f(s) ds.
 
-    The integral is composite Simpson over the requested time; the forcing
-    is sampled at the nodes and each sample is propagated by the semigroup.
-    Fourth-order accurate for forcing smooth in time.
+    The integral is composite Simpson on the nodes of ``duhamel_nodes``.
+    All nodes of one forcing piece f_k add up to one radial multiplier,
+    sum_i w_i T(t - s_i), so each time costs one multiplier application for
+    u0 and one per active piece.  Fourth-order accurate for step forcing.
     """
     if not times:
         raise ValueError("at least one evaluation time is required")
@@ -390,15 +441,7 @@ def duhamel(
     results = []
     for t in times:
         pieces = [(1, solve_cauchy(problem.u0, t, order))]
-        if problem.forcing and t > 0:
-            n_steps = problem.steps
-            h = t / n_steps
-            for i in range(n_steps + 1):
-                # i * h can land one rounding step past t at the last node
-                s = t if i == n_steps else i * h
-                weight = (h / 3.0) * (1 if i in (0, n_steps) else 4 if i % 2 else 2)
-                f_s = problem.forcing_at(s)
-                if f_s is not None and f_s.terms:
-                    pieces.append((weight, solve_cauchy(f_s, t - s, order)))
+        for f, nodes in duhamel_nodes(problem, t):
+            pieces.append((1, semigroup_multiplier(nodes, order).apply(f)))
         results.append(linear_combination(pieces, ctx=problem.u0.ctx))
     return results

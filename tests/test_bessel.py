@@ -1,5 +1,6 @@
 """Operator layer: kernel identities, dual routes, and the verification battery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -74,6 +75,12 @@ def test_bessel_order_requires_alpha_above_n():
         BesselOrder(1.0, C21)
     with pytest.raises(ValueError):
         BesselOrder(1.5, PrimeContext(3, 2))
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+def test_bessel_order_requires_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        BesselOrder(alpha, C21)
 
 
 def test_kernel_values():

@@ -44,6 +44,14 @@ def test_kernel_rejects_bad_alpha(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_kernel_rejects_non_finite_alpha(capsys, alpha):
+    code, out, err = run(capsys, "kernel", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_kernel_rejects_composite_p(capsys):
     code, _, err = run(capsys, "kernel", "--p", "4")
     assert code == 2
@@ -78,6 +86,27 @@ def test_heat_table_rows_are_z_closed(capsys, p, n, alpha, t, gamma):
     rows = [line.split(",") for line in out.strip().split("\n")[1:-1]]
     order = BesselOrder(alpha, PrimeContext(p, n))
     assert [float(row[2]) for row in rows] == [z_closed(g, t, order) for g in range(gamma + 1)]
+
+
+@pytest.mark.parametrize("p,n,alpha,gamma", [(2, 1, 2.0, 1024), (5, 2, 3.5, 221)])
+def test_heat_table_past_the_float_range(capsys, p, n, alpha, gamma):
+    # p**(gamma n) alone overflows a float at these depths
+    code, out, err = run(
+        capsys, "heat", "--p", str(p), "--n", str(n), "--alpha", str(alpha),
+        "--gamma-max", str(gamma),
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().split("\n")[1:-1]]
+    assert len(rows) == gamma + 1
+    assert all(math.isfinite(float(row[2])) and float(row[2]) < 0 for row in rows)
+
+
+def test_heat_rejects_alpha_next_to_n(capsys):
+    code, out, err = run(capsys, "heat", "--alpha", "1.0000001")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: heat kernel tail decays too slowly")
+    assert "Traceback" not in err
 
 
 def test_heat_rejects_zero_time(capsys):

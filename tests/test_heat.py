@@ -6,15 +6,24 @@ from fractions import Fraction
 import pytest
 
 from padic_bessel.padic import Ball, PAdicVector, PrimeContext
-from padic_bessel.schwartz import BruhatSchwartzFunction, random_test_function
-from padic_bessel.bessel import BesselOrder
+from padic_bessel.schwartz import (
+    BruhatSchwartzFunction,
+    RandomFunctionConfig,
+    linear_combination,
+    random_test_function,
+)
+from padic_bessel.spectral import RadialMultiplier
+from padic_bessel.bessel import BesselOrder, symbol_value
 from padic_bessel.heat import (
+    MAX_DEPTH,
     EvolutionProblem,
     ScheduleError,
     convolution_defect,
     default_depth,
     distributional_mass,
     duhamel,
+    duhamel_nodes,
+    semigroup_multiplier,
     solve_cauchy,
     tail_envelope,
     weak_pairing,
@@ -128,6 +137,36 @@ def test_z_mass_direct_route_agrees():
     for t in (0.1, 1.0, 10.0):
         direct = z_mass_direct(t, ORDER, depth=45)
         assert abs(direct - math.expm1(-t)) <= 1e-10
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID + [(2, 1, 1.01), (7, 3, 3.2)])
+def test_default_depth_is_smallest_under_tol(p, n, alpha):
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    for t in (1e-3, 0.1, 1.0, 10.0, 100.0):
+        for tol in (1e-8, 1e-13, 1e-18):
+            depth = default_depth(t, order, tol)
+            assert tail_envelope(depth, t, order) <= tol
+            assert depth == 0 or tail_envelope(depth - 1, t, order) > tol
+
+
+def test_default_depth_refuses_alpha_next_to_n():
+    order = BesselOrder(1.0000001, C21)
+    with pytest.raises(ValueError, match="decays too slowly"):
+        default_depth(1.0, order)
+    with pytest.raises(ValueError):
+        z_mass(1.0, order)
+    # just inside the cap still resolves
+    assert default_depth(1.0, BesselOrder(1.001, C21)) <= MAX_DEPTH
+
+
+@pytest.mark.parametrize("p,n,alpha,gamma", [(2, 1, 2.0, 1100), (5, 2, 3.5, 240), (3, 1, 3.0, 700)])
+def test_z_closed_finite_past_the_float_range(p, n, alpha, gamma):
+    # p**(gamma n) alone leaves the float range at these depths
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    for t in (0.3, 1.0):
+        z = z_closed(gamma, t, order)
+        assert math.isfinite(z) and z < 0
+        assert abs(z - z_origin_limit(t, order)) <= 1e-12
 
 
 @pytest.mark.parametrize("t1,t2", [(0.5, 0.5), (1.0, 2.0)])
@@ -302,7 +341,142 @@ def test_forcing_schedule_is_left_continuous_step():
     problem = EvolutionProblem(
         u0=omega(), horizon=2.0, forcing=((0.0, f0), (0.5, f1))
     )
-    assert problem.forcing_at(0.0) == f0
-    assert problem.forcing_at(0.49) == f0
-    assert problem.forcing_at(0.5) == f1
-    assert problem.forcing_at(1.9) == f1
+    # each function is in force from its tag to the next one
+    assert [f for f, _ in duhamel_nodes(problem, 0.49)] == [f0]
+    assert [f for f, _ in duhamel_nodes(problem, 0.5)] == [f0]
+    assert [(f, nodes[0][1], nodes[-1][1]) for f, nodes in duhamel_nodes(problem, 1.9)] == [
+        (f0, 1.9, 1.9 - 0.5),
+        (f1, 1.9 - 0.5, 0.0),
+    ]
+
+
+# -- forcing quadrature: one multiplier per forcing piece ----------------------
+
+#: the (p, n, alpha) grid of the benchmark
+BENCH_GRID = ((2, 1, 2.0), (3, 1, 3.0), (2, 2, 4.0), (5, 1, 2.0), (3, 2, 2.5))
+
+
+def step_problem(p, n, seed, steps, tags=(0.0, 0.3, 0.55)):
+    """Seeded initial datum and step forcing, one piece per tag."""
+    ctx = PrimeContext(p, n)
+    config = RandomFunctionConfig(2, -1, 1, den_pow_max=1 if p**n <= 4 else 0)
+    u0 = random_test_function(seed, ctx, config)
+    forcing = tuple(
+        (tag, random_test_function(1000 * seed + k + 1, ctx, config)) for k, tag in enumerate(tags)
+    )
+    return EvolutionProblem(u0=u0, horizon=1.0, forcing=forcing, steps=steps)
+
+
+def per_node_sum(problem, order, t):
+    """The forcing integral node by node: sum of w_i T(t - s_i) f(s_i)."""
+    pairs = [(1, solve_cauchy(problem.u0, t, order))]
+    for f, nodes in duhamel_nodes(problem, t):
+        pairs.extend((w, solve_cauchy(f, tau, order)) for w, tau in nodes)
+    return linear_combination(pairs, ctx=problem.u0.ctx)
+
+
+def exact_forcing_integral(problem, order, t):
+    """Mild solution with the forcing integral taken exactly on each shell:
+    integral over [a, b] of exp(-(t - s) m) ds
+    = (exp(-(t - b) m) - exp(-(t - a) m)) / m = exp(-(t - b) m) (-expm1(-(b - a) m)) / m."""
+    pairs = [(1, solve_cauchy(problem.u0, t, order))]
+    ends = [tag for tag, _ in problem.forcing[1:]] + [t]
+    for (a, f), b in zip(problem.forcing, ends):
+        b = min(b, t)
+        if b <= a:
+            continue
+
+        def value(k, a=a, b=b):
+            m = float(symbol_value(k, order))
+            return math.exp(-(t - b) * m) * -math.expm1(-(b - a) * m) / m
+
+        pairs.append((1, RadialMultiplier(order.ctx, value).apply(f)))
+    return linear_combination(pairs, ctx=problem.u0.ctx)
+
+
+def test_duhamel_nodes_keep_constant_forcing_nodes():
+    problem = EvolutionProblem(u0=omega(), horizon=1.0, forcing=((0.0, omega()),), steps=24)
+    t = 0.103
+    ((f, nodes),) = duhamel_nodes(problem, t)
+    h = t / 24
+    assert f == omega()
+    assert [tau for _, tau in nodes] == [t - (t if i == 24 else i * h) for i in range(25)]
+    assert [w for w, _ in nodes] == [
+        (h / 3.0) * (1 if i in (0, 24) else 4 if i % 2 else 2) for i in range(25)
+    ]
+
+
+def test_duhamel_nodes_split_at_tags_inside_the_interval():
+    problem = step_problem(2, 1, 0, 64)
+    pieces = duhamel_nodes(problem, 1.0)
+    assert [f for f, _ in pieces] == [f for _, f in problem.forcing]
+    panels = [len(nodes) - 1 for _, nodes in pieces]
+    assert panels == [20, 16, 28]  # about 64 * length, rounded to even
+    for (a, _), b, (_, nodes) in zip(problem.forcing, (0.3, 0.55, 1.0), pieces):
+        assert nodes[0][1] == 1.0 - a and nodes[-1][1] == 1.0 - b
+        assert math.isclose(math.fsum(w for w, _ in nodes), b - a, rel_tol=1e-14)
+    # a tag at or past t splits nothing; a short piece still gets two panels
+    assert [len(n) for _, n in duhamel_nodes(problem, 0.3)] == [65]
+    assert [len(n) for _, n in duhamel_nodes(problem, 0.31)] == [63, 3]
+
+
+def test_semigroup_multiplier_one_node_is_the_semigroup():
+    f = random_test_function(5, C21, RandomFunctionConfig(4, -2, 2, complex_coeffs=True))
+    for t in (0.1, 0.7, 3.0):
+        single = semigroup_multiplier(((1, t),), ORDER).apply(f)
+        assert single == solve_cauchy(f, t, ORDER)
+    with pytest.raises(ValueError):
+        semigroup_multiplier(((0.5, 1.0), (0.5, -0.1)), ORDER)
+
+
+@pytest.mark.parametrize("p,n,alpha", BENCH_GRID)
+def test_duhamel_matches_per_node_oracle(p, n, alpha):
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    for seed, steps in ((1, 16), (2, 32), (3, 64)):
+        problem = step_problem(p, n, seed, steps)
+        times = (0.2, 0.42, 1.0)
+        for t, u in zip(times, duhamel(problem, order, times)):
+            oracle = per_node_sum(problem, order, t)
+            assert (u - oracle).sup_norm() <= 1e-12 * max(1.0, u.sup_norm())
+
+
+@pytest.mark.parametrize("p,n,alpha", BENCH_GRID)
+def test_duhamel_matches_exact_shell_integral(p, n, alpha):
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    for seed in (4, 5):
+        problem = step_problem(p, n, seed, 64)
+        times = (0.42, 1.0)
+        for t, u in zip(times, duhamel(problem, order, times)):
+            exact = exact_forcing_integral(problem, order, t)
+            assert (u - exact).sup_norm() <= 1e-8 * max(1.0, exact.sup_norm())
+
+
+def test_duhamel_step_forcing_fourth_order():
+    # forcing 1_{Z_2} on [0, 0.3), zero after: at the origin u(1) is the
+    # scalar integral of exp(-(1 - s)) over [0, 0.3]
+    problem = EvolutionProblem(
+        u0=BruhatSchwartzFunction.zero(C21),
+        horizon=1.0,
+        forcing=((0.0, omega()), (0.3, BruhatSchwartzFunction.zero(C21))),
+        steps=64,
+    )
+    (u,) = duhamel(problem, ORDER, [1.0])
+    got = float(u.evaluate(PAdicVector.zero(C21)).re)
+    assert abs(got - (math.exp(-0.7) - math.exp(-1))) <= 1e-9
+
+
+def test_duhamel_applies_one_multiplier_per_forcing_piece(monkeypatch):
+    calls = []
+    apply = RadialMultiplier.apply
+
+    def counted(self, f):
+        calls.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(RadialMultiplier, "apply", counted)
+    order = BesselOrder(2.0, C21)
+    problem = step_problem(2, 1, 6, 64)
+    for t, active in ((0.2, 1), (0.42, 2), (1.0, 3)):
+        calls.clear()
+        duhamel(problem, order, [t])
+        assert len(calls) == 1 + active
