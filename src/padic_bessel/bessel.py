@@ -10,10 +10,11 @@ maximum-principle and resolvent statements on concrete inputs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from padic_bessel.padic import (
     EC_ZERO,
@@ -125,6 +126,34 @@ def kernel_value(m: Union[int, float], alpha: float, ctx: PrimeContext) -> Numbe
     return (p ** (m * (alpha - n)) - p ** (alpha - n)) / float(gamma)
 
 
+def kernel_shells(order: BesselOrder) -> Iterator[float]:
+    """Kernel on the shells ||x|| = p**(-gamma), for gamma = 0, 1, 2, ... in
+    turn, as floats equal to ``float(kernel_value(-gamma, ...))``.
+
+    At integer alpha the value is the rational (B**-gamma - B) / gamma_p with
+    B = p**(alpha - n), that is gd (1 - B**(gamma+1)) / (gn B**gamma) for
+    gamma_p = gn / gd; B**gamma is carried from shell to shell, and the
+    int / int division rounds correctly, as ``float`` of the Fraction does.
+    At other alpha it is the float expression of ``kernel_value`` with the
+    gamma factor computed once.
+    """
+    ctx = order.ctx
+    p, n, alpha = ctx.p, ctx.n, order.alpha
+    gamma = padic_gamma(alpha, ctx)
+    if isinstance(gamma, Fraction):
+        gn, gd = gamma.numerator, gamma.denominator
+        base = p ** (int(alpha) - n)
+        power = 1
+        while True:
+            nxt = power * base
+            yield gd * (1 - nxt) / (gn * power)
+            power = nxt
+    d = alpha - n
+    top = p ** d
+    for g in itertools.count():
+        yield (p ** (-g * d) - top) / gamma
+
+
 def kernel_profile(order: BesselOrder) -> RadialProfile:
     """Kernel as a radial profile with exact geometric deep-shell pieces."""
     ctx = order.ctx
@@ -173,8 +202,8 @@ def kernel_partial_mass(gamma_max: int, order: BesselOrder) -> float:
     """Mass of the shells down to ||x|| = p**(-gamma_max); increases to 1."""
     ctx = order.ctx
     total = 0.0
-    for g in range(gamma_max + 1):
-        total += float(shell_measure(-g, ctx)) * float(kernel_value(-g, order.alpha, ctx))
+    for g, k in zip(range(gamma_max + 1), kernel_shells(order)):
+        total += float(shell_measure(-g, ctx)) * k
     return total
 
 

@@ -8,6 +8,7 @@ floats are printed with 17 significant digits so CSV values round-trip.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ from padic_bessel.bessel import (
     c0_dissipativity_margin,
     contraction_ratio,
     kernel_mass,
-    kernel_value,
+    kernel_shells,
     negdef_witness,
     pmp_check,
     quadratic_form,
@@ -111,8 +112,7 @@ def kernel_table(cfg: RunConfig) -> str:
     lines = ["gamma,norm,k_alpha"]
     if cfg.gamma_max >= 0:
         p = cfg.p
-        for g in range(cfg.gamma_max + 1):
-            k = float(kernel_value(-g, cfg.alpha, order.ctx))
+        for g, k in zip(range(cfg.gamma_max + 1), kernel_shells(order)):
             lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(k)}")
         mass = kernel_mass(order)
         lines.append(f"mass,{_fmt(mass)},{_fmt(abs(mass - 1.0))}")
@@ -128,7 +128,7 @@ def heat_table(cfg: RunConfig) -> str:
         for g, z in zip(range(cfg.gamma_max + 1), z_shells(t, order)):
             lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(z)},{_fmt(tail_envelope(g, t, order))}")
         zm = z_mass(t, order)
-        dist = distributional_mass(t, order)
+        dist = 1.0 + zm  # distributional_mass, without summing the series again
         defect = abs(zm - math.expm1(-t))
         lines.append(f"mass,{_fmt(zm)},{_fmt(dist)},{_fmt(defect)}")
     return "\n".join(lines) + "\n"
@@ -417,7 +417,10 @@ def run_verify(ns: argparse.Namespace) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged and every call gets a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="padic-bessel",
         description="Bessel-potential operator tables, transforms, evolution and verification on Q_p^n.",

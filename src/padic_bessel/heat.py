@@ -215,11 +215,22 @@ def distributional_mass(t: float, order: BesselOrder) -> float:
 
 
 def heat_shell_values(t: float, order: BesselOrder) -> Callable[[int], float]:
-    """Shell-profile accessor for the kernel's function part (0 above k = 0)."""
+    """Shell-profile accessor for the kernel's function part (0 above k = 0).
+
+    Values come from one ``z_shells`` running sum, kept in a list that grows
+    only as deep as the deepest shell asked for, so each equals ``z_closed``
+    and a sweep over the shells costs linear time.
+    """
     _require_positive_time(t)
+    shells = z_shells(t, order)
+    values: list = []
 
     def value(k: int) -> float:
-        return 0.0 if k >= 1 else z_closed(-k, t, order)
+        if k >= 1:
+            return 0.0
+        while len(values) <= -k:
+            values.append(next(shells))
+        return values[-k]
 
     return value
 

@@ -1,5 +1,6 @@
 """Operator layer: kernel identities, dual routes, and the verification battery."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from padic_bessel.bessel import (
     kernel_mass,
     kernel_partial_mass,
     kernel_profile,
+    kernel_shells,
     kernel_value,
     khat_defect,
     negdef_witness,
@@ -92,6 +94,18 @@ def test_kernel_values():
         p = order.ctx.p
         got = float(kernel_value(0, order.alpha, order.ctx))
         assert abs(got - (1 - p ** (-order.alpha))) <= 1e-15 * abs(got)
+
+
+@pytest.mark.parametrize(
+    "p,n,alpha",
+    [(2, 1, 2.0), (3, 1, 3.0), (2, 2, 4.0), (5, 1, 2.0), (3, 2, 2.5), (2, 1, 2.5), (5, 2, 3.5)],
+)
+def test_kernel_shells_are_kernel_value(p, n, alpha):
+    # the running sequence rounds the same rational (integer alpha) or
+    # evaluates the same float expression (other alpha) as kernel_value
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    got = list(itertools.islice(kernel_shells(order), 401))
+    assert got == [float(kernel_value(-g, alpha, order.ctx)) for g in range(401)]
 
 
 def test_kernel_nonnegative_on_support():

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from padic_bessel.bessel import BesselOrder
+from padic_bessel import cli
+from padic_bessel.bessel import BesselOrder, kernel_mass, kernel_value
 from padic_bessel.cli import main
 from padic_bessel.heat import z_closed
 from padic_bessel.padic import PrimeContext
@@ -86,6 +87,28 @@ def test_heat_table_rows_are_z_closed(capsys, p, n, alpha, t, gamma):
     rows = [line.split(",") for line in out.strip().split("\n")[1:-1]]
     order = BesselOrder(alpha, PrimeContext(p, n))
     assert [float(row[2]) for row in rows] == [z_closed(g, t, order) for g in range(gamma + 1)]
+
+
+@pytest.mark.parametrize(
+    "p,n,alpha,gamma", [(2, 1, 2.0, 40), (3, 1, 3.0, 120), (3, 2, 2.5, 300), (5, 1, 2.0, 2000)]
+)
+def test_kernel_table_rows_are_kernel_value(capsys, p, n, alpha, gamma):
+    # the table's running sequence gives kernel_value's floats, so the CSV
+    # is the one written row by row from kernel_value
+    code, out, _ = run(
+        capsys, "kernel", "--p", str(p), "--n", str(n), "--alpha", str(alpha),
+        "--gamma-max", str(gamma),
+    )
+    assert code == 0
+    ctx = PrimeContext(p, n)
+    mass = kernel_mass(BesselOrder(alpha, ctx))
+    fmt = lambda x: format(float(x), ".17g")
+    expected = ["gamma,norm,k_alpha"]
+    expected += [
+        f"{g},{fmt(p ** (-g))},{fmt(kernel_value(-g, alpha, ctx))}" for g in range(gamma + 1)
+    ]
+    expected.append(f"mass,{fmt(mass)},{fmt(abs(mass - 1.0))}")
+    assert out == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("p,n,alpha,gamma", [(2, 1, 2.0, 1024), (5, 2, 3.5, 221)])
@@ -286,3 +309,28 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("gamma,norm,k_alpha\n")
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    calls = [
+        ("kernel", "--p", "3", "--alpha", "3", "--gamma-max", "12"),
+        ("heat", "--t", "0.5", "--gamma-max", "6"),
+        ("evolve", "--in", str(src), "--alpha", "2.5", "--t", "0.5,1.0", "--steps", "8"),
+        ("verify", "negdef"),
+    ]
+    cli._build_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in calls]
+    built = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--gamma-max", "deep"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert cli._build_parser() is built
+    # every parse starts from the defaults, whatever the calls before it set
+    fresh = cli._build_parser.__wrapped__()
+    for argv in calls + [("kernel",), ("heat",), ("verify", "pmp")]:
+        assert vars(built.parse_args(list(argv))) == vars(fresh.parse_args(list(argv)))

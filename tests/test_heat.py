@@ -23,6 +23,7 @@ from padic_bessel.heat import (
     distributional_mass,
     duhamel,
     duhamel_nodes,
+    heat_shell_values,
     semigroup_multiplier,
     solve_cauchy,
     tail_envelope,
@@ -175,6 +176,18 @@ def test_convolution_law(t1, t2, gamma):
     defect, tail = convolution_defect(t1, t2, gamma, ORDER)
     assert defect <= 1e-9
     assert tail <= 1e-12
+
+
+def test_heat_shell_values_are_z_closed():
+    # the shared running sum serves shells in any order, deep ones first too
+    for t in (0.5, 1.9):
+        value = heat_shell_values(t, ORDER)
+        ks = [-40, 0, 1, 3, -7, -40, -41, -2]
+        assert [value(k) for k in ks] == [
+            0.0 if k >= 1 else z_closed(-k, t, ORDER) for k in ks
+        ]
+    with pytest.raises(ValueError):
+        heat_shell_values(0.0, ORDER)
 
 
 def test_convolution_multiplier_identity_exact():
