@@ -123,7 +123,12 @@ def kernel_value(m: Union[int, float], alpha: float, ctx: PrimeContext) -> Numbe
     if isinstance(gamma, Fraction) and float(alpha).is_integer():
         a = int(alpha)
         return (Fraction(p) ** (m * (a - n)) - Fraction(p) ** (a - n)) / gamma
-    return (p ** (m * (alpha - n)) - p ** (alpha - n)) / float(gamma)
+    return _float_kernel(m, alpha - n, p, float(gamma))
+
+
+def _float_kernel(m: int, d: float, p: int, gamma: float) -> float:
+    """Kernel at norm exponent m <= 0 for non-integer alpha, d = alpha - n."""
+    return (p ** (m * d) - p ** d) / gamma
 
 
 def kernel_shells(order: BesselOrder) -> Iterator[float]:
@@ -134,7 +139,7 @@ def kernel_shells(order: BesselOrder) -> Iterator[float]:
     B = p**(alpha - n), that is gd (1 - B**(gamma+1)) / (gn B**gamma) for
     gamma_p = gn / gd; B**gamma is carried from shell to shell, and the
     int / int division rounds correctly, as ``float`` of the Fraction does.
-    At other alpha it is the float expression of ``kernel_value`` with the
+    At other alpha each shell is ``kernel_value``'s float expression, with the
     gamma factor computed once.
     """
     ctx = order.ctx
@@ -148,10 +153,8 @@ def kernel_shells(order: BesselOrder) -> Iterator[float]:
             nxt = power * base
             yield gd * (1 - nxt) / (gn * power)
             power = nxt
-    d = alpha - n
-    top = p ** d
     for g in itertools.count():
-        yield (p ** (-g * d) - top) / gamma
+        yield _float_kernel(-g, alpha - n, p, gamma)
 
 
 def kernel_profile(order: BesselOrder) -> RadialProfile:

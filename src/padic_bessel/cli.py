@@ -8,7 +8,6 @@ floats are printed with 17 significant digits so CSV values round-trip.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -417,10 +416,7 @@ def run_verify(ns: argparse.Namespace) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged and every call gets a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="padic-bessel",
         description="Bessel-potential operator tables, transforms, evolution and verification on Q_p^n.",

@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from padic_bessel import cli
 from padic_bessel.bessel import BesselOrder, kernel_mass, kernel_value
 from padic_bessel.cli import main
 from padic_bessel.heat import z_closed
@@ -310,27 +309,3 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     assert target.read_text().startswith("gamma,norm,k_alpha\n")
 
-
-def test_parser_is_built_once_and_reused(tmp_path, capsys):
-    assert cli._build_parser() is cli._build_parser()
-    src = tmp_path / "u0.json"
-    src.write_text(serialize(OMEGA))
-    calls = [
-        ("kernel", "--p", "3", "--alpha", "3", "--gamma-max", "12"),
-        ("heat", "--t", "0.5", "--gamma-max", "6"),
-        ("evolve", "--in", str(src), "--alpha", "2.5", "--t", "0.5,1.0", "--steps", "8"),
-        ("verify", "negdef"),
-    ]
-    cli._build_parser.cache_clear()
-    first = [run(capsys, *argv) for argv in calls]
-    built = cli._build_parser()
-    with pytest.raises(SystemExit) as exc:
-        main(["kernel", "--gamma-max", "deep"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    assert [run(capsys, *argv) for argv in calls] == first
-    assert cli._build_parser() is built
-    # every parse starts from the defaults, whatever the calls before it set
-    fresh = cli._build_parser.__wrapped__()
-    for argv in calls + [("kernel",), ("heat",), ("verify", "pmp")]:
-        assert vars(built.parse_args(list(argv))) == vars(fresh.parse_args(list(argv)))
