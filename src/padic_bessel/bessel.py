@@ -2,11 +2,14 @@
 
 The operator and its resolvent act on test functions as radial multipliers
 through concentric balls (``RadialMultiplier``), exact for rational symbol
-values.  Two independent routes serve as its oracles: the two Fourier
-transforms around ``multiply_radial`` (symbol side) and convolution against
-the explicit radial kernel at a point (space side).  The verification
-operations below check the dissipativity, self-adjointness, contraction,
-maximum-principle and resolvent statements on concrete inputs.
+values.  The quadratic form of the L2 battery is read off the same route, so
+no function here calls the Fourier transform.  Two independent routes serve
+as its oracles: convolution against the explicit radial kernel at a point
+(space side, below) and the two Fourier transforms around ``multiply_radial``
+with ``symbol_profile`` (symbol side, in the tests and ``verify routes``).
+The verification operations below check the dissipativity,
+self-adjointness, contraction, maximum-principle and resolvent statements on
+concrete inputs.
 """
 from __future__ import annotations
 
@@ -27,13 +30,7 @@ from padic_bessel.padic import (
     shell_measure,
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum
-from padic_bessel.spectral import (
-    RadialMultiplier,
-    RadialProfile,
-    fourier,
-    multiply_radial,
-    radial_transform,
-)
+from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
 
 
 @dataclass(frozen=True)
@@ -292,11 +289,10 @@ def resolvent_residual(
 
 
 def quadratic_form(order: BesselOrder, f: BruhatSchwartzFunction) -> float:
-    """<-(operator) f, f>, computed on the Fourier side; dissipativity means
-    this never exceeds rounding."""
-    fhat = fourier(f)
-    weighted = multiply_radial(fhat, symbol_profile(order))
-    return -float(weighted.inner_product(fhat).re)
+    """<-(operator) f, f>, read off the multiplier route: by Parseval it is
+    minus the integral of symbol * |F f|**2, real because the symbol is, so
+    dissipativity means this never exceeds rounding."""
+    return -float(apply_bessel(order, f).inner_product(f).re)
 
 
 def adjoint_defect(

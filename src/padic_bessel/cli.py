@@ -2,8 +2,9 @@
 runs, and the seeded verification batteries.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage or
-input errors.  All outputs are deterministic for fixed flags and seed;
-floats are printed with 17 significant digits so CSV values round-trip.
+input errors, among them results beyond the float range.  All outputs are
+deterministic for fixed flags and seed; floats are printed with 17
+significant digits so CSV values round-trip.
 """
 from __future__ import annotations
 
@@ -82,13 +83,23 @@ class RunConfig:
     tol: Optional[float] = None
     seed: int = 0
     trials: int = 200
-    steps: int = 64
 
     def context(self) -> PrimeContext:
         return PrimeContext(self.p, self.n)
 
     def order(self) -> BesselOrder:
         return BesselOrder(self.alpha, self.context())
+
+
+def _run_config(ns: argparse.Namespace, **fields) -> RunConfig:
+    """RunConfig from the --p/--n/--alpha flags (defaults for unset ones)
+    plus the given command-specific fields."""
+    return RunConfig(
+        p=ns.p if ns.p is not None else 2,
+        n=ns.n if ns.n is not None else 1,
+        alpha=ns.alpha if ns.alpha is not None else 2.0,
+        **fields,
+    )
 
 
 def _fmt(x: float) -> str:
@@ -136,17 +147,18 @@ def heat_table(cfg: RunConfig) -> str:
 # -- file-driven commands -------------------------------------------------------
 
 
-def _load_function(path: str) -> BruhatSchwartzFunction:
-    with open(path) as fh:
-        return deserialize(fh.read())
+def _load_input(ns: argparse.Namespace) -> BruhatSchwartzFunction:
+    """The --in function, checked against any --p/--n flags."""
+    with open(ns.infile) as fh:
+        f = deserialize(fh.read())
+    for flag, given, actual in (("p", ns.p, f.ctx.p), ("n", ns.n, f.ctx.n)):
+        if given is not None and given != actual:
+            raise ValueError(f"--{flag} {given} does not match the input file's {flag} = {actual}")
+    return f
 
 
 def run_fourier(ns: argparse.Namespace) -> int:
-    f = _load_function(ns.infile)
-    if ns.p is not None and ns.p != f.ctx.p:
-        raise ValueError(f"--p {ns.p} does not match the input file's p = {f.ctx.p}")
-    if ns.n is not None and ns.n != f.ctx.n:
-        raise ValueError(f"--n {ns.n} does not match the input file's n = {f.ctx.n}")
+    f = _load_input(ns)
     transformed = fourier(f)
     if ns.roundtrip:
         doubled = fourier(transformed)
@@ -180,11 +192,7 @@ def _load_forcing(path: str) -> tuple:
 
 
 def run_evolve(ns: argparse.Namespace) -> int:
-    u0 = _load_function(ns.infile)
-    if ns.p is not None and ns.p != u0.ctx.p:
-        raise ValueError(f"--p {ns.p} does not match the input file's p = {u0.ctx.p}")
-    if ns.n is not None and ns.n != u0.ctx.n:
-        raise ValueError(f"--n {ns.n} does not match the input file's n = {u0.ctx.n}")
+    u0 = _load_input(ns)
     alpha = ns.alpha if ns.alpha is not None else 2.0
     order = BesselOrder(alpha, u0.ctx)
     times = [float(s) for s in ns.t.split(",") if s.strip() != ""]
@@ -379,14 +387,7 @@ def suite_negdef(cfg: RunConfig) -> list:
 
 
 def run_verify(ns: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        p=ns.p if ns.p is not None else 2,
-        n=ns.n if ns.n is not None else 1,
-        alpha=ns.alpha if ns.alpha is not None else 2.0,
-        tol=ns.tol,
-        seed=ns.seed,
-        trials=ns.trials,
-    )
+    cfg = _run_config(ns, tol=ns.tol, seed=ns.seed, trials=ns.trials)
     runners = {
         "pmp": suite_pmp,
         "dissipative": suite_dissipative,
@@ -462,25 +463,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.command == "kernel":
-            cfg = RunConfig(
-                p=ns.p if ns.p is not None else 2,
-                n=ns.n if ns.n is not None else 1,
-                alpha=ns.alpha if ns.alpha is not None else 2.0,
-                gamma_max=ns.gamma_max,
-            )
+            cfg = _run_config(ns, gamma_max=ns.gamma_max)
             cfg.order()
             _emit(kernel_table(cfg), ns.out)
             return 0
         if ns.command == "heat":
             if not ns.t > 0:
                 raise ValueError(f"--t {ns.t} must be positive")
-            cfg = RunConfig(
-                p=ns.p if ns.p is not None else 2,
-                n=ns.n if ns.n is not None else 1,
-                alpha=ns.alpha if ns.alpha is not None else 2.0,
-                t=ns.t,
-                gamma_max=ns.gamma_max,
-            )
+            cfg = _run_config(ns, t=ns.t, gamma_max=ns.gamma_max)
             cfg.order()
             _emit(heat_table(cfg), ns.out)
             return 0
@@ -490,7 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return run_evolve(ns)
         if ns.command == "verify":
             return run_verify(ns)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {ns.command!r}")

@@ -15,7 +15,10 @@ against each other:
 Evolution applies exp(-t * multiplier) through concentric balls
 (``RadialMultiplier``); inhomogeneous problems are integrated by composite
 Simpson quadrature of the propagated forcing, split at the forcing's jumps,
-with the nodes of each forcing piece summed into one multiplier.
+with the nodes of each forcing piece summed into one multiplier.  The
+pairing of the function part with a test function is the multiplier
+expm1(-t * multiplier) on the same route, read at the origin, so no
+function here calls the Fourier transform.
 """
 from __future__ import annotations
 
@@ -25,20 +28,14 @@ from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from padic_bessel.padic import (
-    EC_ZERO,
     ZERO_NORM,
     ExactComplex,
+    PAdicVector,
     PrimeContext,
-    ball_measure,
     shell_measure,
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
-from padic_bessel.spectral import (
-    RadialMultiplier,
-    RadialProfile,
-    inverse_fourier,
-    radial_transform,
-)
+from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
 from padic_bessel.bessel import BesselOrder, symbol_value
 
 
@@ -300,33 +297,22 @@ def convolution_defect(
 def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> ExactComplex:
     """Distributional pairing of the kernel's function part with phi.
 
-    Computed on the frequency side: the inverse transform of phi has compact
-    support, and the transform of the function part is expm1(-t * symbol),
-    constant on each cell, so the pairing is a finite exact-measure sum.
-    The full kernel pairs to phi(0) plus this value and tends to phi(0) as
-    t drops to 0.
+    The function part is the inverse transform of expm1(-t * symbol), and
+    it is radial, so the pairing is that multiplier applied to phi through
+    concentric balls and read at the origin.  The shell values come from
+    expm1 rather than from the semigroup minus the identity, so a small t
+    loses no significance; the shell differences are the semigroup's.  The
+    full kernel pairs to phi(0) plus this value and tends to phi(0) as t
+    drops to 0.
     """
     _require_positive_time(t)
-    psi = inverse_fourier(phi)
-    ctx = order.ctx
-
-    def w(m: Union[int, float]) -> float:
-        return math.expm1(-t * float(symbol_value(m, order)))
-
-    total = EC_ZERO
-    for c, ball in psi.terms:
-        r = ball.radius_exp
-        a = ball.center
-        if not a.is_zero:
-            total = total + c * (w(a.norm_exp) * float(ball_measure(r, ctx)))
-        elif r <= 0:
-            total = total + c * (w(0) * float(ball_measure(r, ctx)))
-        else:
-            piece = w(0)
-            for k in range(1, r + 1):
-                piece += w(k) * float(shell_measure(k, ctx))
-            total = total + c * piece
-    return total
+    semigroup = semigroup_multiplier(((1, t),), order)
+    kernel = RadialMultiplier(
+        order.ctx,
+        lambda k: math.expm1(-t * float(symbol_value(k, order))),
+        semigroup.drop,
+    )
+    return kernel.apply(phi).evaluate(PAdicVector.zero(order.ctx))
 
 
 # -- evolution ------------------------------------------------------------------

@@ -188,50 +188,53 @@ class BruhatSchwartzFunction:
                 node = node[1].setdefault(step, [EC_ZERO, {}])
             node[0] = node[0] + c
 
-        n = self.ctx.n
         ctx = self.ctx
+        all_digits = list(digit_product(range(p), repeat=ctx.n))
         out: list = []
 
-        def walk(node, center_coords, radius, running):
-            """Return ('const', v) when the subtree is constant, else
-            ('cells', ...) after appending this subtree's cells to out."""
-            running = running + node[0]
-            children = node[1]
-            if not children:
-                return ("const", running)
-            scale = Fraction(p) ** (-radius)
-            results = []
-            for digits in digit_product(range(p), repeat=n):
-                child_coords = tuple(
-                    x + d * scale for x, d in zip(center_coords, digits)
-                )
+        # Post-order walk with an explicit stack, so the tree depth is not
+        # bounded by the recursion limit.  A frame is [children, center
+        # coords, radius, running value, digit scale, results]; results gets
+        # one (value, coords) per child in digit order, value None when that
+        # child's subtree is not constant and its cells are already in out.
+        # A finished frame whose children all agree is constant; otherwise
+        # its nonzero constant children become cells of radius - 1.
+        zero_coords = (Fraction(0),) * ctx.n
+        top = root[0]
+        stack = []
+        if root[1]:
+            stack.append([root[1], zero_coords, root_r, top, Fraction(p) ** -root_r, []])
+        while stack:
+            children, coords, radius, running, scale, results = stack[-1]
+            if len(results) < len(all_digits):
+                digits = all_digits[len(results)]
+                child_coords = tuple(x + d * scale for x, d in zip(coords, digits))
                 child = children.get(digits)
                 if child is None:
-                    results.append(("const", running, child_coords))
+                    results.append((running, child_coords))
+                elif not child[1]:
+                    results.append((running + child[0], child_coords))
                 else:
-                    sub = walk(child, child_coords, radius - 1, running)
-                    results.append((sub[0], sub[1] if sub[0] == "const" else None, child_coords))
-            if all(r[0] == "const" for r in results):
-                first = results[0][1]
-                if all(r[1] == first for r in results[1:]):
-                    return ("const", first)
-            for kind, value, coords in results:
-                if kind == "const" and not value.is_zero():
-                    out.append(
-                        (value, Ball(PAdicVector(coords, ctx), radius - 1, known_canonical=True))
+                    stack.append(
+                        [child[1], child_coords, radius - 1, running + child[0], scale * p, []]
                     )
-            return ("cells", None)
-
-        zero_coords = (Fraction(0),) * n
-        top = walk(root, zero_coords, root_r, EC_ZERO)
-        if top[0] == "const":
-            cells = (
-                []
-                if top[1].is_zero()
-                else [(top[1], Ball(PAdicVector(zero_coords, ctx), root_r, known_canonical=True))]
-            )
-        else:
+                continue
+            stack.pop()
+            top = results[0][0]
+            if top is None or any(v is None or v != top for v, _ in results[1:]):
+                for value, child_coords in results:
+                    if value is not None and not value.is_zero():
+                        cell = Ball(PAdicVector(child_coords, ctx), radius - 1, known_canonical=True)
+                        out.append((value, cell))
+                top = None
+            if stack:
+                stack[-1][5].append((top, coords))
+        if top is None:
             cells = out
+        elif top.is_zero():
+            cells = []
+        else:
+            cells = [(top, Ball(PAdicVector(zero_coords, ctx), root_r, known_canonical=True))]
         return BruhatSchwartzFunction(self.ctx, tuple(cells), canonical=True)
 
     # -- integration -------------------------------------------------------

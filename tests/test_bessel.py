@@ -295,6 +295,14 @@ def test_quadratic_form_examples():
     assert quadratic_form(order, BruhatSchwartzFunction.zero(C21)) == 0.0
 
 
+def test_quadratic_form_closed_form_at_odd_p():
+    # f = 1_{B(1/3, 3^-1)} at alpha = 3: J f = (26/81) 1_{Z_3} + (1/27) f, so
+    # <J f, f> = (26/81 + 3/81) / 3 = 29/243, with no rounding at p = 3
+    order = BesselOrder(3.0, PrimeContext(3, 1))
+    f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(order.ctx, Fraction(1, 3)), -1))
+    assert quadratic_form(order, f) == -float(Fraction(29, 243))
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_quadratic_form_nonpositive(seed):
     order = BesselOrder(2.5, C21)

@@ -2,13 +2,14 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from padic_bessel.bessel import BesselOrder, kernel_mass, kernel_value
 from padic_bessel.cli import main
 from padic_bessel.heat import z_closed
-from padic_bessel.padic import PrimeContext
+from padic_bessel.padic import Ball, PAdicVector, PrimeContext
 from padic_bessel.schwartz import BruhatSchwartzFunction, deserialize, serialize
 
 OMEGA = BruhatSchwartzFunction.unit_ball(PrimeContext(2, 1))
@@ -178,6 +179,36 @@ def test_fourier_malformed_file(tmp_path, capsys):
     src.write_text('{"p":4,"n":1,"terms":[]}')
     code, _, err = run(capsys, "fourier", "--in", str(src))
     assert code == 2
+
+
+def _single_ball_file(tmp_path, radius_exp):
+    src = tmp_path / f"ball_{radius_exp}.json"
+    src.write_text(
+        json.dumps({"p": 2, "n": 1, "terms": [{"re": "1", "center": ["0"], "radius_exp": radius_exp}]})
+    )
+    return src
+
+
+@pytest.mark.parametrize("radius_exp", [-1000, 5000])
+def test_fourier_of_a_very_deep_or_very_large_ball(tmp_path, capsys, radius_exp):
+    # the transform of 1_{B(0, 2**r)} is 2**r 1_{B(0, 2**-r)}; canonical form
+    # walks one tree level per digit, past the interpreter's recursion limit
+    src = _single_ball_file(tmp_path, radius_exp)
+    code, out, err = run(capsys, "fourier", "--in", str(src))
+    assert (code, err) == (0, "")
+    ctx = PrimeContext(2, 1)
+    dual = Ball(PAdicVector.zero(ctx), -radius_exp)
+    assert deserialize(out) == BruhatSchwartzFunction.indicator(dual, Fraction(2) ** radius_exp)
+
+
+def test_evolve_norm_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # ||1_{B(0, 2**5000)}||_2 = 2**2500 has no float
+    src = _single_ball_file(tmp_path, 5000)
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_evolve_homogeneous_snapshot(tmp_path, capsys):

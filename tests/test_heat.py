@@ -207,6 +207,14 @@ def test_weak_pairing_unit_ball():
         assert float(got.im) == 0
 
 
+def test_weak_pairing_keeps_significance_at_small_time():
+    # the pairing with 1_{Z_p} is expm1(-t); read as the semigroup minus the
+    # identity, exp(-t) - 1, it would keep only about 5 digits at t = 1e-12
+    t = 1e-12
+    got = float(weak_pairing(t, omega(), ORDER).re)
+    assert abs(got - math.expm1(-t)) <= 1e-15 * abs(math.expm1(-t))
+
+
 def test_weak_pairing_disjoint_support():
     phi = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(1, 4)), -2))
     assert abs(weak_pairing(1.0, phi, ORDER)) <= 1e-12

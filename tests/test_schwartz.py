@@ -96,6 +96,15 @@ def test_canonicalize_collapses_constant_siblings():
     assert f.terms == omega().scale(3).terms
 
 
+def test_canonicalize_merges_back_through_a_deep_tree():
+    # a ball 2^-1500 deep, added and taken away again, makes a tree deeper
+    # than the interpreter's recursion limit that merges back into one cell
+    tiny = Ball(PAdicVector.zero(C21), -1500)
+    pieces = ((ExactComplex(Fraction(1), 0), tiny), (ExactComplex(Fraction(-1), 0), tiny))
+    f = BruhatSchwartzFunction(C21, omega().terms + pieces)
+    assert f.canonicalize().terms == omega().terms
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_canonicalize_idempotent_and_disjoint(seed):
     f = random_test_function(seed, C21)
