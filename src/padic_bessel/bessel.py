@@ -88,7 +88,6 @@ def symbol_profile(order: BesselOrder) -> RadialProfile:
         resid=lambda k: symbol_value(k, order),
         base=0,
         deep_pieces=((1, 0),),
-        deep_cutoff=0,
         support_max=None,
         envelope=(1.0, -order.alpha),
         constant_on_unit_ball=True,
@@ -165,7 +164,6 @@ def kernel_profile(order: BesselOrder) -> RadialProfile:
         resid=lambda k: kernel_value(k, alpha, ctx),
         base=0,
         deep_pieces=((1.0 / gamma, alpha - n), (-(p ** (alpha - n)) / gamma, 0)),
-        deep_cutoff=0,
         support_max=0,
     )
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,49 +56,12 @@ from padic_bessel.heat import (
     z_value,
 )
 
-SUITES = (
-    "pmp",
-    "dissipative",
-    "selfadjoint",
-    "contraction",
-    "resolvent",
-    "fourier",
-    "heat",
-    "negdef",
-    "routes",
-    "all",
-)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters shared by the subcommands."""
-
-    p: int = 2
-    n: int = 1
-    alpha: float = 2.0
-    t: float = 1.0
-    gamma_max: int = 10
-    tol: Optional[float] = None
-    seed: int = 0
-    trials: int = 200
-
-    def context(self) -> PrimeContext:
-        return PrimeContext(self.p, self.n)
-
-    def order(self) -> BesselOrder:
-        return BesselOrder(self.alpha, self.context())
-
-
-def _run_config(ns: argparse.Namespace, **fields) -> RunConfig:
-    """RunConfig from the --p/--n/--alpha flags (defaults for unset ones)
-    plus the given command-specific fields."""
-    return RunConfig(
-        p=ns.p if ns.p is not None else 2,
-        n=ns.n if ns.n is not None else 1,
-        alpha=ns.alpha if ns.alpha is not None else 2.0,
-        **fields,
-    )
+def _order(ns: argparse.Namespace) -> BesselOrder:
+    """The order of the --p/--n/--alpha flags; p and n default to 2 and 1."""
+    p = 2 if ns.p is None else ns.p
+    n = 1 if ns.n is None else ns.n
+    return BesselOrder(ns.alpha, PrimeContext(p, n))
 
 
 def _fmt(x: float) -> str:
@@ -117,25 +79,22 @@ def _emit(text: str, out: Optional[str]) -> None:
 # -- tables -------------------------------------------------------------------
 
 
-def kernel_table(cfg: RunConfig) -> str:
-    order = cfg.order()
+def kernel_table(order: BesselOrder, gamma_max: int) -> str:
     lines = ["gamma,norm,k_alpha"]
-    if cfg.gamma_max >= 0:
-        p = cfg.p
-        for g, k in zip(range(cfg.gamma_max + 1), kernel_shells(order)):
+    if gamma_max >= 0:
+        p = order.ctx.p
+        for g, k in zip(range(gamma_max + 1), kernel_shells(order)):
             lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(k)}")
         mass = kernel_mass(order)
         lines.append(f"mass,{_fmt(mass)},{_fmt(abs(mass - 1.0))}")
     return "\n".join(lines) + "\n"
 
 
-def heat_table(cfg: RunConfig) -> str:
-    order = cfg.order()
-    t = cfg.t
+def heat_table(order: BesselOrder, t: float, gamma_max: int) -> str:
     lines = ["gamma,norm,z_value,tail_bound"]
-    if cfg.gamma_max >= 0:
-        p = cfg.p
-        for g, z in zip(range(cfg.gamma_max + 1), z_shells(t, order)):
+    if gamma_max >= 0:
+        p = order.ctx.p
+        for g, z in zip(range(gamma_max + 1), z_shells(t, order)):
             lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(z)},{_fmt(tail_envelope(g, t, order))}")
         zm = z_mass(t, order)
         dist = 1.0 + zm  # distributional_mass, without summing the series again
@@ -193,8 +152,7 @@ def _load_forcing(path: str) -> tuple:
 
 def run_evolve(ns: argparse.Namespace) -> int:
     u0 = _load_input(ns)
-    alpha = ns.alpha if ns.alpha is not None else 2.0
-    order = BesselOrder(alpha, u0.ctx)
+    order = BesselOrder(ns.alpha, u0.ctx)
     times = [float(s) for s in ns.t.split(",") if s.strip() != ""]
     if not times:
         raise ValueError("--t must list at least one evaluation time")
@@ -230,93 +188,86 @@ def _random_f(seed: int, ctx: PrimeContext, complex_coeffs: bool = False):
     return random_test_function(seed, ctx, cfg)
 
 
-def suite_pmp(cfg: RunConfig) -> list:
-    order = cfg.order()
-    tol = cfg.tol if cfg.tol is not None else 1e-12
+def suite_pmp(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    tol = tol if tol is not None else 1e-12
     worst = -math.inf
     ok = True
-    for i in range(cfg.trials):
-        f = _random_f(_trial_seed(cfg.seed, i), order.ctx)
+    for i in range(trials):
+        f = _random_f(_trial_seed(seed, i), order.ctx)
         report = pmp_check(order, f, tol)
         worst = max(worst, report.worst)
         ok = ok and report.passed
-    return [("pmp", cfg.trials, worst, tol, ok)]
+    return [("pmp", trials, worst, tol, ok)]
 
 
-def suite_dissipative(cfg: RunConfig) -> list:
-    order = cfg.order()
-    tol = cfg.tol if cfg.tol is not None else 1e-12
+def suite_dissipative(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    tol = tol if tol is not None else 1e-12
     worst = -math.inf
-    for i in range(cfg.trials):
-        f = _random_f(_trial_seed(cfg.seed, i), order.ctx, complex_coeffs=True)
+    for i in range(trials):
+        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
         worst = max(worst, quadratic_form(order, f))
-    rows = [("dissipative_l2", cfg.trials, worst, tol, worst <= tol)]
-    pairs = max(1, cfg.trials // 2)
+    rows = [("dissipative_l2", trials, worst, tol, worst <= tol)]
+    pairs = max(1, trials // 2)
     margin_worst = math.inf
     for i in range(pairs):
-        f = _random_f(_trial_seed(cfg.seed, 10_000 + i), order.ctx)
+        f = _random_f(_trial_seed(seed, 10_000 + i), order.ctx)
         lam = 0.1 + (i % 20) * 0.5
         margin_worst = min(margin_worst, c0_dissipativity_margin(order, f, lam))
     rows.append(("dissipative_sup", pairs, -margin_worst, tol, margin_worst >= -tol))
     return rows
 
 
-def suite_selfadjoint(cfg: RunConfig) -> list:
-    order = cfg.order()
-    tol = cfg.tol if cfg.tol is not None else 1e-12
+def suite_selfadjoint(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    tol = tol if tol is not None else 1e-12
     worst = 0.0
-    for i in range(cfg.trials):
-        f = _random_f(_trial_seed(cfg.seed, i), order.ctx, complex_coeffs=True)
-        g = _random_f(_trial_seed(cfg.seed, 50_000 + i), order.ctx, complex_coeffs=True)
+    for i in range(trials):
+        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
+        g = _random_f(_trial_seed(seed, 50_000 + i), order.ctx, complex_coeffs=True)
         worst = max(worst, abs(adjoint_defect(order, f, g)))
-    return [("selfadjoint", cfg.trials, worst, tol, worst <= tol)]
+    return [("selfadjoint", trials, worst, tol, worst <= tol)]
 
 
-def suite_contraction(cfg: RunConfig) -> list:
-    order = cfg.order()
-    tol = cfg.tol if cfg.tol is not None else 1e-12
+def suite_contraction(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    tol = tol if tol is not None else 1e-12
     worst = 0.0
-    for i in range(cfg.trials):
-        f = _random_f(_trial_seed(cfg.seed, i), order.ctx, complex_coeffs=True)
+    for i in range(trials):
+        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
         if f.is_zero:
             continue
         worst = max(worst, contraction_ratio(order, f) - 1.0)
-    return [("contraction", cfg.trials, worst, tol, worst <= tol)]
+    return [("contraction", trials, worst, tol, worst <= tol)]
 
 
-def suite_resolvent(cfg: RunConfig) -> list:
-    order = cfg.order()
-    tol = cfg.tol if cfg.tol is not None else 1e-12
+def suite_resolvent(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    tol = tol if tol is not None else 1e-12
     worst = 0.0
-    trials = max(1, cfg.trials // 3)
+    trials = max(1, trials // 3)
     for i in range(trials):
-        f = _random_f(_trial_seed(cfg.seed, i), order.ctx)
+        f = _random_f(_trial_seed(seed, i), order.ctx)
         for lam in (0.1, 1, 10):
             worst = max(worst, resolvent_residual(order, lam, f))
     return [("resolvent", trials * 3, worst, tol, worst <= tol)]
 
 
-def suite_fourier(cfg: RunConfig) -> list:
-    ctx = cfg.context()
-    tol = cfg.tol if cfg.tol is not None else 1e-12
+def suite_fourier(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    tol = tol if tol is not None else 1e-12
     worst_pars = 0.0
     worst_refl = 0.0
-    for i in range(cfg.trials):
-        f = _random_f(_trial_seed(cfg.seed, i), ctx, complex_coeffs=True)
-        g = _random_f(_trial_seed(cfg.seed, 50_000 + i), ctx, complex_coeffs=True)
+    for i in range(trials):
+        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
+        g = _random_f(_trial_seed(seed, 50_000 + i), order.ctx, complex_coeffs=True)
         worst_pars = max(worst_pars, abs(parseval_defect(f, g)))
         worst_refl = max(worst_refl, (fourier(fourier(f)) - f.reflect()).sup_norm())
     return [
-        ("fourier_parseval", cfg.trials, worst_pars, tol, worst_pars <= tol),
-        ("fourier_reflection", cfg.trials, worst_refl, tol, worst_refl <= tol),
+        ("fourier_parseval", trials, worst_pars, tol, worst_pars <= tol),
+        ("fourier_reflection", trials, worst_refl, tol, worst_refl <= tol),
     ]
 
 
-def suite_heat(cfg: RunConfig) -> list:
-    order = cfg.order()
-    tol_pair = cfg.tol if cfg.tol is not None else 1e-12
-    tol_mass = cfg.tol if cfg.tol is not None else 1e-10
-    tol_conv = cfg.tol if cfg.tol is not None else 1e-9
+def suite_heat(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    tol_pair = tol if tol is not None else 1e-12
+    tol_mass = tol if tol is not None else 1e-10
+    tol_conv = tol if tol is not None else 1e-9
     worst_pair = 0.0
     worst_mass = 0.0
     for t in (0.1, 1.0, 10.0):
@@ -369,41 +320,43 @@ def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> floa
     return worst / max(1.0, f.sup_norm())
 
 
-def suite_routes(cfg: RunConfig) -> list:
-    order = cfg.order()
-    tol = cfg.tol if cfg.tol is not None else 1e-10
+def suite_routes(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    tol = tol if tol is not None else 1e-10
     worst = 0.0
-    trials = max(1, cfg.trials // 4)
+    trials = max(1, trials // 4)
     for i in range(trials):
-        f = _random_f(_trial_seed(cfg.seed, i), order.ctx, complex_coeffs=True)
+        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
         worst = max(worst, operator_route_defect(order, f))
     return [("operator_routes", trials, worst, tol, worst <= tol)]
 
 
-def suite_negdef(cfg: RunConfig) -> list:
-    order = cfg.order()
+def suite_negdef(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
     shell, value = negdef_witness(order)
     return [(f"negdef_shell_{shell}", 1, float(value), 0.0, value < 0)]
 
 
+SUITES = {
+    "pmp": suite_pmp,
+    "dissipative": suite_dissipative,
+    "selfadjoint": suite_selfadjoint,
+    "contraction": suite_contraction,
+    "resolvent": suite_resolvent,
+    "fourier": suite_fourier,
+    "heat": suite_heat,
+    "negdef": suite_negdef,
+    "routes": suite_routes,
+}
+
+
 def run_verify(ns: argparse.Namespace) -> int:
-    cfg = _run_config(ns, tol=ns.tol, seed=ns.seed, trials=ns.trials)
-    runners = {
-        "pmp": suite_pmp,
-        "dissipative": suite_dissipative,
-        "selfadjoint": suite_selfadjoint,
-        "contraction": suite_contraction,
-        "resolvent": suite_resolvent,
-        "fourier": suite_fourier,
-        "heat": suite_heat,
-        "negdef": suite_negdef,
-        "routes": suite_routes,
-    }
-    names = list(runners) if ns.suite == "all" else [ns.suite]
+    if ns.trials < 1:
+        raise ValueError(f"--trials {ns.trials} must be at least 1")
+    order = _order(ns)
+    names = list(SUITES) if ns.suite == "all" else [ns.suite]
     lines = []
     all_ok = True
     for name in names:
-        for check, trials, worst, tol, ok in runners[name](cfg):
+        for check, trials, worst, tol, ok in SUITES[name](order, ns.trials, ns.seed, ns.tol):
             all_ok = all_ok and ok
             lines.append(
                 f"check={check} trials={trials} worst={_fmt(worst)} "
@@ -424,26 +377,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=None, help="prime p (default 2)")
-    common.add_argument("--n", type=int, default=None, help="dimension n (default 1)")
-    common.add_argument("--alpha", type=float, default=None, help="operator order (default 2.0)")
-    common.add_argument("--tol", type=float, default=None, help="override check tolerances")
-    common.add_argument("--seed", type=int, default=0, help="base seed for random batteries")
-    common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    # every command works on a space; all but fourier also on an operator order
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("--p", type=int, default=None, help="prime p (default 2)")
+    space.add_argument("--n", type=int, default=None, help="dimension n (default 1)")
+    space.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    operator = argparse.ArgumentParser(add_help=False, parents=[space])
+    operator.add_argument("--alpha", type=float, default=2.0, help="operator order (default 2.0)")
 
-    sp = sub.add_parser("kernel", parents=[common], help="CSV table of the convolution kernel")
+    sp = sub.add_parser("kernel", parents=[operator], help="CSV table of the convolution kernel")
     sp.add_argument("--gamma-max", type=int, default=10)
 
-    sp = sub.add_parser("heat", parents=[common], help="CSV table of the heat kernel's function part")
+    sp = sub.add_parser("heat", parents=[operator], help="CSV table of the heat kernel's function part")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--gamma-max", type=int, default=10)
 
-    sp = sub.add_parser("fourier", parents=[common], help="Fourier transform of a serialized function")
+    sp = sub.add_parser("fourier", parents=[space], help="Fourier transform of a serialized function")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--roundtrip", action="store_true", help="also emit the double transform and its reflection defect")
 
-    sp = sub.add_parser("evolve", parents=[common], help="evolve an initial datum, optionally with forcing")
+    sp = sub.add_parser("evolve", parents=[operator], help="evolve an initial datum, optionally with forcing")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--forcing", type=str, default=None)
     sp.add_argument("--t", type=str, required=True, help="comma-separated evaluation times")
@@ -451,9 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=64)
     sp.add_argument("--snapshots", type=str, default=None, help="prefix for per-time JSON snapshots")
 
-    sp = sub.add_parser("verify", parents=[common], help="run a named verification battery")
-    sp.add_argument("suite", choices=SUITES)
-    sp.add_argument("--trials", type=int, default=200)
+    sp = sub.add_parser("verify", parents=[operator], help="run a named verification battery")
+    sp.add_argument("suite", choices=(*SUITES, "all"))
+    sp.add_argument("--trials", type=int, default=200, help="random trials (at least 1)")
+    sp.add_argument("--seed", type=int, default=0, help="base seed for random batteries")
+    sp.add_argument("--tol", type=float, default=None, help="override check tolerances")
 
     return parser
 
@@ -463,16 +418,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.command == "kernel":
-            cfg = _run_config(ns, gamma_max=ns.gamma_max)
-            cfg.order()
-            _emit(kernel_table(cfg), ns.out)
+            _emit(kernel_table(_order(ns), ns.gamma_max), ns.out)
             return 0
         if ns.command == "heat":
             if not ns.t > 0:
                 raise ValueError(f"--t {ns.t} must be positive")
-            cfg = _run_config(ns, t=ns.t, gamma_max=ns.gamma_max)
-            cfg.order()
-            _emit(heat_table(cfg), ns.out)
+            _emit(heat_table(_order(ns), ns.t, ns.gamma_max), ns.out)
             return 0
         if ns.command == "fourier":
             return run_fourier(ns)

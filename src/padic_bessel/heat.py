@@ -155,7 +155,6 @@ def multiplier_profile(t: float, order: BesselOrder) -> RadialProfile:
         resid=resid,
         base=1,
         deep_pieces=((math.expm1(-t), 0),),
-        deep_cutoff=0,
         support_max=None,
         envelope=(t, -order.alpha),
         constant_on_unit_ball=True,

@@ -274,9 +274,6 @@ class PAdicVector:
         self._check(other)
         return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
 
-    def scalars(self) -> tuple:
-        return tuple(PAdicScalar(c, self.ctx) for c in self.coords)
-
 
 @dataclass(frozen=True, slots=True)
 class Ball:

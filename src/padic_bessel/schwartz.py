@@ -299,7 +299,10 @@ class BruhatSchwartzFunction:
         return total
 
     def l2_norm(self) -> float:
-        return math.sqrt(max(0.0, float(self.inner_product(self).re)))
+        """sqrt(Re <f, f>): canonical cells are disjoint, so the square is
+        the sum of |c|^2 * measure over them, linear in cells."""
+        total = sum((c.abs2() * ball.measure for c, ball in self.canonicalize().terms), 0)
+        return math.sqrt(max(0.0, float(total)))
 
     def sup_norm(self) -> float:
         return max((abs(c) for c, _ in self.canonicalize().terms), default=0.0)

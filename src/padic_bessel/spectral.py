@@ -48,18 +48,17 @@ class RadialProfile:
     against the small residual only, so the cancelling bulk is handled in
     exact arithmetic and no precision is lost to it.
 
-    ``deep_pieces`` gives resid on the deep shells m <= deep_cutoff as a sum
+    ``deep_pieces`` gives resid on the deep shells m <= 0 as a sum
     of exact geometric terms A * p**(m*d) (each needs d + n > 0), which the
     transform sums in closed form.  ``support_max`` bounds the residual's
     support from above; unbounded profiles instead declare an ``envelope``
-    (C, d) with |resid(m)| <= C * p**(m*d) past the cutoff.
+    (C, d) with |resid(m)| <= C * p**(m*d) on the shells m > 0.
     """
 
     ctx: PrimeContext
     resid: Callable[[int], Number]
     base: Number = 0
     deep_pieces: tuple = ()
-    deep_cutoff: int = 0
     support_max: Optional[int] = None
     envelope: Optional[tuple] = None
     constant_on_unit_ball: bool = False
@@ -132,15 +131,6 @@ class RadialMultiplier:
             resid=lambda k: self.value(max(k, 0)),
             constant_on_unit_ball=True,
         )
-
-
-def _ball_cells(ball: Ball, target_radius_exp: int) -> Iterator[Ball]:
-    """All sub-balls of the given radius exponent, in digit order."""
-    if ball.radius_exp == target_radius_exp:
-        yield ball
-        return
-    for child in ball.children():
-        yield from _ball_cells(child, target_radius_exp)
 
 
 def _modulated_cells(dual: Ball, a: PAdicVector, rho: int) -> Iterator[tuple]:
@@ -250,7 +240,7 @@ def multiply_radial(
 
 def _deep_closed_sum(profile: RadialProfile, top: int) -> float:
     """Sum of resid(k) * shell_measure(k) over all shells k <= top, in
-    closed geometric form (valid because top <= deep_cutoff)."""
+    closed geometric form (valid because top < 0, inside the deep shells)."""
     p, n = profile.ctx.p, profile.ctx.n
     total = 0.0
     for a, d in profile.deep_pieces:
@@ -307,7 +297,7 @@ def radial_transform(
                 * p ** ((k_top + 1) * (n + float(d)))
                 / (1.0 - p ** (n + float(d)))
             )
-        k_lo = min(profile.deep_cutoff, k_top)
+        k_lo = min(0, k_top)
         total = _deep_closed_sum(profile, k_lo - 1)
         for k in range(k_lo, k_top + 1):
             total += float(shell_measure(k, ctx)) * float(profile.resid(k))
@@ -329,7 +319,7 @@ def radial_transform(
     total = 0.0
     if profile.base != 0:
         total += float(profile.base) * float(_char_ball_sum(k_top, m, ctx))
-    k_lo = min(profile.deep_cutoff, -m, k_top)
+    k_lo = min(0, -m, k_top)
     total += _deep_closed_sum(profile, k_lo - 1)
     for k in range(k_lo, k_top + 1):
         c = shell_character_integral(k, m, ctx)

@@ -1,12 +1,16 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from padic_bessel.bessel import BesselOrder, kernel_mass, kernel_value
+from padic_bessel import cli
 from padic_bessel.cli import main
 from padic_bessel.heat import z_closed
 from padic_bessel.padic import Ball, PAdicVector, PrimeContext
@@ -340,3 +344,77 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     assert target.read_text().startswith("gamma,norm,k_alpha\n")
 
+
+
+def test_evolve_of_a_ball_2_to_the_minus_1000(tmp_path, capsys):
+    # the L2 norm sums the canonical cells once; a pairing that reduced
+    # every center mod every radius ran past a minute here
+    src = _single_ball_file(tmp_path, -1000)
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", "1")
+    assert (code, err) == (0, "")
+    _, row = out.strip().split("\n")
+    t, l2, sup = (float(x) for x in row.split(","))
+    # T(1) barely moves a ball this small: its kernel is delta_0 + Z(., 1)
+    assert t == 1.0
+    assert math.isclose(l2, 2.0 ** -500, rel_tol=1e-9)
+    assert math.isclose(sup, 1.0, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["contraction", "pmp"])
+def test_verify_rejects_trials_below_one(capsys, suite, trials):
+    code, out, err = run(capsys, "verify", suite, "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --trials {trials} must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--seed", "1"],
+        ["heat", "--tol", "1e-3"],
+        ["fourier", "--in", "f.json", "--alpha", "2"],
+        ["evolve", "--in", "u0.json", "--t", "1", "--seed", "1"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_verify_fourier_checks_alpha_like_every_suite(capsys):
+    code, out, err = run(capsys, "verify", "fourier", "--trials", "1", "--alpha", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order alpha = 0.5 must exceed")
+
+
+def test_verify_takes_seed_and_tol(capsys):
+    code, out, _ = run(capsys, "verify", "contraction", "--trials", "2", "--seed", "5", "--tol", "1e-3")
+    assert code == 0
+    assert out.startswith("check=contraction trials=2 ")
+    assert " tol=0.001 PASS\n" in out
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.replace("\\\n", " ").splitlines()
+
+
+def test_readme_command_lines_parse():
+    # every documented flag exists on its command, and every suite choice too
+    parser = cli._build_parser()
+    commands = set()
+    for line in _readme_command_lines():
+        words = shlex.split(line.replace("[", "").replace("]", ""))
+        assert words[0] == "padic-bessel"
+        choices = [w for w in words if w.startswith("{")]
+        for choice in choices[0][1:-1].split(",") if choices else [None]:
+            argv = [choice if w.startswith("{") else w for w in words[1:]]
+            assert parser.parse_args(argv).command == argv[0]
+        commands.add(words[1])
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subparsers.choices)

@@ -1,5 +1,6 @@
 """Test-function algebra: canonical form, integrals, suprema, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -156,6 +157,16 @@ def test_inner_product_hermitian(seed):
     lhs = f.inner_product(g)
     rhs = g.inner_product(f).conjugate()
     assert lhs.re == rhs.re and lhs.im == rhs.im
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+@pytest.mark.parametrize("seed", range(6))
+def test_l2_norm_is_the_self_pairing(p, n, seed):
+    # the cell sum adds the pairing's terms in its order: equal as floats,
+    # for exact and for float coefficients
+    f = random_test_function(seed, PrimeContext(p, n), RandomFunctionConfig(complex_coeffs=True))
+    for g in (f, f.scale(ExactComplex(0.3, -1.7)), f + f.scale(1e-9)):
+        assert g.l2_norm() == math.sqrt(max(0.0, float(g.inner_product(g).re)))
 
 
 def test_cauchy_schwarz_exact():

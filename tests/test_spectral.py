@@ -115,7 +115,6 @@ def unit_ball_profile(ctx):
         ctx=ctx,
         resid=lambda k: 1,
         deep_pieces=((1, 0),),
-        deep_cutoff=0,
         support_max=0,
         constant_on_unit_ball=True,
     )
