@@ -144,9 +144,11 @@ def _load_forcing(path: str) -> tuple:
     for entry in obj:
         if not isinstance(entry, dict) or "time" not in entry or "function" not in entry:
             raise ValueError("each forcing entry needs 'time' and 'function'")
-        schedule.append(
-            (float(entry["time"]), deserialize(json.dumps(entry["function"])))
-        )
+        try:
+            time = float(entry["time"])
+        except TypeError:
+            raise ValueError(f"forcing time {json.dumps(entry['time'])} is not a number") from None
+        schedule.append((time, deserialize(json.dumps(entry["function"]))))
     return tuple(schedule)
 
 
@@ -156,6 +158,9 @@ def run_evolve(ns: argparse.Namespace) -> int:
     times = [float(s) for s in ns.t.split(",") if s.strip() != ""]
     if not times:
         raise ValueError("--t must list at least one evaluation time")
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"--t {t} must be a finite time")
     horizon = ns.horizon if ns.horizon is not None else max(times)
     forcing = _load_forcing(ns.forcing) if ns.forcing else ()
     problem = EvolutionProblem(u0=u0, horizon=horizon, forcing=forcing, steps=ns.steps)
@@ -306,7 +311,7 @@ def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> floa
         (symbol_multiplier(order), symbol_profile(order)),
         (resolvent_m, resolvent_m.profile()),
         (
-            semigroup_multiplier(((1, ROUTE_TIME),), order),
+            semigroup_multiplier(ROUTE_TIME, order),
             multiplier_profile(ROUTE_TIME, order),
         ),
     )
@@ -348,18 +353,27 @@ SUITES = {
 }
 
 
+# the batteries without random inputs, and the flags they do not read
+FIXED_SUITES = {"heat": ("trials", "seed"), "negdef": ("trials", "seed", "tol")}
+
+
 def run_verify(ns: argparse.Namespace) -> int:
-    if ns.trials < 1:
-        raise ValueError(f"--trials {ns.trials} must be at least 1")
+    for flag in FIXED_SUITES.get(ns.suite, ()):
+        if getattr(ns, flag) is not None:
+            raise ValueError(f"verify {ns.suite} does not read --{flag}")
+    trials = 200 if ns.trials is None else ns.trials
+    seed = 0 if ns.seed is None else ns.seed
+    if trials < 1:
+        raise ValueError(f"--trials {trials} must be at least 1")
     order = _order(ns)
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
     lines = []
     all_ok = True
     for name in names:
-        for check, trials, worst, tol, ok in SUITES[name](order, ns.trials, ns.seed, ns.tol):
+        for check, trials_run, worst, tol, ok in SUITES[name](order, trials, seed, ns.tol):
             all_ok = all_ok and ok
             lines.append(
-                f"check={check} trials={trials} worst={_fmt(worst)} "
+                f"check={check} trials={trials_run} worst={_fmt(worst)} "
                 f"tol={_fmt(tol)} {'PASS' if ok else 'FAIL'}"
             )
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
@@ -406,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", parents=[operator], help="run a named verification battery")
     sp.add_argument("suite", choices=(*SUITES, "all"))
-    sp.add_argument("--trials", type=int, default=200, help="random trials (at least 1)")
-    sp.add_argument("--seed", type=int, default=0, help="base seed for random batteries")
+    sp.add_argument("--trials", type=int, default=None, help="random trials (default 200, at least 1)")
+    sp.add_argument("--seed", type=int, default=None, help="base seed for random batteries (default 0)")
     sp.add_argument("--tol", type=float, default=None, help="override check tolerances")
 
     return parser

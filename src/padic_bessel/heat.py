@@ -13,9 +13,10 @@ against each other:
   a shell sum against exact character integrals.
 
 Evolution applies exp(-t * multiplier) through concentric balls
-(``RadialMultiplier``); inhomogeneous problems are integrated by composite
-Simpson quadrature of the propagated forcing, split at the forcing's jumps,
-with the nodes of each forcing piece summed into one multiplier.  The
+(``RadialMultiplier``).  For step forcing the Duhamel integral over each
+forcing piece [a, b] is itself a radial multiplier, the integral of
+exp(-(t - s) * multiplier) over [a, b], applied in closed form
+(``forcing_multiplier``), so mild solutions carry no quadrature error.  The
 pairing of the function part with a test function is the multiplier
 expm1(-t * multiplier) on the same route, read at the origin, so no
 function here calls the Fourier transform.
@@ -305,7 +306,7 @@ def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> E
     drops to 0.
     """
     _require_positive_time(t)
-    semigroup = semigroup_multiplier(((1, t),), order)
+    semigroup = semigroup_multiplier(t, order)
     kernel = RadialMultiplier(
         order.ctx,
         lambda k: math.expm1(-t * float(symbol_value(k, order))),
@@ -317,27 +318,111 @@ def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> E
 # -- evolution ------------------------------------------------------------------
 
 
-def semigroup_multiplier(nodes: Sequence[tuple], order: BesselOrder) -> RadialMultiplier:
-    """The weighted sum of semigroups sum_i w_i exp(-t_i * multiplier), for
-    (weight, time) nodes, as one radial multiplier.
+def semigroup_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
+    """The semigroup exp(-t * multiplier) at a time t >= 0 as a radial
+    multiplier.
 
-    Shell differences are sums of exp * expm1 products, as in ``z_shells``,
-    so none loses significance when both exponentials are close to 1; with
-    nonnegative weights every product has the same sign, so the sum does not
-    cancel either.  One node of weight 1 is the semigroup at that time.
+    Shell differences are exp * expm1 products, as in ``z_shells``, so none
+    loses significance when both exponentials are close to 1.
     """
-    for _, tau in nodes:
-        if tau < 0:
-            raise ValueError(f"time t = {tau} must be nonnegative")
+    if t < 0:
+        raise ValueError(f"time t = {t} must be nonnegative")
 
     def value(k: int) -> float:
-        sigma = float(symbol_value(k, order))
-        return math.fsum(w * math.exp(-tau * sigma) for w, tau in nodes)
+        return math.exp(-t * float(symbol_value(k, order)))
 
     def drop(k: int) -> float:
         upper, lower = symbol_value(k, order), symbol_value(k + 1, order)
-        low, gap = float(lower), float(upper - lower)
-        return math.fsum(w * (math.exp(-tau * low) * math.expm1(-tau * gap)) for w, tau in nodes)
+        return math.exp(-t * float(lower)) * math.expm1(-t * float(upper - lower))
+
+    return RadialMultiplier(order.ctx, value, drop)
+
+
+def _phi(x: float) -> float:
+    """-expm1(-x) / x, the mean of exp(-s) over s in [0, x]; 1 at x = 0."""
+    return -math.expm1(-x) / x if x else 1.0
+
+
+def _phi_gap(x1: float, x2: float, gap: float) -> float:
+    """phi(x1) - phi(x2) for x1 >= x2 >= 0, given gap = x1 - x2.
+
+    For x1 <= 0.5 the two values agree to about gap / 2 and their difference
+    would cancel, so the gap is summed as the alternating series
+    sum over j >= 1 of (-1)**j (x1**j - x2**j) / (j + 1)!, each of whose terms
+    is at most x1 times the one before.  Each x1**j - x2**j is built as
+    x1 (x1**(j-1) - x2**(j-1)) + x2**(j-1) gap, a sum of positive parts.
+    """
+    if x1 > 0.5:
+        return _phi(x1) - _phi(x2)
+    total = 0.0
+    power_gap, x2_power, factorial, j = gap, 1.0, 2.0, 1
+    while True:
+        term = power_gap / factorial
+        total += -term if j % 2 else term
+        if term <= 1e-17 * abs(total):
+            return total
+        x2_power *= x2
+        power_gap = x1 * power_gap + x2_power * gap
+        j += 1
+        factorial *= j + 1
+
+
+def _split(x: float) -> tuple:
+    """x as hi + lo with hi holding the upper 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _decay(tau: float, tau_err: float, sigma: float) -> float:
+    """exp(-(tau + tau_err) * sigma), where tau_err is the rounding error of
+    the float time difference tau.
+
+    exp(-x) has relative condition number x, which reaches t, so rounding
+    tau or the product tau * sigma would each cost up to half an ulp of x,
+    3.6e-15 relative once x >= 32.  The product is split into its float value
+    and its exact rounding error (Dekker), and both small parts go into a
+    second factor.
+    """
+    product = tau * sigma
+    tau_hi, tau_lo = _split(tau)
+    sigma_hi, sigma_lo = _split(sigma)
+    err = ((tau_hi * sigma_hi - product) + tau_hi * sigma_lo + tau_lo * sigma_hi) + tau_lo * sigma_lo
+    return math.exp(-product) * math.exp(-(err + tau_err * sigma))
+
+
+def forcing_multiplier(a: float, b: float, t: float, order: BesselOrder) -> RadialMultiplier:
+    """The Duhamel integral of the semigroup over one forcing piece: the
+    integral of exp(-(t - s) * multiplier) over s in [a, b], for
+    0 <= a < b <= t, as one radial multiplier.
+
+    On a shell with multiplier value sigma it is
+    exp(-(t - b) sigma) (b - a) phi((b - a) sigma), phi(x) = -expm1(-x) / x,
+    in closed form.  With sigma_1 > sigma_2 the values of shells k and k + 1,
+    the drop is
+
+        exp(-(t - b) sigma_2) (b - a) [expm1(-(t - b)(sigma_1 - sigma_2)) phi((b - a) sigma_1)
+                                       + phi((b - a) sigma_1) - phi((b - a) sigma_2)],
+
+    two negative terms, the second from ``_phi_gap``, so nothing cancels.
+    """
+    if not 0 <= a < b <= t < math.inf:
+        raise ValueError(f"forcing piece [{a}, {b}] must satisfy 0 <= a < b <= t = {t} < inf")
+    length, tau = b - a, t - b
+    tau_err = (t - tau) - b  # t - b = tau + tau_err exactly, as t >= b >= 0
+
+    def value(k: int) -> float:
+        sigma = float(symbol_value(k, order))
+        return _decay(tau, tau_err, sigma) * length * _phi(length * sigma)
+
+    def drop(k: int) -> float:
+        upper, lower = symbol_value(k, order), symbol_value(k + 1, order)
+        sigma_1, sigma_2, gap = float(upper), float(lower), float(upper - lower)
+        phi_1 = _phi(length * sigma_1)
+        inner = math.expm1(-tau * gap) * phi_1 + _phi_gap(
+            length * sigma_1, length * sigma_2, length * gap
+        )
+        return _decay(tau, tau_err, sigma_2) * length * inner
 
     return RadialMultiplier(order.ctx, value, drop)
 
@@ -351,7 +436,7 @@ def solve_cauchy(
         raise ValueError(f"time t = {t} must be nonnegative")
     if t == 0:
         return u0.canonicalize()
-    return semigroup_multiplier(((1, t),), order).apply(u0)
+    return semigroup_multiplier(t, order).apply(u0)
 
 
 @dataclass(frozen=True)
@@ -360,8 +445,9 @@ class EvolutionProblem:
 
     The forcing schedule is a sorted tuple of (time, function) pairs read as
     a step function of time, each function in force from its tag to the
-    next; an empty schedule means the homogeneous problem.  Quadrature is
-    composite Simpson with about ``steps`` panels per evaluation.
+    next; an empty schedule means the homogeneous problem.  ``steps`` (an
+    even count, at least 2) is validated but not read: the forcing integral
+    is taken in closed form.
     """
 
     u0: BruhatSchwartzFunction
@@ -388,56 +474,32 @@ class EvolutionProblem:
                 raise ScheduleError(f"forcing tag {s} outside [0, horizon)")
 
 
-def duhamel_nodes(problem: EvolutionProblem, t: float) -> list:
-    """Quadrature of the forcing integral over [0, t], as (forcing piece,
-    [(weight, t - s), ...]) for each piece of the schedule active there.
-
-    [0, t] is split at the schedule's tags, so the integrand is smooth on
-    every sub-interval and composite Simpson keeps fourth order on step
-    forcing.  A sub-interval of length L gets an even panel count near
-    steps * L / t, at least 2; without a tag inside (0, t) the nodes are
-    s_i = i t / steps.  Each sub-interval's last node is exactly its end.
-    """
-    if not problem.forcing or t <= 0:
-        return []
-    tags = [tag for tag, _ in problem.forcing] + [t]
-    out = []
-    for (a, f), b in zip(problem.forcing, tags[1:]):
-        b = min(b, t)
-        if b <= a or not f.terms:
-            continue
-        panels = 2 * max(1, round(problem.steps * (b - a) / (2 * t)))
-        h = (b - a) / panels
-        nodes = []
-        for i in range(panels + 1):
-            s = b if i == panels else a + i * h
-            weight = (h / 3.0) * (1 if i in (0, panels) else 4 if i % 2 else 2)
-            nodes.append((weight, t - s))
-        out.append((f, nodes))
-    return out
-
-
 def duhamel(
     problem: EvolutionProblem, order: BesselOrder, times: Sequence[float]
 ) -> list:
     """Mild solutions u(t) = T(t) u0 + integral of T(t-s) f(s) ds.
 
-    The integral is composite Simpson on the nodes of ``duhamel_nodes``.
-    All nodes of one forcing piece f_k add up to one radial multiplier,
-    sum_i w_i T(t - s_i), so each time costs one multiplier application for
-    u0 and one per active piece.  Fourth-order accurate for step forcing.
+    The forcing is a step function, so the integral is a sum over the
+    schedule's pieces f_k in force on [a, b], b cut at t: each is
+    ``forcing_multiplier(a, b, t)`` applied to f_k, with no quadrature error.
+    Each time costs one multiplier application for u0 and one per active
+    piece; with no active piece the result is ``solve_cauchy``'s, as is.
     """
     if not times:
         raise ValueError("at least one evaluation time is required")
     for t in times:
-        if t < 0:
-            raise ValueError(f"evaluation time {t} is negative")
+        if not 0 <= t < math.inf:
+            raise ValueError(f"evaluation time {t} must be finite and nonnegative")
         if t > problem.horizon:
             raise ValueError(f"evaluation time {t} exceeds the horizon {problem.horizon}")
+    ends = [tag for tag, _ in problem.forcing[1:]]
     results = []
     for t in times:
-        pieces = [(1, solve_cauchy(problem.u0, t, order))]
-        for f, nodes in duhamel_nodes(problem, t):
-            pieces.append((1, semigroup_multiplier(nodes, order).apply(f)))
-        results.append(linear_combination(pieces, ctx=problem.u0.ctx))
+        u = solve_cauchy(problem.u0, t, order)
+        pieces = [
+            (1, forcing_multiplier(a, min(b, t), t, order).apply(f))
+            for (a, f), b in zip(problem.forcing, ends + [t])
+            if min(b, t) > a and f.terms
+        ]
+        results.append(linear_combination([(1, u)] + pieces, ctx=u.ctx) if pieces else u)
     return results

@@ -297,24 +297,24 @@ def test_criterion_12_evolution():
         lhs = solve_cauchy(u0, 1.5, order)
         rhs = solve_cauchy(solve_cauchy(u0, 1.0, order), 0.5, order)
         worst_semi = max(worst_semi, (lhs - rhs).sup_norm())
-    defects = []
-    for steps in (16, 32, 64):
-        problem = EvolutionProblem(
-            u0=BruhatSchwartzFunction.zero(C21), horizon=2.0,
-            forcing=((0.0, omega()),), steps=steps,
-        )
+    # the forcing integral is closed-form, so the forced mild solution is
+    # exact to rounding: 1_{Z_2} decays at rate 1, and at the origin u(1) is
+    # 1 - e^-1 under constant forcing and e^-0.7 - e^-1 with the forcing
+    # switched off at 0.3
+    zero = BruhatSchwartzFunction.zero(C21)
+    worst_duhamel = 0.0
+    for forcing, expected in (
+        (((0.0, omega()),), -math.expm1(-1)),
+        (((0.0, omega()), (0.3, zero)), math.exp(-0.7) * -math.expm1(-0.3)),
+    ):
+        problem = EvolutionProblem(u0=zero, horizon=2.0, forcing=forcing)
         (u,) = duhamel(problem, order, [1.0])
-        defects.append(abs(float(u.evaluate(PAdicVector.zero(C21)).re) - (1 - math.exp(-1))))
-    ratios = [c / f for c, f in zip(defects, defects[1:])]
-    ok = (
-        eigen_ok
-        and worst_semi <= 1e-12
-        and defects[-1] <= 1e-8
-        and all(13.0 <= r <= 19.0 for r in ratios)
-    )
+        got = float(u.evaluate(PAdicVector.zero(C21)).re)
+        worst_duhamel = max(worst_duhamel, abs(got - expected) / expected)
+    ok = eigen_ok and worst_semi <= 1e-12 and worst_duhamel <= 1e-14
     assert report(
-        12, "eigen-decay, semigroup law, forced mild solution at 4th order", ok,
-        f"semi={worst_semi:.2e} duhamel={defects[-1]:.2e} ratios={[round(r,2) for r in ratios]}",
+        12, "eigen-decay, semigroup law, exact forced mild solution", ok,
+        f"semi={worst_semi:.2e} duhamel={worst_duhamel:.2e}",
     )
 
 

@@ -262,8 +262,7 @@ def test_evolve_constant_forcing(tmp_path, capsys):
 
 
 def test_evolve_last_simpson_node_is_t(tmp_path, capsys):
-    # 24 * (0.103 / 24) exceeds 0.103 by one rounding step; the last node
-    # must still propagate over the time 0, not a negative one
+    # the evolve benchmark's probe; --steps is validated but not read
     src = tmp_path / "u0.json"
     src.write_text(serialize(OMEGA))
     forcing = tmp_path / "forcing.json"
@@ -274,6 +273,34 @@ def test_evolve_last_simpson_node_is_t(tmp_path, capsys):
     )
     assert code == 0, err
     assert out.startswith("time,l2_norm,sup_norm\n0.10299999999999999,")
+
+
+def _forcing_file(tmp_path, time):
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps([{"time": time, "function": json.loads(serialize(OMEGA))}]))
+    return str(forcing)
+
+
+@pytest.mark.parametrize("times", ["inf", "nan", "0.5,inf", "1e400"])
+@pytest.mark.parametrize("forced", [False, True])
+def test_evolve_rejects_non_finite_times(tmp_path, capsys, times, forced):
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    forcing = ["--forcing", _forcing_file(tmp_path, 0.0)] if forced else []
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", times, *forcing)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --t ") and err.endswith(" must be a finite time\n")
+
+
+@pytest.mark.parametrize("time", [[0], None, {"t": 0}])
+def test_evolve_rejects_a_forcing_time_that_is_not_a_number(tmp_path, capsys, time):
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    code, out, err = run(
+        capsys, "evolve", "--in", str(src), "--t", "1", "--forcing", _forcing_file(tmp_path, time)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: forcing time {json.dumps(time)} is not a number\n"
 
 
 def test_evolve_time_beyond_horizon(tmp_path, capsys):
@@ -312,7 +339,8 @@ def test_verify_negdef(capsys):
     "suite", ["heat", "fourier", "selfadjoint", "contraction", "resolvent", "dissipative", "routes"]
 )
 def test_verify_suites_pass(capsys, suite):
-    code, out, _ = run(capsys, "verify", suite, "--trials", "25", "--seed", "3")
+    random_inputs = [] if suite in cli.FIXED_SUITES else ["--trials", "25", "--seed", "3"]
+    code, out, _ = run(capsys, "verify", suite, *random_inputs)
     assert code == 0, out
     assert out.strip().endswith("overall: PASS")
 
@@ -389,6 +417,23 @@ def test_verify_fourier_checks_alpha_like_every_suite(capsys):
     code, out, err = run(capsys, "verify", "fourier", "--trials", "1", "--alpha", "0.5")
     assert (code, out) == (2, "")
     assert err.startswith("error: order alpha = 0.5 must exceed")
+
+
+@pytest.mark.parametrize(
+    "suite,flag",
+    [("heat", "--trials"), ("heat", "--seed"), ("negdef", "--trials"), ("negdef", "--seed"),
+     ("negdef", "--tol")],
+)
+def test_verify_fixed_suites_reject_flags_they_do_not_read(capsys, suite, flag):
+    code, out, err = run(capsys, "verify", suite, flag, "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {suite} does not read {flag}\n"
+
+
+def test_verify_heat_takes_tol(capsys):
+    code, out, _ = run(capsys, "verify", "heat", "--tol", "1e-3")
+    assert code == 0
+    assert out.count(" tol=0.001 PASS\n") == 3  # the sign row has no tolerance
 
 
 def test_verify_takes_seed_and_tol(capsys):

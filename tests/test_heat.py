@@ -1,6 +1,7 @@
 """Heat kernel routes, mass, convolution law, pairing limit, and evolution."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,13 @@ from padic_bessel.schwartz import (
     linear_combination,
     random_test_function,
 )
-from padic_bessel.spectral import RadialMultiplier
+from padic_bessel.spectral import (
+    RadialMultiplier,
+    RadialProfile,
+    fourier,
+    inverse_fourier,
+    multiply_radial,
+)
 from padic_bessel.bessel import BesselOrder, symbol_value
 from padic_bessel.heat import (
     MAX_DEPTH,
@@ -22,8 +29,9 @@ from padic_bessel.heat import (
     default_depth,
     distributional_mass,
     duhamel,
-    duhamel_nodes,
+    forcing_multiplier,
     heat_shell_values,
+    multiplier_profile,
     semigroup_multiplier,
     solve_cauchy,
     tail_envelope,
@@ -309,11 +317,13 @@ def test_duhamel_constant_forcing_scalar_reference():
     for t in (0.5, 1.0):
         (u,) = duhamel(problem, ORDER, [t])
         got = float(u.evaluate(PAdicVector.zero(C21)).re)
-        assert abs(got - (1 - math.exp(-t))) <= 1e-8
+        assert abs(got - -math.expm1(-t)) <= 1e-15 * -math.expm1(-t)
 
 
 def test_duhamel_fourth_order_convergence():
-    defects = []
+    # the forcing integral is closed-form, so there is no order to observe:
+    # every step count gives the same value, 1 - exp(-1) to rounding
+    values = []
     for steps in (8, 16, 32):
         problem = EvolutionProblem(
             u0=BruhatSchwartzFunction.zero(C21),
@@ -322,9 +332,9 @@ def test_duhamel_fourth_order_convergence():
             steps=steps,
         )
         (u,) = duhamel(problem, ORDER, [1.0])
-        defects.append(abs(float(u.evaluate(PAdicVector.zero(C21)).re) - (1 - math.exp(-1))))
-    for coarse, fine in zip(defects, defects[1:]):
-        assert 13.0 <= coarse / fine <= 19.0
+        values.append(float(u.evaluate(PAdicVector.zero(C21)).re))
+    assert values[0] == values[1] == values[2]
+    assert abs(values[0] - -math.expm1(-1)) <= 1e-15 * -math.expm1(-1)
 
 
 def test_duhamel_validates_times():
@@ -335,6 +345,10 @@ def test_duhamel_validates_times():
         duhamel(problem, ORDER, [-0.1])
     with pytest.raises(ValueError):
         duhamel(problem, ORDER, [1.5])
+    unbounded = EvolutionProblem(u0=omega(), horizon=math.inf, forcing=((0.0, omega()),))
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            duhamel(unbounded, ORDER, [t])
 
 
 def test_evolution_problem_validation():
@@ -357,27 +371,30 @@ def test_evolution_problem_validation():
 
 
 def test_forcing_schedule_is_left_continuous_step():
-    f0 = omega()
-    f1 = omega().scale(5)
+    # each function is in force from its tag to the next one: 1_{Z_2} on
+    # [0, 0.5), 5 * 1_{Z_2} after.  1_{Z_2} decays at rate 1, so u(t) is
+    # c(t) 1_{Z_2} with c(t) = exp(-t) + the integral of exp(-(t - s)) g(s) ds
     problem = EvolutionProblem(
-        u0=omega(), horizon=2.0, forcing=((0.0, f0), (0.5, f1))
+        u0=omega(), horizon=2.0, forcing=((0.0, omega()), (0.5, omega().scale(5)))
     )
-    # each function is in force from its tag to the next one
-    assert [f for f, _ in duhamel_nodes(problem, 0.49)] == [f0]
-    assert [f for f, _ in duhamel_nodes(problem, 0.5)] == [f0]
-    assert [(f, nodes[0][1], nodes[-1][1]) for f, nodes in duhamel_nodes(problem, 1.9)] == [
-        (f0, 1.9, 1.9 - 0.5),
-        (f1, 1.9 - 0.5, 0.0),
-    ]
+    expected = {
+        0.49: math.exp(-0.49) - math.expm1(-0.49),
+        0.5: math.exp(-0.5) - math.expm1(-0.5),
+        1.9: math.exp(-1.9) + math.exp(-1.4) * -math.expm1(-0.5) - 5 * math.expm1(-1.4),
+    }
+    for t, u in zip(expected, duhamel(problem, ORDER, list(expected))):
+        ((c, ball),) = u.terms
+        assert ball == omega().terms[0][1] and c.im == 0
+        assert abs(c.re - expected[t]) <= 1e-15 * expected[t]
 
 
-# -- forcing quadrature: one multiplier per forcing piece ----------------------
+# -- forcing integral: one closed-form multiplier per forcing piece -------------
 
 #: the (p, n, alpha) grid of the benchmark
 BENCH_GRID = ((2, 1, 2.0), (3, 1, 3.0), (2, 2, 4.0), (5, 1, 2.0), (3, 2, 2.5))
 
 
-def step_problem(p, n, seed, steps, tags=(0.0, 0.3, 0.55)):
+def step_problem(p, n, seed, tags=(0.0, 0.3, 0.55)):
     """Seeded initial datum and step forcing, one piece per tag."""
     ctx = PrimeContext(p, n)
     config = RandomFunctionConfig(2, -1, 1, den_pow_max=1 if p**n <= 4 else 0)
@@ -385,22 +402,15 @@ def step_problem(p, n, seed, steps, tags=(0.0, 0.3, 0.55)):
     forcing = tuple(
         (tag, random_test_function(1000 * seed + k + 1, ctx, config)) for k, tag in enumerate(tags)
     )
-    return EvolutionProblem(u0=u0, horizon=1.0, forcing=forcing, steps=steps)
-
-
-def per_node_sum(problem, order, t):
-    """The forcing integral node by node: sum of w_i T(t - s_i) f(s_i)."""
-    pairs = [(1, solve_cauchy(problem.u0, t, order))]
-    for f, nodes in duhamel_nodes(problem, t):
-        pairs.extend((w, solve_cauchy(f, tau, order)) for w, tau in nodes)
-    return linear_combination(pairs, ctx=problem.u0.ctx)
+    return EvolutionProblem(u0=u0, horizon=1.0, forcing=forcing)
 
 
 def exact_forcing_integral(problem, order, t):
-    """Mild solution with the forcing integral taken exactly on each shell:
-    integral over [a, b] of exp(-(t - s) m) ds
-    = (exp(-(t - b) m) - exp(-(t - a) m)) / m = exp(-(t - b) m) (-expm1(-(b - a) m)) / m."""
-    pairs = [(1, solve_cauchy(problem.u0, t, order))]
+    """Mild solution on the two-transform route, independent of
+    ``RadialMultiplier``: on each frequency shell T(t) is exp(-t m), and a
+    forcing piece in force on [a, b] contributes the integral of
+    exp(-(t - s) m) ds over [a, b] = exp(-(t - b) m) (-expm1(-(b - a) m)) / m."""
+    pairs = [(1, multiply_radial(fourier(problem.u0), multiplier_profile(t, order)))]
     ends = [tag for tag, _ in problem.forcing[1:]] + [t]
     for (a, f), b in zip(problem.forcing, ends):
         b = min(b, t)
@@ -411,70 +421,108 @@ def exact_forcing_integral(problem, order, t):
             m = float(symbol_value(k, order))
             return math.exp(-(t - b) * m) * -math.expm1(-(b - a) * m) / m
 
-        pairs.append((1, RadialMultiplier(order.ctx, value).apply(f)))
-    return linear_combination(pairs, ctx=problem.u0.ctx)
-
-
-def test_duhamel_nodes_keep_constant_forcing_nodes():
-    problem = EvolutionProblem(u0=omega(), horizon=1.0, forcing=((0.0, omega()),), steps=24)
-    t = 0.103
-    ((f, nodes),) = duhamel_nodes(problem, t)
-    h = t / 24
-    assert f == omega()
-    assert [tau for _, tau in nodes] == [t - (t if i == 24 else i * h) for i in range(25)]
-    assert [w for w, _ in nodes] == [
-        (h / 3.0) * (1 if i in (0, 24) else 4 if i % 2 else 2) for i in range(25)
-    ]
-
-
-def test_duhamel_nodes_split_at_tags_inside_the_interval():
-    problem = step_problem(2, 1, 0, 64)
-    pieces = duhamel_nodes(problem, 1.0)
-    assert [f for f, _ in pieces] == [f for _, f in problem.forcing]
-    panels = [len(nodes) - 1 for _, nodes in pieces]
-    assert panels == [20, 16, 28]  # about 64 * length, rounded to even
-    for (a, _), b, (_, nodes) in zip(problem.forcing, (0.3, 0.55, 1.0), pieces):
-        assert nodes[0][1] == 1.0 - a and nodes[-1][1] == 1.0 - b
-        assert math.isclose(math.fsum(w for w, _ in nodes), b - a, rel_tol=1e-14)
-    # a tag at or past t splits nothing; a short piece still gets two panels
-    assert [len(n) for _, n in duhamel_nodes(problem, 0.3)] == [65]
-    assert [len(n) for _, n in duhamel_nodes(problem, 0.31)] == [63, 3]
+        profile = RadialProfile(ctx=order.ctx, resid=value, constant_on_unit_ball=True)
+        pairs.append((1, multiply_radial(fourier(f), profile)))
+    return inverse_fourier(linear_combination(pairs, ctx=problem.u0.ctx))
 
 
 def test_semigroup_multiplier_one_node_is_the_semigroup():
     f = random_test_function(5, C21, RandomFunctionConfig(4, -2, 2, complex_coeffs=True))
     for t in (0.1, 0.7, 3.0):
-        single = semigroup_multiplier(((1, t),), ORDER).apply(f)
-        assert single == solve_cauchy(f, t, ORDER)
+        assert semigroup_multiplier(t, ORDER).apply(f) == solve_cauchy(f, t, ORDER)
     with pytest.raises(ValueError):
-        semigroup_multiplier(((0.5, 1.0), (0.5, -0.1)), ORDER)
-
-
-@pytest.mark.parametrize("p,n,alpha", BENCH_GRID)
-def test_duhamel_matches_per_node_oracle(p, n, alpha):
-    order = BesselOrder(alpha, PrimeContext(p, n))
-    for seed, steps in ((1, 16), (2, 32), (3, 64)):
-        problem = step_problem(p, n, seed, steps)
-        times = (0.2, 0.42, 1.0)
-        for t, u in zip(times, duhamel(problem, order, times)):
-            oracle = per_node_sum(problem, order, t)
-            assert (u - oracle).sup_norm() <= 1e-12 * max(1.0, u.sup_norm())
+        semigroup_multiplier(-0.1, ORDER)
 
 
 @pytest.mark.parametrize("p,n,alpha", BENCH_GRID)
 def test_duhamel_matches_exact_shell_integral(p, n, alpha):
     order = BesselOrder(alpha, PrimeContext(p, n))
     for seed in (4, 5):
-        problem = step_problem(p, n, seed, 64)
+        problem = step_problem(p, n, seed)
         times = (0.42, 1.0)
         for t, u in zip(times, duhamel(problem, order, times)):
             exact = exact_forcing_integral(problem, order, t)
-            assert (u - exact).sup_norm() <= 1e-8 * max(1.0, exact.sup_norm())
+            assert (u - exact).sup_norm() <= 1e-12 * max(1.0, u.sup_norm())
+
+
+#: forcing pieces (a, b, t): t = b, b - a = 1e-9, an inexact t - b at t = 50,
+#: a piece 50 long, and t = 100, where rounding (t - b) * sigma alone costs
+#: 3.2e-15 at (2, 1, 1.5) on shell 1
+REFERENCE_PIECES = (
+    (0.0, 0.3, 0.3),
+    (0.3, 0.3 + 1e-9, 1.0),
+    (0.0, 0.3, 50.0),
+    (0.3, 0.55, 50.0),
+    (0.55, 1.0, 1.0),
+    (0.0, 50.0, 50.0),
+    (0.55, 1.0, 100.0),
+)
+
+
+def reference_piece_values(a, b, t, order, shells):
+    """(exp(-(t - b) s) - exp(-(t - a) s)) / s on each shell, in 220-digit
+    decimals from the exact values of the floats a, b, t and of the shell's
+    symbol value s.  The difference cancels about -log10(s (b - a)) digits
+    and the division by s keeps them lost, which sinks a 60-digit reference
+    at shell 39."""
+    with localcontext() as ctx:
+        ctx.prec = 220
+        a, b, t = Decimal(a), Decimal(b), Decimal(t)
+        out = []
+        for k in range(shells):
+            s = symbol_value(k, order)
+            s = Decimal(s.numerator) / Decimal(s.denominator) if isinstance(s, Fraction) else Decimal(s)
+            out.append(((-(t - b) * s).exp() - (-(t - a) * s).exp()) / s)
+        return out
+
+
+@pytest.mark.parametrize("p,n,alpha", BENCH_GRID + ((2, 1, 1.5),))
+def test_forcing_multiplier_matches_decimal_reference(p, n, alpha):
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    for a, b, t in REFERENCE_PIECES:
+        piece = forcing_multiplier(a, b, t, order)
+        ref = reference_piece_values(a, b, t, order, 41)
+        for k in range(40):
+            drop = ref[k] - ref[k + 1]
+            assert abs(Decimal(piece.value(k)) - ref[k]) <= Decimal(2e-15) * abs(ref[k])
+            assert abs(Decimal(piece.drop(k)) - drop) <= Decimal(2e-15) * abs(drop)
+
+
+def test_forcing_multiplier_rejects_bad_pieces():
+    for a, b, t in ((0.5, 0.5, 1.0), (0.6, 0.5, 1.0), (-0.1, 0.5, 1.0), (0.0, 1.0, 0.5),
+                    (0.0, 1.0, math.inf), (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            forcing_multiplier(a, b, t, ORDER)
+
+
+def test_duhamel_without_active_forcing_is_solve_cauchy(monkeypatch):
+    # no second canonicalize pass over an already canonical result
+    passes = []
+    canonicalize = BruhatSchwartzFunction.canonicalize
+
+    def counted(self):
+        passes.append(self)
+        return canonicalize(self)
+
+    monkeypatch.setattr(BruhatSchwartzFunction, "canonicalize", counted)
+    u0 = random_test_function(3, C21, RandomFunctionConfig(4, -3, 1))
+    problem = EvolutionProblem(
+        u0=u0, horizon=1.0,
+        forcing=((0.0, BruhatSchwartzFunction.zero(C21)), (0.5, omega())),
+    )
+    for t in (0.0, 0.3, 0.5):
+        passes.clear()
+        expected = solve_cauchy(u0, t, ORDER)
+        cauchy_passes = len(passes)
+        passes.clear()
+        (u,) = duhamel(problem, ORDER, [t])
+        assert u == expected
+        assert len(passes) == cauchy_passes
 
 
 def test_duhamel_step_forcing_fourth_order():
     # forcing 1_{Z_2} on [0, 0.3), zero after: at the origin u(1) is the
-    # scalar integral of exp(-(1 - s)) over [0, 0.3]
+    # scalar integral of exp(-(1 - s)) over [0, 0.3], exact to rounding
     problem = EvolutionProblem(
         u0=BruhatSchwartzFunction.zero(C21),
         horizon=1.0,
@@ -483,7 +531,8 @@ def test_duhamel_step_forcing_fourth_order():
     )
     (u,) = duhamel(problem, ORDER, [1.0])
     got = float(u.evaluate(PAdicVector.zero(C21)).re)
-    assert abs(got - (math.exp(-0.7) - math.exp(-1))) <= 1e-9
+    expected = math.exp(-0.7) * -math.expm1(-0.3)
+    assert abs(got - expected) <= 1e-14 * expected
 
 
 def test_duhamel_applies_one_multiplier_per_forcing_piece(monkeypatch):
@@ -496,7 +545,7 @@ def test_duhamel_applies_one_multiplier_per_forcing_piece(monkeypatch):
 
     monkeypatch.setattr(RadialMultiplier, "apply", counted)
     order = BesselOrder(2.0, C21)
-    problem = step_problem(2, 1, 6, 64)
+    problem = step_problem(2, 1, 6)
     for t, active in ((0.2, 1), (0.42, 2), (1.0, 3)):
         calls.clear()
         duhamel(problem, order, [t])
