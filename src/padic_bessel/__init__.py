@@ -3,7 +3,6 @@
 from padic_bessel.padic import (
     Ball,
     ExactComplex,
-    PAdicScalar,
     PAdicVector,
     PrimeContext,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "BruhatSchwartzFunction",
     "EvolutionProblem",
     "ExactComplex",
-    "PAdicScalar",
     "PAdicVector",
     "PrimeContext",
     "RadialMultiplier",

@@ -88,48 +88,36 @@ def symbol_profile(order: BesselOrder) -> RadialProfile:
         resid=lambda k: symbol_value(k, order),
         base=0,
         deep_pieces=((1, 0),),
-        support_max=None,
-        envelope=(1.0, -order.alpha),
         constant_on_unit_ball=True,
     )
 
 
-def kernel_value(m: Union[int, float], alpha: float, ctx: PrimeContext) -> Number:
+def kernel_value(m: Union[int, float], order: BesselOrder) -> Number:
     """Radial convolution kernel at norm exponent m; zero outside the unit ball.
 
-    The alpha == n branch replaces the vanishing gamma factor by the
-    logarithmic profile; for alpha > n the value at the origin (ZERO_NORM)
-    is the finite limit of the shell values.
+    (p**(m d) - p**d) / gamma_p with d = alpha - n > 0, exact rational at
+    integer alpha; at the origin (ZERO_NORM) p**(m d) is 0, its limit.
     """
-    p, n = ctx.p, ctx.n
     if m != ZERO_NORM and m >= 1:
         return 0
-    if alpha == n:
-        if m == ZERO_NORM:
-            raise ValueError("logarithmic kernel is unbounded at the origin")
-        return (1 - Fraction(p) ** (-n)) * (1 - int(m))
-    gamma = padic_gamma(alpha, ctx)
-    if m == ZERO_NORM:
-        if alpha < n:
-            raise ValueError("kernel unbounded at the origin for alpha < n")
-        if isinstance(gamma, Fraction) and float(alpha).is_integer():
-            return -(Fraction(p) ** (int(alpha) - n)) / gamma
-        return -(p ** (alpha - n)) / float(gamma)
-    m = int(m)
-    if isinstance(gamma, Fraction) and float(alpha).is_integer():
-        a = int(alpha)
-        return (Fraction(p) ** (m * (a - n)) - Fraction(p) ** (a - n)) / gamma
-    return _float_kernel(m, alpha - n, p, float(gamma))
+    ctx = order.ctx
+    gamma = padic_gamma(order.alpha, ctx)
+    if order.alpha_is_integer:
+        d = int(order.alpha) - ctx.n
+        deep = 0 if m == ZERO_NORM else ctx.p_power(int(m) * d)
+        return (deep - ctx.p_power(d)) / gamma
+    return _float_kernel(m, order.alpha - ctx.n, ctx.p, gamma)
 
 
-def _float_kernel(m: int, d: float, p: int, gamma: float) -> float:
-    """Kernel at norm exponent m <= 0 for non-integer alpha, d = alpha - n."""
+def _float_kernel(m: Union[int, float], d: float, p: int, gamma: float) -> float:
+    """Kernel at norm exponent m <= 0 for non-integer alpha, d = alpha - n;
+    m = ZERO_NORM gives p**(m d) = 0.0 and so the value at the origin."""
     return (p ** (m * d) - p ** d) / gamma
 
 
 def kernel_shells(order: BesselOrder) -> Iterator[float]:
     """Kernel on the shells ||x|| = p**(-gamma), for gamma = 0, 1, 2, ... in
-    turn, as floats equal to ``float(kernel_value(-gamma, ...))``.
+    turn, as floats equal to ``float(kernel_value(-gamma, order))``.
 
     At integer alpha the value is the rational (B**-gamma - B) / gamma_p with
     B = p**(alpha - n), that is gd (1 - B**(gamma+1)) / (gn B**gamma) for
@@ -161,10 +149,9 @@ def kernel_profile(order: BesselOrder) -> RadialProfile:
     p, n = ctx.p, ctx.n
     return RadialProfile(
         ctx=ctx,
-        resid=lambda k: kernel_value(k, alpha, ctx),
+        resid=lambda k: kernel_value(k, order),
         base=0,
         deep_pieces=((1.0 / gamma, alpha - n), (-(p ** (alpha - n)) / gamma, 0)),
-        support_max=0,
     )
 
 
@@ -175,19 +162,15 @@ def kernel_ball_mass(radius_exp: int, order: BesselOrder) -> Number:
     the total mass (which is 1) for any nonnegative radius.
     """
     ctx = order.ctx
-    n, alpha = ctx.n, order.alpha
+    p, n = ctx.p, ctx.n
     top = min(radius_exp, 0)
-    gamma = padic_gamma(alpha, ctx)
+    gamma = padic_gamma(order.alpha, ctx)
     if order.alpha_is_integer:
-        a = int(alpha)
-        return (
-            (1 - ctx.p_power(-n)) * ctx.p_power(top * a) / (1 - ctx.p_power(-a))
-            - ctx.p_power(a - n + top * n)
-        ) / gamma
-    p = ctx.p
+        a, power = int(order.alpha), ctx.p_power
+    else:
+        a, power = order.alpha, lambda e: p**e
     return (
-        (1.0 - p ** float(-n)) * p ** (top * alpha) / (1.0 - p ** (-alpha))
-        - p ** (alpha - n + top * n)
+        (1 - power(-n)) * power(top * a) / (1 - power(-a)) - power(a - n + top * n)
     ) / gamma
 
 
@@ -205,11 +188,9 @@ def kernel_partial_mass(gamma_max: int, order: BesselOrder) -> float:
     return total
 
 
-def khat_defect(
-    order: BesselOrder, xi_norm_exp: Union[int, float], truncation: Optional[int] = None
-) -> float:
+def khat_defect(order: BesselOrder, xi_norm_exp: int) -> float:
     """|shell-sum transform of the kernel - multiplier| at one frequency."""
-    value, _tail = radial_transform(kernel_profile(order), xi_norm_exp, truncation)
+    value = radial_transform(kernel_profile(order), xi_norm_exp)
     return abs(value - float(symbol_value(xi_norm_exp, order)))
 
 
@@ -240,12 +221,11 @@ def apply_bessel_convolution(
     if not f.terms:
         return EC_ZERO
     ell = min(ball.radius_exp for _, ball in f.terms)
-    alpha, ctx = order.alpha, order.ctx
     total = f.evaluate(x) * kernel_ball_mass(ell, order)
     for k in range(min(ell, 0) + 1, 1):
         ring = f.ball_integral(Ball(x, k)) - f.ball_integral(Ball(x, k - 1))
         if not ring.is_zero():
-            total = total + ring * kernel_value(k, alpha, ctx)
+            total = total + ring * kernel_value(k, order)
     return total
 
 

@@ -143,7 +143,8 @@ def multiplier_profile(t: float, order: BesselOrder) -> RadialProfile:
     """exp(-t * multiplier) as a radial profile with base 1.
 
     The residual expm1(-t * symbol) is what the transform weights against
-    huge character integrals, so the cancelling constant bulk stays exact.
+    huge character integrals; the constant bulk integrates to 0 and drops
+    out.
     """
     if t < 0:
         raise ValueError(f"time t = {t} must be nonnegative")
@@ -156,8 +157,6 @@ def multiplier_profile(t: float, order: BesselOrder) -> RadialProfile:
         resid=resid,
         base=1,
         deep_pieces=((math.expm1(-t), 0),),
-        support_max=None,
-        envelope=(t, -order.alpha),
         constant_on_unit_ball=True,
     )
 
@@ -169,8 +168,7 @@ def z_oracle(gamma: int, t: float, order: BesselOrder) -> float:
     if gamma < 0:
         raise ValueError(f"shell index gamma = {gamma} must be >= 0")
     _require_positive_time(t)
-    value, _tail = radial_transform(multiplier_profile(t, order), -gamma)
-    return value
+    return radial_transform(multiplier_profile(t, order), -gamma)
 
 
 def z_mass(t: float, order: BesselOrder, depth: Optional[int] = None) -> float:

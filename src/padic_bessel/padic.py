@@ -194,33 +194,6 @@ def character(y: Rational, p: int) -> ExactComplex:
 
 
 @dataclass(frozen=True, slots=True)
-class PAdicScalar:
-    """A point of Q_p represented exactly by a rational."""
-
-    value: Fraction
-    ctx: PrimeContext
-
-    @property
-    def valuation(self) -> Union[int, float]:
-        return valuation(self.value, self.ctx.p)
-
-    @property
-    def norm_exp(self) -> Union[int, float]:
-        return norm_exp_of(self.value, self.ctx.p)
-
-    @property
-    def norm(self) -> Fraction:
-        m = self.norm_exp
-        return Fraction(0) if m == ZERO_NORM else self.ctx.p_power(int(m))
-
-    def fractional_part(self) -> Fraction:
-        return fractional_part(self.value, self.ctx.p)
-
-    def character(self) -> ExactComplex:
-        return character(self.value, self.ctx.p)
-
-
-@dataclass(frozen=True, slots=True)
 class PAdicVector:
     """A point of Q_p^n with exact rational coordinates."""
 
@@ -269,10 +242,6 @@ class PAdicVector:
 
     def __neg__(self) -> "PAdicVector":
         return PAdicVector(tuple(-a for a in self.coords), self.ctx)
-
-    def dot(self, other: "PAdicVector") -> Fraction:
-        self._check(other)
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
 
 
 @dataclass(frozen=True, slots=True)

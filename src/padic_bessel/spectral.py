@@ -6,20 +6,18 @@ remains, as the oracle of that route and for its own identities: the
 transform of a single ball indicator is an explicitly modulated
 indicator; the modulation is flattened into cells on which the character is
 constant, so the image stays inside the indicator representation, exactly.
-Radial transforms evaluate Fourier integrals of norm-dependent profiles as
-shell sums against exact character integrals, with closed-form summation of
-the infinitely many deep shells and a geometric certificate for any
-truncated outer tail.
+The radial transform evaluates the Fourier integral of a norm-dependent
+profile at one finite frequency as a shell sum against exact character
+integrals, with the infinitely many deep shells summed in closed form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as digit_product
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from padic_bessel.padic import (
-    ZERO_NORM,
     Ball,
     ContextMismatchError,
     ExactComplex,
@@ -30,7 +28,6 @@ from padic_bessel.padic import (
     character_from_phase,
     fractional_part,
     shell_character_integral,
-    shell_measure,
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction
 
@@ -45,31 +42,22 @@ class RadialProfile:
 
     Stored as ``base + resid(m)`` where ``base`` is the limit at infinity and
     ``resid`` decays; shell sums weight huge exact character integrals
-    against the small residual only, so the cancelling bulk is handled in
-    exact arithmetic and no precision is lost to it.
+    against the small residual only, since the constant bulk integrates to
+    0 against them, so no precision is lost to it.
 
     ``deep_pieces`` gives resid on the deep shells m <= 0 as a sum
     of exact geometric terms A * p**(m*d) (each needs d + n > 0), which the
-    transform sums in closed form.  ``support_max`` bounds the residual's
-    support from above; unbounded profiles instead declare an ``envelope``
-    (C, d) with |resid(m)| <= C * p**(m*d) on the shells m > 0.
+    transform sums in closed form.
     """
 
     ctx: PrimeContext
     resid: Callable[[int], Number]
     base: Number = 0
     deep_pieces: tuple = ()
-    support_max: Optional[int] = None
-    envelope: Optional[tuple] = None
     constant_on_unit_ball: bool = False
 
-    def value_at(self, m: Union[int, float]) -> Number:
-        """Profile value at norm exponent m; ZERO_NORM means the point 0."""
-        if m == ZERO_NORM:
-            if self.constant_on_unit_ball:
-                return self.base + self.resid(0)
-            deep_limit = sum(a for a, d in self.deep_pieces if d == 0)
-            return self.base + deep_limit
+    def value_at(self, m: int) -> Number:
+        """Profile value at the norm exponent m of a nonzero point."""
         return self.base + self.resid(int(m))
 
 
@@ -251,78 +239,20 @@ def _deep_closed_sum(profile: RadialProfile, top: int) -> float:
     return total
 
 
-def _char_ball_sum(top: int, m: int, ctx: PrimeContext) -> Fraction:
-    """Exact sum of shell_character_integral(k, m) over all k <= top."""
-    if top <= -m:
-        return ctx.p_power(top * ctx.n)
-    if top == 1 - m:
-        return Fraction(0)
-    raise ValueError("character integrals vanish beyond k = 1 - m")
+def radial_transform(profile: RadialProfile, xi_norm_exp: int) -> float:
+    """(F g)(xi) at ||xi|| = p**m for a radial profile g, as a shell sum.
 
-
-def radial_transform(
-    profile: RadialProfile,
-    xi_norm_exp: Union[int, float],
-    truncation: Optional[int] = None,
-) -> tuple:
-    """(F g)(xi) for a radial profile g, as a shell sum; returns (value, tail).
-
-    For a finite frequency exponent m the character integrals vanish above
-    the shell 1 - m, so the sum is finite and tail = 0 unless an explicit
-    smaller truncation is requested; then the skipped shells are bounded by
-    the declared envelope.  At xi = 0 (ZERO_NORM) the profile must have zero
-    base and a summable envelope or bounded support.
+    The character integrals vanish above the shell 1 - m and sum to 0 over
+    all shells up to it, so the constant base drops out and the sum is
+    finite: the deep shells below min(0, -m) in closed form, then the shells
+    from there up to 1 - m against their exact character integrals.
     """
     ctx = profile.ctx
-    p, n = ctx.p, ctx.n
-    m = xi_norm_exp
-    if m == ZERO_NORM:
-        if profile.base != 0:
-            raise DivergentTailError("constant part is not integrable at zero frequency")
-        if profile.support_max is not None:
-            k_top = profile.support_max
-            tail = 0.0
-        else:
-            if profile.envelope is None or truncation is None:
-                raise DivergentTailError(
-                    "unbounded profile at zero frequency needs an envelope and a truncation"
-                )
-            big_c, d = profile.envelope
-            if n + float(d) >= 0:
-                raise DivergentTailError(f"envelope decay d = {d} does not beat the shell growth")
-            k_top = truncation
-            tail = (
-                float(big_c)
-                * (1.0 - p ** float(-n))
-                * p ** ((k_top + 1) * (n + float(d)))
-                / (1.0 - p ** (n + float(d)))
-            )
-        k_lo = min(0, k_top)
-        total = _deep_closed_sum(profile, k_lo - 1)
-        for k in range(k_lo, k_top + 1):
-            total += float(shell_measure(k, ctx)) * float(profile.resid(k))
-        return total, tail
-
-    m = int(m)
-    k_full = 1 - m
-    k_top = k_full if profile.support_max is None else min(k_full, profile.support_max)
-    tail = 0.0
-    if truncation is not None and truncation < k_top:
-        if profile.envelope is None:
-            raise DivergentTailError("truncation below the support needs an envelope")
-        big_c, d = profile.envelope
-        tail = sum(
-            float(shell_measure(k, ctx)) * float(big_c) * p ** (k * float(d))
-            for k in range(truncation + 1, k_top + 1)
-        )
-        k_top = truncation
-    total = 0.0
-    if profile.base != 0:
-        total += float(profile.base) * float(_char_ball_sum(k_top, m, ctx))
-    k_lo = min(0, -m, k_top)
-    total += _deep_closed_sum(profile, k_lo - 1)
-    for k in range(k_lo, k_top + 1):
+    m = int(xi_norm_exp)
+    k_lo = min(0, -m)
+    total = _deep_closed_sum(profile, k_lo - 1)
+    for k in range(k_lo, 2 - m):
         c = shell_character_integral(k, m, ctx)
         if c:
             total += float(c) * float(profile.resid(k))
-    return total, tail
+    return total

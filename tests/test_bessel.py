@@ -86,13 +86,12 @@ def test_bessel_order_requires_finite_alpha(alpha):
 
 
 def test_kernel_values():
-    assert kernel_value(0, 3, C21) == Fraction(7, 8)
-    assert kernel_value(2, 2.0, C21) == 0
-    assert kernel_value(0, 1, C21) == Fraction(1, 2)  # alpha = n branch
+    assert kernel_value(0, BesselOrder(3, C21)) == Fraction(7, 8)
+    assert kernel_value(2, BesselOrder(2.0, C21)) == 0
     # the m = 0 value is 1 - p**-alpha for every admissible order
     for order in orders():
         p = order.ctx.p
-        got = float(kernel_value(0, order.alpha, order.ctx))
+        got = float(kernel_value(0, order))
         assert abs(got - (1 - p ** (-order.alpha))) <= 1e-15 * abs(got)
 
 
@@ -105,14 +104,14 @@ def test_kernel_shells_are_kernel_value(p, n, alpha):
     # evaluates the same float expression (other alpha) as kernel_value
     order = BesselOrder(alpha, PrimeContext(p, n))
     got = list(itertools.islice(kernel_shells(order), 401))
-    assert got == [float(kernel_value(-g, alpha, order.ctx)) for g in range(401)]
+    assert got == [float(kernel_value(-g, order)) for g in range(401)]
 
 
 def test_kernel_nonnegative_on_support():
     for order in orders():
         for g in range(0, 10):
-            assert float(kernel_value(-g, order.alpha, order.ctx)) >= 0
-        limit = float(kernel_value(ZERO_NORM, order.alpha, order.ctx))
+            assert float(kernel_value(-g, order)) >= 0
+        limit = float(kernel_value(ZERO_NORM, order))
         assert limit >= 0
 
 
@@ -132,7 +131,7 @@ def test_kernel_ball_mass_matches_brute_shells():
             closed = kernel_ball_mass(ell, order)
             top = min(ell, 0)
             brute = sum(
-                float(shell_measure(k, ctx)) * float(kernel_value(k, order.alpha, ctx))
+                float(shell_measure(k, ctx)) * float(kernel_value(k, order))
                 for k in range(top, top - 90, -1)
             )
             assert abs(closed - brute) <= 1e-13
@@ -180,10 +179,6 @@ def test_khat_matches_symbol():
     for order in orders():
         for m in range(-2, 4):
             assert khat_defect(order, m) <= 1e-10
-    # value independent of truncation once the support is covered
-    order = BesselOrder(1.5, C21)
-    assert khat_defect(order, 2, truncation=0) == khat_defect(order, 2)
-    assert khat_defect(order, 2, truncation=5) == khat_defect(order, 2)
 
 
 def test_kernel_profile_deep_pieces_match_values():
@@ -203,11 +198,10 @@ def test_symbol_transform_reproduces_kernel():
     for order in orders():
         prof = symbol_profile(order)
         for g in range(0, 7):
-            value, _ = radial_transform(prof, -g)
-            assert abs(value - float(kernel_value(-g, order.alpha, order.ctx))) <= 1e-12
+            value = radial_transform(prof, -g)
+            assert abs(value - float(kernel_value(-g, order))) <= 1e-12
         for m in (1, 2, 3):
-            value, _ = radial_transform(prof, m)
-            assert abs(value) <= 1e-15
+            assert abs(radial_transform(prof, m)) <= 1e-15
 
 
 # -- operator routes --------------------------------------------------------------

@@ -104,12 +104,12 @@ def test_kernel_table_rows_are_kernel_value(capsys, p, n, alpha, gamma):
         "--gamma-max", str(gamma),
     )
     assert code == 0
-    ctx = PrimeContext(p, n)
-    mass = kernel_mass(BesselOrder(alpha, ctx))
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    mass = kernel_mass(order)
     fmt = lambda x: format(float(x), ".17g")
     expected = ["gamma,norm,k_alpha"]
     expected += [
-        f"{g},{fmt(p ** (-g))},{fmt(kernel_value(-g, alpha, ctx))}" for g in range(gamma + 1)
+        f"{g},{fmt(p ** (-g))},{fmt(kernel_value(-g, order))}" for g in range(gamma + 1)
     ]
     expected.append(f"mass,{fmt(mass)},{fmt(abs(mass - 1.0))}")
     assert out == "\n".join(expected) + "\n"

@@ -11,7 +11,6 @@ from padic_bessel.padic import (
     ZERO_NORM,
     Ball,
     ContextMismatchError,
-    PAdicScalar,
     PAdicVector,
     PrimeContext,
     character,
@@ -124,13 +123,10 @@ def test_character_irrational_phase_is_float():
 
 
 def test_scalar_norms():
-    s = PAdicScalar(Fraction(9, 2), PrimeContext(3, 1))
-    assert s.valuation == 2
-    assert s.norm_exp == -2
-    assert s.norm == Fraction(1, 9)
-    zero = PAdicScalar(Fraction(0), C21)
-    assert zero.norm == 0
-    assert zero.norm_exp == ZERO_NORM
+    assert valuation(Fraction(9, 2), 3) == 2
+    assert norm_exp_of(Fraction(9, 2), 3) == -2
+    assert valuation(Fraction(0), 2) == ORD_INF
+    assert norm_exp_of(Fraction(0), 2) == ZERO_NORM
 
 
 def test_vector_norm_examples():

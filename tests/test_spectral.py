@@ -113,9 +113,8 @@ def test_transform_is_unitary(seed):
 def unit_ball_profile(ctx):
     return RadialProfile(
         ctx=ctx,
-        resid=lambda k: 1,
+        resid=lambda k: 1 if k <= 0 else 0,
         deep_pieces=((1, 0),),
-        support_max=0,
         constant_on_unit_ball=True,
     )
 
@@ -124,37 +123,23 @@ def unit_ball_profile(ctx):
 def test_radial_transform_of_unit_indicator(ctx):
     prof = unit_ball_profile(ctx)
     for m in range(-4, 1):
-        value, tail = radial_transform(prof, m)
-        assert tail == 0.0 and abs(value - 1.0) <= 1e-15
+        assert abs(radial_transform(prof, m) - 1.0) <= 1e-15
     for m in range(1, 5):
-        value, tail = radial_transform(prof, m)
-        assert tail == 0.0 and abs(value) <= 1e-15
-    value, tail = radial_transform(prof, ZERO_NORM)
-    assert abs(value - 1.0) <= 1e-15
-
-
-def test_radial_transform_truncation_independent_beyond_support():
-    prof = unit_ball_profile(C21)
-    full, _ = radial_transform(prof, -2)
-    for trunc in (0, 3, 7):
-        value, tail = radial_transform(prof, -2, truncation=trunc)
-        assert value == full and tail == 0.0
+        assert abs(radial_transform(prof, m)) <= 1e-15
 
 
 def test_radial_transform_divergence_errors():
-    grows = RadialProfile(
-        ctx=C21,
-        resid=lambda k: 1,
-        base=1,
-        deep_pieces=((1, 0),),
-        support_max=None,
-        envelope=(1.0, 0.0),
-    )
-    with pytest.raises(DivergentTailError):
-        radial_transform(grows, ZERO_NORM)
-    no_envelope = RadialProfile(ctx=C21, resid=lambda k: 0.5**k, support_max=None)
-    with pytest.raises(DivergentTailError):
-        radial_transform(no_envelope, ZERO_NORM, truncation=5)
+    # a deep piece A * p**(k d) with d + n <= 0 does not sum over k -> -inf
+    for d in (-1, -1.5, -3):
+        grows = RadialProfile(
+            ctx=C21,
+            resid=lambda k, d=d: 2.0 ** (k * d),
+            deep_pieces=((1, d),),
+            constant_on_unit_ball=True,
+        )
+        for m in (-2, 0, 3):
+            with pytest.raises(DivergentTailError):
+                radial_transform(grows, m)
 
 
 def test_multiply_radial_requires_unit_ball_constant():
