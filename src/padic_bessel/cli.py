@@ -116,10 +116,42 @@ def _load_input(ns: argparse.Namespace) -> BruhatSchwartzFunction:
     return f
 
 
+# cells one transform may build: about 7 s of ``fourier`` at p = 2, n = 1
+MAX_CELLS = 2**16
+
+
+def _check_transform_size(f: BruhatSchwartzFunction, max_cells: int) -> None:
+    """Refuse f when ``fourier`` would build more than max_cells cells.
+
+    The term B(a, p**r) of canonical f expands into p**(n(-r - rho)) cells,
+    rho = min(-r, v) with v the valuation of a (one cell at a = 0).  An
+    exponent e > log2(max_cells) alone is over budget, so no power beyond
+    that is built.
+    """
+    p, n = f.ctx.p, f.ctx.n
+    exps = [
+        0 if ball.center.is_zero else n * max(0, -ball.radius_exp - int(ball.center.min_valuation))
+        for _, ball in f.terms
+    ]
+    top = max(exps, default=0)
+    if top > max_cells.bit_length():
+        estimate = f"at least {p}^{top}"
+    else:
+        cells = sum(p**e for e in exps)
+        if cells <= max_cells:
+            return
+        estimate = str(cells)
+    raise ValueError(f"the transform would build {estimate} cells, over --max-cells {max_cells}")
+
+
 def run_fourier(ns: argparse.Namespace) -> int:
+    if ns.max_cells < 1:
+        raise ValueError(f"--max-cells {ns.max_cells} must be at least 1")
     f = _load_input(ns)
+    _check_transform_size(f, ns.max_cells)
     transformed = fourier(f)
     if ns.roundtrip:
+        _check_transform_size(transformed, ns.max_cells)
         doubled = fourier(transformed)
         defect = (doubled - f.reflect()).sup_norm()
         payload = {
@@ -144,11 +176,10 @@ def _load_forcing(path: str) -> tuple:
     for entry in obj:
         if not isinstance(entry, dict) or "time" not in entry or "function" not in entry:
             raise ValueError("each forcing entry needs 'time' and 'function'")
-        try:
-            time = float(entry["time"])
-        except TypeError:
-            raise ValueError(f"forcing time {json.dumps(entry['time'])} is not a number") from None
-        schedule.append((time, deserialize(json.dumps(entry["function"]))))
+        time = entry["time"]
+        if isinstance(time, bool) or not isinstance(time, (int, float)):
+            raise ValueError(f"forcing time {json.dumps(time)} is not a number")
+        schedule.append((float(time), deserialize(json.dumps(entry["function"]))))
     return tuple(schedule)
 
 
@@ -409,6 +440,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fourier", parents=[space], help="Fourier transform of a serialized function")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--roundtrip", action="store_true", help="also emit the double transform and its reflection defect")
+    sp.add_argument(
+        "--max-cells", type=int, default=MAX_CELLS, help=f"refuse a transform of more cells (default {MAX_CELLS})"
+    )
 
     sp = sub.add_parser("evolve", parents=[operator], help="evolve an initial datum, optionally with forcing")
     sp.add_argument("--in", dest="infile", required=True)

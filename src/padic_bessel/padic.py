@@ -168,11 +168,6 @@ EC_ZERO = ExactComplex(0, 0)
 EC_ONE = ExactComplex(1, 0)
 
 
-def char_phase(y: Rational, p: int) -> Fraction:
-    """Rational phase {y}_p of the standard additive character at y."""
-    return fractional_part(y, p)
-
-
 def character_from_phase(q: Fraction) -> ExactComplex:
     """exp(2*pi*i*q) for a rational q, exact whenever q is a quarter."""
     q = q % 1
@@ -186,11 +181,6 @@ def character_from_phase(q: Fraction) -> ExactComplex:
         return ExactComplex(0, -1)
     angle = 2.0 * math.pi * float(q)
     return ExactComplex(math.cos(angle), math.sin(angle))
-
-
-def character(y: Rational, p: int) -> ExactComplex:
-    """chi_p(y) = exp(2*pi*i*{y}_p), exact whenever the phase is a quarter."""
-    return character_from_phase(char_phase(y, p))
 
 
 @dataclass(frozen=True, slots=True)

@@ -153,38 +153,41 @@ class BruhatSchwartzFunction:
         digit path, and sibling groups that agree are merged back into their
         parent, so the result is the coarsest disjoint form and the map is
         idempotent.
+
+        Canonical centers have p-power denominators, and root_r is at least
+        each radius and each denominator exponent, so every center x is the
+        integer x * p**root_r: the walk carries these integer digit
+        coordinates and builds a Fraction only for the cells it emits.
         """
         if self.canonical:
             return self
         terms = [(c, b.canonical()) for c, b in self.terms if not c.is_zero()]
         if not terms:
             return BruhatSchwartzFunction(self.ctx, (), canonical=True)
-        root_r = 0
-        for _, ball in terms:
-            root_r = max(root_r, ball.radius_exp)
-            m = ball.center.norm_exp
-            if m != ZERO_NORM:
-                root_r = max(root_r, int(m))
+        p = self.ctx.p
+        root_r = max(0, max(ball.radius_exp for _, ball in terms))
+        root_scale = p**root_r
+        largest_den = max(x.denominator for _, ball in terms for x in ball.center.coords)
+        while root_scale < largest_den:
+            root_scale *= p
+            root_r += 1
 
         # tree node: [coefficient, {digit tuple: child node}]
         root = [EC_ZERO, {}]
-        p = self.ctx.p
-        root_scale = p**root_r
         for c, ball in terms:
             depth = root_r - ball.radius_exp
             per_coord = []
             for x in ball.center.coords:
-                # canonical centers have p-power denominators dividing the
-                # root scale, so the digit path is one integer expansion
-                u = x.numerator * root_scale // x.denominator
+                # the center lies in [0, p**-radius), so U = x * root_scale
+                # has exactly depth digits, least significant first
+                u = x.numerator * (root_scale // x.denominator)
                 digits = []
                 for _ in range(depth):
-                    digits.append(u % p)
-                    u //= p
+                    u, d = divmod(u, p)
+                    digits.append(d)
                 per_coord.append(digits)
             node = root
-            for j in range(depth):
-                step = tuple(digits[j] for digits in per_coord)
+            for step in zip(*per_coord):
                 node = node[1].setdefault(step, [EC_ZERO, {}])
             node[0] = node[0] + c
 
@@ -193,48 +196,52 @@ class BruhatSchwartzFunction:
         out: list = []
 
         # Post-order walk with an explicit stack, so the tree depth is not
-        # bounded by the recursion limit.  A frame is [children, center
-        # coords, radius, running value, digit scale, results]; results gets
-        # one (value, coords) per child in digit order, value None when that
-        # child's subtree is not constant and its cells are already in out.
-        # A finished frame whose children all agree is constant; otherwise
-        # its nonzero constant children become cells of radius - 1.
-        zero_coords = (Fraction(0),) * ctx.n
+        # bounded by the recursion limit.  A frame is [children, integer
+        # center coords U, radius, running value, integer digit scale,
+        # results]; results gets one value per child in digit order, None
+        # when that child's subtree is not constant and its cells are
+        # already in out.  A finished frame whose children all agree is
+        # constant; otherwise its nonzero constant children become cells of
+        # radius - 1, centered at (U + digits * scale) / root_scale.
+        zero_units = (0,) * ctx.n
         top = root[0]
         stack = []
         if root[1]:
-            stack.append([root[1], zero_coords, root_r, top, Fraction(p) ** -root_r, []])
+            stack.append([root[1], zero_units, root_r, top, 1, []])
         while stack:
-            children, coords, radius, running, scale, results = stack[-1]
+            children, units, radius, running, scale, results = stack[-1]
             if len(results) < len(all_digits):
                 digits = all_digits[len(results)]
-                child_coords = tuple(x + d * scale for x, d in zip(coords, digits))
                 child = children.get(digits)
                 if child is None:
-                    results.append((running, child_coords))
+                    results.append(running)
                 elif not child[1]:
-                    results.append((running + child[0], child_coords))
+                    results.append(running + child[0])
                 else:
+                    child_units = tuple(u + d * scale for u, d in zip(units, digits))
                     stack.append(
-                        [child[1], child_coords, radius - 1, running + child[0], scale * p, []]
+                        [child[1], child_units, radius - 1, running + child[0], scale * p, []]
                     )
                 continue
             stack.pop()
-            top = results[0][0]
-            if top is None or any(v is None or v != top for v, _ in results[1:]):
-                for value, child_coords in results:
+            top = results[0]
+            if top is None or any(v is None or v != top for v in results):
+                for value, digits in zip(results, all_digits):
                     if value is not None and not value.is_zero():
-                        cell = Ball(PAdicVector(child_coords, ctx), radius - 1, known_canonical=True)
+                        coords = tuple(
+                            Fraction(u + d * scale, root_scale) for u, d in zip(units, digits)
+                        )
+                        cell = Ball(PAdicVector(coords, ctx), radius - 1, known_canonical=True)
                         out.append((value, cell))
                 top = None
             if stack:
-                stack[-1][5].append((top, coords))
+                stack[-1][5].append(top)
         if top is None:
             cells = out
         elif top.is_zero():
             cells = []
         else:
-            cells = [(top, Ball(PAdicVector(zero_coords, ctx), root_r, known_canonical=True))]
+            cells = [(top, Ball(PAdicVector.zero(ctx), root_r, known_canonical=True))]
         return BruhatSchwartzFunction(self.ctx, tuple(cells), canonical=True)
 
     # -- integration -------------------------------------------------------

@@ -97,17 +97,21 @@ class RadialMultiplier:
             drops = [values[k] - values[k + 1] for k in range(depth)]
         else:
             drops = [self.drop(k) for k in range(depth)]
-        n = self.ctx.n
+        p, n = self.ctx.p, self.ctx.n
         out = []
         for c, ball in f.terms:
             r = ball.radius_exp
             if r >= 0:
                 out.append((c * values[0], ball))
                 continue
+            # a canonical center has a p-power denominator, so its class mod
+            # p**k is the residue x % p**k, the representative in [0, p**k)
+            coords = ball.center.coords
             for k in range(-r):
                 if drops[k]:
                     weight = drops[k] * self.ctx.p_power((r + k) * n)
-                    out.append((c * weight, Ball(ball.center, -k)))
+                    center = PAdicVector(tuple(x % p**k for x in coords), self.ctx)
+                    out.append((c * weight, Ball(center, -k, known_canonical=True)))
             out.append((c * values[-r], ball))
         return BruhatSchwartzFunction(self.ctx, tuple(out)).canonicalize()
 

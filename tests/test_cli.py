@@ -6,6 +6,7 @@ import math
 import shlex
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -205,6 +206,34 @@ def test_fourier_of_a_very_deep_or_very_large_ball(tmp_path, capsys, radius_exp)
     assert deserialize(out) == BruhatSchwartzFunction.indicator(dual, Fraction(2) ** radius_exp)
 
 
+def test_fourier_refuses_a_transform_over_the_cell_budget_at_once(tmp_path, capsys):
+    # the transform of 1_{B(2**-20, 2**-20)} has 2**40 cells
+    src = tmp_path / "deep_center.json"
+    src.write_text('{"p":2,"n":1,"terms":[{"re":"1","center":["1/1048576"],"radius_exp":-20}]}')
+    start = perf_counter()
+    code, out, err = run(capsys, "fourier", "--in", str(src))
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: the transform would build at least 2^40 cells, over --max-cells 65536\n"
+
+
+def test_fourier_cell_budget_counts_every_term_and_the_second_transform(tmp_path, capsys):
+    # 1_{B(1/8, 1/8)} builds 2**6 cells of radius 1/8 with centers k/8,
+    # 0 <= k < 64, and those build 1 + sum over j <= 5 of 2**(5-j) * 2**(6-j)
+    f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(PrimeContext(2, 1), Fraction(1, 8)), -3))
+    src = tmp_path / "f.json"
+    src.write_text(serialize(f + f.reflect()))
+    code, _, err = run(capsys, "fourier", "--in", str(src), "--max-cells", "127")
+    assert (code, err) == (2, "error: the transform would build 128 cells, over --max-cells 127\n")
+    src.write_text(serialize(f))
+    code, out, _ = run(capsys, "fourier", "--in", str(src), "--max-cells", "64")
+    assert code == 0 and len(deserialize(out).terms) == 2**6
+    code, _, err = run(capsys, "fourier", "--in", str(src), "--roundtrip", "--max-cells", "64")
+    assert (code, err) == (2, "error: the transform would build 2731 cells, over --max-cells 64\n")
+    code, _, err = run(capsys, "fourier", "--in", str(src), "--max-cells", "0")
+    assert (code, err) == (2, "error: --max-cells 0 must be at least 1\n")
+
+
 def test_evolve_norm_beyond_the_float_range_exits_2(tmp_path, capsys):
     # ||1_{B(0, 2**5000)}||_2 = 2**2500 has no float
     src = _single_ball_file(tmp_path, 5000)
@@ -292,7 +321,7 @@ def test_evolve_rejects_non_finite_times(tmp_path, capsys, times, forced):
     assert err.startswith("error: --t ") and err.endswith(" must be a finite time\n")
 
 
-@pytest.mark.parametrize("time", [[0], None, {"t": 0}])
+@pytest.mark.parametrize("time", [[0], None, {"t": 0}, True, False, "0", "0.5"])
 def test_evolve_rejects_a_forcing_time_that_is_not_a_number(tmp_path, capsys, time):
     src = tmp_path / "u0.json"
     src.write_text(serialize(OMEGA))
@@ -404,6 +433,7 @@ def test_verify_rejects_trials_below_one(capsys, suite, trials):
         ["heat", "--tol", "1e-3"],
         ["fourier", "--in", "f.json", "--alpha", "2"],
         ["evolve", "--in", "u0.json", "--t", "1", "--seed", "1"],
+        ["evolve", "--in", "u0.json", "--t", "1", "--max-cells", "10"],
     ],
 )
 def test_flags_a_command_does_not_read_exit_2(capsys, argv):

@@ -3,17 +3,24 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product as digit_product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_bessel import spectral
+from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent
+from padic_bessel.heat import solve_cauchy
 from padic_bessel.padic import (
+    EC_ZERO,
+    ZERO_NORM,
     Ball,
     ContextMismatchError,
     ExactComplex,
     PAdicVector,
     PrimeContext,
+    reduce_mod_ball,
 )
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
@@ -298,3 +305,201 @@ def test_support_and_constancy_metadata():
     assert f.support_norm_exp() == 2
     assert f.min_radius_exp() == -2
     assert BruhatSchwartzFunction.zero(C21).min_radius_exp() is None
+
+
+# -- the integer digit walk against the Fraction walk ---------------------------
+
+# the (p, n, alpha) points of the benchmark grid
+GRID = ((2, 1, 2.0), (3, 1, 3.0), (2, 2, 4.0), (5, 1, 2.0), (3, 2, 2.5))
+
+
+def canonicalize_reference(f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
+    """``BruhatSchwartzFunction.canonicalize`` as a walk over Fraction
+    centers, kept as the oracle of the integer digit walk.
+
+    Equivalent function on pairwise-disjoint maximal constant balls.
+
+    Terms are inserted into a subdivision tree rooted at a ball around 0
+    covering every term; leaves carry the accumulated value of their
+    digit path, and sibling groups that agree are merged back into their
+    parent, so the result is the coarsest disjoint form and the map is
+    idempotent.
+    """
+    if f.canonical:
+        return f
+    terms = [(c, b.canonical()) for c, b in f.terms if not c.is_zero()]
+    if not terms:
+        return BruhatSchwartzFunction(f.ctx, (), canonical=True)
+    root_r = 0
+    for _, ball in terms:
+        root_r = max(root_r, ball.radius_exp)
+        m = ball.center.norm_exp
+        if m != ZERO_NORM:
+            root_r = max(root_r, int(m))
+
+    # tree node: [coefficient, {digit tuple: child node}]
+    root = [EC_ZERO, {}]
+    p = f.ctx.p
+    root_scale = p**root_r
+    for c, ball in terms:
+        depth = root_r - ball.radius_exp
+        per_coord = []
+        for x in ball.center.coords:
+            # canonical centers have p-power denominators dividing the
+            # root scale, so the digit path is one integer expansion
+            u = x.numerator * root_scale // x.denominator
+            digits = []
+            for _ in range(depth):
+                digits.append(u % p)
+                u //= p
+            per_coord.append(digits)
+        node = root
+        for j in range(depth):
+            step = tuple(digits[j] for digits in per_coord)
+            node = node[1].setdefault(step, [EC_ZERO, {}])
+        node[0] = node[0] + c
+
+    ctx = f.ctx
+    all_digits = list(digit_product(range(p), repeat=ctx.n))
+    out: list = []
+
+    # Post-order walk with an explicit stack, so the tree depth is not
+    # bounded by the recursion limit.  A frame is [children, center
+    # coords, radius, running value, digit scale, results]; results gets
+    # one (value, coords) per child in digit order, value None when that
+    # child's subtree is not constant and its cells are already in out.
+    # A finished frame whose children all agree is constant; otherwise
+    # its nonzero constant children become cells of radius - 1.
+    zero_coords = (Fraction(0),) * ctx.n
+    top = root[0]
+    stack = []
+    if root[1]:
+        stack.append([root[1], zero_coords, root_r, top, Fraction(p) ** -root_r, []])
+    while stack:
+        children, coords, radius, running, scale, results = stack[-1]
+        if len(results) < len(all_digits):
+            digits = all_digits[len(results)]
+            child_coords = tuple(x + d * scale for x, d in zip(coords, digits))
+            child = children.get(digits)
+            if child is None:
+                results.append((running, child_coords))
+            elif not child[1]:
+                results.append((running + child[0], child_coords))
+            else:
+                stack.append(
+                    [child[1], child_coords, radius - 1, running + child[0], scale * p, []]
+                )
+            continue
+        stack.pop()
+        top = results[0][0]
+        if top is None or any(v is None or v != top for v, _ in results[1:]):
+            for value, child_coords in results:
+                if value is not None and not value.is_zero():
+                    cell = Ball(PAdicVector(child_coords, ctx), radius - 1, known_canonical=True)
+                    out.append((value, cell))
+            top = None
+        if stack:
+            stack[-1][5].append((top, coords))
+    if top is None:
+        cells = out
+    elif top.is_zero():
+        cells = []
+    else:
+        cells = [(top, Ball(PAdicVector(zero_coords, ctx), root_r, known_canonical=True))]
+    return BruhatSchwartzFunction(f.ctx, tuple(cells), canonical=True)
+
+
+def random_terms(rng, ctx, count, dens, complex_coeffs):
+    """count raw terms, centers k/d with d drawn from dens, none reduced."""
+    terms = []
+    for _ in range(count):
+        coords = tuple(Fraction(rng.randint(-40, 40), rng.choice(dens)) for _ in range(ctx.n))
+        re = Fraction(rng.randint(-8, 8), 4)
+        im = Fraction(rng.randint(-8, 8), 4) if complex_coeffs else 0
+        terms.append((ExactComplex(re, im), Ball(PAdicVector(coords, ctx), rng.randint(-3, 2))))
+    return tuple(terms)
+
+
+def assert_matches_reference(f):
+    assert serialize(f.canonicalize()) == serialize(canonicalize_reference(f))
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+@pytest.mark.parametrize("p,n", [(p, n) for p, n, _ in GRID])
+def test_canonicalize_matches_the_fraction_walk_on_random_sums(p, n, complex_coeffs):
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"{p}:{n}:{complex_coeffs}")
+    cfg = RandomFunctionConfig(max_terms=6, radius_min=-3, radius_max=2, den_pow_max=2,
+                               complex_coeffs=complex_coeffs)
+    for seed in range(8):
+        parts = [random_test_function(3 * seed + k, ctx, cfg) for k in range(3)]
+        canonical_terms = sum((f.terms for f in parts), ())
+        raw = random_terms(rng, ctx, 5, (1, p, p**2, p**3), complex_coeffs)
+        assert_matches_reference(BruhatSchwartzFunction(ctx, canonical_terms + raw))
+        # a sum that cancels back to the first part
+        back = canonical_terms + tuple((-c, b) for c, b in parts[1].terms + parts[2].terms)
+        assert_matches_reference(BruhatSchwartzFunction(ctx, back))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_canonicalize_matches_the_fraction_walk_off_p_power_denominators(p, n):
+    # centers like 1/3 at p = 2 and 1/2 at p = 3 reduce to p-adic integers
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"coprime:{p}:{n}")
+    dens = (3, 5 * p, 7 * p**2) if p != 3 else (2, 5 * p, 7 * p**2)
+    for _ in range(10):
+        assert_matches_reference(BruhatSchwartzFunction(ctx, random_terms(rng, ctx, 6, dens, True)))
+    third = Ball(PAdicVector.of(C21, Fraction(1, 3)), -4)
+    half = Ball(PAdicVector.of(C31, Fraction(1, 2)), -3)
+    for ball in (third, half):
+        f = BruhatSchwartzFunction(ball.ctx, ((ExactComplex(1, 0), ball),) + omega(ball.ctx).terms)
+        assert_matches_reference(f)
+
+
+@pytest.mark.parametrize("radius_exp", [-300, 300])
+def test_canonicalize_matches_the_fraction_walk_on_a_deep_and_a_wide_ball(radius_exp):
+    ball = Ball(PAdicVector.of(C21, Fraction(5, 8)), radius_exp)
+    for extra in (omega().terms, ((ExactComplex(2, -1), Ball(PAdicVector.of(C21, 3), -2)),)):
+        f = BruhatSchwartzFunction(C21, ((ExactComplex(Fraction(1, 3), 0), ball),) + extra)
+        assert_matches_reference(f)
+
+
+def operator_term_lists(monkeypatch):
+    """Every term list the radial multipliers hand to canonical form while
+    the operator, the resolvent and the semigroup run on the grid."""
+    handed = []
+
+    def record(ctx, terms):
+        handed.append(BruhatSchwartzFunction(ctx, terms))
+        return handed[-1]
+
+    monkeypatch.setattr(spectral, "BruhatSchwartzFunction", record)
+    for p, n, alpha in GRID:
+        order = BesselOrder(alpha, PrimeContext(p, n))
+        cfg = RandomFunctionConfig(max_terms=4, radius_min=-3, radius_max=1,
+                                   den_pow_max=1, complex_coeffs=True)
+        for seed in range(4):
+            f = random_test_function(seed, order.ctx, cfg)
+            apply_bessel(order, f)
+            resolvent(order, Fraction(1, 2), f)
+            solve_cauchy(f, 0.7, order)
+    monkeypatch.undo()
+    assert len(handed) == 3 * 4 * len(GRID)
+    return handed
+
+
+def test_canonicalize_matches_the_fraction_walk_on_operator_outputs(monkeypatch):
+    for f in operator_term_lists(monkeypatch):
+        assert_matches_reference(f)
+
+
+def test_apply_marks_canonical_only_reduced_centers(monkeypatch):
+    checked = 0
+    for f in operator_term_lists(monkeypatch):
+        p = f.ctx.p
+        for _, ball in f.terms:
+            if ball.known_canonical:
+                reduced = tuple(reduce_mod_ball(x, ball.radius_exp, p) for x in ball.center.coords)
+                assert ball.center.coords == reduced
+                checked += 1
+    assert checked > 0
