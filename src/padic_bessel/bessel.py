@@ -29,7 +29,7 @@ from padic_bessel.padic import (
     PrimeContext,
     shell_measure,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum
+from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum, linear_combination
 from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
 
 
@@ -260,7 +260,7 @@ def resolvent_residual(
     """Sup norm of (lam + operator) u - f."""
     if u is None:
         u = resolvent(order, lam, f)
-    return (u.scale(lam) + apply_bessel(order, u) - f).sup_norm()
+    return linear_combination([(lam, u), (1, apply_bessel(order, u)), (-1, f)]).sup_norm()
 
 
 # -- verification battery ----------------------------------------------------
@@ -302,7 +302,7 @@ def c0_dissipativity_margin(
         raise ValueError(f"lam = {lam} must be positive")
     if not f.is_real:
         raise ValueError("sup-norm dissipativity is checked on real functions")
-    shifted = f.scale(lam) + apply_bessel(order, f)
+    shifted = linear_combination([(lam, f), (1, apply_bessel(order, f))])
     return shifted.sup_norm() - lam * f.sup_norm()
 
 

@@ -42,6 +42,7 @@ from padic_bessel.bessel import (
     symbol_profile,
 )
 from padic_bessel.heat import (
+    MAX_DEPTH,
     EvolutionProblem,
     convolution_defect,
     distributional_mass,
@@ -116,7 +117,8 @@ def _load_input(ns: argparse.Namespace) -> BruhatSchwartzFunction:
     return f
 
 
-# cells one transform may build: about 7 s of ``fourier`` at p = 2, n = 1
+# cells one transform may build: about 3.5 s of ``fourier`` at p = 2, n = 1,
+# and 6 s for the whole command
 MAX_CELLS = 2**16
 
 
@@ -465,6 +467,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
+        if ns.command in ("kernel", "heat") and ns.gamma_max > MAX_DEPTH:
+            raise ValueError(f"--gamma-max {ns.gamma_max} is over the limit of {MAX_DEPTH} shells")
         if ns.command == "kernel":
             _emit(kernel_table(_order(ns), ns.gamma_max), ns.out)
             return 0

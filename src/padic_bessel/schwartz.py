@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as digit_product
@@ -29,6 +30,7 @@ from padic_bessel.padic import (
     PrimeContext,
     is_prime,
     reduce_mod_ball,
+    valuation,
 )
 
 Term = tuple  # (ExactComplex, Ball)
@@ -439,13 +441,38 @@ def serialize(f: BruhatSchwartzFunction) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+# "num/den" or "num": Fraction alone would also read "1e-99999999", whose
+# denominator takes minutes to build
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+#: the deepest input ``deserialize`` reads: canonical form walks one tree
+#: level per p-adic digit, from its root radius (at least 0, each radius and
+#: each center denominator exponent) down to the smallest radius, or 0
+MAX_INPUT_DEPTH = 10_000
+
+
 def _parse_rational(s) -> Fraction:
     if not isinstance(s, str):
         raise FunctionFormatError(f"rational fields must be strings, got {s!r}")
+    if _RATIONAL.fullmatch(s) is None:
+        raise FunctionFormatError(f"malformed rational {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise FunctionFormatError(f"malformed rational {s!r}") from exc
+
+
+def _digit_depth(terms: list, p: int) -> int:
+    """Digits canonical form walks for the nonzero terms (0 for none)."""
+    balls = [ball for c, ball in terms if not c.is_zero()]
+    if not balls:
+        return 0
+    root = max(
+        [0]
+        + [ball.radius_exp for ball in balls]
+        + [-valuation(x, p) for ball in balls for x in ball.center.coords if x]
+    )
+    return root - min([0] + [ball.radius_exp for ball in balls])
 
 
 def deserialize(text: str) -> BruhatSchwartzFunction:
@@ -479,4 +506,9 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
             raise FunctionFormatError("radius_exp must be an integer")
         coords = tuple(_parse_rational(x) for x in center)
         terms.append((ExactComplex(re, im), Ball(PAdicVector(coords, ctx), radius)))
+    depth = _digit_depth(terms, p)
+    if depth > MAX_INPUT_DEPTH:
+        raise FunctionFormatError(
+            f"the terms span {depth} p-adic digits, over the {MAX_INPUT_DEPTH} accepted"
+        )
     return BruhatSchwartzFunction(ctx, tuple(terms)).canonicalize()

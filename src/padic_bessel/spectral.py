@@ -6,6 +6,8 @@ remains, as the oracle of that route and for its own identities: the
 transform of a single ball indicator is an explicitly modulated
 indicator; the modulation is flattened into cells on which the character is
 constant, so the image stays inside the indicator representation, exactly.
+The cells are read off integer digit vectors, whose phases are integer
+residues, so each term evaluates one character per distinct phase.
 The radial transform evaluates the Fourier integral of a norm-dependent
 profile at one finite frequency as a shell sum against exact character
 integrals, with the infinitely many deep shells summed in closed form.
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as digit_product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from padic_bessel.padic import (
     Ball,
@@ -26,7 +28,6 @@ from padic_bessel.padic import (
     PrimeContext,
     ball_measure,
     character_from_phase,
-    fractional_part,
     shell_character_integral,
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction
@@ -125,36 +126,36 @@ class RadialMultiplier:
         )
 
 
-def _modulated_cells(dual: Ball, a: PAdicVector, rho: int) -> Iterator[tuple]:
-    """(phase character, cell) pairs flattening chi_p(xi . a) on the dual ball.
+def _modulated_cells(coeff: ExactComplex, r: int, a: PAdicVector, rho: int) -> list:
+    """Terms flattening coeff * chi_p(xi . a) on the dual ball B(0, p**R),
+    R = -r, into cells of radius p**rho < p**R.
 
-    Cell centers are digit sums, so the phase of a cell is the digit-weighted
-    sum of the per-level phases {p**(-R) a_i}; accumulating it during the
-    descent avoids a dot product and digit reduction per cell.
+    Every cell center is xi = Y / p**R for an integer digit vector Y in
+    [0, p**(R - rho))**n, and a = A / p**K with A an integer vector, so the
+    phase {xi . a}_p is the residue (Y . A) mod p**(R + K) over that modulus
+    (R + K > 0, because the cells are finer than the dual ball).  The
+    character and its product with coeff are computed once per residue.
     """
-    ctx = dual.ctx
+    ctx = a.ctx
     p, n = ctx.p, ctx.n
-    level_phases = {
-        (i, level): fractional_part(Fraction(p) ** (-level) * a.coords[i], p)
-        for i in range(n)
-        for level in range(rho + 1, dual.radius_exp + 1)
-    }
-
-    def descend(center_coords, level, phase):
-        if level == rho:
-            cell = Ball(PAdicVector(center_coords, ctx), rho, known_canonical=True)
-            yield character_from_phase(phase), cell
-            return
-        offset = Fraction(p) ** (-level)
-        for digits in digit_product(range(p), repeat=n):
-            coords = tuple(c + d * offset for c, d in zip(center_coords, digits))
-            bump = sum(
-                (d * level_phases[i, level] for i, d in enumerate(digits) if d),
-                Fraction(0),
-            )
-            yield from descend(coords, level - 1, (phase + bump) % 1)
-
-    yield from descend(dual.center.coords, dual.radius_exp, Fraction(0))
+    R = -r
+    count = p ** (R - rho)
+    den = max(x.denominator for x in a.coords)  # p**K: canonical centers
+    units = [x.numerator * (den // x.denominator) for x in a.coords]
+    modulus = int(den * ctx.p_power(R))  # p**(R + K)
+    step = ctx.p_power(-R)
+    coords = [Fraction(y * step.numerator, step.denominator) for y in range(count)]
+    phases = [[y * u % modulus for y in range(count)] for u in units]
+    values: dict = {}
+    out = []
+    for ys in digit_product(range(count), repeat=n):
+        residue = sum(ph[y] for ph, y in zip(phases, ys)) % modulus
+        value = values.get(residue)
+        if value is None:
+            value = values[residue] = coeff * character_from_phase(Fraction(residue, modulus))
+        center = PAdicVector(tuple(coords[y] for y in ys), ctx)
+        out.append((value, Ball(center, rho, known_canonical=True)))
+    return out
 
 
 def fourier(f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
@@ -164,7 +165,7 @@ def fourier(f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
     indicator of the dual ball at 0; the character factor is constant on
     cells of radius p**v, v the smallest coordinate valuation of a, so the
     dual ball is subdivided to that depth and each cell picks up an exact
-    phase.
+    phase, read off integer digit coordinates (``_modulated_cells``).
     """
     f = f.canonicalize()
     ctx = f.ctx
@@ -173,18 +174,12 @@ def fourier(f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
     for c, ball in f.terms:
         r = ball.radius_exp
         scale = ball_measure(r, ctx)
-        dual = Ball(zero, -r, known_canonical=True)
         a = ball.center
-        if a.is_zero:
-            out.append((c * scale, dual))
-            continue
-        v = int(a.min_valuation)
-        rho = min(-r, v)
+        rho = -r if a.is_zero else min(-r, int(a.min_valuation))
         if rho == -r:
-            out.append((c * scale, dual))
-            continue
-        for phase, cell in _modulated_cells(dual, a, rho):
-            out.append((c * scale * phase, cell))
+            out.append((c * scale, Ball(zero, -r, known_canonical=True)))
+        else:
+            out.extend(_modulated_cells(c * scale, r, a, rho))
     return BruhatSchwartzFunction(ctx, tuple(out)).canonicalize()
 
 

@@ -507,6 +507,23 @@ def test_resolvent_residual_small(lam):
         assert resolvent_residual(order, lam, f) <= 1e-12
 
 
+@pytest.mark.parametrize("p,n,alpha", [(2, 1, 2.0), (3, 1, 3.0), (2, 2, 4.0)])
+def test_resolvent_residual_sums_its_three_parts_exactly(p, n, alpha):
+    # integer alpha and rational lambda keep every value exact, so the one
+    # canonical pass equals the chain of scale, + and -, and the resolvent
+    # itself leaves no residual
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    lam = Fraction(1, 2)
+    for seed in range(5):
+        f = random_test_function(seed, order.ctx)
+        u = random_test_function(seed + 100, order.ctx)
+        chained = (u.scale(lam) + apply_bessel(order, u) - f).sup_norm()
+        assert resolvent_residual(order, lam, f, u) == chained > 0
+        assert resolvent_residual(order, lam, f) == 0.0
+        margin = (f.scale(lam) + apply_bessel(order, f)).sup_norm() - lam * f.sup_norm()
+        assert c0_dissipativity_margin(order, f, lam) == margin
+
+
 def test_resolvent_decays_like_one_over_lambda():
     order = BesselOrder(2.0, C21)
     f = random_test_function(9, C21)

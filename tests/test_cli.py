@@ -1,21 +1,26 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import argparse
+import io
 import json
 import math
 import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_bessel.bessel import BesselOrder, kernel_mass, kernel_value
 from padic_bessel import cli
 from padic_bessel.cli import main
-from padic_bessel.heat import z_closed
+from padic_bessel.heat import MAX_DEPTH, z_closed
 from padic_bessel.padic import Ball, PAdicVector, PrimeContext
-from padic_bessel.schwartz import BruhatSchwartzFunction, deserialize, serialize
+from padic_bessel.schwartz import MAX_INPUT_DEPTH, BruhatSchwartzFunction, deserialize, serialize
 
 OMEGA = BruhatSchwartzFunction.unit_ball(PrimeContext(2, 1))
 
@@ -137,6 +142,24 @@ def test_heat_rejects_alpha_next_to_n(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["kernel", "heat"])
+def test_tables_refuse_more_shells_than_max_depth_at_once(capsys, command):
+    for gamma in (MAX_DEPTH + 1, 10**12):
+        start = perf_counter()
+        code, out, err = run(capsys, command, "--gamma-max", str(gamma))
+        assert perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: --gamma-max {gamma} is over the limit of {MAX_DEPTH} shells\n"
+
+
+def test_tables_take_the_overflow_depths(capsys):
+    # the deepest rows perfbench's tables workload and its probes ask for
+    code, out, _ = run(capsys, "heat", "--p", "2", "--alpha", "2.5", "--gamma-max", "1040")
+    assert code == 0 and len(out.strip().split("\n")) == 1043
+    code, out, _ = run(capsys, "kernel", "--p", "2", "--alpha", "2.5", "--gamma-max", "1040")
+    assert code == 0 and len(out.strip().split("\n")) == 1043
+
+
 def test_heat_rejects_zero_time(capsys):
     code, _, err = run(capsys, "heat", "--t", "0")
     assert code == 2
@@ -204,6 +227,45 @@ def test_fourier_of_a_very_deep_or_very_large_ball(tmp_path, capsys, radius_exp)
     ctx = PrimeContext(2, 1)
     dual = Ball(PAdicVector.zero(ctx), -radius_exp)
     assert deserialize(out) == BruhatSchwartzFunction.indicator(dual, Fraction(2) ** radius_exp)
+
+
+@pytest.mark.parametrize("command", [["fourier"], ["evolve", "--t", "1"]])
+def test_a_file_deeper_than_the_reader_accepts_exits_2_at_once(tmp_path, capsys, command):
+    src = tmp_path / "deep.json"
+    src.write_text('{"p":2,"n":1,"terms":[{"re":"1","center":["1"],"radius_exp":-1000000000}]}')
+    start = perf_counter()
+    code, out, err = run(capsys, *command, "--in", str(src))
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: the terms span 1000000000 p-adic digits, over the {MAX_INPUT_DEPTH} accepted\n"
+
+
+@pytest.mark.parametrize(
+    "term,depth",
+    [
+        ({"center": ["0"], "radius_exp": -1000}, 1000),
+        ({"center": ["0"], "radius_exp": 10**9}, 10**9),  # a 10**9-digit measure
+        ({"center": ["1/1024"], "radius_exp": 3}, 10),
+        ({"center": ["5/3"], "radius_exp": -4}, 4),  # 1/3 is a 2-adic unit
+        ({"re": "0", "center": ["0"], "radius_exp": -(10**9)}, 0),  # dropped by canonical form
+    ],
+)
+def test_reader_depth_counts_canonical_digits(term, depth):
+    text = json.dumps({"p": 2, "n": 1, "terms": [{"re": "1", **term}, {"re": "1", "center": ["0"], "radius_exp": 0}]})
+    if depth <= MAX_INPUT_DEPTH:
+        deserialize(text)
+    else:
+        with pytest.raises(ValueError, match=f"span {depth} p-adic digits"):
+            deserialize(text)
+
+
+@pytest.mark.parametrize("text", ["1e-99999999", "0.5", " 1", "1_0", "3/-4", "/2", ""])
+def test_reader_takes_only_num_over_den(text):
+    body = json.dumps({"p": 2, "n": 1, "terms": [{"re": "1", "center": [text], "radius_exp": 0}]})
+    start = perf_counter()
+    with pytest.raises(ValueError, match="malformed rational"):
+        deserialize(body)
+    assert perf_counter() - start < 1.0
 
 
 def test_fourier_refuses_a_transform_over_the_cell_budget_at_once(tmp_path, capsys):
@@ -493,3 +555,100 @@ def test_readme_command_lines_parse():
         commands.add(words[1])
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert commands == set(subparsers.choices)
+
+
+# -- fuzzing the file-driven and table commands ----------------------------------
+
+# radii the reader refuses, and the extremes it accepts; a deep or wide term
+# beside another makes evolve take seconds to minutes (ROADMAP item 3), so
+# the accepted extremes come one to a file
+REFUSED_RADII = st.sampled_from([-(10**9), -MAX_INPUT_DEPTH - 1, 10**9])
+RADII = st.one_of(st.integers(-3, 3), REFUSED_RADII)
+LONE_RADII = st.one_of(RADII, st.sampled_from([-1000, 5000]))
+RATIONALS = st.one_of(
+    st.integers(-40, 40).map(str),
+    st.builds(lambda a, b, k: f"{a}/{b**k}", st.integers(-40, 40), st.sampled_from([2, 3, 5]), st.integers(0, 6)),
+    st.sampled_from([f"1/{2**3000}", f"7/{3**2000}", f"{5**4000}"]),
+)
+BAD_RATIONALS = ["1/0", "1e-99999999", "0.5", "x", 7, "1/1" + "0" * 5000]
+
+
+def _set_term_field(obj, key, value):
+    obj["terms"][0][key] = value
+
+
+def _set_coordinate(obj, value):
+    obj["terms"][0]["center"][0] = value
+
+
+MUTATIONS = (
+    [lambda obj, v=v: obj.update(p=v) for v in (4, "2", 2.0)]
+    + [lambda obj, v=v: obj.update(n=v) for v in (0, 3, True)]
+    + [lambda obj: obj.update(terms={}), lambda obj: obj["terms"].append([])]
+    + [lambda obj, k=k: obj["terms"][0].pop(k) for k in ("center", "radius_exp")]
+    + [lambda obj, v=v: _set_term_field(obj, "radius_exp", v) for v in (True, 1.5, "1", None)]
+    + [lambda obj, v=v: _set_term_field(obj, "re", v) for v in BAD_RATIONALS]
+    + [lambda obj, v=v: _set_coordinate(obj, v) for v in BAD_RATIONALS]
+)
+
+
+@st.composite
+def function_files(draw):
+    """A valid function file, mutated at most once into an invalid one."""
+    n = draw(st.sampled_from([1, 2]))
+    count = draw(st.integers(1, 3))
+    term = st.fixed_dictionaries(
+        {
+            "re": RATIONALS,
+            "center": st.lists(RATIONALS, min_size=n, max_size=n),
+            "radius_exp": LONE_RADII if count == 1 else RADII,
+        },
+        optional={"im": RATIONALS},
+    )
+    obj = {"p": draw(st.sampled_from([2, 3, 5])), "n": n, "terms": draw(st.lists(term, min_size=count, max_size=count))}
+    mutate = draw(st.one_of(st.none(), st.sampled_from(MUTATIONS)))
+    if mutate is not None:
+        mutate(obj)
+    return obj
+
+
+GAMMAS = st.sampled_from(["-1000000000000", "-1", "0", "7", "300", str(MAX_DEPTH + 1), "1000000000000", "x"])
+
+
+def _exit_code(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    function=function_files(),
+    command=st.sampled_from(["fourier", "evolve", "kernel", "heat"]),
+    gamma=GAMMAS,
+    alpha=st.sampled_from(["2.5", "1.5", "nan"]),
+    times=st.sampled_from(["1", "0,0.5", "1e300", "-1", "inf", ""]),
+    forced=st.booleans(),
+    roundtrip=st.booleans(),
+)
+def test_cli_ends_in_an_exit_code_on_mutated_input(function, command, gamma, alpha, times, forced, roundtrip):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "f.json"
+        src.write_text(json.dumps(function))
+        if command == "fourier":
+            argv = ["fourier", "--in", str(src), "--max-cells", "256"] + ["--roundtrip"] * roundtrip
+        elif command == "evolve":
+            argv = ["evolve", "--in", str(src), "--t", times, "--alpha", alpha]
+            if forced:
+                forcing = Path(tmp) / "forcing.json"
+                forcing.write_text(json.dumps([{"time": 0, "function": function}]))
+                argv += ["--forcing", str(forcing)]
+        else:
+            argv = [command, f"--gamma-max={gamma}", "--alpha", alpha]
+        code, err = _exit_code(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -2,14 +2,26 @@
 
 import random
 from fractions import Fraction
+from itertools import product as digit_product
 
 import pytest
 
-from padic_bessel.padic import Ball, PAdicVector, PrimeContext, ZERO_NORM
+from padic_bessel import spectral
+from padic_bessel.padic import (
+    Ball,
+    ExactComplex,
+    PAdicVector,
+    PrimeContext,
+    ZERO_NORM,
+    ball_measure,
+    character_from_phase,
+    fractional_part,
+)
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     RandomFunctionConfig,
     random_test_function,
+    serialize,
 )
 from padic_bessel.spectral import (
     DivergentTailError,
@@ -61,6 +73,115 @@ def test_fourier_translated_ball_modulates():
     vals = {tuple(b.center.coords): c.re for c, b in out.terms}
     assert vals == {(Fraction(0),): 1, (Fraction(1),): -1}
     assert all(b.radius_exp == -1 for _, b in out.terms)
+
+
+# -- the flattening oracle ----------------------------------------------------
+
+
+def modulated_cells_reference(dual, a, rho):
+    """(phase, cell) pairs flattening chi_p(xi . a) on the dual ball: the
+    Fraction descent that builds each cell center level by level as
+    c + d * p**(-level) and sums each phase as Fractions."""
+    ctx = dual.ctx
+    p, n = ctx.p, ctx.n
+    level_phases = {
+        (i, level): fractional_part(Fraction(p) ** (-level) * a.coords[i], p)
+        for i in range(n)
+        for level in range(rho + 1, dual.radius_exp + 1)
+    }
+
+    def descend(center_coords, level, phase):
+        if level == rho:
+            yield phase, Ball(PAdicVector(center_coords, ctx), rho, known_canonical=True)
+            return
+        offset = Fraction(p) ** (-level)
+        for digits in digit_product(range(p), repeat=n):
+            coords = tuple(c + d * offset for c, d in zip(center_coords, digits))
+            bump = sum(
+                (d * level_phases[i, level] for i, d in enumerate(digits) if d),
+                Fraction(0),
+            )
+            yield from descend(coords, level - 1, (phase + bump) % 1)
+
+    yield from descend(dual.center.coords, dual.radius_exp, Fraction(0))
+
+
+def reference_term_cells(c, ball):
+    """(phase or None, coefficient, cell) for one canonical term's transform;
+    None marks the single unmodulated dual ball."""
+    ctx = ball.ctx
+    r = ball.radius_exp
+    scale = ball_measure(r, ctx)
+    dual = Ball(PAdicVector.zero(ctx), -r, known_canonical=True)
+    a = ball.center
+    rho = -r if a.is_zero else min(-r, int(a.min_valuation))
+    if rho == -r:
+        return [(None, c * scale, dual)]
+    return [
+        (phase, c * scale * character_from_phase(phase), cell)
+        for phase, cell in modulated_cells_reference(dual, a, rho)
+    ]
+
+
+def fourier_reference(f):
+    f = f.canonicalize()
+    out = [(coeff, cell) for c, ball in f.terms for _, coeff, cell in reference_term_cells(c, ball)]
+    return BruhatSchwartzFunction(f.ctx, tuple(out)).canonicalize()
+
+
+ORACLE_GRID = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)]
+
+
+def oracle_inputs(p, n):
+    """Seeded sums, plus terms with r > 0 and centers with denominators."""
+    ctx = PrimeContext(p, n)
+    den_pow_max = 2 if p**n <= 4 else 1
+    cfg = RandomFunctionConfig(max_terms=4, radius_min=-2, radius_max=3, den_pow_max=den_pow_max, complex_coeffs=True)
+    inputs = [random_test_function(seed, ctx, cfg) for seed in range(6)]
+    rng = random.Random(100 * p + n)
+    for _ in range(3):
+        terms = []
+        for r, den in ((2, p**3), (rng.randint(-1, 0), p ** rng.randint(1, 2)), (1, 3 if p != 3 else 2)):
+            coords = tuple(Fraction(rng.randint(-40, 40), den) for _ in range(n))
+            coeff = ExactComplex(Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 3))
+            terms.append((coeff, Ball(PAdicVector(coords, ctx), r)))
+        inputs.append(BruhatSchwartzFunction(ctx, tuple(terms)).canonicalize())
+    return inputs
+
+
+@pytest.mark.parametrize("p,n", ORACLE_GRID)
+def test_fourier_matches_the_fraction_descent(p, n):
+    inputs = oracle_inputs(p, n)
+    # the inputs reach both edge cases: a modulated term with r > 0 (R < 0)
+    # and one whose center has a denominator (v(a) < 0)
+    terms = [(c, b) for f in inputs for c, b in f.terms if not b.center.is_zero]
+    assert any(b.radius_exp > 0 and b.center.min_valuation < -b.radius_exp for _, b in terms)
+    assert any(b.center.min_valuation < 0 for _, b in terms)
+    for f in inputs:
+        assert serialize(fourier(f)) == serialize(fourier_reference(f))
+
+
+@pytest.mark.parametrize("p,n", ORACLE_GRID)
+def test_fourier_computes_one_character_per_distinct_phase_per_term(p, n, monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return character_from_phase(q)
+
+    monkeypatch.setattr(spectral, "character_from_phase", counting)
+    saved = False
+    for f in oracle_inputs(p, n):
+        calls.clear()
+        fourier(f)
+        allowed = 0
+        for c, ball in f.terms:
+            phases = [phase for phase, _, _ in reference_term_cells(c, ball) if phase is not None]
+            allowed += len(set(phases))
+            saved = saved or len(set(phases)) < len(phases)
+        assert len(calls) <= allowed
+    # in one dimension each cell has its own phase; in more, cells share them
+    assert saved == (n > 1)
 
 
 @pytest.mark.parametrize(
