@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from padic_bessel.padic import (
+    EC_ONE,
     EC_ZERO,
     ZERO_NORM,
     Ball,
@@ -325,24 +326,6 @@ class PmpReport:
     passed: bool
 
 
-def _zero_balls(region: Ball, cells: list) -> list:
-    """Maximal balls inside ``region`` on which a canonical function vanishes.
-
-    ``cells`` are the cells of the function that meet ``region``.  A ball
-    that meets no cell is zero-valued, a ball inside a cell is not, and any
-    other ball is split into its children.
-    """
-    if not cells:
-        return [region]
-    if any(cell.relation(region) in ("equal", "contains") for cell in cells):
-        return []
-    out = []
-    for child in region.children():
-        inner = [cell for cell in cells if cell.relation(child) != "disjoint"]
-        out.extend(_zero_balls(child, inner))
-    return out
-
-
 def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum) -> list:
     """Points that together see every value the operator takes on the
     argmax set of a canonical real f.
@@ -355,7 +338,9 @@ def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum) -> list:
     maximal zero-valued ball inside a unit ball that meets the support
     (these tile the zeros of f within distance 1 of it), plus one point far
     outside the support and, when the support misses the unit ball, the
-    origin.
+    origin.  Those maximal balls are the cells of the canonical form of
+    sum_U 1_U - sum_D 1_D, with U those unit balls and D the cells of f
+    inside them.
     """
     ctx = f.ctx
     if sup.cell is not None:
@@ -367,12 +352,12 @@ def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum) -> list:
     unit = Ball(PAdicVector.zero(ctx), 0)
     if all(ball.relation(unit) == "disjoint" for _, ball in f.terms):
         probes.append(PAdicVector.zero(ctx))
-    units = dict.fromkeys(
-        Ball(ball.center, 0).canonical() for _, ball in f.terms if ball.radius_exp < 0
-    )
-    for unit_ball in units:
-        cells = [b for _, b in f.terms if b.relation(unit_ball) != "disjoint"]
-        probes.extend(ball.center for ball in _zero_balls(unit_ball, cells))
+    small = [ball for _, ball in f.terms if ball.radius_exp < 0]
+    units = {Ball(ball.center, 0).canonical() for ball in small}
+    zeros = BruhatSchwartzFunction(
+        ctx, tuple((EC_ONE, u) for u in units) + tuple((-EC_ONE, d) for d in small)
+    ).canonicalize()
+    probes.extend(ball.center for _, ball in zeros.terms)
     return probes
 
 

@@ -4,11 +4,13 @@ runs, and the seeded verification batteries.
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage or
 input errors, among them results beyond the float range.  All outputs are
 deterministic for fixed flags and seed; floats are printed with 17
-significant digits so CSV values round-trip.
+significant digits so CSV values round-trip.  ``main`` may be called again
+and again in one process; it builds its parser once, on the first call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,11 +19,13 @@ from typing import Optional, Sequence
 
 from padic_bessel.padic import PrimeContext
 from padic_bessel.schwartz import (
+    MAX_DIGIT_TUPLES,
     BruhatSchwartzFunction,
     RandomFunctionConfig,
     deserialize,
     random_test_function,
     serialize,
+    too_many_digit_tuples,
 )
 from padic_bessel.spectral import fourier, inverse_fourier, multiply_radial, parseval_defect
 from padic_bessel.bessel import (
@@ -80,28 +84,36 @@ def _emit(text: str, out: Optional[str]) -> None:
 # -- tables -------------------------------------------------------------------
 
 
-def kernel_table(order: BesselOrder, gamma_max: int) -> str:
+def run_kernel(ns: argparse.Namespace) -> int:
+    if ns.gamma_max > MAX_DEPTH:
+        raise ValueError(f"--gamma-max {ns.gamma_max} is over the limit of {MAX_DEPTH} shells")
+    order = _order(ns)
     lines = ["gamma,norm,k_alpha"]
-    if gamma_max >= 0:
+    if ns.gamma_max >= 0:
         p = order.ctx.p
-        for g, k in zip(range(gamma_max + 1), kernel_shells(order)):
+        for g, k in zip(range(ns.gamma_max + 1), kernel_shells(order)):
             lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(k)}")
         mass = kernel_mass(order)
         lines.append(f"mass,{_fmt(mass)},{_fmt(abs(mass - 1.0))}")
-    return "\n".join(lines) + "\n"
+    _emit("\n".join(lines) + "\n", ns.out)
+    return 0
 
 
-def heat_table(order: BesselOrder, t: float, gamma_max: int) -> str:
+def run_heat(ns: argparse.Namespace) -> int:
+    if ns.gamma_max > MAX_DEPTH:
+        raise ValueError(f"--gamma-max {ns.gamma_max} is over the limit of {MAX_DEPTH} shells")
+    if not ns.t > 0:
+        raise ValueError(f"--t {ns.t} must be positive")
+    order, t = _order(ns), ns.t
     lines = ["gamma,norm,z_value,tail_bound"]
-    if gamma_max >= 0:
+    if ns.gamma_max >= 0:
         p = order.ctx.p
-        for g, z in zip(range(gamma_max + 1), z_shells(t, order)):
+        for g, z in zip(range(ns.gamma_max + 1), z_shells(t, order)):
             lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(z)},{_fmt(tail_envelope(g, t, order))}")
-        zm = z_mass(t, order)
-        dist = 1.0 + zm  # distributional_mass, without summing the series again
-        defect = abs(zm - math.expm1(-t))
-        lines.append(f"mass,{_fmt(zm)},{_fmt(dist)},{_fmt(defect)}")
-    return "\n".join(lines) + "\n"
+        zm = z_mass(t, order)  # 1 + zm is distributional_mass, without a second sum
+        lines.append(f"mass,{_fmt(zm)},{_fmt(1.0 + zm)},{_fmt(abs(zm - math.expm1(-t)))}")
+    _emit("\n".join(lines) + "\n", ns.out)
+    return 0
 
 
 # -- file-driven commands -------------------------------------------------------
@@ -212,10 +224,6 @@ def run_evolve(ns: argparse.Namespace) -> int:
 # -- verification suites ---------------------------------------------------------
 
 
-def _trial_seed(seed: int, i: int) -> int:
-    return seed ^ i
-
-
 def _random_f(seed: int, ctx: PrimeContext, complex_coeffs: bool = False):
     # integer centers once p**n is large: modulation flattening costs
     # p**(n * denominator depth) cells per term
@@ -231,7 +239,7 @@ def suite_pmp(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) 
     worst = -math.inf
     ok = True
     for i in range(trials):
-        f = _random_f(_trial_seed(seed, i), order.ctx)
+        f = _random_f(seed ^ i, order.ctx)
         report = pmp_check(order, f, tol)
         worst = max(worst, report.worst)
         ok = ok and report.passed
@@ -242,13 +250,13 @@ def suite_dissipative(order: BesselOrder, trials: int, seed: int, tol: Optional[
     tol = tol if tol is not None else 1e-12
     worst = -math.inf
     for i in range(trials):
-        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
+        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
         worst = max(worst, quadratic_form(order, f))
     rows = [("dissipative_l2", trials, worst, tol, worst <= tol)]
     pairs = max(1, trials // 2)
     margin_worst = math.inf
     for i in range(pairs):
-        f = _random_f(_trial_seed(seed, 10_000 + i), order.ctx)
+        f = _random_f(seed ^ (10_000 + i), order.ctx)
         lam = 0.1 + (i % 20) * 0.5
         margin_worst = min(margin_worst, c0_dissipativity_margin(order, f, lam))
     rows.append(("dissipative_sup", pairs, -margin_worst, tol, margin_worst >= -tol))
@@ -259,8 +267,8 @@ def suite_selfadjoint(order: BesselOrder, trials: int, seed: int, tol: Optional[
     tol = tol if tol is not None else 1e-12
     worst = 0.0
     for i in range(trials):
-        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
-        g = _random_f(_trial_seed(seed, 50_000 + i), order.ctx, complex_coeffs=True)
+        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
+        g = _random_f(seed ^ (50_000 + i), order.ctx, complex_coeffs=True)
         worst = max(worst, abs(adjoint_defect(order, f, g)))
     return [("selfadjoint", trials, worst, tol, worst <= tol)]
 
@@ -269,7 +277,7 @@ def suite_contraction(order: BesselOrder, trials: int, seed: int, tol: Optional[
     tol = tol if tol is not None else 1e-12
     worst = 0.0
     for i in range(trials):
-        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
+        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
         if f.is_zero:
             continue
         worst = max(worst, contraction_ratio(order, f) - 1.0)
@@ -281,7 +289,7 @@ def suite_resolvent(order: BesselOrder, trials: int, seed: int, tol: Optional[fl
     worst = 0.0
     trials = max(1, trials // 3)
     for i in range(trials):
-        f = _random_f(_trial_seed(seed, i), order.ctx)
+        f = _random_f(seed ^ i, order.ctx)
         for lam in (0.1, 1, 10):
             worst = max(worst, resolvent_residual(order, lam, f))
     return [("resolvent", trials * 3, worst, tol, worst <= tol)]
@@ -292,8 +300,8 @@ def suite_fourier(order: BesselOrder, trials: int, seed: int, tol: Optional[floa
     worst_pars = 0.0
     worst_refl = 0.0
     for i in range(trials):
-        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
-        g = _random_f(_trial_seed(seed, 50_000 + i), order.ctx, complex_coeffs=True)
+        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
+        g = _random_f(seed ^ (50_000 + i), order.ctx, complex_coeffs=True)
         worst_pars = max(worst_pars, abs(parseval_defect(f, g)))
         worst_refl = max(worst_refl, (fourier(fourier(f)) - f.reflect()).sup_norm())
     return [
@@ -363,7 +371,7 @@ def suite_routes(order: BesselOrder, trials: int, seed: int, tol: Optional[float
     worst = 0.0
     trials = max(1, trials // 4)
     for i in range(trials):
-        f = _random_f(_trial_seed(seed, i), order.ctx, complex_coeffs=True)
+        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
         worst = max(worst, operator_route_defect(order, f))
     return [("operator_routes", trials, worst, tol, worst <= tol)]
 
@@ -399,6 +407,8 @@ def run_verify(ns: argparse.Namespace) -> int:
     if trials < 1:
         raise ValueError(f"--trials {trials} must be at least 1")
     order = _order(ns)
+    if too_many_digit_tuples(order.ctx.p, order.ctx.n):
+        raise ValueError(f"p**n = {order.ctx.p}**{order.ctx.n} is over the {MAX_DIGIT_TUPLES} digit tuples accepted")
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
     lines = []
     all_ok = True
@@ -417,6 +427,7 @@ def run_verify(ns: argparse.Namespace) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-bessel",
@@ -434,10 +445,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel", parents=[operator], help="CSV table of the convolution kernel")
     sp.add_argument("--gamma-max", type=int, default=10)
+    sp.set_defaults(run=run_kernel)
 
     sp = sub.add_parser("heat", parents=[operator], help="CSV table of the heat kernel's function part")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--gamma-max", type=int, default=10)
+    sp.set_defaults(run=run_heat)
 
     sp = sub.add_parser("fourier", parents=[space], help="Fourier transform of a serialized function")
     sp.add_argument("--in", dest="infile", required=True)
@@ -445,6 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--max-cells", type=int, default=MAX_CELLS, help=f"refuse a transform of more cells (default {MAX_CELLS})"
     )
+    sp.set_defaults(run=run_fourier)
 
     sp = sub.add_parser("evolve", parents=[operator], help="evolve an initial datum, optionally with forcing")
     sp.add_argument("--in", dest="infile", required=True)
@@ -453,40 +467,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, default=None)
     sp.add_argument("--steps", type=int, default=64)
     sp.add_argument("--snapshots", type=str, default=None, help="prefix for per-time JSON snapshots")
+    sp.set_defaults(run=run_evolve)
 
     sp = sub.add_parser("verify", parents=[operator], help="run a named verification battery")
     sp.add_argument("suite", choices=(*SUITES, "all"))
     sp.add_argument("--trials", type=int, default=None, help="random trials (default 200, at least 1)")
     sp.add_argument("--seed", type=int, default=None, help="base seed for random batteries (default 0)")
     sp.add_argument("--tol", type=float, default=None, help="override check tolerances")
+    sp.set_defaults(run=run_verify)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        if ns.command in ("kernel", "heat") and ns.gamma_max > MAX_DEPTH:
-            raise ValueError(f"--gamma-max {ns.gamma_max} is over the limit of {MAX_DEPTH} shells")
-        if ns.command == "kernel":
-            _emit(kernel_table(_order(ns), ns.gamma_max), ns.out)
-            return 0
-        if ns.command == "heat":
-            if not ns.t > 0:
-                raise ValueError(f"--t {ns.t} must be positive")
-            _emit(heat_table(_order(ns), ns.t, ns.gamma_max), ns.out)
-            return 0
-        if ns.command == "fourier":
-            return run_fourier(ns)
-        if ns.command == "evolve":
-            return run_evolve(ns)
-        if ns.command == "verify":
-            return run_verify(ns)
+        return ns.run(ns)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {ns.command!r}")
 
 
 if __name__ == "__main__":

@@ -450,6 +450,16 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 #: each center denominator exponent) down to the smallest radius, or 0
 MAX_INPUT_DEPTH = 10_000
 
+#: the most digit tuples p**n a space may have: canonical form lists all of
+#: them at every node of its tree, and one trial of ``verify all`` took 18 s
+#: at p**n = 2**8
+MAX_DIGIT_TUPLES = 2**8
+
+
+def too_many_digit_tuples(p: int, n: int) -> bool:
+    """Whether p**n is over MAX_DIGIT_TUPLES, decided without building p**n."""
+    return p ** min(n, MAX_DIGIT_TUPLES.bit_length()) > MAX_DIGIT_TUPLES
+
 
 def _parse_rational(s) -> Fraction:
     if not isinstance(s, str):
@@ -483,11 +493,16 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
         raise FunctionFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FunctionFormatError("top level must be an object")
+    # type(), not isinstance: JSON true is a bool, which isinstance takes for 1
     p, n = obj.get("p"), obj.get("n")
-    if not isinstance(p, int) or not is_prime(p):
+    if type(p) is not int or p < 2:
         raise FunctionFormatError(f"p = {p!r} is not a prime integer")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise FunctionFormatError(f"n = {n!r} is not a positive integer")
+    if too_many_digit_tuples(p, n):  # before trial division, slow on a huge p
+        raise FunctionFormatError(f"p**n = {p}**{n} is over the {MAX_DIGIT_TUPLES} digit tuples accepted")
+    if not is_prime(p):
+        raise FunctionFormatError(f"p = {p!r} is not a prime integer")
     ctx = PrimeContext(p, n)
     raw_terms = obj.get("terms")
     if not isinstance(raw_terms, list):
@@ -502,7 +517,7 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
         if not isinstance(center, list) or len(center) != n:
             raise FunctionFormatError(f"center must list {n} rationals")
         radius = entry.get("radius_exp")
-        if not isinstance(radius, int):
+        if type(radius) is not int:
             raise FunctionFormatError("radius_exp must be an integer")
         coords = tuple(_parse_rational(x) for x in center)
         terms.append((ExactComplex(re, im), Ball(PAdicVector(coords, ctx), radius)))

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import argparse
+import importlib.util
 import io
 import json
 import math
@@ -20,7 +21,15 @@ from padic_bessel import cli
 from padic_bessel.cli import main
 from padic_bessel.heat import MAX_DEPTH, z_closed
 from padic_bessel.padic import Ball, PAdicVector, PrimeContext
-from padic_bessel.schwartz import MAX_INPUT_DEPTH, BruhatSchwartzFunction, deserialize, serialize
+from padic_bessel.schwartz import (
+    MAX_DIGIT_TUPLES,
+    MAX_INPUT_DEPTH,
+    BruhatSchwartzFunction,
+    FunctionFormatError,
+    deserialize,
+    serialize,
+    too_many_digit_tuples,
+)
 
 OMEGA = BruhatSchwartzFunction.unit_ball(PrimeContext(2, 1))
 
@@ -266,6 +275,70 @@ def test_reader_takes_only_num_over_den(text):
     with pytest.raises(ValueError, match="malformed rational"):
         deserialize(body)
     assert perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "p,n,over",
+    [(2, 8, False), (3, 5, False), (251, 1, False), (2, 9, True), (257, 1, True), (3, 6, True), (2, 10**9, True)],
+)
+def test_digit_tuple_bound(p, n, over):
+    assert MAX_DIGIT_TUPLES == 2**8
+    assert too_many_digit_tuples(p, n) is over
+
+
+# 2**127 - 1 is prime: trial division would not end, so the bound comes first
+@pytest.mark.parametrize("p,n", [(2, 9), (257, 1), (2, 10**9), (2**127 - 1, 1)])
+@pytest.mark.parametrize("command", [["fourier"], ["evolve", "--t", "1"]])
+def test_a_file_over_the_digit_tuple_bound_exits_2_at_once(tmp_path, capsys, p, n, command):
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps({"p": p, "n": n, "terms": [{"re": "1", "center": ["0"], "radius_exp": 0}]}))
+    start = perf_counter()
+    code, out, err = run(capsys, *command, "--in", str(src))
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: p**n = {p}**{n} is over the {MAX_DIGIT_TUPLES} digit tuples accepted\n"
+
+
+def test_a_file_at_the_digit_tuple_bound_is_read(tmp_path, capsys):
+    src = tmp_path / "n8.json"
+    src.write_text(json.dumps({"p": 2, "n": 8, "terms": [{"re": "1", "center": ["0"] * 8, "radius_exp": 0}]}))
+    code, out, err = run(capsys, "fourier", "--in", str(src))
+    assert (code, err) == (0, "")
+    assert deserialize(out) == BruhatSchwartzFunction.unit_ball(PrimeContext(2, 8))
+
+
+@pytest.mark.parametrize(
+    "suite,flags",
+    [("dissipative", ["--n", "30", "--alpha", "31"]), ("pmp", ["--p", "257"]), ("heat", ["--p", "3", "--n", "6", "--alpha", "7"])],
+)
+def test_verify_refuses_a_space_over_the_digit_tuple_bound_before_building_a_function(capsys, monkeypatch, suite, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a function was built")
+
+    monkeypatch.setattr(cli, "random_test_function", refuse)
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, refuse)
+    code, out, err = run(capsys, "verify", suite, *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: p**n = ") and err.endswith(f"is over the {MAX_DIGIT_TUPLES} digit tuples accepted\n")
+
+
+@pytest.mark.parametrize("field", ["n", "radius_exp"])
+def test_a_boolean_in_a_function_file_exits_2(tmp_path, capsys, field):
+    # JSON true would read as 1 and serialize back as true: two byte forms
+    obj = {"p": 2, "n": 1, "terms": [{"re": "1", "center": ["0"], "radius_exp": 1}]}
+    deserialize(json.dumps(obj))
+    if field == "n":
+        obj["n"] = True
+    else:
+        obj["terms"][0]["radius_exp"] = True
+    with pytest.raises(FunctionFormatError, match=field):
+        deserialize(json.dumps(obj))
+    src = tmp_path / "bool.json"
+    src.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "fourier", "--in", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}")
 
 
 def test_fourier_refuses_a_transform_over_the_cell_budget_at_once(tmp_path, capsys):
@@ -652,3 +725,84 @@ def test_cli_ends_in_an_exit_code_on_mutated_input(function, command, gamma, alp
         code, err = _exit_code(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def _count_parsers(monkeypatch) -> list:
+    """Patch ArgumentParser to record each one built; returns the record."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_main_builds_no_parser_after_its_first_call(tmp_path, capsys, monkeypatch):
+    run(capsys, "kernel", "--gamma-max", "1")
+    built = _count_parsers(monkeypatch)
+    src = tmp_path / "omega.json"
+    src.write_text(serialize(OMEGA))
+    for argv in (["kernel"], ["heat", "--t", "0"], ["fourier", "--in", str(src)], ["verify", "negdef"]):
+        run(capsys, *argv)
+    with pytest.raises(SystemExit):
+        main(["verify", "nonsense"])
+    with pytest.raises(SystemExit):
+        main(["heat", "--help"])
+    capsys.readouterr()
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser(monkeypatch):
+    built = _count_parsers(monkeypatch)
+    spec = importlib.util.spec_from_file_location("cli_fresh_copy", cli.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert built == []
+    fresh._build_parser()
+    assert built[0] == "padic-bessel"
+
+
+# commands whose defaults differ: each pair prints the same in either order
+ORDER_PAIRS = [
+    (["verify", "pmp", "--trials", "1", "--seed", "3"], ["verify", "heat"]),
+    (["verify", "contraction", "--trials", "2", "--tol", "1e-3"], ["verify", "negdef", "--alpha", "3"]),
+    (["kernel", "--gamma-max", "2"], ["heat", "--gamma-max", "2"]),
+    (["heat", "--p", "3", "--alpha", "3", "--t", "0.5", "--gamma-max", "4"], ["kernel", "--gamma-max", "2"]),
+    (["heat", "--t", "-1"], ["heat", "--gamma-max", "2"]),
+]
+
+
+@pytest.mark.parametrize("first,second", ORDER_PAIRS)
+def test_commands_print_the_same_in_either_order(capsys, first, second):
+    forward = [run(capsys, *first), run(capsys, *second)]
+    backward = [run(capsys, *second), run(capsys, *first)]
+    assert forward == backward[::-1]
+    assert all(code in (0, 2) for code, _, _ in forward)
+
+
+def test_tables_print_the_same_before_and_after_any_other_command(tmp_path, capsys):
+    tables = (["kernel", "--gamma-max", "2"], ["heat", "--gamma-max", "2"])
+    before = [run(capsys, *argv) for argv in tables]
+    src = tmp_path / "omega.json"
+    src.write_text(serialize(OMEGA))
+    others = [
+        ["kernel", "--p", "5", "--alpha", "4", "--gamma-max", "3", "--out", str(tmp_path / "k.csv")],
+        ["heat", "--t", "0.25", "--n", "2", "--alpha", "3", "--gamma-max", "5"],
+        ["fourier", "--in", str(src), "--roundtrip", "--max-cells", "8"],
+        ["evolve", "--in", str(src), "--t", "0.5,1", "--alpha", "2.5", "--steps", "16"],
+        ["verify", "heat", "--trials", "3"],
+        ["verify", "pmp", "--trials", "1", "--seed", "3", "--tol", "1"],
+    ]
+    for other in others:
+        run(capsys, *other)
+        assert [run(capsys, *argv) for argv in tables] == before
+    with pytest.raises(SystemExit):
+        main(["kernel", "--t", "1"])
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in tables] == before
