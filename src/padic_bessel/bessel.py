@@ -1,8 +1,8 @@
 """The Bessel multiplier, its convolution kernel, and the operator battery.
 
 The operator and its resolvent act on test functions as radial multipliers
-through concentric balls (``RadialMultiplier``), exact for rational symbol
-values.  The quadratic form of the L2 battery is read off the same route, so
+on the Haar basis of the digit trie (``RadialMultiplier``), exact for
+rational symbol values.  The quadratic form of the L2 battery is read off the same route, so
 no function here calls the Fourier transform.  Two independent routes serve
 as its oracles: convolution against the explicit radial kernel at a point
 (space side, below) and the two Fourier transforms around ``multiply_radial``
@@ -204,7 +204,7 @@ def symbol_multiplier(order: BesselOrder) -> RadialMultiplier:
 
 
 def apply_bessel(order: BesselOrder, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
-    """The operator applied through concentric balls (``RadialMultiplier``)."""
+    """The operator applied on the digit trie (``RadialMultiplier``)."""
     return symbol_multiplier(order).apply(f)
 
 

@@ -342,7 +342,7 @@ ROUTE_TIME = 0.7
 
 
 def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> float:
-    """Largest gap, relative to max(1, ||f||_sup), between the concentric
+    """Largest gap, relative to max(1, ||f||_sup), between the digit-trie
     route of the operator, the resolvent and the semigroup and their
     two-transform oracle route (in sup norm), and between the operator and
     its convolution route (at every output cell center)."""

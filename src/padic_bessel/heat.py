@@ -12,7 +12,7 @@ against each other:
 * the regularized inverse transform of the multiplier (``z_oracle``),
   a shell sum against exact character integrals.
 
-Evolution applies exp(-t * multiplier) through concentric balls
+Evolution applies exp(-t * multiplier) on the Haar basis of the digit trie
 (``RadialMultiplier``).  For step forcing the Duhamel integral over each
 forcing piece [a, b] is itself a radial multiplier, the integral of
 exp(-(t - s) * multiplier) over [a, b], applied in closed form
@@ -296,8 +296,8 @@ def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> E
     """Distributional pairing of the kernel's function part with phi.
 
     The function part is the inverse transform of expm1(-t * symbol), and
-    it is radial, so the pairing is that multiplier applied to phi through
-    concentric balls and read at the origin.  The shell values come from
+    it is radial, so the pairing is that multiplier applied to phi on its
+    digit trie and read at the origin.  The shell values come from
     expm1 rather than from the semigroup minus the identity, so a small t
     loses no significance; the shell differences are the semigroup's.  The
     full kernel pairs to phi(0) plus this value and tends to phi(0) as t

@@ -26,19 +26,38 @@ class ContextMismatchError(ValueError):
     """Operands were built over different (p, n) contexts."""
 
 
+#: the first 13 primes, the Miller-Rabin bases of ``is_prime``
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: the least odd composite that is a strong probable prime to all of them
+#: (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
+#: bases", Math. Comp. 86, 2017), so ``is_prime`` is exact below it
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic Miller-Rabin test for p < PRIME_BOUND, on the first 13
+    primes as bases; larger p raise ValueError, undecided."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is not below {PRIME_BOUND}, where primality is decided")
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -61,11 +80,32 @@ class PrimeContext:
 
 
 def _int_valuation(m: int, p: int) -> int:
+    """Exponent of p in the nonzero integer m: one division per unit up to
+    16, then ``_deep_valuation``."""
     m = abs(m)
-    v = 0
-    while m % p == 0:
+    for v in range(16):
+        if m % p:
+            return v
         m //= p
-        v += 1
+    return 16 + _deep_valuation(m, p)
+
+
+def _deep_valuation(m: int, p: int) -> int:
+    """Exponent of p in m > 0 by O(log v) big-integer divisions: by p, p**2,
+    p**4, ... while they divide, then by the same powers downwards.  One
+    division per unit would divide a v-digit integer v times."""
+    v = 0
+    powers = []
+    q = p
+    while m % q == 0:
+        m //= q
+        v += 1 << len(powers)
+        powers.append(q)
+        q = q * q
+    for k in range(len(powers) - 1, -1, -1):
+        if m % powers[k] == 0:
+            m //= powers[k]
+            v += 1 << k
     return v
 
 

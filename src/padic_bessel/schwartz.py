@@ -4,9 +4,11 @@ A locally constant, compactly supported function is stored as a list of
 (coefficient, ball) terms.  ``canonicalize`` rewrites any term list into the
 unique coarsest partition of a covering ball into sub-balls on which the
 function is constant, by inserting every term into an ultrametric
-subdivision tree and merging constant siblings bottom-up.  All structural
-operations (integrals, inner products, suprema) are exact on rational
-coefficients.
+subdivision tree and merging constant siblings bottom-up.  The canonical
+function keeps the tree that walk leaves, its ``DigitTrie``: one node per
+ball on which it is not constant.  Radial multipliers and the L2 pairing
+walk that trie.  All structural operations (integrals, inner products,
+suprema) are exact on rational coefficients.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from padic_bessel.padic import (
     PAdicVector,
     PrimeContext,
     is_prime,
-    reduce_mod_ball,
     valuation,
 )
 
@@ -54,16 +55,36 @@ class Supremum:
 
 
 @dataclass(frozen=True)
+class DigitTrie:
+    """The canonical partition as a tree of p-adic digits.
+
+    ``root`` stands for the ball B(0, p**radius).  A node is a list of its
+    p**n children in the digit order of ``itertools.product(range(p),
+    repeat=n)``; a child is a node, a cell (value, ball) of the function's
+    terms, or None where the function is 0.  The nodes are the balls on
+    which the function is not constant.  The root itself is a node, the one
+    cell on B(0, p**radius), or None for the zero function.  A child with
+    digits d of a node at radius s whose center is U / p**radius (U an
+    integer vector) has the center (U + d * p**(radius - s)) / p**radius.
+    """
+
+    radius: int
+    root: object
+
+
+@dataclass(frozen=True)
 class BruhatSchwartzFunction:
     ctx: PrimeContext
     terms: tuple
     canonical: bool = field(default=False, compare=False)
+    # set by canonicalize; it never enters ==, repr or hash
+    trie: Optional[DigitTrie] = field(default=None, compare=False, repr=False)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: PrimeContext) -> "BruhatSchwartzFunction":
-        return cls(ctx, (), canonical=True)
+        return cls(ctx, (), True, DigitTrie(0, None))
 
     @classmethod
     def indicator(cls, ball: Ball, coeff: Union[Number, ExactComplex] = 1) -> "BruhatSchwartzFunction":
@@ -123,11 +144,10 @@ class BruhatSchwartzFunction:
             raise ContextMismatchError(f"{self.ctx} != {other.ctx}")
 
     def __add__(self, other: "BruhatSchwartzFunction") -> "BruhatSchwartzFunction":
-        self._check(other)
-        return BruhatSchwartzFunction(self.ctx, self.terms + other.terms).canonicalize()
+        return linear_combination([(1, self), (1, other)])
 
     def __sub__(self, other: "BruhatSchwartzFunction") -> "BruhatSchwartzFunction":
-        return self + (-other)
+        return linear_combination([(1, self), (-1, other)])
 
     def __neg__(self) -> "BruhatSchwartzFunction":
         return BruhatSchwartzFunction(
@@ -135,9 +155,7 @@ class BruhatSchwartzFunction:
         )
 
     def scale(self, factor: Union[Number, ExactComplex]) -> "BruhatSchwartzFunction":
-        return BruhatSchwartzFunction(
-            self.ctx, tuple((c * factor, b) for c, b in self.terms)
-        ).canonicalize()
+        return linear_combination([(factor, self)])
 
     def reflect(self) -> "BruhatSchwartzFunction":
         """The function x -> f(-x)."""
@@ -154,7 +172,7 @@ class BruhatSchwartzFunction:
         covering every term; leaves carry the accumulated value of their
         digit path, and sibling groups that agree are merged back into their
         parent, so the result is the coarsest disjoint form and the map is
-        idempotent.
+        idempotent.  The merged tree is kept as the result's ``trie``.
 
         Canonical centers have p-power denominators, and root_r is at least
         each radius and each denominator exponent, so every center x is the
@@ -165,7 +183,7 @@ class BruhatSchwartzFunction:
             return self
         terms = [(c, b.canonical()) for c, b in self.terms if not c.is_zero()]
         if not terms:
-            return BruhatSchwartzFunction(self.ctx, (), canonical=True)
+            return BruhatSchwartzFunction.zero(self.ctx)
         p = self.ctx.p
         root_r = max(0, max(ball.radius_exp for _, ball in terms))
         root_scale = p**root_r
@@ -192,59 +210,15 @@ class BruhatSchwartzFunction:
             for step in zip(*per_coord):
                 node = node[1].setdefault(step, [EC_ZERO, {}])
             node[0] = node[0] + c
+        return _merge_tree(self.ctx, root, root_r)
 
-        ctx = self.ctx
-        all_digits = list(digit_product(range(p), repeat=ctx.n))
-        out: list = []
-
-        # Post-order walk with an explicit stack, so the tree depth is not
-        # bounded by the recursion limit.  A frame is [children, integer
-        # center coords U, radius, running value, integer digit scale,
-        # results]; results gets one value per child in digit order, None
-        # when that child's subtree is not constant and its cells are
-        # already in out.  A finished frame whose children all agree is
-        # constant; otherwise its nonzero constant children become cells of
-        # radius - 1, centered at (U + digits * scale) / root_scale.
-        zero_units = (0,) * ctx.n
-        top = root[0]
-        stack = []
-        if root[1]:
-            stack.append([root[1], zero_units, root_r, top, 1, []])
-        while stack:
-            children, units, radius, running, scale, results = stack[-1]
-            if len(results) < len(all_digits):
-                digits = all_digits[len(results)]
-                child = children.get(digits)
-                if child is None:
-                    results.append(running)
-                elif not child[1]:
-                    results.append(running + child[0])
-                else:
-                    child_units = tuple(u + d * scale for u, d in zip(units, digits))
-                    stack.append(
-                        [child[1], child_units, radius - 1, running + child[0], scale * p, []]
-                    )
-                continue
-            stack.pop()
-            top = results[0]
-            if top is None or any(v is None or v != top for v in results):
-                for value, digits in zip(results, all_digits):
-                    if value is not None and not value.is_zero():
-                        coords = tuple(
-                            Fraction(u + d * scale, root_scale) for u, d in zip(units, digits)
-                        )
-                        cell = Ball(PAdicVector(coords, ctx), radius - 1, known_canonical=True)
-                        out.append((value, cell))
-                top = None
-            if stack:
-                stack[-1][5].append(top)
-        if top is None:
-            cells = out
-        elif top.is_zero():
-            cells = []
-        else:
-            cells = [(top, Ball(PAdicVector.zero(ctx), root_r, known_canonical=True))]
-        return BruhatSchwartzFunction(self.ctx, tuple(cells), canonical=True)
+    def digit_trie(self) -> DigitTrie:
+        """The trie of the canonical form.  A function marked canonical
+        without one (a negation, say) is walked again to build it."""
+        f = self.canonicalize()
+        if f.trie is None:
+            f = BruhatSchwartzFunction(f.ctx, f.terms).canonicalize()
+        return f.trie
 
     # -- integration -------------------------------------------------------
 
@@ -269,43 +243,45 @@ class BruhatSchwartzFunction:
     def inner_product(self, other: "BruhatSchwartzFunction") -> ExactComplex:
         """L2 pairing <f, g> = integral of f * conj(g).
 
-        Both sides are brought to canonical form, so cells within one side
-        are pairwise disjoint and each cell meets at most one equal-or-larger
-        cell of the other side; the pairing reduces to containing-cell
-        lookups keyed by (radius, reduced center) instead of an all-pairs
-        scan.
+        The two digit tries are walked in lockstep.  Both roots are balls
+        around 0, so the smaller one is the zero-digit descendant of the
+        larger, where the walk starts.  Two leaves over one ball pair as
+        c * conj(d) * measure, and a leaf over a node pairs with the
+        node's integral, so the cost is linear in trie nodes.  The walk is
+        post-order, as canonical form lists its cells, so the self-pairing
+        adds its terms in cell order.
         """
         self._check(other)
-        f = self.canonicalize()
-        g = other.canonicalize()
-        p = self.ctx.p
-
-        def lookup(cells, radii, center, min_radius):
-            # the unique cell of radius >= min_radius containing the point
-            for radius in radii:
-                if radius < min_radius:
-                    return None
-                key = (radius, tuple(reduce_mod_ball(x, radius, p) for x in center.coords))
-                hit = cells.get(key)
-                if hit is not None:
-                    return hit
-            return None
-
-        g_cells = {ball.key(): coeff for coeff, ball in g.terms}
-        g_radii = sorted({ball.radius_exp for _, ball in g.terms}, reverse=True)
-        f_cells = {ball.key(): coeff for coeff, ball in f.terms}
-        f_radii = sorted({ball.radius_exp for _, ball in f.terms}, reverse=True)
-
+        f, g = self.digit_trie(), other.digit_trie()
+        radius = min(f.radius, g.radius)
+        n = self.ctx.n
         total = EC_ZERO
-        for cf, bf in f.terms:
-            cg = lookup(g_cells, g_radii, bf.center, bf.radius_exp)
-            if cg is not None:
-                total = total + cf * cg.conjugate() * bf.measure
-        for cg, bg in g.terms:
-            cf = lookup(f_cells, f_radii, bg.center, bg.radius_exp + 1)
-            if cf is not None:
-                total = total + cf * cg.conjugate() * bg.measure
-        return total
+        # a frame is [child pairs, radius of the children, next pair]; pairs
+        # of nodes are walked first, the other pairs when the frame ends
+        stack = []
+        frame = [[(_zero_descendant(f, radius), _zero_descendant(g, radius))], radius, 0]
+        while True:
+            kids, radius, i = frame
+            if i < len(kids):
+                frame[2] = i + 1
+                a, b = kids[i]
+                if type(a) is list and type(b) is list:
+                    stack.append(frame)
+                    frame = [list(zip(a, b)), radius - 1, 0]
+                continue
+            for a, b in kids:
+                if a is None or b is None:
+                    continue
+                if type(a) is list:
+                    if type(b) is not list:
+                        total = total + _node_integral(a) * b[0].conjugate()
+                elif type(b) is list:
+                    total = total + a[0] * _node_integral(b).conjugate()
+                else:
+                    total = total + a[0] * b[0].conjugate() * self.ctx.p_power(radius * n)
+            if not stack:
+                return total
+            frame = stack.pop()
 
     def l2_norm(self) -> float:
         """sqrt(Re <f, f>): canonical cells are disjoint, so the square is
@@ -337,20 +313,165 @@ class BruhatSchwartzFunction:
         return Supremum(best_val, best_cell)
 
 
+def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFunction:
+    """The canonical function of a subdivision tree rooted at B(0, p**root_r).
+
+    A tree node is [coefficient, {digit tuple: child node}]; a point's value
+    is the sum of the coefficients on its digit path.  Post-order walk with
+    an explicit stack, so the tree depth is not bounded by the recursion
+    limit.  A frame is [children, integer center coords U, radius, running
+    value, integer digit scale, results]; results gets one entry per child
+    in digit order, a constant (value, None) or the trie node of a subtree
+    that is not constant and whose cells are already in out
+    (``close_node``).
+    """
+    p = ctx.p
+    root_scale = p**root_r
+    all_digits = list(digit_product(range(p), repeat=ctx.n))
+    width = len(all_digits)
+    out: list = []
+    top = (root[0], None)
+    stack = []
+    if root[1]:
+        stack.append([root[1], (0,) * ctx.n, root_r, root[0], 1, []])
+    while stack:
+        children, units, radius, running, scale, results = stack[-1]
+        if len(results) < width:
+            digits = all_digits[len(results)]
+            child = children.get(digits)
+            if child is None:
+                results.append((running, None))
+            elif not child[1]:
+                results.append((running + child[0], None))
+            else:
+                child_units = tuple(u + d * scale for u, d in zip(units, digits))
+                stack.append(
+                    [child[1], child_units, radius - 1, running + child[0], scale * p, []]
+                )
+            continue
+        stack.pop()
+        top = close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+        if stack:
+            stack[-1][5].append(top)
+    return from_trie_root(ctx, root_r, top, out)
+
+
+def _insert_trie(root: list, root_r: int, trie: DigitTrie, weight, all_digits: list) -> None:
+    """Add weight times the trie's function into a subdivision tree rooted at
+    B(0, p**root_r), root_r >= trie.radius: each cell's weighted value goes
+    on the tree node of its ball, reached down the trie, not digit by digit."""
+    if trie.root is None:
+        return
+    node = root
+    for _ in range(root_r - trie.radius):
+        node = node[1].setdefault(all_digits[0], [EC_ZERO, {}])
+    if type(trie.root) is tuple:
+        node[0] = node[0] + trie.root[0] * weight
+        return
+    stack = [(node, trie.root)]
+    while stack:
+        node, kids = stack.pop()
+        for digits, kid in zip(all_digits, kids):
+            if type(kid) is list:
+                stack.append((node[1].setdefault(digits, [EC_ZERO, {}]), kid))
+            elif kid is not None:
+                c = kid[0] * weight
+                if not c.is_zero():
+                    child = node[1].setdefault(digits, [EC_ZERO, {}])
+                    child[0] = child[0] + c
+
+
+def close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
+    """Close one node of a post-order walk that builds a canonical trie:
+    canonical form's walk, and the synthesis of radial multipliers.
+
+    ``results`` has one entry per child of the ball of radius p**radius
+    with integer center ``units`` / root_scale, in digit order: a constant
+    (value, ball), ball None where no cell is at hand, or the trie node of
+    a child that is not constant.  Children that all hold one value merge,
+    and (value, None) is returned.  Otherwise every nonzero constant child
+    becomes a cell of out, with a ball centered at (units + digits * scale)
+    / root_scale when none was given, and the ball's node is returned.
+    """
+    if type(results[0]) is tuple:
+        value = results[0][0]
+        for r in results:
+            if type(r) is not tuple or r[0] != value:
+                break
+        else:
+            return (value, None)
+    node = []
+    for r, digits in zip(results, all_digits):
+        if type(r) is list:
+            node.append(r)
+        elif r[0].is_zero():
+            node.append(None)
+        else:
+            if r[1] is None:
+                coords = tuple(Fraction(u + d * scale, root_scale) for u, d in zip(units, digits))
+                r = (r[0], Ball(PAdicVector(coords, ctx), radius - 1, known_canonical=True))
+            out.append(r)
+            node.append(r)
+    return node
+
+
+def from_trie_root(ctx: PrimeContext, radius: int, top, out: list) -> BruhatSchwartzFunction:
+    """The canonical function whose walk closed B(0, p**radius) with ``top``
+    (a node, or a constant (value, ball)), its cells in out."""
+    if type(top) is list:
+        return BruhatSchwartzFunction(ctx, tuple(out), True, DigitTrie(radius, top))
+    value, ball = top
+    if value.is_zero():
+        return BruhatSchwartzFunction(ctx, (), True, DigitTrie(radius, None))
+    cell = (value, ball or Ball(PAdicVector.zero(ctx), radius, known_canonical=True))
+    return BruhatSchwartzFunction(ctx, (cell,), True, DigitTrie(radius, cell))
+
+
+def _zero_descendant(trie: DigitTrie, radius: int):
+    """The trie's child at B(0, p**radius), radius <= trie.radius, down the
+    zero digits; or the leaf above it that covers it."""
+    kid = trie.root
+    for _ in range(trie.radius - radius):
+        if type(kid) is not list:
+            break
+        kid = kid[0]
+    return kid
+
+
+def _node_integral(node: list) -> ExactComplex:
+    """Haar integral over a trie node: the sum of its cells' masses."""
+    total = EC_ZERO
+    stack = [node]
+    while stack:
+        for kid in stack.pop():
+            if type(kid) is list:
+                stack.append(kid)
+            elif kid is not None:
+                total = total + kid[0] * kid[1].measure
+    return total
+
+
 def linear_combination(
     pairs: Sequence[tuple], ctx: Optional[PrimeContext] = None
 ) -> BruhatSchwartzFunction:
-    """Sum of weight * function pairs, canonicalized once at the end."""
-    terms: list = []
+    """Sum of weight * function pairs, canonical.  Each function's digit trie
+    goes into one subdivision tree, which is merged once, so the cost is
+    linear in trie nodes, whatever the depth of the cells."""
+    tries = []
     for weight, f in pairs:
         if ctx is None:
             ctx = f.ctx
         elif f.ctx != ctx:
             raise ContextMismatchError(f"{f.ctx} != {ctx}")
-        terms.extend((c * weight, b) for c, b in f.terms)
+        tries.append((weight, f.digit_trie()))
     if ctx is None:
         raise ValueError("empty combination without a context")
-    return BruhatSchwartzFunction(ctx, tuple(terms)).canonicalize()
+    root_r = max([0] + [trie.radius for _, trie in tries])
+    all_digits = list(digit_product(range(ctx.p), repeat=ctx.n))
+    root = [EC_ZERO, {}]
+    for weight, trie in tries:
+        _insert_trie(root, root_r, trie, weight, all_digits)
+    return _merge_tree(ctx, root, root_r)
 
 
 # -- random instances -------------------------------------------------------
@@ -499,7 +620,7 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
         raise FunctionFormatError(f"p = {p!r} is not a prime integer")
     if type(n) is not int or n < 1:
         raise FunctionFormatError(f"n = {n!r} is not a positive integer")
-    if too_many_digit_tuples(p, n):  # before trial division, slow on a huge p
+    if too_many_digit_tuples(p, n):  # before is_prime, which refuses a huge p
         raise FunctionFormatError(f"p**n = {p}**{n} is over the {MAX_DIGIT_TUPLES} digit tuples accepted")
     if not is_prime(p):
         raise FunctionFormatError(f"p = {p!r} is not a prime integer")

@@ -1,11 +1,12 @@
 """Fourier analysis on test functions and radial shell transforms.
 
-Radial Fourier multipliers act on test functions through concentric balls
-(``RadialMultiplier``), never through characters.  The transform itself
-remains, as the oracle of that route and for its own identities: the
-transform of a single ball indicator is an explicitly modulated
-indicator; the modulation is flattened into cells on which the character is
-constant, so the image stays inside the indicator representation, exactly.
+Radial Fourier multipliers act on test functions through the Haar basis of
+their digit tries (``RadialMultiplier``), never through characters.  The
+transform itself remains, as the oracle of that route and for its own
+identities: the transform of a single ball indicator is an explicitly
+modulated indicator; the modulation is flattened into cells on which the
+character is constant, so the image stays inside the indicator
+representation, exactly.
 The cells are read off integer digit vectors, whose phases are integer
 residues, so each term evaluates one character per distinct phase.
 The radial transform evaluates the Fourier integral of a norm-dependent
@@ -20,6 +21,7 @@ from itertools import product as digit_product
 from typing import Callable, Optional
 
 from padic_bessel.padic import (
+    EC_ZERO,
     Ball,
     ContextMismatchError,
     ExactComplex,
@@ -30,7 +32,12 @@ from padic_bessel.padic import (
     character_from_phase,
     shell_character_integral,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction
+from padic_bessel.schwartz import (
+    BruhatSchwartzFunction,
+    DigitTrie,
+    close_node,
+    from_trie_root,
+)
 
 
 class DivergentTailError(ValueError):
@@ -64,23 +71,28 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class RadialMultiplier:
-    """A radial Fourier multiplier, applied through concentric balls.
+    """A radial Fourier multiplier, applied on the Haar basis of the digit trie.
 
     ``value(k)`` is the multiplier m on the frequency shell ||xi|| = p**k for
     k >= 0; m is constant on the unit ball, so value(0) also covers every
     k < 0.  ``drop(k)``, when given, is m(k) - m(k+1) in a form that does not
     cancel; otherwise the difference of values is used.
 
-    The transform of B = B(a, p**r) with r < 0 is p**(rn) chi_p(xi . a) on
-    the dual ball ||xi|| <= p**(-r), where m telescopes into dual-ball
-    indicators: the sum over 0 <= k <= -r of w_k 1{||xi|| <= p**k}, with
-    w_k = m(k) - m(k+1) and w_{-r} = m(-r).  Each indicator times chi_p(xi . a)
-    transforms back to p**(kn) 1_{B(a, p**(-k))}, so
+    Take a function on a ball of radius p**s that is constant on the ball's
+    p**n children and has mean 0 on the ball.  Its transform lives on the
+    single shell ||xi|| = p**(1-s): it vanishes below that shell (mean 0)
+    and above it (constant on the children).  So m scales such a detail by
+    the one number m(max(1 - s, 0)), and node means at radius >= 1 by m(0):
+    m is diagonal in the Haar basis of the canonical trie.  These details
+    span Kozyrev's p-adic wavelets (S. V. Kozyrev, "Wavelet theory as p-adic
+    spectral analysis", Izv. Math. 66, 2002).  Summed back down, the value
+    of m(D) f on a cell of radius p**(-j) of f, j >= 0, with value c is
 
-        m(D) 1_B = sum_k w_k p**((r+k)n) 1_{B(a, p**(-k))},
+        sum_{k < j} (m(k) - m(k+1)) mean(f over its ancestor of radius p**(-k))
+        + m(j) c,
 
-    and m(D) 1_B = m(0) 1_B for r >= 0.  No character is ever evaluated, and
-    exact shell values give exact output at every p.
+    and m(0) c on a cell of radius p**r, r >= 0.  No character is ever
+    evaluated, and exact shell values give exact output at every p.
     """
 
     ctx: PrimeContext
@@ -88,33 +100,63 @@ class RadialMultiplier:
     drop: Optional[Callable[[int], Number]] = None
 
     def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
-        """The function m(D) f, canonical."""
+        """The function m(D) f, canonical, with its trie.
+
+        Node means go up f's digit trie, then each node's path sum of
+        drop * mean comes down it, and each cell of f takes its value.  The
+        walk down merges equal siblings and emits the cells in canonical
+        form's post-order, reusing f's balls, so it is canonical form's own
+        output.  Linear in trie nodes times p**n.
+        """
         if f.ctx != self.ctx:
             raise ContextMismatchError(f"{f.ctx} != {self.ctx}")
         f = f.canonicalize()
+        trie = f.digit_trie()
         depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
         values = [self.value(k) for k in range(depth + 1)]
         if self.drop is None:
             drops = [values[k] - values[k + 1] for k in range(depth)]
         else:
             drops = [self.drop(k) for k in range(depth)]
-        p, n = self.ctx.p, self.ctx.n
-        out = []
-        for c, ball in f.terms:
-            r = ball.radius_exp
-            if r >= 0:
-                out.append((c * values[0], ball))
+        ctx = self.ctx
+        root = trie.root
+        if type(root) is not list:  # zero, or one cell of radius >= 0
+            top = (root[0] * values[0], root[1]) if root else (EC_ZERO, None)
+            return from_trie_root(ctx, trie.radius, top, [])
+        means = _node_means(trie, ctx)
+        p = ctx.p
+        all_digits = list(digit_product(range(p), repeat=ctx.n))
+        root_scale = p**trie.radius
+        out: list = []
+        # A frame is [node, integer center coords U, radius, path sum,
+        # integer digit scale, results], the path sum adding drop(k) times
+        # the mean of each ancestor of radius p**(-k) (None while there is
+        # none); results as in ``close_node``.
+        path = drops[0] * means[id(root)] if trie.radius == 0 else None
+        stack = [[root, (0,) * ctx.n, trie.radius, path, 1, []]]
+        while stack:
+            node, units, radius, path, scale, results = stack[-1]
+            if len(results) < len(node):
+                kid = node[len(results)]
+                j = max(0, 1 - radius)  # the children have radius p**(-j)
+                if type(kid) is list:
+                    if radius <= 1:
+                        detail = drops[j] * means[id(kid)]
+                        path = detail if path is None else path + detail
+                    digits = all_digits[len(results)]
+                    child_units = tuple(u + d * scale for u, d in zip(units, digits))
+                    stack.append([kid, child_units, radius - 1, path, scale * p, []])
+                elif kid is None:
+                    results.append((EC_ZERO if path is None else path, None))
+                else:
+                    value = kid[0] * values[j]
+                    results.append((value if path is None else path + value, kid[1]))
                 continue
-            # a canonical center has a p-power denominator, so its class mod
-            # p**k is the residue x % p**k, the representative in [0, p**k)
-            coords = ball.center.coords
-            for k in range(-r):
-                if drops[k]:
-                    weight = drops[k] * self.ctx.p_power((r + k) * n)
-                    center = PAdicVector(tuple(x % p**k for x in coords), self.ctx)
-                    out.append((c * weight, Ball(center, -k, known_canonical=True)))
-            out.append((c * values[-r], ball))
-        return BruhatSchwartzFunction(self.ctx, tuple(out)).canonicalize()
+            stack.pop()
+            top = close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+            if stack:
+                stack[-1][5].append(top)
+        return from_trie_root(ctx, trie.radius, top, out)
 
     def profile(self) -> RadialProfile:
         """The same shell values as a profile for ``multiply_radial``, which
@@ -124,6 +166,32 @@ class RadialMultiplier:
             resid=lambda k: self.value(max(k, 0)),
             constant_on_unit_ball=True,
         )
+
+
+def _node_means(trie: DigitTrie, ctx: PrimeContext) -> dict:
+    """The mean of the function over each trie node of radius <= 0, keyed by
+    the node's id, summed up the trie after its children."""
+    inv = Fraction(1, ctx.p**ctx.n)
+    means = {}
+    # a frame is [node, radius, next child, sum of the children's means]
+    stack = [[trie.root, trie.radius, 0, EC_ZERO]]
+    while stack:
+        frame = stack[-1]
+        node, radius, i, total = frame
+        if i < len(node):
+            frame[2] = i + 1
+            kid = node[i]
+            if type(kid) is list:
+                stack.append([kid, radius - 1, 0, EC_ZERO])
+            elif kid is not None and radius <= 0:
+                frame[3] = total + kid[0]
+            continue
+        stack.pop()
+        if radius <= 0:
+            means[id(node)] = mean = total * inv
+            if radius < 0:  # the parent has radius <= 0 too
+                stack[-1][3] = stack[-1][3] + mean
+    return means
 
 
 def _modulated_cells(coeff: ExactComplex, r: int, a: PAdicVector, rho: int) -> list:

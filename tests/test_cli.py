@@ -286,7 +286,7 @@ def test_digit_tuple_bound(p, n, over):
     assert too_many_digit_tuples(p, n) is over
 
 
-# 2**127 - 1 is prime: trial division would not end, so the bound comes first
+# 2**127 - 1 is prime, past is_prime's bound: the digit tuple bound comes first
 @pytest.mark.parametrize("p,n", [(2, 9), (257, 1), (2, 10**9), (2**127 - 1, 1)])
 @pytest.mark.parametrize("command", [["fourier"], ["evolve", "--t", "1"]])
 def test_a_file_over_the_digit_tuple_bound_exits_2_at_once(tmp_path, capsys, p, n, command):
@@ -552,6 +552,55 @@ def test_evolve_of_a_ball_2_to_the_minus_1000(tmp_path, capsys):
     assert math.isclose(sup, 1.0, rel_tol=1e-9)
 
 
+def _terms_file(tmp_path, terms):
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"p": 2, "n": 1, "terms": terms}))
+    return src
+
+
+def test_evolve_of_nested_balls_2_to_the_minus_1000_is_fast(tmp_path, capsys):
+    # 1_{B(0,1)} + 2 * 1_{B(1, 2^-1000)}: 1001 cells, one per level; the
+    # concentric route brought about 1000**2 / 2 balls and took 16.9 s on a
+    # 2-vCPU VM
+    src = _terms_file(tmp_path, [
+        {"re": "1", "center": ["0"], "radius_exp": 0},
+        {"re": "2", "center": ["1"], "radius_exp": -1000},
+    ])
+    start = perf_counter()
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", "1", "--alpha", "2.5")
+    assert perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == "time,l2_norm,sup_norm\n1,0.36787944117144228,2.3678794411714423\n"
+
+
+def test_a_wide_ball_beside_a_unit_ball_exits_2_fast(tmp_path, capsys):
+    # 5001 cells up to radius 2^5000; the L2 norm overflows a float
+    src = _terms_file(tmp_path, [
+        {"re": "1", "center": ["1/3"], "radius_exp": 5000},
+        {"re": "2", "center": ["1"], "radius_exp": 0},
+    ])
+    start = perf_counter()
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", "1", "--alpha", "2.5")
+    assert perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_kernel_at_a_61_bit_prime_is_fast(capsys):
+    start = perf_counter()
+    code, out, err = run(capsys, "kernel", "--p", str(2**61 - 1), "--gamma-max", "1")
+    assert perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.startswith("gamma,norm,k_alpha\n")
+
+
+@pytest.mark.parametrize("p", ["3215031751", "3825123056546413051", "3317044064679887385961981"])
+def test_kernel_refuses_pseudoprimes_and_undecided_p(capsys, p):
+    code, out, err = run(capsys, "kernel", "--p", p, "--gamma-max", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: p = ")
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 @pytest.mark.parametrize("suite", ["contraction", "pmp"])
 def test_verify_rejects_trials_below_one(capsys, suite, trials):
@@ -632,12 +681,15 @@ def test_readme_command_lines_parse():
 
 # -- fuzzing the file-driven and table commands ----------------------------------
 
-# radii the reader refuses, and the extremes it accepts; a deep or wide term
-# beside another makes evolve take seconds to minutes (ROADMAP item 3), so
-# the accepted extremes come one to a file
+# radii the reader refuses, and the extremes it accepts.  Beside another
+# term an extreme one gives a canonical form of about (p**n - 1) * 6000 cells
+# with centers of up to 6000 digits (on a shared 2-vCPU VM, 18 001 cells
+# read in 0.9 s at p = 2, n = 2, and 144 001 in 28 s at p = 5, n = 2), so
+# the extremes come several to a file where p**n <= 4 and one to a file
+# beyond
 REFUSED_RADII = st.sampled_from([-(10**9), -MAX_INPUT_DEPTH - 1, 10**9])
 RADII = st.one_of(st.integers(-3, 3), REFUSED_RADII)
-LONE_RADII = st.one_of(RADII, st.sampled_from([-1000, 5000]))
+EXTREME_RADII = st.one_of(RADII, st.sampled_from([-1000, 5000]))
 RATIONALS = st.one_of(
     st.integers(-40, 40).map(str),
     st.builds(lambda a, b, k: f"{a}/{b**k}", st.integers(-40, 40), st.sampled_from([2, 3, 5]), st.integers(0, 6)),
@@ -668,17 +720,17 @@ MUTATIONS = (
 @st.composite
 def function_files(draw):
     """A valid function file, mutated at most once into an invalid one."""
-    n = draw(st.sampled_from([1, 2]))
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([1, 2]))
     count = draw(st.integers(1, 3))
     term = st.fixed_dictionaries(
         {
             "re": RATIONALS,
             "center": st.lists(RATIONALS, min_size=n, max_size=n),
-            "radius_exp": LONE_RADII if count == 1 else RADII,
+            "radius_exp": EXTREME_RADII if count == 1 or p**n <= 4 else RADII,
         },
         optional={"im": RATIONALS},
     )
-    obj = {"p": draw(st.sampled_from([2, 3, 5])), "n": n, "terms": draw(st.lists(term, min_size=count, max_size=count))}
+    obj = {"p": p, "n": n, "terms": draw(st.lists(term, min_size=count, max_size=count))}
     mutate = draw(st.one_of(st.none(), st.sampled_from(MUTATIONS)))
     if mutate is not None:
         mutate(obj)

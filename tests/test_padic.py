@@ -15,6 +15,7 @@ from padic_bessel.padic import (
     PrimeContext,
     character_from_phase,
     fractional_part,
+    PRIME_BOUND,
     is_prime,
     norm_exp_of,
     reduce_mod_ball,
@@ -45,6 +46,33 @@ def test_is_prime_small_values():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_is_prime_agrees_with_trial_division_below_10_to_the_4():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert all(is_prime(p) == trial_division(p) for p in range(-3, 10**4))
+
+
+@pytest.mark.parametrize("p", [3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes_to_small_bases(p):
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 23
+    assert not is_prime(p)
+    with pytest.raises(ValueError):
+        PrimeContext(p, 1)
+
+
+def test_is_prime_decides_large_primes_below_its_bound():
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
+    assert PrimeContext(2**61 - 1, 1).p == 2**61 - 1
+    assert 2**61 - 1 < PRIME_BOUND < 2**89 - 1
+    for p in (PRIME_BOUND, 2**89 - 1):  # the bound itself is composite
+        with pytest.raises(ValueError, match="primality"):
+            is_prime(p)
+        with pytest.raises(ValueError):
+            PrimeContext(p, 1)
+
+
 @pytest.mark.parametrize(
     "x,p,expected",
     [
@@ -57,6 +85,15 @@ def test_is_prime_small_values():
 )
 def test_valuation(x, p, expected):
     assert valuation(x, p) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_valuation_of_deep_powers(p):
+    # past 16 the exponent is found by squaring p, not one division per unit
+    for v in list(range(40)) + [255, 256, 257, 1000, 4999]:
+        for unit in (1, p - 1, 1234 * p + 1):
+            assert valuation(Fraction(unit * p**v, 7 * p + 1), p) == v
+            assert valuation(Fraction(p + 1, unit * p**v), p) == -v
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,15 +1,18 @@
-"""Radial multipliers through concentric balls against their oracle routes.
+"""Radial multipliers on the digit trie against their oracle routes.
 
 The operator, the resolvent and the semigroup are applied by
-``RadialMultiplier``; the two Fourier transforms around ``multiply_radial``
-and, for the operator, the pointwise convolution route check it.  The
-quadratic form and the heat pairing are read off the same route, and their
-Fourier-side computations below are their oracles.  No production path
-calls the transform at all; the guard test at the end checks that.
+``RadialMultiplier``; the concentric-ball route it replaced, the two Fourier
+transforms around ``multiply_radial`` and, for the operator, the pointwise
+convolution route check it.  The quadratic form and the heat pairing are
+read off the same route, and their Fourier-side computations below are
+their oracles.  No production path calls the transform at all; the guard
+test at the end checks that.
 """
 
 import math
 import sys
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +31,7 @@ from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     RandomFunctionConfig,
     random_test_function,
+    serialize,
 )
 from padic_bessel.bessel import (
     BesselOrder,
@@ -40,6 +44,7 @@ from padic_bessel.bessel import (
     quadratic_form,
     resolvent,
     resolvent_multiplier,
+    symbol_multiplier,
     symbol_profile,
     symbol_value,
 )
@@ -47,6 +52,7 @@ from padic_bessel.heat import (
     EvolutionProblem,
     duhamel,
     multiplier_profile,
+    semigroup_multiplier,
     solve_cauchy,
     weak_pairing,
 )
@@ -66,6 +72,50 @@ CONFIGS = {
     (5, 1): RandomFunctionConfig(4, -1, 2, den_pow_max=1, complex_coeffs=True),
     (3, 2): RandomFunctionConfig(3, -1, 2, den_pow_max=0, complex_coeffs=True),
 }
+
+
+def concentric_terms(multiplier, f):
+    """The terms of m(D) f on concentric balls, before canonical form: the
+    route ``RadialMultiplier.apply`` took before the digit trie, kept as its
+    oracle.
+
+    The transform of B = B(a, p**r) with r < 0 is p**(rn) chi_p(xi . a) on
+    the dual ball ||xi|| <= p**(-r), where m telescopes into dual-ball
+    indicators, so
+
+        m(D) 1_B = sum_k w_k p**((r+k)n) 1_{B(a, p**(-k))},
+
+    0 <= k <= -r, w_k = m(k) - m(k+1) and w_{-r} = m(-r); and
+    m(D) 1_B = m(0) 1_B for r >= 0.  A canonical center has a p-power
+    denominator, so its class mod p**k is the residue x % p**k.
+    """
+    f = f.canonicalize()
+    depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
+    values = [multiplier.value(k) for k in range(depth + 1)]
+    if multiplier.drop is None:
+        drops = [values[k] - values[k + 1] for k in range(depth)]
+    else:
+        drops = [multiplier.drop(k) for k in range(depth)]
+    ctx = multiplier.ctx
+    p, n = ctx.p, ctx.n
+    out = []
+    for c, ball in f.terms:
+        r = ball.radius_exp
+        if r >= 0:
+            out.append((c * values[0], ball))
+            continue
+        coords = ball.center.coords
+        for k in range(-r):
+            if drops[k]:
+                weight = drops[k] * ctx.p_power((r + k) * n)
+                center = PAdicVector(tuple(x % p**k for x in coords), ctx)
+                out.append((c * weight, Ball(center, -k, known_canonical=True)))
+        out.append((c * values[-r], ball))
+    return tuple(out)
+
+
+def concentric_apply(multiplier, f):
+    return BruhatSchwartzFunction(multiplier.ctx, concentric_terms(multiplier, f)).canonicalize()
 
 
 def two_transform_route(f, profile):
@@ -161,6 +211,36 @@ def test_concentric_balls_of_a_small_ball():
     )
 
 
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_trie_route_matches_the_concentric_oracle(p, n, alpha, complex_coeffs):
+    """Byte-identical output where the shell values are exact (the operator
+    and the resolvent at integer alpha); within 1e-12 relative in sup norm
+    for the float multipliers, which sum in another order."""
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    config = replace(CONFIGS[p, n], complex_coeffs=complex_coeffs)
+    exact = (symbol_multiplier(order), resolvent_multiplier(order, LAM))
+    for seed in range(8):
+        f = random_test_function(4000 * p + 10 * n + seed, order.ctx, config)
+        for multiplier in exact + (semigroup_multiplier(T, order),):
+            got, want = multiplier.apply(f), concentric_apply(multiplier, f)
+            if multiplier in exact and order.alpha_is_integer:
+                assert got.is_exact
+                assert serialize(got) == serialize(want)
+            else:
+                assert (got - want).sup_norm() <= 1e-12 * max(1.0, want.sup_norm())
+
+
+def test_trie_route_matches_the_concentric_oracle_on_nested_deep_cells():
+    # 1_{B(0,1)} + 2 * 1_{B(1, 2^-40)}: 41 cells, each on its own level
+    order = BesselOrder(2.0, PrimeContext(2, 1))
+    one = PAdicVector.of(order.ctx, 1)
+    f = BruhatSchwartzFunction.unit_ball(order.ctx) + BruhatSchwartzFunction.indicator(Ball(one, -40), 2)
+    assert len(f.terms) == 41
+    for multiplier in (symbol_multiplier(order), resolvent_multiplier(order, LAM)):
+        assert serialize(multiplier.apply(f)) == serialize(concentric_apply(multiplier, f))
+
+
 def test_large_balls_scale_by_the_unit_ball_value():
     ctx = PrimeContext(2, 2)
     f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(ctx, 4, Fraction(1, 2)), 1), 3)
@@ -229,3 +309,19 @@ def test_production_paths_never_call_the_transform(monkeypatch):
         assert cli.main(["verify", suite, "--alpha", "2.5", "--trials", "4"]) in (0, 1)
     for suite in ("heat", "negdef"):  # no random inputs, so no --trials
         assert cli.main(["verify", suite, "--alpha", "2.5"]) in (0, 1)
+
+
+# -- deep inputs, at the default recursion limit ------------------------------------
+
+
+def test_pairing_of_a_deep_operator_output_is_fast():
+    # 401 cells down to 2^-400; the containing-cell lookups took 8.8 s on a
+    # 2-vCPU VM
+    order = BesselOrder(2.0, PrimeContext(2, 1))
+    f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.zero(order.ctx), -400))
+    g = apply_bessel(order, f)
+    assert len(g.terms) == 401
+    start = time.perf_counter()
+    value = g.inner_product(g)
+    assert time.perf_counter() - start < 0.5
+    assert value.im == 0 and value.re == sum(c.abs2() * ball.measure for c, ball in g.terms)

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_bessel import spectral
-from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent
-from padic_bessel.heat import solve_cauchy
+from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent_multiplier, symbol_multiplier
+from padic_bessel.heat import semigroup_multiplier
 from padic_bessel.padic import (
     EC_ZERO,
     ZERO_NORM,
@@ -31,6 +30,7 @@ from padic_bessel.schwartz import (
     random_test_function,
     serialize,
 )
+from test_routes import concentric_terms
 
 C21 = PrimeContext(2, 1)
 C31 = PrimeContext(3, 1)
@@ -464,42 +464,145 @@ def test_canonicalize_matches_the_fraction_walk_on_a_deep_and_a_wide_ball(radius
         assert_matches_reference(f)
 
 
-def operator_term_lists(monkeypatch):
-    """Every term list the radial multipliers hand to canonical form while
-    the operator, the resolvent and the semigroup run on the grid."""
+def operator_term_lists():
+    """Every term list the concentric oracle of the radial multipliers hands
+    to canonical form for the operator, the resolvent and the semigroup on
+    the grid."""
     handed = []
-
-    def record(ctx, terms):
-        handed.append(BruhatSchwartzFunction(ctx, terms))
-        return handed[-1]
-
-    monkeypatch.setattr(spectral, "BruhatSchwartzFunction", record)
     for p, n, alpha in GRID:
         order = BesselOrder(alpha, PrimeContext(p, n))
         cfg = RandomFunctionConfig(max_terms=4, radius_min=-3, radius_max=1,
                                    den_pow_max=1, complex_coeffs=True)
+        multipliers = (
+            symbol_multiplier(order),
+            resolvent_multiplier(order, Fraction(1, 2)),
+            semigroup_multiplier(0.7, order),
+        )
         for seed in range(4):
             f = random_test_function(seed, order.ctx, cfg)
-            apply_bessel(order, f)
-            resolvent(order, Fraction(1, 2), f)
-            solve_cauchy(f, 0.7, order)
-    monkeypatch.undo()
+            handed.extend(BruhatSchwartzFunction(order.ctx, concentric_terms(m, f)) for m in multipliers)
     assert len(handed) == 3 * 4 * len(GRID)
     return handed
 
 
-def test_canonicalize_matches_the_fraction_walk_on_operator_outputs(monkeypatch):
-    for f in operator_term_lists(monkeypatch):
+def test_canonicalize_matches_the_fraction_walk_on_operator_outputs():
+    for f in operator_term_lists():
         assert_matches_reference(f)
 
 
-def test_apply_marks_canonical_only_reduced_centers(monkeypatch):
+def test_apply_marks_canonical_only_reduced_centers():
+    # the oracle's concentric balls, and the cells of the trie route
     checked = 0
-    for f in operator_term_lists(monkeypatch):
-        p = f.ctx.p
-        for _, ball in f.terms:
-            if ball.known_canonical:
-                reduced = tuple(reduce_mod_ball(x, ball.radius_exp, p) for x in ball.center.coords)
-                assert ball.center.coords == reduced
-                checked += 1
+    for f in operator_term_lists():
+        for g in (f, f.canonicalize()):
+            p = g.ctx.p
+            for _, ball in g.terms:
+                if ball.known_canonical:
+                    reduced = tuple(reduce_mod_ball(x, ball.radius_exp, p) for x in ball.center.coords)
+                    assert ball.center.coords == reduced
+                    checked += 1
     assert checked > 0
+    order = BesselOrder(3.0, C31)
+    f = random_test_function(5, C31, RandomFunctionConfig(4, -3, 1, den_pow_max=1))
+    for _, ball in apply_bessel(order, f).terms:
+        assert ball.known_canonical
+        assert ball.center.coords == tuple(reduce_mod_ball(x, ball.radius_exp, 3) for x in ball.center.coords)
+
+
+# -- the digit trie ---------------------------------------------------------------
+
+
+def inner_product_lookup(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction) -> ExactComplex:
+    """The L2 pairing by containing-cell lookups, kept as the oracle of the
+    trie walk of ``inner_product``.
+
+    Cells within one canonical side are pairwise disjoint and each cell
+    meets at most one equal-or-larger cell of the other side, found by
+    reducing its center mod each radius of the other side.
+    """
+    f, g = f.canonicalize(), g.canonicalize()
+    p = f.ctx.p
+
+    def lookup(cells, radii, center, min_radius):
+        for radius in radii:
+            if radius < min_radius:
+                return None
+            key = (radius, tuple(reduce_mod_ball(x, radius, p) for x in center.coords))
+            hit = cells.get(key)
+            if hit is not None:
+                return hit
+        return None
+
+    g_cells = {ball.key(): coeff for coeff, ball in g.terms}
+    g_radii = sorted({ball.radius_exp for _, ball in g.terms}, reverse=True)
+    f_cells = {ball.key(): coeff for coeff, ball in f.terms}
+    f_radii = sorted({ball.radius_exp for _, ball in f.terms}, reverse=True)
+    total = EC_ZERO
+    for cf, bf in f.terms:
+        cg = lookup(g_cells, g_radii, bf.center, bf.radius_exp)
+        if cg is not None:
+            total = total + cf * cg.conjugate() * bf.measure
+    for cg, bg in g.terms:
+        cf = lookup(f_cells, f_radii, bg.center, bg.radius_exp + 1)
+        if cf is not None:
+            total = total + cf * cg.conjugate() * bg.measure
+    return total
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+@pytest.mark.parametrize("p,n", [(p, n) for p, n, _ in GRID])
+def test_trie_pairing_equals_the_lookup_oracle(p, n, complex_coeffs):
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"pair:{p}:{n}:{complex_coeffs}")
+    cfg = RandomFunctionConfig(max_terms=5, radius_min=-3, radius_max=3, den_pow_max=2,
+                               complex_coeffs=complex_coeffs)
+    for seed in range(10):
+        f = random_test_function(2 * seed, ctx, cfg)
+        g = random_test_function(2 * seed + 1, ctx, cfg)
+        # raw sums whose root balls differ from the canonical ones
+        h = BruhatSchwartzFunction(ctx, random_terms(rng, ctx, 4, (1, p, p**3), complex_coeffs))
+        for a, b in ((f, g), (g, f), (f, h), (h, g), (h, h), (f, f.scale(0)), (f, -g)):
+            assert a.inner_product(b) == inner_product_lookup(a, b)
+
+
+def test_trie_pairing_across_root_radii_and_depths():
+    zero = PAdicVector.zero(C21)
+    wide = BruhatSchwartzFunction.indicator(Ball(zero, 40), 3)
+    deep = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, 5), -30), ExactComplex(1, 2))
+    mixed = wide + deep + BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(1, 8)), -2))
+    for a in (wide, deep, mixed, omega()):
+        for b in (wide, deep, mixed, omega()):
+            assert a.inner_product(b) == inner_product_lookup(a, b)
+
+
+def test_the_trie_is_invisible():
+    """repr, == and serialize of a canonical function, which the benchmark
+    fingerprints, do not see whether its trie was built or walked."""
+    order = BesselOrder(3.0, C32)
+    f = random_test_function(3, C32, RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True))
+    bare = BruhatSchwartzFunction(f.ctx, f.terms, canonical=True)
+    assert f.trie is not None and bare.trie is None
+    before = (repr(f), hash(f), serialize(f))
+    assert f == bare and (repr(bare), hash(bare), serialize(bare)) == before
+    f.inner_product(bare)
+    outputs = [apply_bessel(order, f) for _ in range(3)] + [apply_bessel(order, bare)]
+    assert (repr(f), hash(f), serialize(f)) == before
+    assert len({repr(u) for u in outputs}) == 1
+    assert bare.trie is None and bare.digit_trie() == f.digit_trie()
+    u = outputs[0]
+    assert u == u.canonicalize() and serialize(u) == serialize(BruhatSchwartzFunction(u.ctx, u.terms))
+
+
+def test_linear_combination_of_tries_matches_the_term_walk():
+    # the sum merges digit tries; canonical form of the concatenated terms
+    # is its oracle, byte for byte, floats included
+    for p, n, _ in GRID:
+        ctx = PrimeContext(p, n)
+        cfg = RandomFunctionConfig(max_terms=5, radius_min=-3, radius_max=3, den_pow_max=2,
+                                   complex_coeffs=True)
+        for seed in range(6):
+            parts = [random_test_function(10 * seed + k, ctx, cfg) for k in range(3)]
+            weights = (1, Fraction(-3, 4), ExactComplex(0.5, -0.25))
+            got = linear_combination(list(zip(weights, parts)))
+            terms = tuple((c * w, b) for w, f in zip(weights, parts) for c, b in f.terms)
+            assert serialize(got) == serialize(BruhatSchwartzFunction(ctx, terms).canonicalize())
