@@ -80,20 +80,11 @@ class PrimeContext:
 
 
 def _int_valuation(m: int, p: int) -> int:
-    """Exponent of p in the nonzero integer m: one division per unit up to
-    16, then ``_deep_valuation``."""
+    """Exponent of p in the nonzero integer m by O(log v) big-integer
+    divisions: by p, p**2, p**4, ... while they divide, then by the same
+    powers downwards.  One division per unit would divide a v-digit integer
+    v times."""
     m = abs(m)
-    for v in range(16):
-        if m % p:
-            return v
-        m //= p
-    return 16 + _deep_valuation(m, p)
-
-
-def _deep_valuation(m: int, p: int) -> int:
-    """Exponent of p in m > 0 by O(log v) big-integer divisions: by p, p**2,
-    p**4, ... while they divide, then by the same powers downwards.  One
-    division per unit would divide a v-digit integer v times."""
     v = 0
     powers = []
     q = p

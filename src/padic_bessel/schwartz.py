@@ -150,9 +150,7 @@ class BruhatSchwartzFunction:
         return linear_combination([(1, self), (-1, other)])
 
     def __neg__(self) -> "BruhatSchwartzFunction":
-        return BruhatSchwartzFunction(
-            self.ctx, tuple((-c, b) for c, b in self.terms), canonical=self.canonical
-        )
+        return self.scale(-1)
 
     def scale(self, factor: Union[Number, ExactComplex]) -> "BruhatSchwartzFunction":
         return linear_combination([(factor, self)])
@@ -213,8 +211,8 @@ class BruhatSchwartzFunction:
         return _merge_tree(self.ctx, root, root_r)
 
     def digit_trie(self) -> DigitTrie:
-        """The trie of the canonical form.  A function marked canonical
-        without one (a negation, say) is walked again to build it."""
+        """The trie of the canonical form.  Only a function built by hand
+        with canonical=True lacks one; it is walked again to build it."""
         f = self.canonicalize()
         if f.trie is None:
             f = BruhatSchwartzFunction(f.ctx, f.terms).canonicalize()
@@ -356,31 +354,6 @@ def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFun
     return from_trie_root(ctx, root_r, top, out)
 
 
-def _insert_trie(root: list, root_r: int, trie: DigitTrie, weight, all_digits: list) -> None:
-    """Add weight times the trie's function into a subdivision tree rooted at
-    B(0, p**root_r), root_r >= trie.radius: each cell's weighted value goes
-    on the tree node of its ball, reached down the trie, not digit by digit."""
-    if trie.root is None:
-        return
-    node = root
-    for _ in range(root_r - trie.radius):
-        node = node[1].setdefault(all_digits[0], [EC_ZERO, {}])
-    if type(trie.root) is tuple:
-        node[0] = node[0] + trie.root[0] * weight
-        return
-    stack = [(node, trie.root)]
-    while stack:
-        node, kids = stack.pop()
-        for digits, kid in zip(all_digits, kids):
-            if type(kid) is list:
-                stack.append((node[1].setdefault(digits, [EC_ZERO, {}]), kid))
-            elif kid is not None:
-                c = kid[0] * weight
-                if not c.is_zero():
-                    child = node[1].setdefault(digits, [EC_ZERO, {}])
-                    child[0] = child[0] + c
-
-
 def close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
     """Close one node of a post-order walk that builds a canonical trie:
     canonical form's walk, and the synthesis of radial multipliers.
@@ -454,24 +427,17 @@ def _node_integral(node: list) -> ExactComplex:
 def linear_combination(
     pairs: Sequence[tuple], ctx: Optional[PrimeContext] = None
 ) -> BruhatSchwartzFunction:
-    """Sum of weight * function pairs, canonical.  Each function's digit trie
-    goes into one subdivision tree, which is merged once, so the cost is
-    linear in trie nodes, whatever the depth of the cells."""
-    tries = []
+    """Sum of weight * function pairs, canonicalized once at the end."""
+    terms: list = []
     for weight, f in pairs:
         if ctx is None:
             ctx = f.ctx
         elif f.ctx != ctx:
             raise ContextMismatchError(f"{f.ctx} != {ctx}")
-        tries.append((weight, f.digit_trie()))
+        terms.extend((c * weight, b) for c, b in f.terms)
     if ctx is None:
         raise ValueError("empty combination without a context")
-    root_r = max([0] + [trie.radius for _, trie in tries])
-    all_digits = list(digit_product(range(ctx.p), repeat=ctx.n))
-    root = [EC_ZERO, {}]
-    for weight, trie in tries:
-        _insert_trie(root, root_r, trie, weight, all_digits)
-    return _merge_tree(ctx, root, root_r)
+    return BruhatSchwartzFunction(ctx, tuple(terms)).canonicalize()
 
 
 # -- random instances -------------------------------------------------------

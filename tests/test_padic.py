@@ -89,7 +89,8 @@ def test_valuation(x, p, expected):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_valuation_of_deep_powers(p):
-    # past 16 the exponent is found by squaring p, not one division per unit
+    # the exponent is found by squaring p, not one division per unit; the
+    # powers of two and their neighbours walk both halves of that search
     for v in list(range(40)) + [255, 256, 257, 1000, 4999]:
         for unit in (1, p - 1, 1234 * p + 1):
             assert valuation(Fraction(unit * p**v, 7 * p + 1), p) == v

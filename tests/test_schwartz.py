@@ -591,18 +591,3 @@ def test_the_trie_is_invisible():
     assert bare.trie is None and bare.digit_trie() == f.digit_trie()
     u = outputs[0]
     assert u == u.canonicalize() and serialize(u) == serialize(BruhatSchwartzFunction(u.ctx, u.terms))
-
-
-def test_linear_combination_of_tries_matches_the_term_walk():
-    # the sum merges digit tries; canonical form of the concatenated terms
-    # is its oracle, byte for byte, floats included
-    for p, n, _ in GRID:
-        ctx = PrimeContext(p, n)
-        cfg = RandomFunctionConfig(max_terms=5, radius_min=-3, radius_max=3, den_pow_max=2,
-                                   complex_coeffs=True)
-        for seed in range(6):
-            parts = [random_test_function(10 * seed + k, ctx, cfg) for k in range(3)]
-            weights = (1, Fraction(-3, 4), ExactComplex(0.5, -0.25))
-            got = linear_combination(list(zip(weights, parts)))
-            terms = tuple((c * w, b) for w, f in zip(weights, parts) for c, b in f.terms)
-            assert serialize(got) == serialize(BruhatSchwartzFunction(ctx, terms).canonicalize())
