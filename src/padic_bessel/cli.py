@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from padic_bessel.padic import PrimeContext
 from padic_bessel.schwartz import (
+    MAX_CELLS,
     MAX_DIGIT_TUPLES,
     BruhatSchwartzFunction,
     RandomFunctionConfig,
@@ -27,7 +28,16 @@ from padic_bessel.schwartz import (
     serialize,
     too_many_digit_tuples,
 )
-from padic_bessel.spectral import fourier, inverse_fourier, multiply_radial, parseval_defect
+from padic_bessel.spectral import (
+    cell_exponents,
+    expand,
+    fourier,
+    fourier_terms,
+    inverse_fourier,
+    modulated_terms,
+    multiply_radial,
+    parseval_defect,
+)
 from padic_bessel.bessel import (
     BesselOrder,
     adjoint_defect,
@@ -129,24 +139,14 @@ def _load_input(ns: argparse.Namespace) -> BruhatSchwartzFunction:
     return f
 
 
-# cells one transform may build: about 3.5 s of ``fourier`` at p = 2, n = 1,
-# and 6 s for the whole command
-MAX_CELLS = 2**16
+def _check_transform_size(terms: tuple, p: int, max_cells: int) -> None:
+    """Refuse a term list that would expand into more than max_cells cells.
 
-
-def _check_transform_size(f: BruhatSchwartzFunction, max_cells: int) -> None:
-    """Refuse f when ``fourier`` would build more than max_cells cells.
-
-    The term B(a, p**r) of canonical f expands into p**(n(-r - rho)) cells,
-    rho = min(-r, v) with v the valuation of a (one cell at a = 0).  An
-    exponent e > log2(max_cells) alone is over budget, so no power beyond
-    that is built.
+    A term expands into p**e cells (``cell_exponents``).  An exponent
+    e > log2(max_cells) alone is over budget, so no power beyond that is
+    built.
     """
-    p, n = f.ctx.p, f.ctx.n
-    exps = [
-        0 if ball.center.is_zero else n * max(0, -ball.radius_exp - int(ball.center.min_valuation))
-        for _, ball in f.terms
-    ]
+    exps = cell_exponents(terms)
     top = max(exps, default=0)
     if top > max_cells.bit_length():
         estimate = f"at least {p}^{top}"
@@ -162,11 +162,12 @@ def run_fourier(ns: argparse.Namespace) -> int:
     if ns.max_cells < 1:
         raise ValueError(f"--max-cells {ns.max_cells} must be at least 1")
     f = _load_input(ns)
-    _check_transform_size(f, ns.max_cells)
-    transformed = fourier(f)
+    terms = fourier_terms(modulated_terms(f))
+    _check_transform_size(terms, f.ctx.p, ns.max_cells)
+    transformed = expand(f.ctx, terms)
     if ns.roundtrip:
-        _check_transform_size(transformed, ns.max_cells)
-        doubled = fourier(transformed)
+        # one unmodulated term per cell of f: F F f is exact and no larger
+        doubled = expand(f.ctx, fourier_terms(terms))
         defect = (doubled - f.reflect()).sup_norm()
         payload = {
             "transform": json.loads(serialize(transformed)),
@@ -303,7 +304,8 @@ def suite_fourier(order: BesselOrder, trials: int, seed: int, tol: Optional[floa
         f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
         g = _random_f(seed ^ (50_000 + i), order.ctx, complex_coeffs=True)
         worst_pars = max(worst_pars, abs(parseval_defect(f, g)))
-        worst_refl = max(worst_refl, (fourier(fourier(f)) - f.reflect()).sup_norm())
+        doubled = expand(f.ctx, fourier_terms(fourier_terms(modulated_terms(f))))
+        worst_refl = max(worst_refl, (doubled - f.reflect()).sup_norm())
     return [
         ("fourier_parseval", trials, worst_pars, tol, worst_pars <= tol),
         ("fourier_reflection", trials, worst_refl, tol, worst_refl <= tol),

@@ -83,8 +83,14 @@ def _int_valuation(m: int, p: int) -> int:
     """Exponent of p in the nonzero integer m by O(log v) big-integer
     divisions: by p, p**2, p**4, ... while they divide, then by the same
     powers downwards.  One division per unit would divide a v-digit integer
-    v times."""
+    v times.  An exact power of p, the denominator of every canonical
+    center, is found with one power instead."""
     m = abs(m)
+    if m % p:
+        return 0
+    k = round(math.log(m, p))
+    if p**k == m:
+        return k
     v = 0
     powers = []
     q = p

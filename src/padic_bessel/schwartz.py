@@ -179,36 +179,7 @@ class BruhatSchwartzFunction:
         """
         if self.canonical:
             return self
-        terms = [(c, b.canonical()) for c, b in self.terms if not c.is_zero()]
-        if not terms:
-            return BruhatSchwartzFunction.zero(self.ctx)
-        p = self.ctx.p
-        root_r = max(0, max(ball.radius_exp for _, ball in terms))
-        root_scale = p**root_r
-        largest_den = max(x.denominator for _, ball in terms for x in ball.center.coords)
-        while root_scale < largest_den:
-            root_scale *= p
-            root_r += 1
-
-        # tree node: [coefficient, {digit tuple: child node}]
-        root = [EC_ZERO, {}]
-        for c, ball in terms:
-            depth = root_r - ball.radius_exp
-            per_coord = []
-            for x in ball.center.coords:
-                # the center lies in [0, p**-radius), so U = x * root_scale
-                # has exactly depth digits, least significant first
-                u = x.numerator * (root_scale // x.denominator)
-                digits = []
-                for _ in range(depth):
-                    u, d = divmod(u, p)
-                    digits.append(d)
-                per_coord.append(digits)
-            node = root
-            for step in zip(*per_coord):
-                node = node[1].setdefault(step, [EC_ZERO, {}])
-            node[0] = node[0] + c
-        return _merge_tree(self.ctx, root, root_r)
+        return _merge_tree(self.ctx, *_subdivision_tree(self.terms, self.ctx.p))
 
     def digit_trie(self) -> DigitTrie:
         """The trie of the canonical form.  Only a function built by hand
@@ -309,6 +280,81 @@ class BruhatSchwartzFunction:
                 best_val = c.re
                 best_cell = ball
         return Supremum(best_val, best_cell)
+
+
+def _subdivision_tree(terms: Sequence[Term], p: int) -> tuple:
+    """The subdivision tree of the nonzero terms, and its root radius
+    exponent root_r; canonical form merges it (``_merge_tree``)."""
+    terms = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
+    if not terms:
+        return [EC_ZERO, {}], 0
+    root_r = max(0, max(ball.radius_exp for _, ball in terms))
+    root_scale = p**root_r
+    largest_den = max(x.denominator for _, ball in terms for x in ball.center.coords)
+    while root_scale < largest_den:
+        root_scale *= p
+        root_r += 1
+
+    # tree node: [coefficient, {digit tuple: child node}]
+    root = [EC_ZERO, {}]
+    for c, ball in terms:
+        depth = root_r - ball.radius_exp
+        per_coord = []
+        for x in ball.center.coords:
+            # the center lies in [0, p**-radius), so U = x * root_scale
+            # has exactly depth digits, least significant first
+            u = x.numerator * (root_scale // x.denominator)
+            digits = []
+            for _ in range(depth):
+                u, d = divmod(u, p)
+                digits.append(d)
+            per_coord.append(digits)
+        node = root
+        for step in zip(*per_coord):
+            node = node[1].setdefault(step, [EC_ZERO, {}])
+        node[0] = node[0] + c
+    return root, root_r
+
+
+def _cell_count(root: list, width: int) -> int:
+    """Cells of the canonical form of a subdivision tree, merged as
+    ``_merge_tree`` merges them but with no ball or center built.
+
+    A node's result is its constant value, or None when it is not constant;
+    a node that is not constant holds one cell per nonzero constant child,
+    and each of its width - len(children) absent children holds the value
+    above it.
+    """
+    if not root[1]:
+        return 0 if root[0].is_zero() else 1
+    cells = 0
+    # a frame is [child nodes, running value, results of the children so far]
+    stack = [[list(root[1].values()), root[0], []]]
+    while True:
+        kids, running, results = stack[-1]
+        if len(results) < len(kids):
+            kid = kids[len(results)]
+            if kid[1]:
+                stack.append([list(kid[1].values()), running + kid[0], []])
+            else:
+                results.append(running + kid[0])
+            continue
+        stack.pop()
+        if len(kids) < width:
+            results.append(running)
+        first = results[0]
+        if first is not None and all(r == first for r in results):
+            top = first
+        else:
+            top = None
+            for r in results:
+                if r is not None and not r.is_zero():
+                    cells += 1
+            if len(kids) < width and not running.is_zero():
+                cells += width - len(kids) - 1
+        if not stack:
+            return cells + (top is not None and not top.is_zero())
+        stack[-1][2].append(top)
 
 
 def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFunction:
@@ -537,6 +583,11 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 #: each center denominator exponent) down to the smallest radius, or 0
 MAX_INPUT_DEPTH = 10_000
 
+#: the most canonical cells ``deserialize`` reads, and the most cells the
+#: ``fourier`` command expands by default: about 3.5 s of ``fourier`` at
+#: p = 2, n = 1
+MAX_CELLS = 2**16
+
 #: the most digit tuples p**n a space may have: canonical form lists all of
 #: them at every node of its tree, and one trial of ``verify all`` took 18 s
 #: at p**n = 2**8
@@ -613,4 +664,10 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
         raise FunctionFormatError(
             f"the terms span {depth} p-adic digits, over the {MAX_INPUT_DEPTH} accepted"
         )
-    return BruhatSchwartzFunction(ctx, tuple(terms)).canonicalize()
+    root, root_r = _subdivision_tree(terms, p)
+    # a term adds at most depth tree nodes, and a node at most p**n cells
+    if (1 + len(terms) * depth) * p**n > MAX_CELLS:
+        cells = _cell_count(root, p**n)
+        if cells > MAX_CELLS:
+            raise FunctionFormatError(f"the canonical form has {cells} cells, over the {MAX_CELLS} accepted")
+    return _merge_tree(ctx, root, root_r)

@@ -3,12 +3,14 @@
 Radial Fourier multipliers act on test functions through the Haar basis of
 their digit tries (``RadialMultiplier``), never through characters.  The
 transform itself remains, as the oracle of that route and for its own
-identities: the transform of a single ball indicator is an explicitly
-modulated indicator; the modulation is flattened into cells on which the
-character is constant, so the image stays inside the indicator
-representation, exactly.
-The cells are read off integer digit vectors, whose phases are integer
-residues, so each term evaluates one character per distinct phase.
+identities.  It works on lists of modulated balls
+c * exp(2 pi i phase) * chi_p(eta . x) * 1_B(x) (``ModulatedTerm``), which
+it maps one term in, one term out, with exact rational phases
+(``fourier_terms``); the L2 pairing of two such lists is a closed form per
+pair of terms (``pairing``), so Parseval needs no cells.  Only output is
+expanded into cells (``expand``): the modulation is flattened into cells on
+which the character is constant, read off integer digit vectors whose
+phases are integer residues, one character per distinct phase.
 The radial transform evaluates the Fourier integral of a norm-dependent
 profile at one finite frequency as a shell sum against exact character
 integrals, with the infinitely many deep shells summed in closed form.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as digit_product
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from padic_bessel.padic import (
     EC_ZERO,
@@ -30,6 +32,8 @@ from padic_bessel.padic import (
     PrimeContext,
     ball_measure,
     character_from_phase,
+    fractional_part,
+    reduce_mod_ball,
     shell_character_integral,
 )
 from padic_bessel.schwartz import (
@@ -194,25 +198,145 @@ def _node_means(trie: DigitTrie, ctx: PrimeContext) -> dict:
     return means
 
 
-def _modulated_cells(coeff: ExactComplex, r: int, a: PAdicVector, rho: int) -> list:
-    """Terms flattening coeff * chi_p(xi . a) on the dual ball B(0, p**R),
-    R = -r, into cells of radius p**rho < p**R.
+class ModulatedTerm(NamedTuple):
+    """The function coeff * exp(2 pi i phase) * chi_p(eta . x) * 1_ball(x).
 
-    Every cell center is xi = Y / p**R for an integer digit vector Y in
-    [0, p**(R - rho))**n, and a = A / p**K with A an integer vector, so the
-    phase {xi . a}_p is the residue (Y . A) mod p**(R + K) over that modulus
-    (R + K > 0, because the cells are finer than the dual ball).  The
-    character and its product with coeff are computed once per residue.
+    ``phase`` is an exact rational in [0, 1), ``eta`` the modulation.  The
+    term's value does not depend on which center represents its ball.
     """
-    ctx = a.ctx
+
+    coeff: ExactComplex
+    phase: Fraction
+    eta: PAdicVector
+    ball: Ball
+
+
+def _shifted(phase: Fraction, eta: PAdicVector, a: PAdicVector) -> Fraction:
+    """phase + {eta . a}_p, reduced mod 1: the phase of chi_p(eta . a)."""
+    if eta.is_zero or a.is_zero:
+        return phase
+    dot = sum((x * y for x, y in zip(eta.coords, a.coords)), Fraction(0))
+    return (phase + fractional_part(dot, a.ctx.p)) % 1
+
+
+def modulated_terms(f: BruhatSchwartzFunction) -> tuple:
+    """The canonical cells of f as unmodulated terms with phase 0."""
+    f = f.canonicalize()
+    zero = PAdicVector.zero(f.ctx)
+    return tuple(ModulatedTerm(c, Fraction(0), zero, ball) for c, ball in f.terms)
+
+
+def fourier_terms(terms) -> tuple:
+    """The transform of a term list, one term in and one term out.
+
+    F[chi_p(eta . x) 1_{B(a, p**r)}](xi) = p**(rn) chi_p(eta . a)
+    chi_p(xi . a) 1_{B(-eta, p**(-r))}(xi) (Vladimirov, Volovich and
+    Zelenov, p-adic Analysis and Mathematical Physics, 1994, ch. VII): the
+    phase gains {eta . a}_p exactly and the ball's center becomes the
+    modulation.
+    """
+    out = []
+    for c, phase, eta, ball in terms:
+        a = ball.center
+        r = ball.radius_exp
+        dual = Ball(eta, -r, known_canonical=True) if eta.is_zero else Ball(-eta, -r)
+        out.append(ModulatedTerm(c * ball_measure(r, ball.ctx), _shifted(phase, eta, a), a, dual))
+    return tuple(out)
+
+
+def inverse_fourier_terms(terms) -> tuple:
+    """The inverse transform of a term list: the transform, then x -> -x."""
+    return tuple(
+        ModulatedTerm(c, phase, -eta, Ball(-ball.center, ball.radius_exp))
+        for c, phase, eta, ball in fourier_terms(terms)
+    )
+
+
+def pairing(left, right) -> ExactComplex:
+    """L2 pairing <F, G> of two term lists, in closed form per pair of terms.
+
+    Two balls are nested or disjoint, so B1 and B2 meet in the smaller one,
+    B(b, p**s), or not at all.  On it the integral of chi_p(zeta . x),
+    zeta = eta1 - eta2, is p**(sn) chi_p(zeta . b) when ||zeta|| <= p**(-s)
+    and 0 otherwise.  Exact whenever the summed phases are quarters.
+    """
+    total = EC_ZERO
+    for c1, phase1, eta1, ball1 in left:
+        for c2, phase2, eta2, ball2 in right:
+            r1, r2 = ball1.radius_exp, ball2.radius_exp
+            if (ball1.center - ball2.center).norm_exp > max(r1, r2):
+                continue  # disjoint
+            inner = ball1 if r1 <= r2 else ball2
+            s = inner.radius_exp
+            zeta = eta1 - eta2
+            if zeta.norm_exp > -s:
+                continue  # a nontrivial character integrates to 0
+            phase = _shifted(phase1 - phase2, zeta, inner.center)
+            value = c1 * c2.conjugate() * ball_measure(s, inner.ctx)
+            if phase % 1:
+                value = value * character_from_phase(phase)
+            total = total + value
+    return total
+
+
+def _cell_radius(eta: PAdicVector, s: int) -> int:
+    """The radius exponent of the cells on which chi_p(eta . x) is constant
+    inside a ball of radius p**s: min(s, v(eta))."""
+    return s if eta.is_zero else min(s, int(eta.min_valuation))
+
+
+def cell_exponents(terms) -> list:
+    """Per term, the exponent e of the p**e cells it expands into."""
+    return [
+        term.ball.ctx.n * (term.ball.radius_exp - _cell_radius(term.eta, term.ball.radius_exp))
+        for term in terms
+    ]
+
+
+def expand(ctx: PrimeContext, terms) -> BruhatSchwartzFunction:
+    """The canonical function of a term list.  A term whose character is
+    constant on its ball is one cell; the others are flattened into cells by
+    ``_modulated_cells``, where the expansion's cost lies."""
+    out = []
+    for term in terms:
+        c, phase, eta, ball = term
+        s = ball.radius_exp
+        rho = _cell_radius(eta, s)
+        if rho < s:
+            out.extend(_modulated_cells(term, rho))
+            continue
+        phase = _shifted(phase, eta, ball.center)
+        out.append((c * character_from_phase(phase) if phase else c, ball.canonical()))
+    return BruhatSchwartzFunction(ctx, tuple(out)).canonicalize()
+
+
+def _modulated_cells(term: ModulatedTerm, rho: int) -> list:
+    """Cells of radius p**rho < p**s flattening one term on its ball B(b, p**s).
+
+    With b canonical, every cell center is x = b + Y / p**s for an integer
+    digit vector Y in [0, p**(s - rho))**n.  Then chi_p(eta . x) is
+    chi_p(eta . b) chi_p(eta' . Y / p**s), with eta' = eta reduced modulo
+    p**s Z_p^n = A / p**K (A an integer vector), so the phase beyond the
+    term's own and {eta . b}_p is the residue (Y . A) mod p**(s + K) over
+    that modulus (s + K > 0, because the cells are finer than the ball).
+    The character and its product with the coefficient are computed once
+    per residue.
+    """
+    coeff, phase, eta, ball = term
+    ball = ball.canonical()
+    ctx = ball.ctx
     p, n = ctx.p, ctx.n
-    R = -r
-    count = p ** (R - rho)
-    den = max(x.denominator for x in a.coords)  # p**K: canonical centers
-    units = [x.numerator * (den // x.denominator) for x in a.coords]
-    modulus = int(den * ctx.p_power(R))  # p**(R + K)
-    step = ctx.p_power(-R)
-    coords = [Fraction(y * step.numerator, step.denominator) for y in range(count)]
+    s = ball.radius_exp
+    b = ball.center
+    count = p ** (s - rho)
+    reduced = [reduce_mod_ball(x, -s, p) for x in eta.coords]
+    den = max(x.denominator for x in reduced)  # p**K
+    units = [x.numerator * (den // x.denominator) for x in reduced]
+    modulus = int(den * ctx.p_power(s))  # p**(s + K)
+    base = _shifted(phase, eta, b)
+    step = ctx.p_power(-s)
+    offsets = [Fraction(y * step.numerator, step.denominator) for y in range(count)]
+    coords = [offsets if x == 0 else [x + o for o in offsets] for x in b.coords]
     phases = [[y * u % modulus for y in range(count)] for u in units]
     values: dict = {}
     out = []
@@ -220,45 +344,31 @@ def _modulated_cells(coeff: ExactComplex, r: int, a: PAdicVector, rho: int) -> l
         residue = sum(ph[y] for ph, y in zip(phases, ys)) % modulus
         value = values.get(residue)
         if value is None:
-            value = values[residue] = coeff * character_from_phase(Fraction(residue, modulus))
-        center = PAdicVector(tuple(coords[y] for y in ys), ctx)
+            q = Fraction(residue, modulus)
+            value = values[residue] = coeff * character_from_phase(q + base if base else q)
+        center = PAdicVector(tuple(xs[y] for xs, y in zip(coords, ys)), ctx)
         out.append((value, Ball(center, rho, known_canonical=True)))
     return out
 
 
 def fourier(f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
-    """Fourier transform F f(xi) = integral of chi_p(xi . x) f(x) dx.
-
-    Each indicator of a ball at a maps to p**(rn) * chi_p(xi . a) times the
-    indicator of the dual ball at 0; the character factor is constant on
-    cells of radius p**v, v the smallest coordinate valuation of a, so the
-    dual ball is subdivided to that depth and each cell picks up an exact
-    phase, read off integer digit coordinates (``_modulated_cells``).
-    """
-    f = f.canonicalize()
-    ctx = f.ctx
-    out = []
-    zero = PAdicVector.zero(ctx)
-    for c, ball in f.terms:
-        r = ball.radius_exp
-        scale = ball_measure(r, ctx)
-        a = ball.center
-        rho = -r if a.is_zero else min(-r, int(a.min_valuation))
-        if rho == -r:
-            out.append((c * scale, Ball(zero, -r, known_canonical=True)))
-        else:
-            out.extend(_modulated_cells(c * scale, r, a, rho))
-    return BruhatSchwartzFunction(ctx, tuple(out)).canonicalize()
+    """Fourier transform F f(xi) = integral of chi_p(xi . x) f(x) dx, as cells:
+    the expansion of ``fourier_terms``."""
+    return expand(f.ctx, fourier_terms(modulated_terms(f)))
 
 
 def inverse_fourier(f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
-    """Inverse transform, realized as the transform followed by reflection."""
-    return fourier(f).reflect()
+    """Inverse transform, as cells: the expansion of ``inverse_fourier_terms``."""
+    return expand(f.ctx, inverse_fourier_terms(modulated_terms(f)))
 
 
 def parseval_defect(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction) -> ExactComplex:
-    """<f, g> - <F f, F g>; zero up to rounding of irrational phases."""
-    return f.inner_product(g) - fourier(f).inner_product(fourier(g))
+    """<f, g> - <F f, F g>, the second pairing in closed form on the two
+    transformed term lists.  Unmodulated inputs transform with phase 0, so
+    the defect is an exact zero on exact coefficients, at every p."""
+    return f.inner_product(g) - pairing(
+        fourier_terms(modulated_terms(f)), fourier_terms(modulated_terms(g))
+    )
 
 
 def multiply_radial(

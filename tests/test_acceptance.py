@@ -320,20 +320,24 @@ def test_criterion_12_evolution():
 
 def test_criterion_13_fourier_layer():
     worst_pars = 0.0
+    worst_cells = 0.0
     reflection_exact = True
     rng = random.Random(99)
     for i in range(200):
         f = random_test_function(7_777 ^ i, C21, RandomFunctionConfig(complex_coeffs=True))
         g = random_test_function(8_888 ^ i, C21, RandomFunctionConfig(complex_coeffs=True))
         worst_pars = max(worst_pars, abs(parseval_defect(f, g)))
+        # the cell route, as an oracle of the closed-form pairing
+        cells = f.inner_product(g) - fourier(f).inner_product(fourier(g))
+        worst_cells = max(worst_cells, abs(cells))
         doubled = fourier(fourier(f))
         reflected = f.reflect()
         for _ in range(50):
             x = PAdicVector.of(C21, Fraction(rng.randint(-100, 100), 2 ** rng.randint(0, 3)))
             if doubled.evaluate(x) != reflected.evaluate(x):
                 reflection_exact = False
-    ok = worst_pars <= 1e-12 and reflection_exact
+    ok = worst_pars == 0 and worst_cells <= 1e-12 and reflection_exact
     assert report(
-        13, "Parseval and exact double-transform reflection", ok,
-        f"parseval={worst_pars:.3e} reflection_exact={reflection_exact}",
+        13, "exact Parseval and exact double-transform reflection", ok,
+        f"parseval={worst_pars:.3e} cells={worst_cells:.3e} reflection_exact={reflection_exact}",
     )

@@ -352,9 +352,10 @@ def test_fourier_refuses_a_transform_over_the_cell_budget_at_once(tmp_path, caps
     assert err == "error: the transform would build at least 2^40 cells, over --max-cells 65536\n"
 
 
-def test_fourier_cell_budget_counts_every_term_and_the_second_transform(tmp_path, capsys):
+def test_fourier_cell_budget_counts_every_term_not_the_double_transform(tmp_path, capsys):
     # 1_{B(1/8, 1/8)} builds 2**6 cells of radius 1/8 with centers k/8,
-    # 0 <= k < 64, and those build 1 + sum over j <= 5 of 2**(5-j) * 2**(6-j)
+    # 0 <= k < 64; its double transform is the one term 1_{B(-1/8, 1/8)},
+    # never flattened, where the cell route built 2731 cells
     f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(PrimeContext(2, 1), Fraction(1, 8)), -3))
     src = tmp_path / "f.json"
     src.write_text(serialize(f + f.reflect()))
@@ -363,10 +364,54 @@ def test_fourier_cell_budget_counts_every_term_and_the_second_transform(tmp_path
     src.write_text(serialize(f))
     code, out, _ = run(capsys, "fourier", "--in", str(src), "--max-cells", "64")
     assert code == 0 and len(deserialize(out).terms) == 2**6
-    code, _, err = run(capsys, "fourier", "--in", str(src), "--roundtrip", "--max-cells", "64")
-    assert (code, err) == (2, "error: the transform would build 2731 cells, over --max-cells 64\n")
+    code, out, err = run(capsys, "fourier", "--in", str(src), "--roundtrip", "--max-cells", "64")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert deserialize(json.dumps(payload["double_transform"])) == f.reflect()
+    assert payload["roundtrip_defect"] == 0
     code, _, err = run(capsys, "fourier", "--in", str(src), "--max-cells", "0")
     assert (code, err) == (2, "error: --max-cells 0 must be at least 1\n")
+
+
+def test_fourier_roundtrip_is_one_exact_cell_at_p_3(tmp_path, capsys):
+    # the cell route gave 9 inexact cells: rounded phases block merging
+    f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(PrimeContext(3, 1), Fraction(1, 3)), -1))
+    src = tmp_path / "f.json"
+    src.write_text(serialize(f))
+    code, out, err = run(capsys, "fourier", "--in", str(src), "--roundtrip")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    doubled = deserialize(json.dumps(payload["double_transform"]))
+    assert len(doubled.terms) == 1 and doubled.is_exact
+    assert doubled == f.reflect()
+    assert payload["roundtrip_defect"] == 0
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+def test_verify_fourier_is_exact_at_odd_p(capsys, p, n):
+    argv = ["--p", str(p), "--n", str(n), "--alpha", "3", "--trials", "12", "--seed", "4"]
+    code, out, _ = run(capsys, "verify", "fourier", *argv)
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "check=fourier_parseval trials=12 worst=0 tol=9.9999999999999998e-13 PASS",
+        "check=fourier_reflection trials=12 worst=0 tol=9.9999999999999998e-13 PASS",
+    ]
+
+
+def test_a_file_over_the_cell_budget_exits_2_fast(tmp_path, capsys):
+    # B(0, 5^5000) + 2 B((1,1), 5^-1000) at p = 5, n = 2 has 144 001
+    # canonical cells, which took 28 s to read on a 2-vCPU VM
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"p": 5, "n": 2, "terms": [
+        {"re": "1", "center": ["0", "0"], "radius_exp": 5000},
+        {"re": "2", "center": ["1", "1"], "radius_exp": -1000},
+    ]}))
+    for argv in (["fourier", "--in", str(src)], ["evolve", "--in", str(src), "--t", "1"]):
+        start = perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: the canonical form has 144001 cells, over the 65536 accepted\n"
 
 
 def test_evolve_norm_beyond_the_float_range_exits_2(tmp_path, capsys):
@@ -683,10 +728,8 @@ def test_readme_command_lines_parse():
 
 # radii the reader refuses, and the extremes it accepts.  Beside another
 # term an extreme one gives a canonical form of about (p**n - 1) * 6000 cells
-# with centers of up to 6000 digits (on a shared 2-vCPU VM, 18 001 cells
-# read in 0.9 s at p = 2, n = 2, and 144 001 in 28 s at p = 5, n = 2), so
-# the extremes come several to a file where p**n <= 4 and one to a file
-# beyond
+# with centers of up to 6000 digits; the reader refuses one over
+# schwartz.MAX_CELLS before it builds any of them
 REFUSED_RADII = st.sampled_from([-(10**9), -MAX_INPUT_DEPTH - 1, 10**9])
 RADII = st.one_of(st.integers(-3, 3), REFUSED_RADII)
 EXTREME_RADII = st.one_of(RADII, st.sampled_from([-1000, 5000]))
@@ -726,7 +769,7 @@ def function_files(draw):
         {
             "re": RATIONALS,
             "center": st.lists(RATIONALS, min_size=n, max_size=n),
-            "radius_exp": EXTREME_RADII if count == 1 or p**n <= 4 else RADII,
+            "radius_exp": EXTREME_RADII,
         },
         optional={"im": RATIONALS},
     )

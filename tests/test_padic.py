@@ -91,7 +91,7 @@ def test_valuation(x, p, expected):
 def test_valuation_of_deep_powers(p):
     # the exponent is found by squaring p, not one division per unit; the
     # powers of two and their neighbours walk both halves of that search
-    for v in list(range(40)) + [255, 256, 257, 1000, 4999]:
+    for v in list(range(40)) + [255, 256, 257, 1000, 4999, 10_000]:
         for unit in (1, p - 1, 1234 * p + 1):
             assert valuation(Fraction(unit * p**v, 7 * p + 1), p) == v
             assert valuation(Fraction(p + 1, unit * p**v), p) == -v

@@ -1,5 +1,6 @@
 """Test-function algebra: canonical form, integrals, suprema, serialization."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from padic_bessel.padic import (
     PrimeContext,
     reduce_mod_ball,
 )
+from padic_bessel import schwartz
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     FunctionFormatError,
@@ -283,6 +285,31 @@ def test_serialize_roundtrip_pointwise():
 def test_deserialize_rejects_malformed(text):
     with pytest.raises(FunctionFormatError):
         deserialize(text)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_the_reader_counts_canonical_cells_before_it_builds_them(p, n, monkeypatch):
+    # overlapping terms with zero sums, nested balls, non-p denominators
+    for seed in range(40):
+        rng = random.Random(seed)
+        terms = [
+            {
+                "re": str(rng.choice([1, -1, 2, 0])),
+                "center": [f"{rng.randint(-9, 9)}/{rng.choice([1, 3, p, p * p])}" for _ in range(n)],
+                "radius_exp": rng.randint(-3, 3),
+            }
+            for _ in range(rng.randint(1, 5))
+        ]
+        text = json.dumps({"p": p, "n": n, "terms": terms})
+        monkeypatch.undo()
+        cells = len(deserialize(text).terms)
+        monkeypatch.setattr(schwartz, "MAX_CELLS", cells)
+        assert len(deserialize(text).terms) == cells
+        if not cells:
+            continue
+        monkeypatch.setattr(schwartz, "MAX_CELLS", cells - 1)
+        with pytest.raises(FunctionFormatError, match=f"has {cells} cells, over the {cells - 1} accepted"):
+            deserialize(text)
 
 
 def test_serialize_independent_of_build_order():

@@ -6,8 +6,9 @@ from itertools import product as digit_product
 
 import pytest
 
-from padic_bessel import spectral
+from padic_bessel import cli, spectral
 from padic_bessel.padic import (
+    EC_ZERO,
     Ball,
     ExactComplex,
     PAdicVector,
@@ -25,10 +26,16 @@ from padic_bessel.schwartz import (
 )
 from padic_bessel.spectral import (
     DivergentTailError,
+    ModulatedTerm,
     RadialProfile,
+    expand,
     fourier,
+    fourier_terms,
     inverse_fourier,
+    inverse_fourier_terms,
+    modulated_terms,
     multiply_radial,
+    pairing,
     parseval_defect,
     radial_transform,
 )
@@ -158,7 +165,9 @@ def test_fourier_matches_the_fraction_descent(p, n):
     assert any(b.radius_exp > 0 and b.center.min_valuation < -b.radius_exp for _, b in terms)
     assert any(b.center.min_valuation < 0 for _, b in terms)
     for f in inputs:
-        assert serialize(fourier(f)) == serialize(fourier_reference(f))
+        want = serialize(fourier_reference(f))
+        assert serialize(fourier(f)) == want
+        assert serialize(expand(f.ctx, fourier_terms(modulated_terms(f)))) == want
 
 
 @pytest.mark.parametrize("p,n", ORACLE_GRID)
@@ -215,14 +224,121 @@ def test_roundtrip_exact_when_phases_are_quarters():
 
 def test_parseval_examples_and_random():
     omega = BruhatSchwartzFunction.unit_ball(C21)
-    assert abs(parseval_defect(omega, omega)) == 0
+    assert parseval_defect(omega, omega) == EC_ZERO
     cfg = RandomFunctionConfig(complex_coeffs=True)
-    worst = 0.0
     for seed in range(60):
         f = random_test_function(seed, C21, cfg)
         g = random_test_function(seed + 7_000, C21, cfg)
-        worst = max(worst, abs(parseval_defect(f, g)))
-    assert worst <= 1e-12
+        assert parseval_defect(f, g) == EC_ZERO
+        # the cell route, as an oracle
+        cells = f.inner_product(g) - fourier(f).inner_product(fourier(g))
+        assert abs(cells) <= 1e-12
+
+
+# -- the term route -------------------------------------------------------------
+
+
+def modulated_sum(seed, ctx):
+    """Random terms with nonzero modulation and phase.  At p = 2 the balls
+    lie in Z_2, the modulations in Z_2 / 4 and the phases are quarters, so
+    every character either route evaluates is exact."""
+    rng = random.Random(seed)
+    p, n = ctx.p, ctx.n
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        coeff = ExactComplex(Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 3))
+        if p == 2:
+            phase = Fraction(rng.randint(1, 3), 4)
+            eta = tuple(Fraction(rng.randint(-8, 8), 4) for _ in range(n))
+            center = tuple(Fraction(rng.randint(0, 3)) for _ in range(n))
+            radius = rng.randint(-2, 0)
+        else:
+            phase = Fraction(rng.randint(1, p**2 - 1), p**2)
+            eta = tuple(Fraction(rng.randint(-20, 20), p ** rng.randint(0, 2)) for _ in range(n))
+            center = tuple(Fraction(rng.randint(-20, 20), p ** rng.randint(0, 1)) for _ in range(n))
+            radius = rng.randint(-2, 1)
+        if not any(eta):
+            eta = (Fraction(1, p),) + eta[1:]
+        ball = Ball(PAdicVector(center, ctx), radius)
+        terms.append(ModulatedTerm(coeff, phase, PAdicVector(eta, ctx), ball))
+    return tuple(terms)
+
+
+def reflected(terms):
+    return tuple(
+        ModulatedTerm(c, phase, -eta, Ball(-ball.center, ball.radius_exp))
+        for c, phase, eta, ball in terms
+    )
+
+
+TERM_GRID = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("p,n", TERM_GRID)
+def test_closed_form_pairing_matches_the_expanded_pairing(p, n):
+    ctx = PrimeContext(p, n)
+    for seed in range(12):
+        left, right = modulated_sum(seed, ctx), modulated_sum(seed + 500, ctx)
+        closed = pairing(left, right)
+        cells = expand(ctx, left).inner_product(expand(ctx, right))
+        # Parseval on modulated terms: the transformed lists pair the same
+        transformed = pairing(fourier_terms(left), fourier_terms(right))
+        if p == 2:
+            assert closed == cells
+            assert transformed == closed
+        else:
+            assert abs(closed - cells) <= 1e-12
+            assert abs(transformed - closed) <= 1e-12
+
+
+@pytest.mark.parametrize("p,n", TERM_GRID)
+def test_fourier_terms_twice_is_the_reflection(p, n):
+    ctx = PrimeContext(p, n)
+    for seed in range(12):
+        terms = modulated_sum(seed, ctx)
+        assert fourier_terms(fourier_terms(terms)) == reflected(terms)
+        assert inverse_fourier_terms(fourier_terms(terms)) == terms
+        assert serialize(expand(ctx, fourier_terms(fourier_terms(terms)))) == serialize(
+            expand(ctx, reflected(terms))
+        )
+    for f in oracle_inputs(p, n):
+        doubled = expand(f.ctx, fourier_terms(fourier_terms(modulated_terms(f))))
+        assert doubled == f.reflect() and doubled.is_exact
+
+
+class FlatteningCalled(Exception):
+    """Raised by the guard that stands in for ``spectral._modulated_cells``."""
+
+
+def test_the_term_routes_never_flatten_cells(tmp_path, monkeypatch, capsys):
+    calls = []
+    flatten = spectral._modulated_cells
+
+    def counting(*args):
+        calls.append(args)
+        return flatten(*args)
+
+    def guard(*args):
+        raise FlatteningCalled("a term route flattened a modulated term into cells")
+
+    shifted = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C31, Fraction(1, 3)), -1))
+    f = random_test_function(3, C31, RandomFunctionConfig(complex_coeffs=True)) + shifted
+    g = random_test_function(4, C31, RandomFunctionConfig(complex_coeffs=True)) - shifted
+    monkeypatch.setattr(spectral, "_modulated_cells", guard)
+    with pytest.raises(FlatteningCalled):  # the guard is live
+        fourier(f)
+    parseval_defect(f, g)
+    assert cli.main(["verify", "fourier", "--p", "3", "--trials", "10"]) == 0
+    # --roundtrip flattens the transform it prints, and not the double transform
+    monkeypatch.setattr(spectral, "_modulated_cells", counting)
+    src = tmp_path / "f.json"
+    src.write_text(serialize(f))
+    assert cli.main(["fourier", "--in", str(src)]) == 0
+    once = len(calls)
+    assert once > 0
+    assert cli.main(["fourier", "--in", str(src), "--roundtrip"]) == 0
+    assert len(calls) == 2 * once
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("seed", range(15))
