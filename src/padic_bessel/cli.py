@@ -139,21 +139,26 @@ def _load_input(ns: argparse.Namespace) -> BruhatSchwartzFunction:
     return f
 
 
-def _check_transform_size(terms: tuple, p: int, max_cells: int) -> None:
-    """Refuse a term list that would expand into more than max_cells cells.
+def _transform_terms(f: BruhatSchwartzFunction, max_cells: int) -> tuple:
+    """F f as a term list, refused when its expansion would build more than
+    max_cells cells.
 
-    A term expands into p**e cells (``cell_exponents``).  An exponent
-    e > log2(max_cells) alone is over budget, so no power beyond that is
-    built.
+    A term expands into p**e cells (``cell_exponents``), at least one, so a
+    function of more cells than max_cells is refused before any term is
+    built.  An exponent e > log2(max_cells) alone is over budget, so no
+    power beyond that is built.
     """
+    if len(f.terms) > max_cells:
+        raise ValueError(f"the transform would build at least {len(f.terms)} cells, over --max-cells {max_cells}")
+    terms = fourier_terms(modulated_terms(f))
     exps = cell_exponents(terms)
     top = max(exps, default=0)
     if top > max_cells.bit_length():
-        estimate = f"at least {p}^{top}"
+        estimate = f"at least {f.ctx.p}^{top}"
     else:
-        cells = sum(p**e for e in exps)
+        cells = sum(f.ctx.p**e for e in exps)
         if cells <= max_cells:
-            return
+            return terms
         estimate = str(cells)
     raise ValueError(f"the transform would build {estimate} cells, over --max-cells {max_cells}")
 
@@ -162,8 +167,7 @@ def run_fourier(ns: argparse.Namespace) -> int:
     if ns.max_cells < 1:
         raise ValueError(f"--max-cells {ns.max_cells} must be at least 1")
     f = _load_input(ns)
-    terms = fourier_terms(modulated_terms(f))
-    _check_transform_size(terms, f.ctx.p, ns.max_cells)
+    terms = _transform_terms(f, ns.max_cells)
     transformed = expand(f.ctx, terms)
     if ns.roundtrip:
         # one unmodulated term per cell of f: F F f is exact and no larger

@@ -179,7 +179,7 @@ class BruhatSchwartzFunction:
         """
         if self.canonical:
             return self
-        return _merge_tree(self.ctx, *_subdivision_tree(self.terms, self.ctx.p))
+        return _merge_tree(self.ctx, *_subdivision_tree([(None, self)], self.ctx))
 
     def digit_trie(self) -> DigitTrie:
         """The trie of the canonical form.  Only a function built by hand
@@ -282,38 +282,93 @@ class BruhatSchwartzFunction:
         return Supremum(best_val, best_cell)
 
 
-def _subdivision_tree(terms: Sequence[Term], p: int) -> tuple:
-    """The subdivision tree of the nonzero terms, and its root radius
-    exponent root_r; canonical form merges it (``_merge_tree``)."""
-    terms = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
-    if not terms:
-        return [EC_ZERO, {}], 0
-    root_r = max(0, max(ball.radius_exp for _, ball in terms))
+def _subdivision_tree(parts: Sequence[tuple], ctx: PrimeContext) -> tuple:
+    """The subdivision tree of a weighted sum of functions, and its root
+    radius exponent root_r; canonical form merges it (``_merge_tree``).
+
+    ``parts`` lists (weight, function) pairs; weight None adds the terms as
+    they are.  Each nonzero term adds its coefficient, in order, to the node
+    of its ball.  The terms of a function that carries its digit trie are
+    grafted node by node (``_graft``), linear in the trie's nodes; any other
+    term goes down one tree level per digit from the root.
+    """
+    p = ctx.p
+    inserts = []  # per part: its scaled terms, or (weight, trie)
+    radii, dens = [0], [1]
+    for weight, f in parts:
+        if f.trie is None:
+            # zero terms go first: a zero term's ball may be too deep to reduce
+            terms = [(c if weight is None else c * weight, b) for c, b in f.terms]
+            cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
+            inserts.append(cells)
+        else:
+            cells = f.terms
+            inserts.append((weight, f.trie))
+        radii.extend(ball.radius_exp for _, ball in cells)
+        dens.extend(x.denominator for _, ball in cells for x in ball.center.coords)
+    root_r = max(radii)
     root_scale = p**root_r
-    largest_den = max(x.denominator for _, ball in terms for x in ball.center.coords)
+    largest_den = max(dens)
     while root_scale < largest_den:
         root_scale *= p
         root_r += 1
 
     # tree node: [coefficient, {digit tuple: child node}]
     root = [EC_ZERO, {}]
-    for c, ball in terms:
-        depth = root_r - ball.radius_exp
-        per_coord = []
-        for x in ball.center.coords:
-            # the center lies in [0, p**-radius), so U = x * root_scale
-            # has exactly depth digits, least significant first
-            u = x.numerator * (root_scale // x.denominator)
-            digits = []
-            for _ in range(depth):
-                u, d = divmod(u, p)
-                digits.append(d)
-            per_coord.append(digits)
-        node = root
-        for step in zip(*per_coord):
-            node = node[1].setdefault(step, [EC_ZERO, {}])
-        node[0] = node[0] + c
+    all_digits = None
+    for insert in inserts:
+        if type(insert) is tuple:
+            all_digits = all_digits or list(digit_product(range(p), repeat=ctx.n))
+            _graft(root, root_r, *insert, all_digits)
+            continue
+        for c, ball in insert:
+            depth = root_r - ball.radius_exp
+            per_coord = []
+            for x in ball.center.coords:
+                # the center lies in [0, p**-radius), so U = x * root_scale
+                # has exactly depth digits, least significant first
+                u = x.numerator * (root_scale // x.denominator)
+                digits = []
+                for _ in range(depth):
+                    u, d = divmod(u, p)
+                    digits.append(d)
+                per_coord.append(digits)
+            node = root
+            for step in zip(*per_coord):
+                node = node[1].setdefault(step, [EC_ZERO, {}])
+            node[0] = node[0] + c
     return root, root_r
+
+
+def _graft(root: list, root_r: int, weight, trie: DigitTrie, all_digits: list) -> None:
+    """Add weight times the cells of a digit trie to the subdivision tree
+    rooted at B(0, p**root_r), every cell to the node of its ball; root_r is
+    at least each cell's radius, so all cells lie in the trie's node at
+    B(0, p**min(root_r, trie.radius))."""
+    radius = min(root_r, trie.radius)
+    top = _zero_descendant(trie, radius)
+    if top is None:
+        return
+    node = root
+    for _ in range(root_r - radius):
+        node = node[1].setdefault(all_digits[0], [EC_ZERO, {}])
+    if type(top) is not list:  # one cell, on B(0, p**radius)
+        node[0] = node[0] + top[0] * weight
+        return
+    stack = [(node, top)]
+    while stack:
+        node, trie_node = stack.pop()
+        children = node[1]
+        for digits, kid in zip(all_digits, trie_node):
+            if kid is None:
+                continue
+            if type(kid) is list:
+                stack.append((children.setdefault(digits, [EC_ZERO, {}]), kid))
+                continue
+            c = kid[0] * weight
+            if not c.is_zero():
+                child = children.setdefault(digits, [EC_ZERO, {}])
+                child[0] = child[0] + c
 
 
 def _cell_count(root: list, width: int) -> int:
@@ -473,17 +528,16 @@ def _node_integral(node: list) -> ExactComplex:
 def linear_combination(
     pairs: Sequence[tuple], ctx: Optional[PrimeContext] = None
 ) -> BruhatSchwartzFunction:
-    """Sum of weight * function pairs, canonicalized once at the end."""
-    terms: list = []
+    """Sum of weight * function pairs, canonicalized once at the end: the
+    tries of canonical summands are grafted, not walked digit by digit."""
     for weight, f in pairs:
         if ctx is None:
             ctx = f.ctx
         elif f.ctx != ctx:
             raise ContextMismatchError(f"{f.ctx} != {ctx}")
-        terms.extend((c * weight, b) for c, b in f.terms)
     if ctx is None:
         raise ValueError("empty combination without a context")
-    return BruhatSchwartzFunction(ctx, tuple(terms)).canonicalize()
+    return _merge_tree(ctx, *_subdivision_tree(pairs, ctx))
 
 
 # -- random instances -------------------------------------------------------
@@ -664,7 +718,7 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
         raise FunctionFormatError(
             f"the terms span {depth} p-adic digits, over the {MAX_INPUT_DEPTH} accepted"
         )
-    root, root_r = _subdivision_tree(terms, p)
+    root, root_r = _subdivision_tree([(None, BruhatSchwartzFunction(ctx, tuple(terms)))], ctx)
     # a term adds at most depth tree nodes, and a node at most p**n cells
     if (1 + len(terms) * depth) * p**n > MAX_CELLS:
         cells = _cell_count(root, p**n)

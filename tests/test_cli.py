@@ -361,6 +361,9 @@ def test_fourier_cell_budget_counts_every_term_not_the_double_transform(tmp_path
     src.write_text(serialize(f + f.reflect()))
     code, _, err = run(capsys, "fourier", "--in", str(src), "--max-cells", "127")
     assert (code, err) == (2, "error: the transform would build 128 cells, over --max-cells 127\n")
+    # more terms than the budget: refused before any exponent is read
+    code, _, err = run(capsys, "fourier", "--in", str(src), "--max-cells", "1")
+    assert (code, err) == (2, "error: the transform would build at least 2 cells, over --max-cells 1\n")
     src.write_text(serialize(f))
     code, out, _ = run(capsys, "fourier", "--in", str(src), "--max-cells", "64")
     assert code == 0 and len(deserialize(out).terms) == 2**6

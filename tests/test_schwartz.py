@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product as digit_product
 
@@ -224,6 +225,38 @@ def test_linear_combination_matches_pairwise_sum():
     assert combo == direct
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_grafted_sums_match_the_digit_walk(p, n):
+    # canonical summands are grafted by their tries, the raw one is walked;
+    # float and complex weights, and functions whose roots differ
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"graft:{p}:{n}")
+    order = BesselOrder(n + 1.5, ctx)
+    cfg = RandomFunctionConfig(max_terms=4, radius_min=-3, radius_max=2, den_pow_max=1, complex_coeffs=True)
+    for seed in range(6):
+        f = random_test_function(seed, ctx, cfg)
+        g = apply_bessel(order, random_test_function(seed + 50, ctx, cfg))
+        raw = BruhatSchwartzFunction(ctx, random_terms(rng, ctx, 3, (1, p, p**2), True))
+        pairs = [(0.7, f), (1, raw), (ExactComplex(Fraction(1, 3), -2), g), (-1, f)]
+        walked = BruhatSchwartzFunction(ctx, tuple((c * w, b) for w, h in pairs for c, b in h.terms))
+        assert serialize(linear_combination(pairs)) == serialize(walked.canonicalize())
+
+
+def test_a_sum_of_deep_canonical_functions_is_fast():
+    # 4801 cells down to 3^-300 beside a ball of radius 3^300: the digit walk
+    # inserted every cell 600 levels deep
+    ctx = PrimeContext(3, 2)
+    f = BruhatSchwartzFunction(ctx, (
+        (ExactComplex(1, 0), Ball(PAdicVector.zero(ctx), 300)),
+        (ExactComplex(2, 0), Ball(PAdicVector.of(ctx, 1, 1), -300)),
+    )).canonicalize()
+    assert len(f.terms) == 4801
+    start = time.perf_counter()
+    total = f + f.scale(2)
+    assert time.perf_counter() - start < 1.0
+    assert [c for c, _ in total.terms] == [c * 3 for c, _ in f.terms]
+
+
 def test_random_function_deterministic_and_pinned():
     a = random_test_function(12345, C21)
     b = random_test_function(12345, C21)
@@ -310,6 +343,13 @@ def test_the_reader_counts_canonical_cells_before_it_builds_them(p, n, monkeypat
         monkeypatch.setattr(schwartz, "MAX_CELLS", cells - 1)
         with pytest.raises(FunctionFormatError, match=f"has {cells} cells, over the {cells - 1} accepted"):
             deserialize(text)
+
+
+def test_a_zero_term_too_deep_to_reduce_is_dropped_at_once():
+    # its ball, 5^-1000000000 deep, is never reduced
+    start = time.perf_counter()
+    f = deserialize('{"p":5,"n":2,"terms":[{"re":"0/3125","center":["1/3125","7/25"],"radius_exp":-1000000000}]}')
+    assert f.is_zero and time.perf_counter() - start < 1.0
 
 
 def test_serialize_independent_of_build_order():
