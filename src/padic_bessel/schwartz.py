@@ -4,11 +4,13 @@ A locally constant, compactly supported function is stored as a list of
 (coefficient, ball) terms.  ``canonicalize`` rewrites any term list into the
 unique coarsest partition of a covering ball into sub-balls on which the
 function is constant, by inserting every term into an ultrametric
-subdivision tree and merging constant siblings bottom-up.  The canonical
-function keeps the tree that walk leaves, its ``DigitTrie``: one node per
-ball on which it is not constant.  Radial multipliers and the L2 pairing
-walk that trie.  All structural operations (integrals, inner products,
-suprema) are exact on rational coefficients.
+subdivision tree and merging constant siblings bottom-up (``_merge_tree``,
+the one walk that builds canonical output).  The canonical function keeps
+the tree that walk leaves, its ``DigitTrie``: one node per ball on which it
+is not constant.  Sums, scalings and radial multipliers graft tries into a
+subdivision tree with per-level scales (``_graft``) and merge it once; the
+L2 pairing walks two tries in lockstep.  All structural operations
+(integrals, inner products, suprema) are exact on rational coefficients.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as digit_product
 from typing import Optional, Sequence, Union
 
@@ -66,6 +69,8 @@ class DigitTrie:
     cell on B(0, p**radius), or None for the zero function.  A child with
     digits d of a node at radius s whose center is U / p**radius (U an
     integer vector) has the center (U + d * p**(radius - s)) / p**radius.
+    For a nonzero function, radius is the least R >= 0 with the support in
+    B(0, p**R).
     """
 
     radius: int
@@ -76,15 +81,15 @@ class DigitTrie:
 class BruhatSchwartzFunction:
     ctx: PrimeContext
     terms: tuple
-    canonical: bool = field(default=False, compare=False)
-    # set by canonicalize; it never enters ==, repr or hash
+    # the trie of the canonical form, set on exactly the canonical functions
+    # by the walk that built them; it never enters ==, repr or hash
     trie: Optional[DigitTrie] = field(default=None, compare=False, repr=False)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: PrimeContext) -> "BruhatSchwartzFunction":
-        return cls(ctx, (), True, DigitTrie(0, None))
+        return cls(ctx, (), DigitTrie(0, None))
 
     @classmethod
     def indicator(cls, ball: Ball, coeff: Union[Number, ExactComplex] = 1) -> "BruhatSchwartzFunction":
@@ -170,24 +175,22 @@ class BruhatSchwartzFunction:
         covering every term; leaves carry the accumulated value of their
         digit path, and sibling groups that agree are merged back into their
         parent, so the result is the coarsest disjoint form and the map is
-        idempotent.  The merged tree is kept as the result's ``trie``.
+        idempotent.  The merged tree is kept as the result's ``trie``, and a
+        function that carries a trie is canonical.
 
         Canonical centers have p-power denominators, and root_r is at least
         each radius and each denominator exponent, so every center x is the
         integer x * p**root_r: the walk carries these integer digit
-        coordinates and builds a Fraction only for the cells it emits.
+        coordinates and builds a Fraction only for the cells whose ball it
+        was not given.
         """
-        if self.canonical:
+        if self.trie is not None:
             return self
         return _merge_tree(self.ctx, *_subdivision_tree([(None, self)], self.ctx))
 
     def digit_trie(self) -> DigitTrie:
-        """The trie of the canonical form.  Only a function built by hand
-        with canonical=True lacks one; it is walked again to build it."""
-        f = self.canonicalize()
-        if f.trie is None:
-            f = BruhatSchwartzFunction(f.ctx, f.terms).canonicalize()
-        return f.trie
+        """The trie of the canonical form."""
+        return self.canonicalize().trie
 
     # -- integration -------------------------------------------------------
 
@@ -282,28 +285,38 @@ class BruhatSchwartzFunction:
         return Supremum(best_val, best_cell)
 
 
+@lru_cache(maxsize=64)
+def _digit_tuples(p: int, n: int) -> tuple:
+    """The p**n digit tuples, in the order of a trie node's children."""
+    return tuple(digit_product(range(p), repeat=n))
+
+
 def _subdivision_tree(parts: Sequence[tuple], ctx: PrimeContext) -> tuple:
     """The subdivision tree of a weighted sum of functions, and its root
     radius exponent root_r; canonical form merges it (``_merge_tree``).
 
     ``parts`` lists (weight, function) pairs; weight None adds the terms as
-    they are.  Each nonzero term adds its coefficient, in order, to the node
-    of its ball.  The terms of a function that carries its digit trie are
-    grafted node by node (``_graft``), linear in the trie's nodes; any other
-    term goes down one tree level per digit from the root.
+    they are.  A tree node is [coefficient, {digit index: child node},
+    ball], the index that of the child's digit tuple in ``_digit_tuples``
+    and ball the one a leaf was inserted or grafted with, or None.  Each
+    nonzero term adds its coefficient, in order, to the node of its ball.
+    The trie of a canonical function is grafted node by node (``_graft``),
+    linear in the trie's nodes, and its radius alone bounds its cells for
+    root_r; any other term goes down one tree level per digit from the root.
     """
     p = ctx.p
     inserts = []  # per part: its scaled terms, or (weight, trie)
     radii, dens = [0], [1]
     for weight, f in parts:
-        if f.trie is None:
-            # zero terms go first: a zero term's ball may be too deep to reduce
-            terms = [(c if weight is None else c * weight, b) for c, b in f.terms]
-            cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
-            inserts.append(cells)
-        else:
-            cells = f.terms
-            inserts.append((weight, f.trie))
+        if f.trie is not None:
+            if f.trie.root is not None:
+                inserts.append((weight, f.trie))
+                radii.append(f.trie.radius)
+            continue
+        # zero terms go first: a zero term's ball may be too deep to reduce
+        terms = [(c if weight is None else c * weight, b) for c, b in f.terms]
+        cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
+        inserts.append(cells)
         radii.extend(ball.radius_exp for _, ball in cells)
         dens.extend(x.denominator for _, ball in cells for x in ball.center.coords)
     root_r = max(radii)
@@ -313,62 +326,98 @@ def _subdivision_tree(parts: Sequence[tuple], ctx: PrimeContext) -> tuple:
         root_scale *= p
         root_r += 1
 
-    # tree node: [coefficient, {digit tuple: child node}]
-    root = [EC_ZERO, {}]
-    all_digits = None
+    root = [EC_ZERO, {}, None]
     for insert in inserts:
         if type(insert) is tuple:
-            all_digits = all_digits or list(digit_product(range(p), repeat=ctx.n))
-            _graft(root, root_r, *insert, all_digits)
+            weight, trie = insert
+            _graft(root, root_r, trie, (weight,))
             continue
         for c, ball in insert:
             depth = root_r - ball.radius_exp
-            per_coord = []
+            # per level, least significant first, the index of the digit
+            # tuple, whose first coordinate is the most significant digit
+            path = [0] * depth
             for x in ball.center.coords:
                 # the center lies in [0, p**-radius), so U = x * root_scale
-                # has exactly depth digits, least significant first
+                # has exactly depth digits
                 u = x.numerator * (root_scale // x.denominator)
-                digits = []
-                for _ in range(depth):
+                for j in range(depth):
                     u, d = divmod(u, p)
-                    digits.append(d)
-                per_coord.append(digits)
+                    path[j] = path[j] * p + d
             node = root
-            for step in zip(*per_coord):
-                node = node[1].setdefault(step, [EC_ZERO, {}])
-            node[0] = node[0] + c
+            for i in path:
+                node = node[1].setdefault(i, [EC_ZERO, {}, None])
+            _add(node, c, ball)
     return root, root_r
 
 
-def _graft(root: list, root_r: int, weight, trie: DigitTrie, all_digits: list) -> None:
-    """Add weight times the cells of a digit trie to the subdivision tree
-    rooted at B(0, p**root_r), every cell to the node of its ball; root_r is
-    at least each cell's radius, so all cells lie in the trie's node at
-    B(0, p**min(root_r, trie.radius))."""
-    radius = min(root_r, trie.radius)
-    top = _zero_descendant(trie, radius)
+def _add(node: list, c: ExactComplex, ball: Optional[Ball]) -> None:
+    """Add c to a tree node, never adding the untouched EC_ZERO, and give
+    the node ball unless it has one."""
+    node[0] = c if node[0] is EC_ZERO else node[0] + c
+    if node[2] is None:
+        node[2] = ball
+
+
+def _graft(root: list, root_r: int, trie: DigitTrie, values, drops=None) -> None:
+    """Add m(D) g to the subdivision tree rooted at B(0, p**root_r), where g
+    is the function of a digit trie with trie.radius <= root_r.
+
+    The radial multiplier m is given per level.  A cell of g of radius
+    p**(-j) with value c adds values[j] * c to its node, j clamped into
+    [0, len(values) - 1], so a scalar weight w is values (w,).  With drops,
+    each trie node of radius p**(-k), k >= 0, also adds drops[k] times the
+    mean of g over it (the sum that ``spectral.RadialMultiplier`` derives);
+    the means are summed in the same post-order walk.  Without drops, a
+    zero product adds nothing.
+    """
+    top = trie.root
     if top is None:
         return
     node = root
-    for _ in range(root_r - radius):
-        node = node[1].setdefault(all_digits[0], [EC_ZERO, {}])
-    if type(top) is not list:  # one cell, on B(0, p**radius)
-        node[0] = node[0] + top[0] * weight
+    for _ in range(root_r - trie.radius):
+        node = node[1].setdefault(0, [EC_ZERO, {}, None])
+    if type(top) is not list:  # one cell, on B(0, p**trie.radius)
+        c = top[0] * values[0]
+        if not c.is_zero():
+            _add(node, c, top[1])
         return
-    stack = [(node, top)]
+    last = len(values) - 1
+    inv = Fraction(1, len(top))
+    # a frame is [tree node, trie node, radius, next child, sum of the
+    # children's values and means]; the sum is kept at radius <= 0 with drops
+    stack = [[node, top, trie.radius, 0, EC_ZERO]]
     while stack:
-        node, trie_node = stack.pop()
+        frame = stack[-1]
+        node, trie_node, radius, i, total = frame
         children = node[1]
-        for digits, kid in zip(all_digits, trie_node):
+        weight = values[min(max(1 - radius, 0), last)]
+        summing = drops is not None and radius <= 0
+        for i in range(i, len(trie_node)):
+            kid = trie_node[i]
+            if type(kid) is list:
+                frame[3], frame[4] = i + 1, total
+                stack.append([children.setdefault(i, [EC_ZERO, {}, None]), kid, radius - 1, 0, EC_ZERO])
+                break
             if kid is None:
                 continue
-            if type(kid) is list:
-                stack.append((children.setdefault(digits, [EC_ZERO, {}]), kid))
-                continue
+            if summing:
+                total = total + kid[0]
             c = kid[0] * weight
-            if not c.is_zero():
-                child = children.setdefault(digits, [EC_ZERO, {}])
-                child[0] = child[0] + c
+            if drops is None and c.is_zero():
+                continue  # so f + 0.0 * g stays exact; a multiplier adds all
+            child = children.get(i)
+            if child is None:
+                children[i] = [c, {}, kid[1]]
+            else:
+                _add(child, c, kid[1])
+        else:
+            stack.pop()
+            if summing:
+                mean = total * inv
+                _add(node, drops[-radius] * mean, None)
+                if radius < 0:
+                    stack[-1][4] = stack[-1][4] + mean
 
 
 def _cell_count(root: list, width: int) -> int:
@@ -413,51 +462,62 @@ def _cell_count(root: list, width: int) -> int:
 
 
 def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFunction:
-    """The canonical function of a subdivision tree rooted at B(0, p**root_r).
+    """The canonical function of a subdivision tree rooted at B(0, p**root_r),
+    with its trie: the one walk that builds canonical output.
 
-    A tree node is [coefficient, {digit tuple: child node}]; a point's value
-    is the sum of the coefficients on its digit path.  Post-order walk with
-    an explicit stack, so the tree depth is not bounded by the recursion
-    limit.  A frame is [children, integer center coords U, radius, running
-    value, integer digit scale, results]; results gets one entry per child
-    in digit order, a constant (value, None) or the trie node of a subtree
-    that is not constant and whose cells are already in out
-    (``close_node``).
+    A point's value is the sum of the coefficients on its digit path
+    (``_subdivision_tree``).  Post-order walk with an explicit stack, so the
+    tree depth is not bounded by the recursion limit.  A frame is
+    [children, integer center coords U, radius, running value, integer digit
+    scale, results]; results gets one entry per child in digit order, a
+    constant (value, ball) with the ball of a leaf or None, or the trie node
+    of a subtree that is not constant and whose cells are already in out
+    (``_close_node``).
     """
     p = ctx.p
     root_scale = p**root_r
-    all_digits = list(digit_product(range(p), repeat=ctx.n))
+    all_digits = _digit_tuples(p, ctx.n)
     width = len(all_digits)
     out: list = []
-    top = (root[0], None)
+    top = (root[0], root[2])
     stack = []
     if root[1]:
         stack.append([root[1], (0,) * ctx.n, root_r, root[0], 1, []])
     while stack:
         children, units, radius, running, scale, results = stack[-1]
-        if len(results) < width:
-            digits = all_digits[len(results)]
-            child = children.get(digits)
+        for i in range(len(results), width):
+            child = children.get(i)
             if child is None:
                 results.append((running, None))
-            elif not child[1]:
-                results.append((running + child[0], None))
-            else:
-                child_units = tuple(u + d * scale for u, d in zip(units, digits))
-                stack.append(
-                    [child[1], child_units, radius - 1, running + child[0], scale * p, []]
-                )
-            continue
-        stack.pop()
-        top = close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
-        if stack:
-            stack[-1][5].append(top)
-    return from_trie_root(ctx, root_r, top, out)
+                continue
+            value = child[0] if running is EC_ZERO else running + child[0]
+            if not child[1]:
+                results.append((value, child[2]))
+                continue
+            child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
+            stack.append([child[1], child_units, radius - 1, value, scale * p, []])
+            break
+        else:
+            stack.pop()
+            top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+            if stack:
+                stack[-1][5].append(top)
+    # a root that holds only its zero child stands for B(0, p**(root_r - 1)),
+    # so a sum that cancels its widest part leaves no stale radius behind
+    while root_r > 0 and type(top) is list and top[0] is not None and top.count(None) == width - 1:
+        top = top[0]
+        root_r -= 1
+    if type(top) is list:
+        return BruhatSchwartzFunction(ctx, tuple(out), DigitTrie(root_r, top))
+    value, ball = top
+    if value.is_zero():
+        return BruhatSchwartzFunction(ctx, (), DigitTrie(root_r, None))
+    cell = (value, ball or Ball(PAdicVector.zero(ctx), root_r, known_canonical=True))
+    return BruhatSchwartzFunction(ctx, (cell,), DigitTrie(root_r, cell))
 
 
-def close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
-    """Close one node of a post-order walk that builds a canonical trie:
-    canonical form's walk, and the synthesis of radial multipliers.
+def _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
+    """Close one node of ``_merge_tree``'s walk.
 
     ``results`` has one entry per child of the ball of radius p**radius
     with integer center ``units`` / root_scale, in digit order: a constant
@@ -487,18 +547,6 @@ def close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
             out.append(r)
             node.append(r)
     return node
-
-
-def from_trie_root(ctx: PrimeContext, radius: int, top, out: list) -> BruhatSchwartzFunction:
-    """The canonical function whose walk closed B(0, p**radius) with ``top``
-    (a node, or a constant (value, ball)), its cells in out."""
-    if type(top) is list:
-        return BruhatSchwartzFunction(ctx, tuple(out), True, DigitTrie(radius, top))
-    value, ball = top
-    if value.is_zero():
-        return BruhatSchwartzFunction(ctx, (), True, DigitTrie(radius, None))
-    cell = (value, ball or Ball(PAdicVector.zero(ctx), radius, known_canonical=True))
-    return BruhatSchwartzFunction(ctx, (cell,), True, DigitTrie(radius, cell))
 
 
 def _zero_descendant(trie: DigitTrie, radius: int):
@@ -540,7 +588,24 @@ def linear_combination(
     return _merge_tree(ctx, *_subdivision_tree(pairs, ctx))
 
 
+def haar_multiply(f: BruhatSchwartzFunction, values, drops) -> BruhatSchwartzFunction:
+    """m(D) f for a radial multiplier m given by its shell values and level
+    drops, as in ``_graft``; canonical and with its trie: f's trie grafted
+    once and merged once."""
+    trie = f.digit_trie()
+    root = [EC_ZERO, {}, None]
+    _graft(root, trie.radius, trie, values, drops)
+    return _merge_tree(f.ctx, root, trie.radius)
+
+
 # -- random instances -------------------------------------------------------
+
+
+# center numerators of random test functions lie in [-8, 8]
+_NUM_BOUND = 8
+# random coefficients are multiples of 1/16 in [-10, 10]
+_COEFF_BOUND = 10
+_COEFF_DENOMINATOR = 16
 
 
 @dataclass(frozen=True)
@@ -556,44 +621,39 @@ class RandomFunctionConfig:
     max_terms: int = 3
     radius_min: int = -1
     radius_max: int = 1
-    num_bound: int = 8
     den_pow_max: int = 1
-    coeff_bound: int = 10
-    coeff_denominator: int = 16
     complex_coeffs: bool = False
 
-    def validate(self, ctx: PrimeContext) -> None:
+    def validate(self) -> None:
         if not (1 <= self.max_terms <= 8):
             raise ValueError("max_terms must be in [1, 8]")
         if not (-3 <= self.radius_min <= self.radius_max <= 3):
             raise ValueError("radius exponents must lie in [-3, 3]")
         if not (0 <= self.den_pow_max <= 4):
             raise ValueError("den_pow_max must be in [0, 4]")
-        if self.num_bound > ctx.p**4:
-            raise ValueError("center numerators must be bounded by p**4")
 
 
 def random_test_function(
     seed: int, ctx: PrimeContext, config: RandomFunctionConfig = RandomFunctionConfig()
 ) -> BruhatSchwartzFunction:
     """Deterministic pseudo-random test function for property batteries."""
-    config.validate(ctx)
+    config.validate()
     rng = random.Random(seed)
     p = ctx.p
     terms = []
     n_terms = rng.randint(1, config.max_terms)
+    bound, d = _COEFF_BOUND * _COEFF_DENOMINATOR, _COEFF_DENOMINATOR
     for _ in range(n_terms):
         r = rng.randint(config.radius_min, config.radius_max)
         coords = []
         for _ in range(ctx.n):
-            num = rng.randint(-config.num_bound, config.num_bound)
+            num = rng.randint(-_NUM_BOUND, _NUM_BOUND)
             den = p ** rng.randint(0, config.den_pow_max)
             coords.append(Fraction(num, den))
         ball = Ball(PAdicVector(tuple(coords), ctx), r)
-        d = config.coeff_denominator
-        re = Fraction(rng.randint(-config.coeff_bound * d, config.coeff_bound * d), d)
+        re = Fraction(rng.randint(-bound, bound), d)
         if config.complex_coeffs:
-            im = Fraction(rng.randint(-config.coeff_bound * d, config.coeff_bound * d), d)
+            im = Fraction(rng.randint(-bound, bound), d)
         else:
             im = Fraction(0)
         terms.append((ExactComplex(re, im), ball))

@@ -1,8 +1,10 @@
 """Fourier analysis on test functions and radial shell transforms.
 
 Radial Fourier multipliers act on test functions through the Haar basis of
-their digit tries (``RadialMultiplier``), never through characters.  The
-transform itself remains, as the oracle of that route and for its own
+their digit tries (``RadialMultiplier``), never through characters: this
+module derives the per-level scales, and ``schwartz.haar_multiply`` applies
+them to the trie, which only ``schwartz`` walks.
+The transform itself remains, as the oracle of that route and for its own
 identities.  It works on lists of modulated balls
 c * exp(2 pi i phase) * chi_p(eta . x) * 1_B(x) (``ModulatedTerm``), which
 it maps one term in, one term out, with exact rational phases
@@ -36,12 +38,7 @@ from padic_bessel.padic import (
     reduce_mod_ball,
     shell_character_integral,
 )
-from padic_bessel.schwartz import (
-    BruhatSchwartzFunction,
-    DigitTrie,
-    close_node,
-    from_trie_root,
-)
+from padic_bessel.schwartz import BruhatSchwartzFunction, haar_multiply
 
 
 class DivergentTailError(ValueError):
@@ -106,61 +103,20 @@ class RadialMultiplier:
     def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
         """The function m(D) f, canonical, with its trie.
 
-        Node means go up f's digit trie, then each node's path sum of
-        drop * mean comes down it, and each cell of f takes its value.  The
-        walk down merges equal siblings and emits the cells in canonical
-        form's post-order, reusing f's balls, so it is canonical form's own
-        output.  Linear in trie nodes times p**n.
+        The shell values m(0..depth) and drops go to ``haar_multiply``,
+        which grafts f's trie with them and merges it as canonical form
+        does, reusing f's balls.  Linear in trie nodes times p**n.
         """
         if f.ctx != self.ctx:
             raise ContextMismatchError(f"{f.ctx} != {self.ctx}")
         f = f.canonicalize()
-        trie = f.digit_trie()
         depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
         values = [self.value(k) for k in range(depth + 1)]
         if self.drop is None:
             drops = [values[k] - values[k + 1] for k in range(depth)]
         else:
             drops = [self.drop(k) for k in range(depth)]
-        ctx = self.ctx
-        root = trie.root
-        if type(root) is not list:  # zero, or one cell of radius >= 0
-            top = (root[0] * values[0], root[1]) if root else (EC_ZERO, None)
-            return from_trie_root(ctx, trie.radius, top, [])
-        means = _node_means(trie, ctx)
-        p = ctx.p
-        all_digits = list(digit_product(range(p), repeat=ctx.n))
-        root_scale = p**trie.radius
-        out: list = []
-        # A frame is [node, integer center coords U, radius, path sum,
-        # integer digit scale, results], the path sum adding drop(k) times
-        # the mean of each ancestor of radius p**(-k) (None while there is
-        # none); results as in ``close_node``.
-        path = drops[0] * means[id(root)] if trie.radius == 0 else None
-        stack = [[root, (0,) * ctx.n, trie.radius, path, 1, []]]
-        while stack:
-            node, units, radius, path, scale, results = stack[-1]
-            if len(results) < len(node):
-                kid = node[len(results)]
-                j = max(0, 1 - radius)  # the children have radius p**(-j)
-                if type(kid) is list:
-                    if radius <= 1:
-                        detail = drops[j] * means[id(kid)]
-                        path = detail if path is None else path + detail
-                    digits = all_digits[len(results)]
-                    child_units = tuple(u + d * scale for u, d in zip(units, digits))
-                    stack.append([kid, child_units, radius - 1, path, scale * p, []])
-                elif kid is None:
-                    results.append((EC_ZERO if path is None else path, None))
-                else:
-                    value = kid[0] * values[j]
-                    results.append((value if path is None else path + value, kid[1]))
-                continue
-            stack.pop()
-            top = close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
-            if stack:
-                stack[-1][5].append(top)
-        return from_trie_root(ctx, trie.radius, top, out)
+        return haar_multiply(f, values, drops)
 
     def profile(self) -> RadialProfile:
         """The same shell values as a profile for ``multiply_radial``, which
@@ -170,32 +126,6 @@ class RadialMultiplier:
             resid=lambda k: self.value(max(k, 0)),
             constant_on_unit_ball=True,
         )
-
-
-def _node_means(trie: DigitTrie, ctx: PrimeContext) -> dict:
-    """The mean of the function over each trie node of radius <= 0, keyed by
-    the node's id, summed up the trie after its children."""
-    inv = Fraction(1, ctx.p**ctx.n)
-    means = {}
-    # a frame is [node, radius, next child, sum of the children's means]
-    stack = [[trie.root, trie.radius, 0, EC_ZERO]]
-    while stack:
-        frame = stack[-1]
-        node, radius, i, total = frame
-        if i < len(node):
-            frame[2] = i + 1
-            kid = node[i]
-            if type(kid) is list:
-                stack.append([kid, radius - 1, 0, EC_ZERO])
-            elif kid is not None and radius <= 0:
-                frame[3] = total + kid[0]
-            continue
-        stack.pop()
-        if radius <= 0:
-            means[id(node)] = mean = total * inv
-            if radius < 0:  # the parent has radius <= 0 too
-                stack[-1][3] = stack[-1][3] + mean
-    return means
 
 
 class ModulatedTerm(NamedTuple):
