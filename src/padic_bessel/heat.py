@@ -15,11 +15,12 @@ against each other:
 Evolution applies exp(-t * multiplier) on the Haar basis of the digit trie
 (``RadialMultiplier``).  For step forcing the Duhamel integral over each
 forcing piece [a, b] is itself a radial multiplier, the integral of
-exp(-(t - s) * multiplier) over [a, b], applied in closed form
-(``forcing_multiplier``), so mild solutions carry no quadrature error.  The
-pairing of the function part with a test function is the multiplier
-expm1(-t * multiplier) on the same route, read at the origin, so no
-function here calls the Fourier transform.
+exp(-(t - s) * multiplier) over [a, b], in closed form
+(``forcing_multiplier``), so mild solutions carry no quadrature error; the
+semigroup's part for the initial datum and one part per forcing piece make
+one ``haar_combination``.  The pairing of the function part with a test
+function is the multiplier expm1(-t * multiplier) on the same route, read at
+the origin, so no function here calls the Fourier transform.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from padic_bessel.padic import (
     PrimeContext,
     shell_measure,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
+from padic_bessel.schwartz import BruhatSchwartzFunction, haar_combination
 from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
 from padic_bessel.bessel import BesselOrder, symbol_value
 
@@ -189,16 +190,6 @@ def z_mass(t: float, order: BesselOrder, depth: Optional[int] = None) -> float:
         x_i = t * p ** (-i * alpha)
         total += math.exp(-x_i * shrink) * math.expm1(-x_i * (1.0 - shrink))
     return total
-
-
-def z_mass_direct(t: float, order: BesselOrder, depth: int) -> float:
-    """Cross-check route for the mass: shell measures against shell values."""
-    _require_positive_time(t)
-    ctx = order.ctx
-    return sum(
-        float(shell_measure(-g, ctx)) * z
-        for g, z in zip(range(depth + 1), z_shells(t, order))
-    )
 
 
 def distributional_mass(t: float, order: BesselOrder) -> float:
@@ -480,8 +471,10 @@ def duhamel(
     The forcing is a step function, so the integral is a sum over the
     schedule's pieces f_k in force on [a, b], b cut at t: each is
     ``forcing_multiplier(a, b, t)`` applied to f_k, with no quadrature error.
-    Each time costs one multiplier application for u0 and one per active
-    piece; with no active piece the result is ``solve_cauchy``'s, as is.
+    Each time with an active piece is one ``haar_combination`` of the
+    semigroup's part for u0 and one part per active piece, so one graft per
+    part and one merge; with no active piece the result is
+    ``solve_cauchy``'s, as is.
     """
     if not times:
         raise ValueError("at least one evaluation time is required")
@@ -493,11 +486,14 @@ def duhamel(
     ends = [tag for tag, _ in problem.forcing[1:]]
     results = []
     for t in times:
-        u = solve_cauchy(problem.u0, t, order)
         pieces = [
-            (1, forcing_multiplier(a, min(b, t), t, order).apply(f))
+            forcing_multiplier(a, min(b, t), t, order).part(f)
             for (a, f), b in zip(problem.forcing, ends + [t])
             if min(b, t) > a and f.terms
         ]
-        results.append(linear_combination([(1, u)] + pieces, ctx=u.ctx) if pieces else u)
+        if pieces:
+            u0 = semigroup_multiplier(t, order).part(problem.u0)
+            results.append(haar_combination([u0] + pieces))
+        else:
+            results.append(solve_cauchy(problem.u0, t, order))
     return results

@@ -7,10 +7,12 @@ function is constant, by inserting every term into an ultrametric
 subdivision tree and merging constant siblings bottom-up (``_merge_tree``,
 the one walk that builds canonical output).  The canonical function keeps
 the tree that walk leaves, its ``DigitTrie``: one node per ball on which it
-is not constant.  Sums, scalings and radial multipliers graft tries into a
-subdivision tree with per-level scales (``_graft``) and merge it once; the
-L2 pairing walks two tries in lockstep.  All structural operations
-(integrals, inner products, suprema) are exact on rational coefficients.
+is not constant.  Sums, scalings, radial multipliers and sums of
+multipliers are one combination (``haar_combination``): each part's trie is
+grafted into one subdivision tree with per-level scales (``_graft``), which
+is merged once; the L2 pairing walks two tries in lockstep.  All structural
+operations (integrals, inner products, suprema) are exact on rational
+coefficients.
 """
 from __future__ import annotations
 
@@ -125,14 +127,6 @@ class BruhatSchwartzFunction:
     def is_exact(self) -> bool:
         return all(c.is_exact for c, _ in self.terms)
 
-    def min_radius_exp(self) -> Optional[int]:
-        """Constancy index: the function is constant on every ball of this
-        radius exponent (None for the zero function, constant everywhere)."""
-        f = self.canonicalize()
-        if not f.terms:
-            return None
-        return min(ball.radius_exp for _, ball in f.terms)
-
     def support_norm_exp(self) -> Union[int, float]:
         """Exponent L with supp(f) inside the ball of radius p**L at 0."""
         f = self.canonicalize()
@@ -186,7 +180,7 @@ class BruhatSchwartzFunction:
         """
         if self.trie is not None:
             return self
-        return _merge_tree(self.ctx, *_subdivision_tree([(None, self)], self.ctx))
+        return haar_combination([(self, None, None)])
 
     def digit_trie(self) -> DigitTrie:
         """The trie of the canonical form."""
@@ -292,29 +286,31 @@ def _digit_tuples(p: int, n: int) -> tuple:
 
 
 def _subdivision_tree(parts: Sequence[tuple], ctx: PrimeContext) -> tuple:
-    """The subdivision tree of a weighted sum of functions, and its root
-    radius exponent root_r; canonical form merges it (``_merge_tree``).
+    """The subdivision tree of a sum of radial multipliers m(D) f, and its
+    root radius exponent root_r; canonical form merges it (``_merge_tree``).
 
-    ``parts`` lists (weight, function) pairs; weight None adds the terms as
-    they are.  A tree node is [coefficient, {digit index: child node},
-    ball], the index that of the child's digit tuple in ``_digit_tuples``
-    and ball the one a leaf was inserted or grafted with, or None.  Each
-    nonzero term adds its coefficient, in order, to the node of its ball.
-    The trie of a canonical function is grafted node by node (``_graft``),
-    linear in the trie's nodes, and its radius alone bounds its cells for
-    root_r; any other term goes down one tree level per digit from the root.
+    ``parts`` lists (f, values, drops) triples, m given by its shell values
+    and drops as in ``_graft``; values None adds f's terms as they are.  A
+    tree node is [coefficient, {digit index: child node}, ball], the index
+    that of the child's digit tuple in ``_digit_tuples`` and ball the one a
+    leaf was inserted or grafted with, or None.  Each nonzero term adds its
+    coefficient, in order, to the node of its ball.  The trie of a
+    canonical function is grafted node by node (``_graft``), linear in the
+    trie's nodes, and its radius alone bounds its cells for root_r; the
+    terms of any other f, scaled by values[0], go down one tree level per
+    digit from the root, so drops need a trie.
     """
     p = ctx.p
-    inserts = []  # per part: its scaled terms, or (weight, trie)
+    inserts = []  # per part: its scaled terms, or (trie, values, drops)
     radii, dens = [0], [1]
-    for weight, f in parts:
+    for f, values, drops in parts:
         if f.trie is not None:
             if f.trie.root is not None:
-                inserts.append((weight, f.trie))
+                inserts.append((f.trie, values, drops))
                 radii.append(f.trie.radius)
             continue
         # zero terms go first: a zero term's ball may be too deep to reduce
-        terms = [(c if weight is None else c * weight, b) for c, b in f.terms]
+        terms = f.terms if values is None else [(c * values[0], b) for c, b in f.terms]
         cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
         inserts.append(cells)
         radii.extend(ball.radius_exp for _, ball in cells)
@@ -329,8 +325,7 @@ def _subdivision_tree(parts: Sequence[tuple], ctx: PrimeContext) -> tuple:
     root = [EC_ZERO, {}, None]
     for insert in inserts:
         if type(insert) is tuple:
-            weight, trie = insert
-            _graft(root, root_r, trie, (weight,))
+            _graft(root, root_r, *insert)
             continue
         for c, ball in insert:
             depth = root_r - ball.radius_exp
@@ -361,15 +356,16 @@ def _add(node: list, c: ExactComplex, ball: Optional[Ball]) -> None:
 
 def _graft(root: list, root_r: int, trie: DigitTrie, values, drops=None) -> None:
     """Add m(D) g to the subdivision tree rooted at B(0, p**root_r), where g
-    is the function of a digit trie with trie.radius <= root_r.
+    is the function of a digit trie with trie.radius <= root_r: one part of
+    ``haar_combination``.
 
     The radial multiplier m is given per level.  A cell of g of radius
     p**(-j) with value c adds values[j] * c to its node, j clamped into
     [0, len(values) - 1], so a scalar weight w is values (w,).  With drops,
     each trie node of radius p**(-k), k >= 0, also adds drops[k] times the
-    mean of g over it (the sum that ``spectral.RadialMultiplier`` derives);
-    the means are summed in the same post-order walk.  Without drops, a
-    zero product adds nothing.
+    mean of g over it (the sum that ``spectral.RadialMultiplier`` derives,
+    and ``RadialMultiplier.part`` passes); the means are summed in the same
+    post-order walk.  Without drops, a zero product adds nothing.
     """
     top = trie.root
     if top is None:
@@ -573,29 +569,23 @@ def _node_integral(node: list) -> ExactComplex:
     return total
 
 
-def linear_combination(
-    pairs: Sequence[tuple], ctx: Optional[PrimeContext] = None
-) -> BruhatSchwartzFunction:
-    """Sum of weight * function pairs, canonicalized once at the end: the
-    tries of canonical summands are grafted, not walked digit by digit."""
-    for weight, f in pairs:
-        if ctx is None:
-            ctx = f.ctx
-        elif f.ctx != ctx:
+def haar_combination(parts: Sequence[tuple]) -> BruhatSchwartzFunction:
+    """The sum of m(D) f over parts (f, values, drops), as in
+    ``_subdivision_tree``, canonical and with its trie: one subdivision
+    tree, each part's trie grafted once, one merge."""
+    if not parts:
+        raise ValueError("empty combination")
+    ctx = parts[0][0].ctx
+    for f, _, _ in parts:
+        if f.ctx != ctx:
             raise ContextMismatchError(f"{f.ctx} != {ctx}")
-    if ctx is None:
-        raise ValueError("empty combination without a context")
-    return _merge_tree(ctx, *_subdivision_tree(pairs, ctx))
+    return _merge_tree(ctx, *_subdivision_tree(parts, ctx))
 
 
-def haar_multiply(f: BruhatSchwartzFunction, values, drops) -> BruhatSchwartzFunction:
-    """m(D) f for a radial multiplier m given by its shell values and level
-    drops, as in ``_graft``; canonical and with its trie: f's trie grafted
-    once and merged once."""
-    trie = f.digit_trie()
-    root = [EC_ZERO, {}, None]
-    _graft(root, trie.radius, trie, values, drops)
-    return _merge_tree(f.ctx, root, trie.radius)
+def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
+    """Sum of weight * function pairs: each weight w the constant multiplier
+    with values (w,)."""
+    return haar_combination([(f, (w,), None) for w, f in pairs])
 
 
 # -- random instances -------------------------------------------------------
@@ -778,7 +768,7 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
         raise FunctionFormatError(
             f"the terms span {depth} p-adic digits, over the {MAX_INPUT_DEPTH} accepted"
         )
-    root, root_r = _subdivision_tree([(None, BruhatSchwartzFunction(ctx, tuple(terms)))], ctx)
+    root, root_r = _subdivision_tree([(BruhatSchwartzFunction(ctx, tuple(terms)), None, None)], ctx)
     # a term adds at most depth tree nodes, and a node at most p**n cells
     if (1 + len(terms) * depth) * p**n > MAX_CELLS:
         cells = _cell_count(root, p**n)

@@ -2,8 +2,9 @@
 
 Radial Fourier multipliers act on test functions through the Haar basis of
 their digit tries (``RadialMultiplier``), never through characters: this
-module derives the per-level scales, and ``schwartz.haar_multiply`` applies
-them to the trie, which only ``schwartz`` walks.
+module derives the per-level scales, and ``schwartz.haar_combination``
+applies them to the trie, which only ``schwartz`` walks, in one sum with any
+other multiplied or weighted parts.
 The transform itself remains, as the oracle of that route and for its own
 identities.  It works on lists of modulated balls
 c * exp(2 pi i phase) * chi_p(eta . x) * 1_B(x) (``ModulatedTerm``), which
@@ -38,7 +39,7 @@ from padic_bessel.padic import (
     reduce_mod_ball,
     shell_character_integral,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, haar_multiply
+from padic_bessel.schwartz import BruhatSchwartzFunction, haar_combination
 
 
 class DivergentTailError(ValueError):
@@ -100,13 +101,10 @@ class RadialMultiplier:
     value: Callable[[int], Number]
     drop: Optional[Callable[[int], Number]] = None
 
-    def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
-        """The function m(D) f, canonical, with its trie.
-
-        The shell values m(0..depth) and drops go to ``haar_multiply``,
-        which grafts f's trie with them and merges it as canonical form
-        does, reusing f's balls.  Linear in trie nodes times p**n.
-        """
+    def part(self, f: BruhatSchwartzFunction) -> tuple:
+        """m(D) f as one part (f, values, drops) of
+        ``schwartz.haar_combination``: f canonical, the shell values
+        m(0..depth) and the drops down to f's smallest cells."""
         if f.ctx != self.ctx:
             raise ContextMismatchError(f"{f.ctx} != {self.ctx}")
         f = f.canonicalize()
@@ -116,7 +114,13 @@ class RadialMultiplier:
             drops = [values[k] - values[k + 1] for k in range(depth)]
         else:
             drops = [self.drop(k) for k in range(depth)]
-        return haar_multiply(f, values, drops)
+        return f, values, drops
+
+    def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
+        """The function m(D) f, canonical, with its trie: f's trie grafted
+        with ``part``'s scales and merged as canonical form does, reusing
+        f's balls.  Linear in trie nodes times p**n."""
+        return haar_combination([self.part(f)])
 
     def profile(self) -> RadialProfile:
         """The same shell values as a profile for ``multiply_radial``, which

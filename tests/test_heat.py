@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from padic_bessel.padic import Ball, PAdicVector, PrimeContext
+from padic_bessel import schwartz
+from padic_bessel.padic import Ball, PAdicVector, PrimeContext, shell_measure
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     RandomFunctionConfig,
@@ -38,9 +39,9 @@ from padic_bessel.heat import (
     weak_pairing,
     z_closed,
     z_mass,
-    z_mass_direct,
     z_oracle,
     z_origin_limit,
+    z_shells,
     z_value,
 )
 
@@ -141,6 +142,14 @@ def test_z_mass_across_grid(p, n, alpha):
         assert abs(z_mass(t, order) - math.expm1(-t)) <= 1e-10
 
 
+def z_mass_direct(t, order, depth):
+    """Cross-check route for the mass: shell measures against shell values."""
+    return sum(
+        float(shell_measure(-g, order.ctx)) * z
+        for g, z in zip(range(depth + 1), z_shells(t, order))
+    )
+
+
 def test_z_mass_direct_route_agrees():
     for t in (0.1, 1.0, 10.0):
         direct = z_mass_direct(t, ORDER, depth=45)
@@ -228,8 +237,6 @@ def test_weak_pairing_disjoint_support():
 
 
 def test_weak_pairing_matches_direct_shell_sums():
-    from padic_bessel.padic import shell_measure
-
     zero = PAdicVector.zero(C21)
     # small ball: pair against the deep shells only
     phi = BruhatSchwartzFunction.indicator(Ball(zero, -2))
@@ -422,7 +429,7 @@ def exact_forcing_integral(problem, order, t):
 
         profile = RadialProfile(ctx=order.ctx, resid=value, constant_on_unit_ball=True)
         pairs.append((1, multiply_radial(fourier(f), profile)))
-    return inverse_fourier(linear_combination(pairs, ctx=problem.u0.ctx))
+    return inverse_fourier(linear_combination(pairs))
 
 
 def test_semigroup_multiplier_one_node_is_the_semigroup():
@@ -535,17 +542,45 @@ def test_duhamel_step_forcing_fourth_order():
 
 
 def test_duhamel_applies_one_multiplier_per_forcing_piece(monkeypatch):
-    calls = []
-    apply = RadialMultiplier.apply
+    # one part for u0 and one per active piece, all in one merge
+    parts, merges = [], []
+    part, merge_tree = RadialMultiplier.part, schwartz._merge_tree
 
-    def counted(self, f):
-        calls.append(f)
-        return apply(self, f)
+    def counted_part(self, f):
+        parts.append(f)
+        return part(self, f)
 
-    monkeypatch.setattr(RadialMultiplier, "apply", counted)
+    def counted_merge(*args):
+        merges.append(args)
+        return merge_tree(*args)
+
+    monkeypatch.setattr(RadialMultiplier, "part", counted_part)
+    monkeypatch.setattr(schwartz, "_merge_tree", counted_merge)
     order = BesselOrder(2.0, C21)
     problem = step_problem(2, 1, 6)
     for t, active in ((0.2, 1), (0.42, 2), (1.0, 3)):
-        calls.clear()
+        parts.clear()
+        merges.clear()
         duhamel(problem, order, [t])
-        assert len(calls) == 1 + active
+        assert len(parts) == 1 + active
+        assert len(merges) == 1
+
+
+@pytest.mark.parametrize("p,n,alpha", BENCH_GRID)
+def test_duhamel_is_the_sum_of_its_applied_multipliers(p, n, alpha):
+    # the one combination against the route it replaced: each multiplier
+    # applied and merged alone, then the merged outputs summed
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    for seed in range(1, 7):
+        problem = step_problem(p, n, seed)
+        ends = [tag for tag, _ in problem.forcing[1:]]
+        times = (0.2, 0.42, 0.7, 1.0)
+        for t, u in zip(times, duhamel(problem, order, times)):
+            pairs = [(1, solve_cauchy(problem.u0, t, order))] + [
+                (1, forcing_multiplier(a, min(b, t), t, order).apply(f))
+                for (a, f), b in zip(problem.forcing, ends + [t])
+                if min(b, t) > a and f.terms
+            ]
+            composed = linear_combination(pairs)
+            assert len(u.terms) == len(composed.terms)
+            assert (u - composed).sup_norm() <= 1e-15 * composed.sup_norm()

@@ -376,14 +376,20 @@ def test_float_coefficients_serialize_exactly():
     assert back.evaluate(PAdicVector.zero(C21)).re == 0.1
 
 
+def min_radius_exp(f):
+    """Constancy index: f is constant on every ball of this radius exponent
+    (None for the zero function, constant everywhere)."""
+    return min((ball.radius_exp for _, ball in f.canonicalize().terms), default=None)
+
+
 def test_support_and_constancy_metadata():
     zero = PAdicVector.zero(C21)
     f = BruhatSchwartzFunction.indicator(Ball(zero, 1)) + BruhatSchwartzFunction.indicator(
         Ball(PAdicVector.of(C21, Fraction(1, 4)), -2), 5
     )
     assert f.support_norm_exp() == 2
-    assert f.min_radius_exp() == -2
-    assert BruhatSchwartzFunction.zero(C21).min_radius_exp() is None
+    assert min_radius_exp(f) == -2
+    assert min_radius_exp(BruhatSchwartzFunction.zero(C21)) is None
 
 
 # -- the integer digit walk against the Fraction walk ---------------------------
@@ -681,3 +687,38 @@ def test_the_trie_is_invisible():
     assert bare.trie is None and bare.digit_trie() == f.digit_trie()
     u = outputs[0]
     assert u == u.canonicalize() and serialize(u) == serialize(BruhatSchwartzFunction(u.ctx, u.terms))
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_haar_combination_is_the_sum_of_its_applied_parts(p, n, alpha):
+    # exact shell values (integer alpha, rational lambda): one graft per part
+    # and one merge give the bytes of each multiplier applied and merged
+    # alone, and the merged outputs summed; a raw part takes the digit walk,
+    # so its scaling is done by hand
+    ctx = PrimeContext(p, n)
+    order = BesselOrder(float(math.ceil(alpha)), ctx)
+    lam = Fraction(1, 2)
+    w = ExactComplex(Fraction(-2, 3), 1)
+    cfg = RandomFunctionConfig(max_terms=4, radius_min=-3, radius_max=2, den_pow_max=1, complex_coeffs=True)
+    rng = random.Random(f"combination:{p}:{n}")
+    for seed in range(6):
+        f, g, h = (random_test_function(seed + k, ctx, cfg) for k in (0, 100, 200))
+        raw = BruhatSchwartzFunction(ctx, random_terms(rng, ctx, 3, (1, p, p**2), True))
+        for summand in (h, raw):
+            got = schwartz.haar_combination(
+                [symbol_multiplier(order).part(f), resolvent_multiplier(order, lam).part(g), (summand, (w,), None)]
+            )
+            scaled = BruhatSchwartzFunction(ctx, tuple((c * w, b) for c, b in summand.terms))
+            want = linear_combination(
+                [(1, symbol_multiplier(order).apply(f)), (1, resolvent_multiplier(order, lam).apply(g)),
+                 (1, scaled.canonicalize())]
+            )
+            assert serialize(got) == serialize(want)
+
+
+def test_haar_combination_needs_parts_in_one_context():
+    with pytest.raises(ValueError):
+        schwartz.haar_combination([])
+    with pytest.raises(ContextMismatchError):
+        schwartz.haar_combination([(BruhatSchwartzFunction.unit_ball(C21), (1,), None),
+                                   (BruhatSchwartzFunction.unit_ball(C31), (1,), None)])
