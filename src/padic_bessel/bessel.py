@@ -2,14 +2,15 @@
 
 The operator and its resolvent act on test functions as radial multipliers
 on the Haar basis of the digit trie (``RadialMultiplier``), exact for
-rational symbol values.  The quadratic form of the L2 battery is read off the same route, so
-no function here calls the Fourier transform.  Two independent routes serve
-as its oracles: convolution against the explicit radial kernel at a point
-(space side, below) and the two Fourier transforms around ``multiply_radial``
-with ``symbol_profile`` (symbol side, in the tests and ``verify routes``).
-The verification operations below check the dissipativity,
-self-adjointness, contraction, maximum-principle and resolvent statements on
-concrete inputs.
+rational symbol values.  The quadratic form of the L2 battery and the
+maximum-principle check read the same route, so no function here calls the
+Fourier transform, and only the oracles call the convolution route.  Two
+independent routes are its oracles, in the tests and ``verify routes``:
+convolution against the explicit radial kernel at a point (space side,
+``apply_bessel_convolution``) and the two Fourier transforms around
+``radial_terms`` with ``symbol_profile`` (symbol side).  The verification
+operations below check the dissipativity, self-adjointness, contraction,
+maximum-principle and resolvent statements on concrete inputs.
 """
 from __future__ import annotations
 
@@ -211,7 +212,7 @@ def apply_bessel(order: BesselOrder, f: BruhatSchwartzFunction) -> BruhatSchwart
 def apply_bessel_convolution(
     order: BesselOrder, f: BruhatSchwartzFunction, x: PAdicVector
 ) -> ExactComplex:
-    """Convolution route, evaluated at a point.
+    """Convolution route, evaluated at a point: an oracle of ``apply_bessel``.
 
     The shell sum over the kernel support terminates exactly: below the
     constancy radius of f the translate f(x - y) is constant in y, and the
@@ -365,14 +366,13 @@ def pmp_check(order: BesselOrder, f: BruhatSchwartzFunction, tol: float = 1e-12)
     """Evaluate -(operator) f on the whole set where f reaches its supremum
     sup f >= 0, through the probes of ``_argmax_probes``.
 
-    Uses the convolution route, which is pointwise exact.
+    The operator is applied once, on the digit trie (``apply_bessel``), and
+    its output is read at each probe.
     """
     f = f.canonicalize()
     sup: Supremum = f.sup_and_argmax()
-    evaluated = tuple(
-        (x, -float(apply_bessel_convolution(order, f, x).re))
-        for x in _argmax_probes(f, sup)
-    )
+    g = apply_bessel(order, f)
+    evaluated = tuple((x, -float(g.evaluate(x).re)) for x in _argmax_probes(f, sup))
     worst = max(v for _, v in evaluated)
     return PmpReport(
         sup_value=sup.value,

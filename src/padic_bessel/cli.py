@@ -31,12 +31,11 @@ from padic_bessel.schwartz import (
 from padic_bessel.spectral import (
     cell_exponents,
     expand,
-    fourier,
     fourier_terms,
-    inverse_fourier,
+    inverse_fourier_terms,
     modulated_terms,
-    multiply_radial,
     parseval_defect,
+    radial_terms,
 )
 from padic_bessel.bessel import (
     BesselOrder,
@@ -351,8 +350,9 @@ def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> floa
     """Largest gap, relative to max(1, ||f||_sup), between the digit-trie
     route of the operator, the resolvent and the semigroup and their
     two-transform oracle route (in sup norm), and between the operator and
-    its convolution route (at every output cell center)."""
-    fhat = fourier(f)
+    its convolution route (at every output cell center).  The oracle stays
+    on terms and off the digit trie until its unmodulated output."""
+    fhat = fourier_terms(modulated_terms(f))
     resolvent_m = resolvent_multiplier(order, ROUTE_LAMBDA)
     pairs = (
         (symbol_multiplier(order), symbol_profile(order)),
@@ -364,7 +364,7 @@ def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> floa
     )
     worst = 0.0
     for multiplier, profile in pairs:
-        oracle = inverse_fourier(multiply_radial(fhat, profile))
+        oracle = expand(f.ctx, inverse_fourier_terms(radial_terms(fhat, profile)))
         worst = max(worst, (multiplier.apply(f) - oracle).sup_norm())
     u = apply_bessel(order, f)
     for c, ball in u.terms:

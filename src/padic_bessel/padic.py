@@ -307,10 +307,6 @@ class Ball:
         c = self.canonical()
         return (c.radius_exp, c.center.coords)
 
-    @property
-    def contains_zero(self) -> bool:
-        return self.center.norm_exp <= self.radius_exp
-
     def contains(self, x: PAdicVector) -> bool:
         return (x - self.center).norm_exp <= self.radius_exp
 

@@ -298,12 +298,13 @@ def _subdivision_tree(parts: Sequence[tuple], ctx: PrimeContext) -> tuple:
     canonical function is grafted node by node (``_graft``), linear in the
     trie's nodes, and its radius alone bounds its cells for root_r; the
     terms of any other f, scaled by values[0], go down one tree level per
-    digit from the root, so drops need a trie.
+    digit from the root, so a part with drops is canonicalized for its trie.
     """
     p = ctx.p
     inserts = []  # per part: its scaled terms, or (trie, values, drops)
     radii, dens = [0], [1]
     for f, values, drops in parts:
+        f = f if drops is None else f.canonicalize()
         if f.trie is not None:
             if f.trie.root is not None:
                 inserts.append((f.trie, values, drops))
@@ -354,7 +355,7 @@ def _add(node: list, c: ExactComplex, ball: Optional[Ball]) -> None:
         node[2] = ball
 
 
-def _graft(root: list, root_r: int, trie: DigitTrie, values, drops=None) -> None:
+def _graft(root: list, root_r: int, trie: DigitTrie, values, drops) -> None:
     """Add m(D) g to the subdivision tree rooted at B(0, p**root_r), where g
     is the function of a digit trie with trie.radius <= root_r: one part of
     ``haar_combination``.

@@ -9,11 +9,12 @@ The transform itself remains, as the oracle of that route and for its own
 identities.  It works on lists of modulated balls
 c * exp(2 pi i phase) * chi_p(eta . x) * 1_B(x) (``ModulatedTerm``), which
 it maps one term in, one term out, with exact rational phases
-(``fourier_terms``); the L2 pairing of two such lists is a closed form per
-pair of terms (``pairing``), so Parseval needs no cells.  Only output is
-expanded into cells (``expand``): the modulation is flattened into cells on
-which the character is constant, read off integer digit vectors whose
-phases are integer residues, one character per distinct phase.
+(``fourier_terms``), and a radial profile multiplies them term by term
+(``radial_terms``); the L2 pairing of two lists is a closed form per pair of
+terms (``pairing``), so neither Parseval nor F^-1 (m F f) needs cells.  Only
+output is expanded into cells (``expand``): the modulation is flattened into
+cells on which the character is constant, read off integer digit vectors
+whose phases are integer residues, one character per distinct phase.
 The radial transform evaluates the Fourier integral of a norm-dependent
 profile at one finite frequency as a shell sum against exact character
 integrals, with the infinitely many deep shells summed in closed form.
@@ -123,7 +124,7 @@ class RadialMultiplier:
         return haar_combination([self.part(f)])
 
     def profile(self) -> RadialProfile:
-        """The same shell values as a profile for ``multiply_radial``, which
+        """The same shell values as a profile for ``radial_terms``, which
         the two-transform oracle route of ``apply`` uses."""
         return RadialProfile(
             ctx=self.ctx,
@@ -305,36 +306,37 @@ def parseval_defect(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction) -> Exa
     )
 
 
+def radial_terms(terms, profile: RadialProfile) -> tuple:
+    """A term list times a radial profile m constant on the unit ball, each
+    term keeping its phase and modulation.  A ball missing 0 lies on one
+    shell and scales by m there; B(0, p**s) scales by m(0) when s <= 0, and
+    for s > 0 telescopes into m(s) on it plus (m(k) - m(k+1)) on B(0, p**k),
+    0 <= k < s."""
+    if not profile.constant_on_unit_ball:
+        raise ValueError("multiplier must be constant on the unit ball")
+    zero = PAdicVector.zero(profile.ctx)
+    out = []
+    for c, phase, eta, ball in terms:
+        s, norm = ball.radius_exp, ball.center.norm_exp
+        if norm > s:
+            out.append(ModulatedTerm(c * profile.value_at(norm), phase, eta, ball))
+            continue
+        values = [profile.value_at(k) for k in range(max(s, 0) + 1)]
+        out.append(ModulatedTerm(c * values[-1], phase, eta, Ball(zero, s, known_canonical=True)))
+        out.extend(
+            ModulatedTerm(c * (values[k] - values[k + 1]), phase, eta, Ball(zero, k, known_canonical=True))
+            for k in range(s - 1, -1, -1)
+            if values[k] != values[k + 1]
+        )
+    return tuple(out)
+
+
 def multiply_radial(
     f: BruhatSchwartzFunction, profile: RadialProfile
 ) -> BruhatSchwartzFunction:
-    """Pointwise product of f with a radial profile constant on the unit ball.
-
-    Cells avoiding 0 see a single profile value.  A cell containing 0 with
-    positive radius is cut into the unit ball plus its shells, each shell
-    into the p**n - 1 cosets away from 0, all carrying constant values.
-    """
-    if not profile.constant_on_unit_ball:
-        raise ValueError("multiplier must be constant on the unit ball")
-    f = f.canonicalize()
-    ctx = f.ctx
-    zero = PAdicVector.zero(ctx)
-    out = []
-    for c, ball in f.terms:
-        a = ball.center
-        if not a.is_zero:
-            out.append((c * profile.value_at(a.norm_exp), ball))
-        elif ball.radius_exp <= 0:
-            out.append((c * profile.value_at(0), ball))
-        else:
-            out.append((c * profile.value_at(0), Ball(zero, 0, known_canonical=True)))
-            for k in range(1, ball.radius_exp + 1):
-                val = profile.value_at(k)
-                shell_ball = Ball(zero, k, known_canonical=True)
-                for child in shell_ball.children():
-                    if not child.contains_zero:
-                        out.append((c * val, child))
-    return BruhatSchwartzFunction(ctx, tuple(out)).canonicalize()
+    """Pointwise product of f with a radial profile constant on the unit
+    ball: the expansion of ``radial_terms`` on f's cells."""
+    return expand(f.ctx, radial_terms(modulated_terms(f), profile))
 
 
 def _deep_closed_sum(profile: RadialProfile, top: int) -> float:

@@ -5,8 +5,9 @@ lines.  Criterion 8 decides the maximum principle at the exact argmax of
 1000 seeded random inputs.  The principle holds for nonnegative functions,
 and the criterion requires it there; on sign-mixed inputs it is false for
 this operator (it averages against a probability kernel), so the criterion
-instead requires ``pmp_check`` to agree with an independent multiplier-route
-oracle and to certify at least one violation — see
+instead requires ``pmp_check`` to agree with a multiplier-route oracle over
+the whole argmax set and with the independent convolution route at every
+probe, and to certify at least one violation — see
 test_bessel.py::test_pmp_counterexample_documented for the exact
 counterexample.  Every criterion passes at the stated tolerances.
 """
@@ -26,6 +27,7 @@ from padic_bessel.bessel import (
     BesselOrder,
     adjoint_defect,
     apply_bessel,
+    apply_bessel_convolution,
     c0_dissipativity_margin,
     contraction_ratio,
     kernel_mass,
@@ -192,14 +194,15 @@ def test_criterion_08_positive_maximum_principle():
     # counterexample: value +25/8 at the unique argmax), so on the 1000
     # seeded inputs it is decided, not assumed: (a) every nonnegative
     # counterpart passes, (b) pmp_check matches the multiplier-route oracle
-    # over the whole argmax set, and (c) at least one input is a certified
-    # violation.
+    # over the whole argmax set, and every probe value the convolution route
+    # at that probe, and (c) at least one input is a certified violation.
     order = BesselOrder(2.5, C21)
     worst = -math.inf
     violations = 0
     nonneg_failures = []
     disagreements = []
     worst_gap = 0.0
+    worst_probe_gap = 0.0
     for i, f in enumerate(seeded_functions(1000, 42)):
         nonneg = BruhatSchwartzFunction(
             C21, tuple((ExactComplex(abs(c.re), 0), b) for c, b in f.terms)
@@ -210,7 +213,11 @@ def test_criterion_08_positive_maximum_principle():
         expected = argmax_oracle(order, f)
         gap = abs(rep.worst - expected)
         worst_gap = max(worst_gap, gap)
-        if gap > 1e-10 or rep.passed != (expected <= 1e-12):
+        probe_gap = max(
+            abs(value + float(apply_bessel_convolution(order, f, x).re)) for x, value in rep.probes
+        )
+        worst_probe_gap = max(worst_probe_gap, probe_gap)
+        if gap > 1e-10 or probe_gap > 1e-12 or rep.passed != (expected <= 1e-12):
             disagreements.append(i)
         worst = max(worst, rep.worst)
         violations += 0 if rep.passed else 1
@@ -218,6 +225,7 @@ def test_criterion_08_positive_maximum_principle():
     report(
         8, "maximum principle at the exact argmax", ok,
         f"nonnegative={1000 - len(nonneg_failures)}/1000 pass, oracle gap={worst_gap:.1e}, "
+        f"convolution gap={worst_probe_gap:.1e}, "
         f"certified violations={violations}/1000 worst={worst:.3e}",
     )
     assert not nonneg_failures, (

@@ -3,10 +3,12 @@
 The operator, the resolvent and the semigroup are applied by
 ``RadialMultiplier``; the concentric-ball route it replaced, the two Fourier
 transforms around ``multiply_radial`` and, for the operator, the pointwise
-convolution route check it.  The quadratic form and the heat pairing are
-read off the same route, and their Fourier-side computations below are
-their oracles.  No production path calls the transform at all; the guard
-test at the end checks that.
+convolution route check it.  The quadratic form, the heat pairing and the
+maximum-principle check are read off the same route, and their
+Fourier-side or convolution computations are their oracles.  No production
+path calls the transform or the convolution route; the guard test at the
+end checks that.  ``verify routes`` runs the two-transform oracle on
+modulated terms (``radial_terms``), so a deep input stays cheap there too.
 """
 
 import math
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_bessel import cli, spectral
+from padic_bessel import bessel, cli, spectral
 from padic_bessel.padic import (
     EC_ZERO,
     Ball,
@@ -279,10 +281,15 @@ class TransformCalled(Exception):
 
 
 def test_production_paths_never_call_the_transform(monkeypatch):
-    def guard(f):
-        raise TransformCalled("a production path called the Fourier transform")
+    def guard(*args):
+        raise TransformCalled("a production path called the Fourier transform or the convolution route")
 
-    originals = [spectral.fourier, spectral.inverse_fourier, spectral.fourier_terms]
+    originals = [
+        spectral.fourier,
+        spectral.inverse_fourier,
+        spectral.fourier_terms,
+        bessel.apply_bessel_convolution,
+    ]
     for name, module in list(sys.modules.items()):
         if name == "padic_bessel" or name.startswith("padic_bessel."):
             for key, value in list(vars(module).items()):
@@ -293,8 +300,10 @@ def test_production_paths_never_call_the_transform(monkeypatch):
     f = random_test_function(7, order.ctx, CONFIGS[2, 1])
     g = random_test_function(8, order.ctx, CONFIGS[2, 1])
     real = random_test_function(9, order.ctx)
-    with pytest.raises(TransformCalled):  # the guard is live
+    with pytest.raises(TransformCalled):  # the guards are live
         spectral.inverse_fourier(f)
+    with pytest.raises(TransformCalled):
+        bessel.apply_bessel_convolution(order, f, PAdicVector.zero(order.ctx))
     apply_bessel(order, f)
     resolvent(order, LAM, f)
     solve_cauchy(f, T, order)
@@ -325,3 +334,32 @@ def test_pairing_of_a_deep_operator_output_is_fast():
     value = g.inner_product(g)
     assert time.perf_counter() - start < 0.5
     assert value.im == 0 and value.re == sum(c.abs2() * ball.measure for c, ball in g.terms)
+
+
+def test_pmp_check_of_a_deep_operator_output_is_fast():
+    # 400 cells down to 2^-200; the convolution route at the probe took
+    # 1.7 s on a 2-vCPU VM
+    order = BesselOrder(2.0, PrimeContext(2, 1))
+    one = PAdicVector.of(order.ctx, 1)
+    f = apply_bessel(
+        order,
+        BruhatSchwartzFunction.indicator(Ball(PAdicVector.zero(order.ctx), -200))
+        + BruhatSchwartzFunction.indicator(Ball(one, -200), -2),
+    )
+    assert len(f.terms) == 400
+    start = time.perf_counter()
+    report = pmp_check(order, f)
+    assert time.perf_counter() - start < 0.5
+    assert len(report.probes) == 1 and report.passed
+
+
+def test_routes_of_a_deep_modulated_input_stay_on_terms():
+    # 2 * 1_{B((1/9, 0), 3^-2)} + 1_{Z_3^2}: the cell route expanded F f into
+    # 6561 cells and each product again, and ran out of memory
+    order = BesselOrder(2.5, PrimeContext(3, 2))
+    a = PAdicVector.of(order.ctx, Fraction(1, 9), 0)
+    f = BruhatSchwartzFunction.indicator(Ball(a, -2), 2) + BruhatSchwartzFunction.unit_ball(order.ctx)
+    start = time.perf_counter()
+    defect = cli.operator_route_defect(order, f)
+    assert time.perf_counter() - start < 0.5
+    assert defect <= 1e-12

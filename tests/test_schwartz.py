@@ -716,6 +716,21 @@ def test_haar_combination_is_the_sum_of_its_applied_parts(p, n, alpha):
             assert serialize(got) == serialize(want)
 
 
+def test_haar_combination_puts_a_part_with_drops_in_canonical_form():
+    # 1_{B(0, 2^-3)} built raw, without a trie: its drops must still apply,
+    # giving the four cells of the operator applied to it
+    order = BesselOrder(2.0, C21)
+    zero = PAdicVector.zero(C21)
+    f = BruhatSchwartzFunction(C21, ((ExactComplex(1, 0), Ball(zero, -3)),))
+    assert f.trie is None
+    _, values, drops = symbol_multiplier(order).part(f)
+    got = schwartz.haar_combination([(f, values, drops)])
+    assert sorted(c.re for c, _ in got.terms) == [
+        Fraction(3, 32), Fraction(9, 64), Fraction(21, 128), Fraction(23, 128)
+    ]
+    assert serialize(got) == serialize(apply_bessel(order, f))
+
+
 def test_haar_combination_needs_parts_in_one_context():
     with pytest.raises(ValueError):
         schwartz.haar_combination([])

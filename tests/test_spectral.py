@@ -7,6 +7,8 @@ from itertools import product as digit_product
 import pytest
 
 from padic_bessel import cli, spectral
+from padic_bessel.bessel import BesselOrder, resolvent_multiplier, symbol_profile
+from padic_bessel.heat import multiplier_profile
 from padic_bessel.padic import (
     EC_ZERO,
     Ball,
@@ -37,6 +39,7 @@ from padic_bessel.spectral import (
     multiply_radial,
     pairing,
     parseval_defect,
+    radial_terms,
     radial_transform,
 )
 
@@ -329,6 +332,7 @@ def test_the_term_routes_never_flatten_cells(tmp_path, monkeypatch, capsys):
         fourier(f)
     parseval_defect(f, g)
     assert cli.main(["verify", "fourier", "--p", "3", "--trials", "10"]) == 0
+    assert cli.main(["verify", "routes", "--p", "3", "--trials", "10"]) == 0
     # --roundtrip flattens the transform it prints, and not the double transform
     monkeypatch.setattr(spectral, "_modulated_cells", counting)
     src = tmp_path / "f.json"
@@ -399,3 +403,92 @@ def test_multiply_radial_matches_pointwise_values():
         m = x.norm_exp
         expected = f.evaluate(x) * prof.value_at(m if m != ZERO_NORM else 0)
         assert out.evaluate(x) == expected
+
+
+def multiply_radial_by_cosets(f, profile):
+    """The cell rule ``multiply_radial`` had before ``radial_terms``, kept as
+    its oracle.
+
+    Cells avoiding 0 see a single profile value.  A cell containing 0 with
+    positive radius is cut into the unit ball plus its shells, each shell
+    into the p**n - 1 cosets away from 0, all carrying constant values.
+    """
+    if not profile.constant_on_unit_ball:
+        raise ValueError("multiplier must be constant on the unit ball")
+    f = f.canonicalize()
+    ctx = f.ctx
+    zero = PAdicVector.zero(ctx)
+    out = []
+    for c, ball in f.terms:
+        a = ball.center
+        if not a.is_zero:
+            out.append((c * profile.value_at(a.norm_exp), ball))
+        elif ball.radius_exp <= 0:
+            out.append((c * profile.value_at(0), ball))
+        else:
+            out.append((c * profile.value_at(0), Ball(zero, 0, known_canonical=True)))
+            for k in range(1, ball.radius_exp + 1):
+                val = profile.value_at(k)
+                shell_ball = Ball(zero, k, known_canonical=True)
+                for child in shell_ball.children():
+                    if child.center.norm_exp > child.radius_exp:  # misses 0
+                        out.append((c * val, child))
+    return BruhatSchwartzFunction(ctx, tuple(out)).canonicalize()
+
+
+# the benchmark grid, with inputs whose transforms stay small
+ORACLE_GRID = [
+    (2, 1, 2.0, RandomFunctionConfig(4, -2, 2, den_pow_max=2, complex_coeffs=True)),
+    (3, 1, 3.0, RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)),
+    (2, 2, 4.0, RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)),
+    (5, 1, 2.0, RandomFunctionConfig(4, -1, 2, den_pow_max=1, complex_coeffs=True)),
+    (3, 2, 2.5, RandomFunctionConfig(3, -1, 2, den_pow_max=0, complex_coeffs=True)),
+]
+
+
+@pytest.mark.parametrize("p,n,alpha,config", ORACLE_GRID)
+def test_radial_terms_match_the_coset_split(p, n, alpha, config):
+    """Byte-identical where the coset split is exact.  With float shell
+    values the telescoped terms sum in another order, so there the two agree
+    to rounding."""
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    profiles = (
+        symbol_profile(order),
+        resolvent_multiplier(order, Fraction(1, 2)).profile(),
+        multiplier_profile(0.7, order),
+    )
+    for seed in range(15):
+        fhat = fourier(random_test_function(seed, order.ctx, config))
+        for profile in profiles:
+            got, want = multiply_radial(fhat, profile), multiply_radial_by_cosets(fhat, profile)
+            if want.is_exact:
+                assert serialize(got) == serialize(want)
+            else:
+                assert (got - want).sup_norm() <= 1e-15 * max(1.0, want.sup_norm())
+
+
+def test_radial_terms_keep_phase_and_modulation():
+    # (1 + i) e^(2 pi i / 3) chi_3(x / 9) 1_{B(0, 3^2)}: m(2) on the ball and
+    # the drops m(1) - m(2), m(0) - m(1) on B(0, 3) and Z_3, each term with
+    # the phase 1/3 and the modulation 1/9
+    values = {0: Fraction(1), 1: Fraction(1, 5), 2: Fraction(1, 7)}
+    profile = RadialProfile(ctx=C31, resid=lambda k: values[max(k, 0)], constant_on_unit_ball=True)
+    eta = PAdicVector.of(C31, Fraction(1, 9))
+    zero = PAdicVector.zero(C31)
+    c = ExactComplex(1, 1)
+    term = ModulatedTerm(c, Fraction(1, 3), eta, Ball(zero, 2))
+    got = radial_terms([term], profile)
+    assert got == (
+        ModulatedTerm(c * Fraction(1, 7), Fraction(1, 3), eta, Ball(zero, 2)),
+        ModulatedTerm(c * Fraction(2, 35), Fraction(1, 3), eta, Ball(zero, 1)),
+        ModulatedTerm(c * Fraction(4, 5), Fraction(1, 3), eta, Ball(zero, 0)),
+    )
+    # pointwise, the expansion is the profile times the term's value
+    f, mf = expand(C31, [term]), expand(C31, got)
+    for x in probe_points(C31, 60, seed=7):
+        m = x.norm_exp
+        want = f.evaluate(x) * profile.value_at(m if m != ZERO_NORM else 0)
+        assert abs(mf.evaluate(x) - want) <= 1e-15
+    # a term off 0 scales by the value on its one shell, keeping the rest
+    off = ModulatedTerm(c, Fraction(1, 3), eta, Ball(PAdicVector.of(C31, Fraction(1, 3)), 0))
+    assert radial_terms([off], profile) == (off._replace(coeff=c * Fraction(1, 5)),)
