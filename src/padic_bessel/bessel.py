@@ -8,9 +8,9 @@ Fourier transform, and only the oracles call the convolution route.  Two
 independent routes are its oracles, in the tests and ``verify routes``:
 convolution against the explicit radial kernel at a point (space side,
 ``apply_bessel_convolution``) and the two Fourier transforms around
-``radial_terms`` with ``symbol_profile`` (symbol side).  The verification
-operations below check the dissipativity, self-adjointness, contraction,
-maximum-principle and resolvent statements on concrete inputs.
+``radial_terms`` with ``symbol_multiplier`` itself (symbol side).  The
+verification operations below check the dissipativity, self-adjointness,
+contraction, maximum-principle and resolvent statements on concrete inputs.
 """
 from __future__ import annotations
 
@@ -83,17 +83,6 @@ def symbol_value(m: Union[int, float], order: BesselOrder) -> Number:
     return p ** (-int(m) * order.alpha)
 
 
-def symbol_profile(order: BesselOrder) -> RadialProfile:
-    """The multiplier as a radial profile (1 on the unit ball, decaying above)."""
-    return RadialProfile(
-        ctx=order.ctx,
-        resid=lambda k: symbol_value(k, order),
-        base=0,
-        deep_pieces=((1, 0),),
-        constant_on_unit_ball=True,
-    )
-
-
 def kernel_value(m: Union[int, float], order: BesselOrder) -> Number:
     """Radial convolution kernel at norm exponent m; zero outside the unit ball.
 
@@ -152,7 +141,6 @@ def kernel_profile(order: BesselOrder) -> RadialProfile:
     return RadialProfile(
         ctx=ctx,
         resid=lambda k: kernel_value(k, order),
-        base=0,
         deep_pieces=((1.0 / gamma, alpha - n), (-(p ** (alpha - n)) / gamma, 0)),
     )
 

@@ -52,7 +52,6 @@ from padic_bessel.bessel import (
     resolvent_multiplier,
     resolvent_residual,
     symbol_multiplier,
-    symbol_profile,
 )
 from padic_bessel.heat import (
     MAX_DEPTH,
@@ -60,7 +59,6 @@ from padic_bessel.heat import (
     convolution_defect,
     distributional_mass,
     duhamel,
-    multiplier_profile,
     semigroup_multiplier,
     tail_envelope,
     z_closed,
@@ -216,7 +214,10 @@ def run_evolve(ns: argparse.Namespace) -> int:
     solutions = duhamel(problem, order, times)
     lines = ["time,l2_norm,sup_norm"]
     for t, u in zip(times, solutions):
-        lines.append(f"{_fmt(t)},{_fmt(u.l2_norm())},{_fmt(u.sup_norm())}")
+        l2, sup = u.l2_norm(), u.sup_norm()
+        if not (math.isfinite(l2) and math.isfinite(sup)):
+            raise ValueError(f"the solution's norms at t = {_fmt(t)} are beyond the float range")
+        lines.append(f"{_fmt(t)},{_fmt(l2)},{_fmt(sup)}")
     _emit("\n".join(lines) + "\n", ns.out)
     if ns.snapshots:
         for idx, u in enumerate(solutions):
@@ -353,18 +354,14 @@ def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> floa
     its convolution route (at every output cell center).  The oracle stays
     on terms and off the digit trie until its unmodulated output."""
     fhat = fourier_terms(modulated_terms(f))
-    resolvent_m = resolvent_multiplier(order, ROUTE_LAMBDA)
-    pairs = (
-        (symbol_multiplier(order), symbol_profile(order)),
-        (resolvent_m, resolvent_m.profile()),
-        (
-            semigroup_multiplier(ROUTE_TIME, order),
-            multiplier_profile(ROUTE_TIME, order),
-        ),
+    multipliers = (
+        symbol_multiplier(order),
+        resolvent_multiplier(order, ROUTE_LAMBDA),
+        semigroup_multiplier(ROUTE_TIME, order),
     )
     worst = 0.0
-    for multiplier, profile in pairs:
-        oracle = expand(f.ctx, inverse_fourier_terms(radial_terms(fhat, profile)))
+    for multiplier in multipliers:
+        oracle = expand(f.ctx, inverse_fourier_terms(radial_terms(fhat, multiplier)))
         worst = max(worst, (multiplier.apply(f) - oracle).sup_norm())
     u = apply_bessel(order, f)
     for c, ball in u.terms:

@@ -9,8 +9,9 @@ against each other:
 
 * the closed telescoping sum over shells (``z_closed``), evaluated in a
   product form built from expm1 so no significance is lost, and
-* the regularized inverse transform of the multiplier (``z_oracle``),
-  a shell sum against exact character integrals.
+* the regularized inverse transform of ``heat_kernel_multiplier``, the
+  semigroup minus the identity (``z_oracle``), a shell sum of its
+  ``profile`` against exact character integrals.
 
 Evolution applies exp(-t * multiplier) on the Haar basis of the digit trie
 (``RadialMultiplier``).  For step forcing the Duhamel integral over each
@@ -19,8 +20,8 @@ exp(-(t - s) * multiplier) over [a, b], in closed form
 (``forcing_multiplier``), so mild solutions carry no quadrature error; the
 semigroup's part for the initial datum and one part per forcing piece make
 one ``haar_combination``.  The pairing of the function part with a test
-function is the multiplier expm1(-t * multiplier) on the same route, read at
-the origin, so no function here calls the Fourier transform.
+function is ``heat_kernel_multiplier`` on the same route, read at the
+origin, so no function here calls the Fourier transform.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from padic_bessel.padic import (
     shell_measure,
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction, haar_combination
-from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
+from padic_bessel.spectral import RadialMultiplier, radial_transform
 from padic_bessel.bessel import BesselOrder, symbol_value
 
 
@@ -140,36 +141,29 @@ def z_origin_limit(t: float, order: BesselOrder) -> float:
     return z_closed(default_depth(t, order, tol=1e-18), t, order)
 
 
-def multiplier_profile(t: float, order: BesselOrder) -> RadialProfile:
-    """exp(-t * multiplier) as a radial profile with base 1.
+def heat_kernel_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
+    """The transform of the heat kernel's function part, expm1(-t *
+    multiplier), at a time t >= 0 as a radial multiplier: the semigroup
+    minus the identity.  Its values come from expm1 rather than from the
+    semigroup's, so a small t loses no significance; its drops are the
+    semigroup's."""
+    semigroup = semigroup_multiplier(t, order)
 
-    The residual expm1(-t * symbol) is what the transform weights against
-    huge character integrals; the constant bulk integrates to 0 and drops
-    out.
-    """
-    if t < 0:
-        raise ValueError(f"time t = {t} must be nonnegative")
-
-    def resid(k: int) -> float:
+    def value(k: int) -> float:
         return math.expm1(-t * float(symbol_value(k, order)))
 
-    return RadialProfile(
-        ctx=order.ctx,
-        resid=resid,
-        base=1,
-        deep_pieces=((math.expm1(-t), 0),),
-        constant_on_unit_ball=True,
-    )
+    return RadialMultiplier(order.ctx, value, semigroup.drop)
 
 
 def z_oracle(gamma: int, t: float, order: BesselOrder) -> float:
     """Kernel function part by the independent route: the regularized
-    inverse transform of the multiplier, summed shell by shell against
-    exact character integrals.  Terminates by itself one shell past gamma."""
+    inverse transform of ``heat_kernel_multiplier``, summed shell by shell
+    against exact character integrals.  Terminates by itself one shell past
+    gamma."""
     if gamma < 0:
         raise ValueError(f"shell index gamma = {gamma} must be >= 0")
     _require_positive_time(t)
-    return radial_transform(multiplier_profile(t, order), -gamma)
+    return radial_transform(heat_kernel_multiplier(t, order).profile(), -gamma)
 
 
 def z_mass(t: float, order: BesselOrder, depth: Optional[int] = None) -> float:
@@ -286,22 +280,14 @@ def convolution_defect(
 def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> ExactComplex:
     """Distributional pairing of the kernel's function part with phi.
 
-    The function part is the inverse transform of expm1(-t * symbol), and
-    it is radial, so the pairing is that multiplier applied to phi on its
-    digit trie and read at the origin.  The shell values come from
-    expm1 rather than from the semigroup minus the identity, so a small t
-    loses no significance; the shell differences are the semigroup's.  The
-    full kernel pairs to phi(0) plus this value and tends to phi(0) as t
-    drops to 0.
+    The function part is the inverse transform of
+    ``heat_kernel_multiplier``, and it is radial, so the pairing is that
+    multiplier applied to phi on its digit trie and read at the origin.
+    The full kernel pairs to phi(0) plus this value and tends to phi(0) as
+    t drops to 0.
     """
     _require_positive_time(t)
-    semigroup = semigroup_multiplier(t, order)
-    kernel = RadialMultiplier(
-        order.ctx,
-        lambda k: math.expm1(-t * float(symbol_value(k, order))),
-        semigroup.drop,
-    )
-    return kernel.apply(phi).evaluate(PAdicVector.zero(order.ctx))
+    return heat_kernel_multiplier(t, order).apply(phi).evaluate(PAdicVector.zero(order.ctx))
 
 
 # -- evolution ------------------------------------------------------------------

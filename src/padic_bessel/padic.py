@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _digit_product
-from typing import Iterator, Union
+from typing import Union
 
 Number = Union[int, float, Fraction]
 Rational = Union[int, Fraction]
@@ -251,11 +250,6 @@ class PAdicVector:
         return max(norm_exp_of(c, self.ctx.p) for c in self.coords)
 
     @property
-    def norm(self) -> Fraction:
-        m = self.norm_exp
-        return Fraction(0) if m == ZERO_NORM else self.ctx.p_power(int(m))
-
-    @property
     def min_valuation(self) -> Union[int, float]:
         return min(valuation(c, self.ctx.p) for c in self.coords)
 
@@ -318,24 +312,6 @@ class Ball:
         if self.radius_exp == other.radius_exp:
             return "equal"
         return "contains" if self.radius_exp > other.radius_exp else "inside"
-
-    def children(self) -> Iterator["Ball"]:
-        """The p**n sub-balls of radius exponent r - 1, in digit order.
-
-        A canonical parent yields canonical children: the new digit sits at
-        exactly the power the finer modulus exposes.
-        """
-        p, n = self.ctx.p, self.ctx.n
-        offset_scale = Fraction(p) ** (-self.radius_exp)
-        for digits in _digit_product(range(p), repeat=n):
-            coords = tuple(
-                c + d * offset_scale for c, d in zip(self.center.coords, digits)
-            )
-            yield Ball(
-                PAdicVector(coords, self.ctx),
-                self.radius_exp - 1,
-                known_canonical=self.known_canonical,
-            )
 
 
 def ball_measure(radius_exp: int, ctx: PrimeContext) -> Fraction:

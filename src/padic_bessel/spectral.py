@@ -9,15 +9,17 @@ The transform itself remains, as the oracle of that route and for its own
 identities.  It works on lists of modulated balls
 c * exp(2 pi i phase) * chi_p(eta . x) * 1_B(x) (``ModulatedTerm``), which
 it maps one term in, one term out, with exact rational phases
-(``fourier_terms``), and a radial profile multiplies them term by term
-(``radial_terms``); the L2 pairing of two lists is a closed form per pair of
-terms (``pairing``), so neither Parseval nor F^-1 (m F f) needs cells.  Only
-output is expanded into cells (``expand``): the modulation is flattened into
-cells on which the character is constant, read off integer digit vectors
-whose phases are integer residues, one character per distinct phase.
+(``fourier_terms``), and the same ``RadialMultiplier`` multiplies them term
+by term (``radial_terms``); the L2 pairing of two lists is a closed form per
+pair of terms (``pairing``), so neither Parseval nor F^-1 (m F f) needs
+cells.  Only output is expanded into cells (``expand``): the modulation is
+flattened into cells on which the character is constant, read off integer
+digit vectors whose phases are integer residues, one character per distinct
+phase.
 The radial transform evaluates the Fourier integral of a norm-dependent
-profile at one finite frequency as a shell sum against exact character
-integrals, with the infinitely many deep shells summed in closed form.
+profile (``RadialProfile``, which a multiplier's ``profile`` gives) at one
+finite frequency as a shell sum against exact character integrals, with the
+infinitely many deep shells summed in closed form.
 """
 from __future__ import annotations
 
@@ -49,12 +51,16 @@ class DivergentTailError(ValueError):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A function of the norm exponent m (the value at ||x||_p = p**m).
+    """A function of the norm exponent m (the value at ||x||_p = p**m), the
+    input of ``radial_transform`` and of ``multiply_radial``.  An operator's
+    shell values are a ``RadialMultiplier``, whose ``profile`` reads them
+    as one of these.
 
-    Stored as ``base + resid(m)`` where ``base`` is the limit at infinity and
-    ``resid`` decays; shell sums weight huge exact character integrals
-    against the small residual only, since the constant bulk integrates to
-    0 against them, so no precision is lost to it.
+    ``resid(m)`` is the value at m.  A constant integrates to 0 against
+    the character integrals of a shell sum, so a profile's limit drops out,
+    but in floats only to the rounding of the largest terms; the heat
+    kernel's transform therefore reads the multiplier expm1(-t * symbol),
+    which tends to 0.
 
     ``deep_pieces`` gives resid on the deep shells m <= 0 as a sum
     of exact geometric terms A * p**(m*d) (each needs d + n > 0), which the
@@ -63,13 +69,8 @@ class RadialProfile:
 
     ctx: PrimeContext
     resid: Callable[[int], Number]
-    base: Number = 0
     deep_pieces: tuple = ()
     constant_on_unit_ball: bool = False
-
-    def value_at(self, m: int) -> Number:
-        """Profile value at the norm exponent m of a nonzero point."""
-        return self.base + self.resid(int(m))
 
 
 @dataclass(frozen=True)
@@ -124,11 +125,12 @@ class RadialMultiplier:
         return haar_combination([self.part(f)])
 
     def profile(self) -> RadialProfile:
-        """The same shell values as a profile for ``radial_terms``, which
-        the two-transform oracle route of ``apply`` uses."""
+        """The same shell values as a profile for ``radial_transform``:
+        m(0) on every deep shell, as the one deep piece (m(0), 0)."""
         return RadialProfile(
             ctx=self.ctx,
             resid=lambda k: self.value(max(k, 0)),
+            deep_pieces=((self.value(0), 0),),
             constant_on_unit_ball=True,
         )
 
@@ -306,22 +308,19 @@ def parseval_defect(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction) -> Exa
     )
 
 
-def radial_terms(terms, profile: RadialProfile) -> tuple:
-    """A term list times a radial profile m constant on the unit ball, each
-    term keeping its phase and modulation.  A ball missing 0 lies on one
-    shell and scales by m there; B(0, p**s) scales by m(0) when s <= 0, and
-    for s > 0 telescopes into m(s) on it plus (m(k) - m(k+1)) on B(0, p**k),
-    0 <= k < s."""
-    if not profile.constant_on_unit_ball:
-        raise ValueError("multiplier must be constant on the unit ball")
-    zero = PAdicVector.zero(profile.ctx)
+def radial_terms(terms, multiplier: RadialMultiplier) -> tuple:
+    """A term list times a radial multiplier m, each term keeping its phase
+    and modulation.  A ball missing 0 lies on one shell and scales by m
+    there; B(0, p**s) scales by m(0) when s <= 0, and for s > 0 telescopes
+    into m(s) on it plus (m(k) - m(k+1)) on B(0, p**k), 0 <= k < s."""
+    zero = PAdicVector.zero(multiplier.ctx)
     out = []
     for c, phase, eta, ball in terms:
         s, norm = ball.radius_exp, ball.center.norm_exp
         if norm > s:
-            out.append(ModulatedTerm(c * profile.value_at(norm), phase, eta, ball))
+            out.append(ModulatedTerm(c * multiplier.value(max(norm, 0)), phase, eta, ball))
             continue
-        values = [profile.value_at(k) for k in range(max(s, 0) + 1)]
+        values = [multiplier.value(k) for k in range(max(s, 0) + 1)]
         out.append(ModulatedTerm(c * values[-1], phase, eta, Ball(zero, s, known_canonical=True)))
         out.extend(
             ModulatedTerm(c * (values[k] - values[k + 1]), phase, eta, Ball(zero, k, known_canonical=True))
@@ -335,8 +334,12 @@ def multiply_radial(
     f: BruhatSchwartzFunction, profile: RadialProfile
 ) -> BruhatSchwartzFunction:
     """Pointwise product of f with a radial profile constant on the unit
-    ball: the expansion of ``radial_terms`` on f's cells."""
-    return expand(f.ctx, radial_terms(modulated_terms(f), profile))
+    ball: the expansion of ``radial_terms`` on f's cells, with the profile
+    read as a multiplier."""
+    if not profile.constant_on_unit_ball:
+        raise ValueError("multiplier must be constant on the unit ball")
+    multiplier = RadialMultiplier(profile.ctx, profile.resid)
+    return expand(f.ctx, radial_terms(modulated_terms(f), multiplier))
 
 
 def _deep_closed_sum(profile: RadialProfile, top: int) -> float:
@@ -356,9 +359,9 @@ def radial_transform(profile: RadialProfile, xi_norm_exp: int) -> float:
     """(F g)(xi) at ||xi|| = p**m for a radial profile g, as a shell sum.
 
     The character integrals vanish above the shell 1 - m and sum to 0 over
-    all shells up to it, so the constant base drops out and the sum is
-    finite: the deep shells below min(0, -m) in closed form, then the shells
-    from there up to 1 - m against their exact character integrals.
+    all shells up to it, so a constant drops out and the sum is finite: the
+    deep shells below min(0, -m) in closed form, then the shells from there
+    up to 1 - m against their exact character integrals.
     """
     ctx = profile.ctx
     m = int(xi_norm_exp)

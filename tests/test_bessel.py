@@ -33,6 +33,7 @@ from padic_bessel.bessel import (
     quadratic_form,
     resolvent,
     resolvent_residual,
+    symbol_multiplier,
     symbol_value,
 )
 from padic_bessel.spectral import fourier, inverse_fourier
@@ -193,10 +194,8 @@ def test_symbol_transform_reproduces_kernel():
     # the reverse of the khat check: shell-transforming the multiplier
     # lands back on the kernel values inside the unit ball, 0 outside
     from padic_bessel.spectral import radial_transform
-    from padic_bessel.bessel import symbol_profile
-
     for order in orders():
-        prof = symbol_profile(order)
+        prof = symbol_multiplier(order).profile()
         for g in range(0, 7):
             value = radial_transform(prof, -g)
             assert abs(value - float(kernel_value(-g, order))) <= 1e-12
@@ -270,13 +269,12 @@ def test_operator_in_dimension_two():
 def test_multiplier_consistency():
     # the transform of the operator output is the symbol times the transform
     from padic_bessel.spectral import multiply_radial
-    from padic_bessel.bessel import symbol_profile
 
     order = BesselOrder(2.0, C21)
     for seed in range(10):
         f = random_test_function(seed, C21)
         lhs = fourier(apply_bessel(order, f))
-        rhs = multiply_radial(fourier(f), symbol_profile(order))
+        rhs = multiply_radial(fourier(f), symbol_multiplier(order).profile())
         assert (lhs - rhs).sup_norm() <= 1e-12
 
 

@@ -427,6 +427,22 @@ def test_evolve_norm_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("p,center,radius_exp", [(2, "0", -1000), (3, "1/9", -1)])
+def test_evolve_of_a_solution_beyond_the_float_range_exits_2(tmp_path, capsys, p, center, radius_exp):
+    # a coefficient of 10**200 has no float square, so the norms read inf:
+    # no row and no snapshot is written
+    src = tmp_path / "f.json"
+    term = {"re": str(10**200), "center": [center], "radius_exp": radius_exp}
+    src.write_text(json.dumps({"p": p, "n": 1, "terms": [term]}))
+    prefix = tmp_path / "snap"
+    code, out, err = run(
+        capsys, "evolve", "--in", str(src), "--t", "0.5", "--alpha", "2", "--snapshots", str(prefix)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: the solution's norms at t = 0.5 are beyond the float range\n"
+    assert list(tmp_path.glob("snap*")) == []
+
+
 def test_evolve_homogeneous_snapshot(tmp_path, capsys):
     src = tmp_path / "u0.json"
     src.write_text(serialize(OMEGA))
@@ -739,7 +755,7 @@ EXTREME_RADII = st.one_of(RADII, st.sampled_from([-1000, 5000]))
 RATIONALS = st.one_of(
     st.integers(-40, 40).map(str),
     st.builds(lambda a, b, k: f"{a}/{b**k}", st.integers(-40, 40), st.sampled_from([2, 3, 5]), st.integers(0, 6)),
-    st.sampled_from([f"1/{2**3000}", f"7/{3**2000}", f"{5**4000}"]),
+    st.sampled_from([f"1/{2**3000}", f"7/{3**2000}", f"{5**4000}", str(10**200)]),
 )
 BAD_RATIONALS = ["1/0", "1e-99999999", "0.5", "x", 7, "1/1" + "0" * 5000]
 
@@ -787,13 +803,13 @@ GAMMAS = st.sampled_from(["-1000000000000", "-1", "0", "7", "300", str(MAX_DEPTH
 
 
 def _exit_code(argv):
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -820,9 +836,12 @@ def test_cli_ends_in_an_exit_code_on_mutated_input(function, command, gamma, alp
                 argv += ["--forcing", str(forcing)]
         else:
             argv = [command, f"--gamma-max={gamma}", "--alpha", alpha]
-        code, err = _exit_code(argv)
+        code, out, err = _exit_code(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if command == "evolve" and code == 0:
+        for row in out.splitlines()[1:]:
+            assert all(math.isfinite(float(x)) for x in row.split(","))
 
 
 # -- one parser per process ---------------------------------------------------------

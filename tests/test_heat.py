@@ -31,8 +31,8 @@ from padic_bessel.heat import (
     distributional_mass,
     duhamel,
     forcing_multiplier,
+    heat_kernel_multiplier,
     heat_shell_values,
-    multiplier_profile,
     semigroup_multiplier,
     solve_cauchy,
     tail_envelope,
@@ -108,12 +108,11 @@ def test_oracle_route_vanishes_outside_unit_ball():
     # shell sum at an outside frequency: the lone surviving character
     # integral cancels the ball term
     from padic_bessel.spectral import radial_transform
-    from padic_bessel.heat import multiplier_profile
 
     for p, n, alpha in [(2, 1, 2.0), (3, 1, 3.0), (5, 2, 3.5)]:
         order = BesselOrder(alpha, PrimeContext(p, n))
         for m in (1, 2, 3):
-            assert abs(radial_transform(multiplier_profile(1.0, order), m)) <= 1e-15
+            assert abs(radial_transform(heat_kernel_multiplier(1.0, order).profile(), m)) <= 1e-15
 
 
 def test_z_monotone_in_shell_with_envelope_rate():
@@ -413,10 +412,10 @@ def step_problem(p, n, seed, tags=(0.0, 0.3, 0.55)):
 
 def exact_forcing_integral(problem, order, t):
     """Mild solution on the two-transform route, independent of
-    ``RadialMultiplier``: on each frequency shell T(t) is exp(-t m), and a
+    ``RadialMultiplier.apply``: on each frequency shell T(t) is exp(-t m), and a
     forcing piece in force on [a, b] contributes the integral of
     exp(-(t - s) m) ds over [a, b] = exp(-(t - b) m) (-expm1(-(b - a) m)) / m."""
-    pairs = [(1, multiply_radial(fourier(problem.u0), multiplier_profile(t, order)))]
+    pairs = [(1, multiply_radial(fourier(problem.u0), semigroup_multiplier(t, order).profile()))]
     ends = [tag for tag, _ in problem.forcing[1:]] + [t]
     for (a, f), b in zip(problem.forcing, ends):
         b = min(b, t)

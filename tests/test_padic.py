@@ -23,6 +23,7 @@ from padic_bessel.padic import (
     shell_measure,
     valuation,
 )
+from conftest import digit_children
 
 C21 = PrimeContext(2, 1)
 C31 = PrimeContext(3, 1)
@@ -256,7 +257,7 @@ def test_ball_children_partition(ctx):
     import random
 
     ball = Ball(PAdicVector.of(ctx, *([Fraction(1, ctx.p)] * ctx.n)), 1)
-    kids = list(ball.children())
+    kids = list(digit_children(ball))
     assert len(kids) == ctx.p**ctx.n
     assert sum((k.measure for k in kids), Fraction(0)) == ball.measure
     rng = random.Random(0)

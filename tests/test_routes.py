@@ -47,13 +47,11 @@ from padic_bessel.bessel import (
     resolvent,
     resolvent_multiplier,
     symbol_multiplier,
-    symbol_profile,
     symbol_value,
 )
 from padic_bessel.heat import (
     EvolutionProblem,
     duhamel,
-    multiplier_profile,
     semigroup_multiplier,
     solve_cauchy,
     weak_pairing,
@@ -128,7 +126,7 @@ def quadratic_form_fourier(order, f):
     """<-(operator) f, f> on the Fourier side: minus the pairing of
     symbol * F f with F f."""
     fhat = fourier(f)
-    weighted = multiply_radial(fhat, symbol_profile(order))
+    weighted = multiply_radial(fhat, symbol_multiplier(order).profile())
     return -float(weighted.inner_product(fhat).re)
 
 
@@ -168,9 +166,9 @@ def test_three_route_agreement(p, n, alpha):
         f = random_test_function(1000 * p + 10 * n + seed, order.ctx, CONFIGS[p, n])
         tol = 1e-10 * max(1.0, f.sup_norm())
         routes = (
-            (apply_bessel(order, f), symbol_profile(order)),
+            (apply_bessel(order, f), symbol_multiplier(order).profile()),
             (resolvent(order, LAM, f), resolvent_multiplier(order, LAM).profile()),
-            (solve_cauchy(f, T, order), multiplier_profile(T, order)),
+            (solve_cauchy(f, T, order), semigroup_multiplier(T, order).profile()),
         )
         for got, profile in routes:
             assert (got - two_transform_route(f, profile)).sup_norm() <= tol
@@ -188,7 +186,7 @@ def test_exact_output_at_odd_p(n):
     for seed in range(8):
         f = random_test_function(seed, order.ctx, config)
         for got, profile in (
-            (apply_bessel(order, f), symbol_profile(order)),
+            (apply_bessel(order, f), symbol_multiplier(order).profile()),
             (resolvent(order, LAM, f), resolvent_multiplier(order, LAM).profile()),
         ):
             oracle = two_transform_route(f, profile)

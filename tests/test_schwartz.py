@@ -34,6 +34,7 @@ from padic_bessel.schwartz import (
     random_test_function,
     serialize,
 )
+from conftest import digit_children
 from test_routes import concentric_terms
 
 C21 = PrimeContext(2, 1)
@@ -102,7 +103,7 @@ def test_canonicalize_collapses_constant_siblings():
         C21,
         tuple(
             (ExactComplex(Fraction(3), 0), child)
-            for child in Ball(zero, 0).children()
+            for child in digit_children(Ball(zero, 0))
         ),
     ).canonicalize()
     assert f.terms == omega().scale(3).terms

@@ -7,8 +7,8 @@ from itertools import product as digit_product
 import pytest
 
 from padic_bessel import cli, spectral
-from padic_bessel.bessel import BesselOrder, resolvent_multiplier, symbol_profile
-from padic_bessel.heat import multiplier_profile
+from padic_bessel.bessel import BesselOrder, resolvent_multiplier, symbol_multiplier
+from padic_bessel.heat import heat_kernel_multiplier, semigroup_multiplier
 from padic_bessel.padic import (
     EC_ZERO,
     Ball,
@@ -29,6 +29,7 @@ from padic_bessel.schwartz import (
 from padic_bessel.spectral import (
     DivergentTailError,
     ModulatedTerm,
+    RadialMultiplier,
     RadialProfile,
     expand,
     fourier,
@@ -42,6 +43,7 @@ from padic_bessel.spectral import (
     radial_terms,
     radial_transform,
 )
+from conftest import digit_children
 
 C21 = PrimeContext(2, 1)
 C31 = PrimeContext(3, 1)
@@ -401,7 +403,7 @@ def test_multiply_radial_matches_pointwise_values():
     out = multiply_radial(f, prof)
     for x in probe_points(C21, 60, seed=5):
         m = x.norm_exp
-        expected = f.evaluate(x) * prof.value_at(m if m != ZERO_NORM else 0)
+        expected = f.evaluate(x) * prof.resid(m if m != ZERO_NORM else 0)
         assert out.evaluate(x) == expected
 
 
@@ -422,15 +424,15 @@ def multiply_radial_by_cosets(f, profile):
     for c, ball in f.terms:
         a = ball.center
         if not a.is_zero:
-            out.append((c * profile.value_at(a.norm_exp), ball))
+            out.append((c * profile.resid(a.norm_exp), ball))
         elif ball.radius_exp <= 0:
-            out.append((c * profile.value_at(0), ball))
+            out.append((c * profile.resid(0), ball))
         else:
-            out.append((c * profile.value_at(0), Ball(zero, 0, known_canonical=True)))
+            out.append((c * profile.resid(0), Ball(zero, 0, known_canonical=True)))
             for k in range(1, ball.radius_exp + 1):
-                val = profile.value_at(k)
+                val = profile.resid(k)
                 shell_ball = Ball(zero, k, known_canonical=True)
-                for child in shell_ball.children():
+                for child in digit_children(shell_ball):
                     if child.center.norm_exp > child.radius_exp:  # misses 0
                         out.append((c * val, child))
     return BruhatSchwartzFunction(ctx, tuple(out)).canonicalize()
@@ -453,9 +455,9 @@ def test_radial_terms_match_the_coset_split(p, n, alpha, config):
     to rounding."""
     order = BesselOrder(alpha, PrimeContext(p, n))
     profiles = (
-        symbol_profile(order),
+        symbol_multiplier(order).profile(),
         resolvent_multiplier(order, Fraction(1, 2)).profile(),
-        multiplier_profile(0.7, order),
+        semigroup_multiplier(0.7, order).profile(),
     )
     for seed in range(15):
         fhat = fourier(random_test_function(seed, order.ctx, config))
@@ -472,23 +474,51 @@ def test_radial_terms_keep_phase_and_modulation():
     # the drops m(1) - m(2), m(0) - m(1) on B(0, 3) and Z_3, each term with
     # the phase 1/3 and the modulation 1/9
     values = {0: Fraction(1), 1: Fraction(1, 5), 2: Fraction(1, 7)}
-    profile = RadialProfile(ctx=C31, resid=lambda k: values[max(k, 0)], constant_on_unit_ball=True)
+    multiplier = RadialMultiplier(C31, lambda k: values[k])
     eta = PAdicVector.of(C31, Fraction(1, 9))
     zero = PAdicVector.zero(C31)
     c = ExactComplex(1, 1)
     term = ModulatedTerm(c, Fraction(1, 3), eta, Ball(zero, 2))
-    got = radial_terms([term], profile)
+    got = radial_terms([term], multiplier)
     assert got == (
         ModulatedTerm(c * Fraction(1, 7), Fraction(1, 3), eta, Ball(zero, 2)),
         ModulatedTerm(c * Fraction(2, 35), Fraction(1, 3), eta, Ball(zero, 1)),
         ModulatedTerm(c * Fraction(4, 5), Fraction(1, 3), eta, Ball(zero, 0)),
     )
-    # pointwise, the expansion is the profile times the term's value
+    # pointwise, the expansion is the multiplier times the term's value
     f, mf = expand(C31, [term]), expand(C31, got)
     for x in probe_points(C31, 60, seed=7):
         m = x.norm_exp
-        want = f.evaluate(x) * profile.value_at(m if m != ZERO_NORM else 0)
+        want = f.evaluate(x) * multiplier.value(max(m, 0))
         assert abs(mf.evaluate(x) - want) <= 1e-15
     # a term off 0 scales by the value on its one shell, keeping the rest
     off = ModulatedTerm(c, Fraction(1, 3), eta, Ball(PAdicVector.of(C31, Fraction(1, 3)), 0))
-    assert radial_terms([off], profile) == (off._replace(coeff=c * Fraction(1, 5)),)
+    assert radial_terms([off], multiplier) == (off._replace(coeff=c * Fraction(1, 5)),)
+
+
+@pytest.mark.parametrize("p,n,alpha", [(p, n, alpha) for p, n, alpha, _ in ORACLE_GRID])
+def test_profile_transforms_to_the_running_drop_sum(p, n, alpha):
+    """The transform of m's profile at ||x|| = p**(-j) is the function part
+    of m(D)'s kernel there: sum over 0 <= k <= j of (m(k) - m(k+1)) p**(kn).
+    The deep shells carry m(0); without them the resolvent at (2, 1, 2)
+    reads -1.0 at ||x|| = 1, where m(0) - m(1) = -2/3.
+
+    The shell sum weights m against character integrals of size up to
+    p**((j+1) n), and a nonzero limit of m, as the resolvent's and the
+    semigroup's, cancels there only to rounding: the tolerance is relative
+    to p**(jn) sup |m|."""
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    multipliers = (
+        symbol_multiplier(order),
+        resolvent_multiplier(order, Fraction(1, 2)),
+        semigroup_multiplier(0.7, order),
+        heat_kernel_multiplier(0.7, order),
+    )
+    for multiplier in multipliers:
+        profile = multiplier.profile()
+        sup = max(abs(float(multiplier.value(k))) for k in range(8))
+        total = 0
+        for j in range(7):
+            total += (multiplier.value(j) - multiplier.value(j + 1)) * p ** (j * n)
+            gap = abs(radial_transform(profile, -j) - float(total))
+            assert gap <= 1e-14 * p ** (j * n) * max(1.0, sup)
