@@ -4,13 +4,17 @@ Points are rational vectors. Valuations, norm exponents and Haar measures
 are carried as integers and ``Fraction`` values, so every metric statement
 (membership, nesting, shell measure, character phase) is decided exactly;
 floating point enters only through transcendental constants downstream.
+Complex coefficients are ``ExactComplex`` values, an exact one being a
+single Gaussian rational (a + b i) / d in lowest terms, so that each sum or
+product takes its integer products and one gcd.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache
+from typing import Optional, Union
 
 Number = Union[int, float, Fraction]
 Rational = Union[int, Fraction]
@@ -74,8 +78,21 @@ class PrimeContext:
             raise ValueError(f"dimension n = {self.n!r} must be a positive integer")
 
     def p_power(self, k: int) -> Fraction:
-        """p**k as an exact rational (k may be negative)."""
+        """p**k as an exact rational (k may be negative), from a bounded
+        cache for |k| <= P_POWER_CACHED."""
+        if -P_POWER_CACHED <= k <= P_POWER_CACHED:
+            return _p_power(self.p, k)
         return Fraction(self.p) ** k
+
+
+#: the largest |k| whose p**k ``PrimeContext.p_power`` caches, so that deep
+#: inputs, whose powers run to thousands of digits, cannot grow the cache
+P_POWER_CACHED = 64
+
+
+@lru_cache(maxsize=512)
+def _p_power(p: int, k: int) -> Fraction:
+    return Fraction(p) ** k
 
 
 def _int_valuation(m: int, p: int) -> int:
@@ -110,7 +127,8 @@ def valuation(x: Rational, p: int) -> Union[int, float]:
 
     Returns ORD_INF for x = 0.
     """
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         return ORD_INF
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
@@ -153,51 +171,193 @@ def fractional_part(x: Rational, p: int) -> Fraction:
     return reduce_mod_ball(x, 0, p)
 
 
-@dataclass(frozen=True, slots=True)
 class ExactComplex:
-    """Complex scalar whose parts stay exact rationals until an irrational
-    constant (a character value, an exponential) forces them to float."""
+    """Complex scalar, exact until an irrational constant (a character value,
+    an exponential) brings in floating point.
 
-    re: Number = 0
-    im: Number = 0
+    An exact value is one Gaussian rational (a + b i) / d: integers a, b and
+    d with d > 0 and gcd(a, b, d) = 1, so each value has one triple.  Sums,
+    differences and products with an exact value, an int or a ``Fraction``
+    take their integer products and one gcd.  A value with a float part
+    keeps its two parts as given (float, int or ``Fraction``) and combines
+    them part by part as Python numbers do, the part of an exact operand
+    being a / d; an exact value times a float uses a / d and b / d, the
+    correctly rounded floats of its parts.  Instances are immutable: ``re``
+    and ``im`` are read-only, and there is no instance dict.
+    """
+
+    # (a, b, d) of an exact value; (re, im, 0) of one with a float part
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: Number = 0, im: Number = 0) -> None:
+        if isinstance(re, float) or isinstance(im, float):
+            self._a, self._b, self._d = re, im, 0
+            return
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(f"parts must be int, Fraction or float, got {re!r} and {im!r}")
+        # reduced parts over the lcm of their denominators have gcd 1
+        d1, d2 = re.denominator, im.denominator
+        g = math.gcd(d1, d2)
+        self._a, self._b, self._d = re.numerator * (d2 // g), im.numerator * (d1 // g), d1 // g * d2
+
+    @classmethod
+    def from_gaussian(cls, a: int, b: int, d: int) -> "ExactComplex":
+        """The exact value (a + b i) / d of integers a, b and d != 0."""
+        if d == 0:
+            raise ZeroDivisionError("ExactComplex denominator is 0")
+        return _reduced(a, b, d) if d > 0 else _reduced(-a, -b, -d)
+
+    @property
+    def gaussian(self) -> Optional[tuple]:
+        """(a, b, d) with the value (a + b i) / d, or None for a value with
+        a float part."""
+        return (self._a, self._b, self._d) if self._d else None
+
+    @property
+    def re(self) -> Number:
+        """The real part: an exact whole part reads as an int."""
+        return _part(self._a, self._d)
+
+    @property
+    def im(self) -> Number:
+        """The imaginary part: an exact whole part reads as an int."""
+        return _part(self._b, self._d)
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d and e:
+            if d == e:
+                return _reduced(self._a + other._a, self._b + other._b, d)
+            return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        if d or e:  # the parts of the exact operand as numbers
+            return _make(self.re + other.re, self.im + other.im, 0)
+        return _make(self._a + other._a, self._b + other._b, 0)
 
     def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d and e:
+            if d == e:
+                return _reduced(self._a - other._a, self._b - other._b, d)
+            return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        if d or e:  # the parts of the exact operand as numbers
+            return _make(self.re - other.re, self.im - other.im, 0)
+        return _make(self._a - other._a, self._b - other._b, 0)
 
     def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: Union["ExactComplex", Number]) -> "ExactComplex":
-        if isinstance(other, ExactComplex):
-            return ExactComplex(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return ExactComplex(self.re * other, self.im * other)
+        d = self._d
+        if type(other) is ExactComplex:
+            e = other._d
+            if d and e:
+                a, b, c, f = self._a, self._b, other._a, other._b
+                return _reduced(a * c - b * f, a * f + b * c, d * e)
+            if d or e:
+                a, b, c, f = self.re, self.im, other.re, other.im
+            else:
+                a, b, c, f = self._a, self._b, other._a, other._b
+            return _make(a * c - b * f, a * f + b * c, 0)
+        if isinstance(other, float):
+            if d:
+                return _make(self._a / d * other, self._b / d * other, 0)
+        elif isinstance(other, (int, Fraction)):
+            if d:
+                k = other.numerator
+                return _reduced(self._a * k, self._b * k, d * other.denominator)
+        else:
+            return NotImplemented
+        # a value with a float part, part by part
+        return _make(self._a * other, self._b * other, 0)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Number:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        square = a * a + b * b
+        return square if d <= 1 else Fraction(square, d * d)
 
     def __abs__(self) -> float:
-        return math.sqrt(float(self.abs2()))
+        """sqrt(abs2()), or the hypotenuse of the parts where the square
+        leaves the float range."""
+        a, b, d = self._a, self._b, self._d
+        try:  # int / int rounds as float() of the Fraction abs2 does
+            r = math.sqrt((a * a + b * b) / (d * d) if d else float(a * a + b * b))
+        except OverflowError:
+            r = math.inf
+        if r == math.inf:
+            return math.hypot(float(self.re), float(self.im))
+        return r
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     @property
     def is_exact(self) -> bool:
-        return not isinstance(self.re, float) and not isinstance(self.im, float)
+        return self._d != 0
 
     def as_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        d = self._d
+        if d:
+            return complex(self._a / d, self._b / d)
+        return complex(float(self._a), float(self._b))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ExactComplex:
+            return NotImplemented
+        if self._d and other._d:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __ne__(self, other: object) -> bool:
+        if type(other) is not ExactComplex:
+            return NotImplemented
+        if self._d and other._d:
+            return self._a != other._a or self._b != other._b or self._d != other._d
+        return (self.re, self.im) != (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"ExactComplex(re={self.re!r}, im={self.im!r})"
+
+
+_new = object.__new__
+
+
+def _part(a: Number, d: int) -> Number:
+    """a / d, an int when d divides a; d = 0 gives a as it is."""
+    if d <= 1:
+        return a
+    return a // d if a % d == 0 else Fraction(a, d)
+
+
+def _make(a: Number, b: Number, d: int) -> ExactComplex:
+    """The value of slots (a, b, d) as they are: an exact value in lowest
+    terms, or d = 0 with parts a and b of which one is a float."""
+    z = _new(ExactComplex)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> ExactComplex:
+    """The exact value (a + b i) / d, d > 0, by the one gcd of a, b and d."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(ExactComplex)  # _make, inlined on the hottest path
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
 
 EC_ZERO = ExactComplex(0, 0)

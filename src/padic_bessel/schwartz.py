@@ -270,13 +270,19 @@ class BruhatSchwartzFunction:
         f = self.canonicalize()
         if not f.is_real:
             raise ValueError("sup_and_argmax requires a real-valued function")
-        best_val: Number = 0
-        best_cell: Optional[Ball] = None
+        best, best_cell = EC_ZERO, None
         for c, ball in f.terms:
-            if c.re > best_val:
-                best_val = c.re
-                best_cell = ball
-        return Supremum(best_val, best_cell)
+            if _real_part_above(c, best):
+                best, best_cell = c, ball
+        return Supremum(best.re, best_cell)
+
+
+def _real_part_above(x: ExactComplex, y: ExactComplex) -> bool:
+    """Re x > Re y, exactly: two exact values compare a1 * d2 > a2 * d1."""
+    gx, gy = x.gaussian, y.gaussian
+    if gx is None or gy is None:
+        return x.re > y.re
+    return gx[0] * gy[2] > gy[0] * gx[2]
 
 
 @lru_cache(maxsize=64)
@@ -642,12 +648,9 @@ def random_test_function(
             den = p ** rng.randint(0, config.den_pow_max)
             coords.append(Fraction(num, den))
         ball = Ball(PAdicVector(tuple(coords), ctx), r)
-        re = Fraction(rng.randint(-bound, bound), d)
-        if config.complex_coeffs:
-            im = Fraction(rng.randint(-bound, bound), d)
-        else:
-            im = Fraction(0)
-        terms.append((ExactComplex(re, im), ball))
+        re = rng.randint(-bound, bound)
+        im = rng.randint(-bound, bound) if config.complex_coeffs else 0
+        terms.append((ExactComplex.from_gaussian(re, im, d), ball))
     return BruhatSchwartzFunction(ctx, tuple(terms)).canonicalize()
 
 
@@ -655,33 +658,44 @@ def random_test_function(
 
 
 def _num_to_string(x: Number) -> str:
-    if isinstance(x, float):
-        x = Fraction(x)
-    return str(Fraction(x))
+    """The text "num/den" in lowest terms, or "num"; a float as its exact
+    value."""
+    return str(Fraction(x) if isinstance(x, float) else x)
+
+
+def _ratio_to_string(a: int, d: int) -> str:
+    """a / d as ``_num_to_string`` writes it, for integers a and d > 0."""
+    g = math.gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
+
+
+def _coeff_to_strings(c: ExactComplex) -> tuple:
+    """The texts of re and im, read off the Gaussian triple when c is exact."""
+    triple = c.gaussian
+    if triple is None:
+        return _num_to_string(c.re), _num_to_string(c.im)
+    a, b, d = triple
+    return _ratio_to_string(a, d), _ratio_to_string(b, d)
 
 
 def serialize(f: BruhatSchwartzFunction) -> str:
     """Canonical JSON text; identical inputs serialize to identical bytes."""
     f = f.canonicalize()
-    obj = {
-        "p": f.ctx.p,
-        "n": f.ctx.n,
-        "terms": [
-            {
-                "re": _num_to_string(c.re),
-                "im": _num_to_string(c.im),
-                "center": [_num_to_string(x) for x in ball.center.coords],
-                "radius_exp": ball.radius_exp,
-            }
-            for c, ball in f.terms
-        ],
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    terms = []
+    for c, ball in f.terms:
+        re, im = _coeff_to_strings(c)
+        terms.append({
+            "re": re,
+            "im": im,
+            "center": [_num_to_string(x) for x in ball.center.coords],
+            "radius_exp": ball.radius_exp,
+        })
+    return json.dumps({"p": f.ctx.p, "n": f.ctx.n, "terms": terms}, separators=(",", ":"))
 
 
 # "num/den" or "num": Fraction alone would also read "1e-99999999", whose
 # denominator takes minutes to build
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 #: the deepest input ``deserialize`` reads: canonical form walks one tree
 #: level per p-adic digit, from its root radius (at least 0, each radius and
@@ -704,15 +718,22 @@ def too_many_digit_tuples(p: int, n: int) -> bool:
     return p ** min(n, MAX_DIGIT_TUPLES.bit_length()) > MAX_DIGIT_TUPLES
 
 
-def _parse_rational(s) -> Fraction:
+def _parse_rational(s) -> tuple:
+    """(num, den) of a "num" or "num/den" field, den > 0, as the integers
+    of its text."""
     if not isinstance(s, str):
         raise FunctionFormatError(f"rational fields must be strings, got {s!r}")
-    if _RATIONAL.fullmatch(s) is None:
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
         raise FunctionFormatError(f"malformed rational {s!r}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    num, den = match.groups()
+    try:  # int refuses text over its digit limit
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:
         raise FunctionFormatError(f"malformed rational {s!r}") from exc
+    if den == 0:
+        raise FunctionFormatError(f"malformed rational {s!r}")
+    return num, den
 
 
 def _digit_depth(terms: list, p: int) -> int:
@@ -754,16 +775,17 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
     for entry in raw_terms:
         if not isinstance(entry, dict):
             raise FunctionFormatError("each term must be an object")
-        re = _parse_rational(entry.get("re", "0"))
-        im = _parse_rational(entry.get("im", "0"))
+        re_num, re_den = _parse_rational(entry.get("re", "0"))
+        im_num, im_den = _parse_rational(entry.get("im", "0"))
         center = entry.get("center")
         if not isinstance(center, list) or len(center) != n:
             raise FunctionFormatError(f"center must list {n} rationals")
         radius = entry.get("radius_exp")
         if type(radius) is not int:
             raise FunctionFormatError("radius_exp must be an integer")
-        coords = tuple(_parse_rational(x) for x in center)
-        terms.append((ExactComplex(re, im), Ball(PAdicVector(coords, ctx), radius)))
+        coords = tuple(Fraction(*_parse_rational(x)) for x in center)
+        coeff = ExactComplex.from_gaussian(re_num * im_den, im_num * re_den, re_den * im_den)
+        terms.append((coeff, Ball(PAdicVector(coords, ctx), radius)))
     depth = _digit_depth(terms, p)
     if depth > MAX_INPUT_DEPTH:
         raise FunctionFormatError(

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: valuations, norms, characters, shells, balls."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from padic_bessel.padic import (
     ORD_INF,
     ZERO_NORM,
     Ball,
+    P_POWER_CACHED,
     ContextMismatchError,
+    ExactComplex,
     PAdicVector,
     PrimeContext,
     character_from_phase,
@@ -23,6 +26,8 @@ from padic_bessel.padic import (
     shell_measure,
     valuation,
 )
+from padic_bessel import padic
+from conftest import ExactComplex as Oracle
 from conftest import digit_children
 
 C21 = PrimeContext(2, 1)
@@ -162,6 +167,7 @@ def test_character_irrational_phase_is_float():
 
 def test_scalar_norms():
     assert valuation(Fraction(9, 2), 3) == 2
+    assert valuation(-12, 2) == 2 and valuation(7, 2) == 0
     assert norm_exp_of(Fraction(9, 2), 3) == -2
     assert valuation(Fraction(0), 2) == ORD_INF
     assert norm_exp_of(Fraction(0), 2) == ZERO_NORM
@@ -295,3 +301,101 @@ def test_ball_dichotomy(r1, r2, c1, c2):
             x = PAdicVector.of(C31, q)
             if smaller.contains(x):
                 assert b1.contains(x) and b2.contains(x)
+
+
+def test_p_power_is_exact_and_its_cache_stays_bounded():
+    for ctx in (C21, C32, PrimeContext(2**61 - 1, 1)):
+        for k in list(range(-P_POWER_CACHED - 2, P_POWER_CACHED + 3)) + [-5000, 5000]:
+            assert ctx.p_power(k) == Fraction(ctx.p) ** k
+    before = padic._p_power.cache_info().currsize
+    assert C21.p_power(P_POWER_CACHED + 1) == 2 ** (P_POWER_CACHED + 1)
+    assert C21.p_power(-10_000) == Fraction(1, 2**10_000)
+    info = padic._p_power.cache_info()
+    assert info.currsize == before <= info.maxsize
+
+
+# -- ExactComplex against the two-part oracle ----------------------------------
+
+parts = st.one_of(
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6),
+    st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
+)
+
+
+def same_part(got, want) -> bool:
+    """Floats equal bit for bit, exact parts equal by value."""
+    if isinstance(want, float):
+        return isinstance(got, float) and got.hex() == want.hex()
+    return not isinstance(got, float) and got == want
+
+
+def assert_same(got: ExactComplex, want: Oracle) -> None:
+    assert type(got) is ExactComplex
+    assert same_part(got.re, want.re) and same_part(got.im, want.im), (got, want)
+    assert got.is_exact == want.is_exact
+    assert hash(got) == hash(want)
+    if got.is_exact:
+        a, b, d = got.gaussian
+        assert d > 0 and math.gcd(a, b, d) == 1
+        assert Fraction(a, d) == want.re and Fraction(b, d) == want.im
+    else:
+        assert got.gaussian is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(parts, parts, parts, parts, parts)
+def test_exact_complex_matches_the_two_part_oracle(re1, im1, re2, im2, s):
+    x, y = ExactComplex(re1, im1), ExactComplex(re2, im2)
+    ox, oy = Oracle(re1, im1), Oracle(re2, im2)
+    assert_same(x, ox)
+    assert_same(x + y, ox + oy)
+    assert_same(x - y, ox - oy)
+    assert_same(-x, -ox)
+    assert_same(x * y, ox * oy)
+    assert_same(x * s, ox * s)
+    assert_same(s * x, s * ox)
+    assert_same(x.conjugate(), ox.conjugate())
+    assert same_part(x.abs2(), ox.abs2())
+    assert abs(x).hex() == abs(ox).hex()
+    assert x.is_zero() == ox.is_zero()
+    got, want = x.as_complex(), ox.as_complex()
+    assert got.real.hex() == want.real.hex() and got.imag.hex() == want.imag.hex()
+    assert (x == y) == (ox == oy) and (x != y) == (ox != oy)
+    assert x == x and not x != x
+    assert (x == ExactComplex(re2, im1)) == (ox == Oracle(re2, im1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, parts)
+def test_exact_complex_is_immutable(re, im):
+    x = ExactComplex(re, im)
+    for name in ("re", "im", "is_exact", "gaussian", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert not hasattr(x, "__dict__")
+    assert_same(x, Oracle(re, im))
+
+
+def test_exact_complex_keeps_the_parts_it_is_given():
+    x = ExactComplex(0.5, 0)
+    assert x.im == 0 and type(x.im) is int and not x.is_exact
+    assert (x + ExactComplex(0, Fraction(1, 3))).im == Fraction(1, 3)
+    assert ExactComplex(Fraction(1, 2), 0) == x and hash(ExactComplex(Fraction(1, 2), 0)) == hash(x)
+    assert ExactComplex.from_gaussian(6, -4, -8).gaussian == (-3, 2, 4)
+    assert ExactComplex.from_gaussian(0, 0, 7) == ExactComplex()
+    assert repr(ExactComplex(Fraction(1, 3), Fraction(4, 2))) == "ExactComplex(re=Fraction(1, 3), im=2)"
+    with pytest.raises(ZeroDivisionError):
+        ExactComplex.from_gaussian(1, 0, 0)
+    with pytest.raises(TypeError):
+        ExactComplex("1", 0)
+
+
+def test_modulus_past_the_float_range_of_its_square():
+    for c in (ExactComplex(10**200, 0), ExactComplex(1e200, 0), ExactComplex(0, Fraction(-(10**400), 10**200))):
+        assert abs(c) == 1e200
+    assert abs(ExactComplex(3e200, 4 * 10**200)) == math.hypot(3e200, 4e200)
+    assert abs(ExactComplex(Fraction(3, 7), 1e-300)) == abs(Oracle(Fraction(3, 7), 1e-300))
+    with pytest.raises(OverflowError):
+        abs(Oracle(10**200, 0))
+    assert abs(Oracle(1e200, 0)) == math.inf

@@ -377,6 +377,36 @@ def test_float_coefficients_serialize_exactly():
     assert back.evaluate(PAdicVector.zero(C21)).re == 0.1
 
 
+@pytest.mark.parametrize(
+    "text", ["0", "-0", "+7", "-3/6", "10/4", "0/5", "-123456789012345678901234567890/35"]
+)
+def test_rationals_read_as_fraction_reads_them(text):
+    f = deserialize(json.dumps({"p": 2, "n": 1, "terms": [{"re": text, "im": text, "center": [text], "radius_exp": 0}]}))
+    value = Fraction(text)
+    if value:
+        (c, ball), = f.terms
+        assert (c.re, c.im) == (value, value) and ball.key() == Ball(PAdicVector.of(C21, value), 0).key()
+    else:
+        assert f.is_zero
+
+
+@pytest.mark.parametrize("coeff", [10**200, 1e200], ids=["exact", "float"])
+def test_sup_norm_past_the_float_range_of_the_square(coeff):
+    assert BruhatSchwartzFunction.indicator(Ball(PAdicVector.zero(C21), 0), coeff).sup_norm() == 1e200
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sup_and_argmax_on_exact_and_float_cells_together(seed):
+    f = random_test_function(seed, C21, RandomFunctionConfig(max_terms=4, radius_min=-2))
+    g = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, seed % 8), -2), (-1) ** seed * 4.5)
+    h = f + g  # float cells on the ball of g, exact cells elsewhere
+    assert {c.is_exact for c, _ in h.terms} == {True, False}
+    s = h.sup_and_argmax()
+    best = max([0] + [c.re for c, _ in h.terms])
+    assert s.value == best
+    assert s.cell == next((b for c, b in h.terms if c.re == best and best > 0), None)
+
+
 def min_radius_exp(f):
     """Constancy index: f is constant on every ball of this radius exponent
     (None for the zero function, constant everywhere)."""
