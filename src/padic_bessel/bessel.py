@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from padic_bessel.padic import (
@@ -31,7 +32,7 @@ from padic_bessel.padic import (
     PrimeContext,
     shell_measure,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum, linear_combination
+from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum, haar_combination, linear_combination
 from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
 
 
@@ -187,8 +188,16 @@ def khat_defect(order: BesselOrder, xi_norm_exp: int) -> float:
 # -- the operator ------------------------------------------------------------
 
 
+#: distinct multipliers each cached constructor below keeps, with their
+#: shell tables; ``typed`` keys, so that 1/2 and 0.5 (equal, and equal in
+#: hash) keep their exact and float tables apart
+MULTIPLIERS_CACHED = 128
+
+
+@lru_cache(maxsize=MULTIPLIERS_CACHED, typed=True)
 def symbol_multiplier(order: BesselOrder) -> RadialMultiplier:
-    """The operator as a radial multiplier."""
+    """The operator as a radial multiplier, one per order, so its shell
+    table is built once."""
     return RadialMultiplier(order.ctx, lambda k: symbol_value(k, order))
 
 
@@ -219,9 +228,11 @@ def apply_bessel_convolution(
     return total
 
 
+@lru_cache(maxsize=MULTIPLIERS_CACHED, typed=True)
 def resolvent_multiplier(order: BesselOrder, lam: Number) -> RadialMultiplier:
-    """1 / (lam + symbol) as a radial multiplier; exact for rational lam
-    and integer alpha, and safe because the divisor is at least lam > 0."""
+    """1 / (lam + symbol) as a radial multiplier, one per (order, lam);
+    exact for rational lam and integer alpha, and safe because the divisor
+    is at least lam > 0."""
     if not lam > 0:
         raise ValueError(f"resolvent parameter lam = {lam} must be positive")
 
@@ -247,10 +258,12 @@ def resolvent_residual(
     f: BruhatSchwartzFunction,
     u: Optional[BruhatSchwartzFunction] = None,
 ) -> float:
-    """Sup norm of (lam + operator) u - f."""
+    """Sup norm of (lam + operator) u - f, as one combination of the three
+    parts."""
     if u is None:
         u = resolvent(order, lam, f)
-    return linear_combination([(lam, u), (1, apply_bessel(order, u)), (-1, f)]).sup_norm()
+    parts = [(u, (lam,), None), symbol_multiplier(order).part(u), (f, (-1,), None)]
+    return haar_combination(parts).sup_norm()
 
 
 # -- verification battery ----------------------------------------------------

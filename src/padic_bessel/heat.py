@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -39,7 +40,7 @@ from padic_bessel.padic import (
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction, haar_combination
 from padic_bessel.spectral import RadialMultiplier, radial_transform
-from padic_bessel.bessel import BesselOrder, symbol_value
+from padic_bessel.bessel import MULTIPLIERS_CACHED, BesselOrder, symbol_value
 
 
 class ScheduleError(ValueError):
@@ -147,7 +148,7 @@ def heat_kernel_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
     minus the identity.  Its values come from expm1 rather than from the
     semigroup's, so a small t loses no significance; its drops are the
     semigroup's."""
-    semigroup = semigroup_multiplier(t, order)
+    semigroup = _semigroup(t, order)
 
     def value(k: int) -> float:
         return math.expm1(-t * float(symbol_value(k, order)))
@@ -293,14 +294,22 @@ def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> E
 # -- evolution ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=MULTIPLIERS_CACHED, typed=True)
 def semigroup_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
     """The semigroup exp(-t * multiplier) at a time t >= 0 as a radial
-    multiplier.
+    multiplier, one per (t, order), so its shell table is built once.
 
     Shell differences are exp * expm1 products, as in ``z_shells``, so none
     loses significance when both exponentials are close to 1.
     """
-    if t < 0:
+    return _semigroup(t, order)
+
+
+def _semigroup(t: float, order: BesselOrder) -> RadialMultiplier:
+    """``semigroup_multiplier``, built anew: ``duhamel`` and
+    ``heat_kernel_multiplier`` take a new time on nearly every call, where a
+    shared multiplier would only churn the cache."""
+    if not t >= 0:
         raise ValueError(f"time t = {t} must be nonnegative")
 
     def value(k: int) -> float:
@@ -407,7 +416,7 @@ def solve_cauchy(
 ) -> BruhatSchwartzFunction:
     """Propagate an initial datum by the semigroup exp(-t * multiplier);
     t = 0 is the identity."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time t = {t} must be nonnegative")
     if t == 0:
         return u0.canonicalize()
@@ -478,7 +487,7 @@ def duhamel(
             if min(b, t) > a and f.terms
         ]
         if pieces:
-            u0 = semigroup_multiplier(t, order).part(problem.u0)
+            u0 = _semigroup(t, order).part(problem.u0)
             results.append(haar_combination([u0] + pieces))
         else:
             results.append(solve_cauchy(problem.u0, t, order))

@@ -418,7 +418,7 @@ def _graft(root: list, root_r: int, trie: DigitTrie, values, drops) -> None:
             stack.pop()
             if summing:
                 mean = total * inv
-                _add(node, drops[-radius] * mean, None)
+                _add(node, mean * drops[-radius], None)
                 if radius < 0:
                     stack[-1][4] = stack[-1][4] + mean
 

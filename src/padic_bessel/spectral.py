@@ -23,7 +23,7 @@ infinitely many deep shells summed in closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as digit_product
 from typing import Callable, NamedTuple, Optional
@@ -73,6 +73,11 @@ class RadialProfile:
     constant_on_unit_ball: bool = False
 
 
+#: the deepest shell whose value ``RadialMultiplier`` keeps, so that deep
+#: inputs, whose exact values run to thousands of digits, cannot grow its table
+SHELLS_CACHED = 64
+
+
 @dataclass(frozen=True)
 class RadialMultiplier:
     """A radial Fourier multiplier, applied on the Haar basis of the digit trie.
@@ -97,25 +102,40 @@ class RadialMultiplier:
 
     and m(0) c on a cell of radius p**r, r >= 0.  No character is ever
     evaluated, and exact shell values give exact output at every p.
+
+    The multiplier keeps the values m(0..SHELLS_CACHED) and the drops
+    between them once computed, so one multiplier applied many times builds
+    its shell table once; equality, hash and repr ignore the table.
     """
 
     ctx: PrimeContext
     value: Callable[[int], Number]
     drop: Optional[Callable[[int], Number]] = None
+    # (values, drops) of the shells 0..min(depth, SHELLS_CACHED) of the
+    # deepest part so far, replaced whole, so a racing part leaves a valid one
+    _table: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def part(self, f: BruhatSchwartzFunction) -> tuple:
         """m(D) f as one part (f, values, drops) of
         ``schwartz.haar_combination``: f canonical, the shell values
-        m(0..depth) and the drops down to f's smallest cells."""
+        m(0..depth) and the drops down to f's smallest cells, as new lists:
+        copies from the table when it reaches depth, else computed and the
+        shells down to SHELLS_CACHED kept, so deep inputs cannot grow it."""
         if f.ctx != self.ctx:
             raise ContextMismatchError(f"{f.ctx} != {self.ctx}")
         f = f.canonicalize()
         depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
+        table = self._table
+        if table is not None and len(table[0]) > depth:
+            return f, table[0][: depth + 1], table[1][:depth]
         values = [self.value(k) for k in range(depth + 1)]
         if self.drop is None:
             drops = [values[k] - values[k + 1] for k in range(depth)]
         else:
             drops = [self.drop(k) for k in range(depth)]
+        if table is None or len(table[0]) <= SHELLS_CACHED:
+            table = (values[: SHELLS_CACHED + 1], drops[:SHELLS_CACHED])
+            object.__setattr__(self, "_table", table)
         return f, values, drops
 
     def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:

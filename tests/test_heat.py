@@ -439,6 +439,15 @@ def test_semigroup_multiplier_one_node_is_the_semigroup():
         semigroup_multiplier(-0.1, ORDER)
 
 
+def test_nan_time_is_refused():
+    # t < 0 is false for nan, which then ran through to nan coefficients
+    f = random_test_function(5, C21)
+    with pytest.raises(ValueError, match="time t = nan"):
+        solve_cauchy(f, math.nan, ORDER)
+    with pytest.raises(ValueError, match="time t = nan"):
+        semigroup_multiplier(math.nan, ORDER)
+
+
 @pytest.mark.parametrize("p,n,alpha", BENCH_GRID)
 def test_duhamel_matches_exact_shell_integral(p, n, alpha):
     order = BesselOrder(alpha, PrimeContext(p, n))

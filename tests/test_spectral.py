@@ -1,5 +1,6 @@
 """Fourier layer: transform rules, reflection, Parseval, radial transforms."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product as digit_product
@@ -7,7 +8,7 @@ from itertools import product as digit_product
 import pytest
 
 from padic_bessel import cli, spectral
-from padic_bessel.bessel import BesselOrder, resolvent_multiplier, symbol_multiplier
+from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent_multiplier, symbol_multiplier, symbol_value
 from padic_bessel.heat import heat_kernel_multiplier, semigroup_multiplier
 from padic_bessel.padic import (
     EC_ZERO,
@@ -27,6 +28,7 @@ from padic_bessel.schwartz import (
     serialize,
 )
 from padic_bessel.spectral import (
+    SHELLS_CACHED,
     DivergentTailError,
     ModulatedTerm,
     RadialMultiplier,
@@ -522,3 +524,93 @@ def test_profile_transforms_to_the_running_drop_sum(p, n, alpha):
             total += (multiplier.value(j) - multiplier.value(j + 1)) * p ** (j * n)
             gap = abs(radial_transform(profile, -j) - float(total))
             assert gap <= 1e-14 * p ** (j * n) * max(1.0, sup)
+
+
+# -- shell tables ---------------------------------------------------------------
+
+TABLE_ORDER = BesselOrder(2.0, C21)
+TABLE_INPUT = random_test_function(11, C21, RandomFunctionConfig(4, -2, 2, den_pow_max=2, complex_coeffs=True))
+
+
+def hand_resolvent(order, lam):
+    return RadialMultiplier(order.ctx, lambda k: 1 / (lam + symbol_value(k, order)))
+
+
+def hand_semigroup(t, order):
+    def value(k):
+        return math.exp(-t * float(symbol_value(k, order)))
+
+    def drop(k):
+        upper, lower = symbol_value(k, order), symbol_value(k + 1, order)
+        return math.exp(-t * float(lower)) * math.expm1(-t * float(upper - lower))
+
+    return RadialMultiplier(order.ctx, value, drop)
+
+
+@pytest.mark.parametrize(
+    "cached,hand,args",
+    [
+        (resolvent_multiplier, hand_resolvent, ((TABLE_ORDER, Fraction(1, 2)), (TABLE_ORDER, 0.5))),
+        (semigroup_multiplier, hand_semigroup, ((1, TABLE_ORDER), (1.0, TABLE_ORDER))),
+    ],
+)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_equal_parameters_of_other_types_keep_their_own_tables(cached, hand, args, reverse):
+    # 1/2 == 0.5 and 1 == 1.0 hash alike, yet the resolvent at 1/2 is exact
+    # and at 0.5 in floats: each call reads the table of its own argument
+    cached.cache_clear()
+    for call_args in reversed(args) if reverse else args:
+        for _ in range(2):
+            got = cached(*call_args).apply(TABLE_INPUT)
+            want = hand(*call_args).apply(TABLE_INPUT)
+            assert serialize(got) == serialize(want)
+            assert got.is_exact == want.is_exact
+    assert cached.cache_info().currsize == 2
+
+
+def test_an_input_past_the_cached_shells_reads_them_all():
+    zero = PAdicVector.zero(C21)
+    deep = BruhatSchwartzFunction.unit_ball(C21) + BruhatSchwartzFunction.indicator(Ball(zero, -200))
+    pairs = (
+        (symbol_multiplier(TABLE_ORDER), RadialMultiplier(C21, lambda k: symbol_value(k, TABLE_ORDER))),
+        (resolvent_multiplier(TABLE_ORDER, Fraction(1, 2)), hand_resolvent(TABLE_ORDER, Fraction(1, 2))),
+        (semigroup_multiplier(0.7, TABLE_ORDER), hand_semigroup(0.7, TABLE_ORDER)),
+    )
+    # the exact deep outputs have integers past the digits str() will write,
+    # so they are compared as values
+    for cached, hand in pairs:
+        for f in (deep, TABLE_INPUT, deep):
+            got, want = cached.apply(f), hand.apply(f)
+            assert got == want and got.is_exact == want.is_exact
+        _, values, drops = cached.part(deep)
+        assert (len(values), len(drops)) == (201, 200)
+        assert [len(shells) for shells in cached._table] == [SHELLS_CACHED + 1, SHELLS_CACHED]
+
+
+def test_lists_a_part_returns_are_its_callers_own():
+    # the first part of a new multiplier fills its table, a later one reads it
+    want = serialize(apply_bessel(TABLE_ORDER, TABLE_INPUT))
+    for multiplier in (RadialMultiplier(C21, lambda k: symbol_value(k, TABLE_ORDER)), symbol_multiplier(TABLE_ORDER)):
+        for _ in range(2):
+            _, values, drops = multiplier.part(TABLE_INPUT)
+            values[:] = [0] * len(values)
+            drops[:] = [7] * len(drops)
+            assert serialize(multiplier.apply(TABLE_INPUT)) == want
+
+
+def test_multiplier_equality_hash_and_repr_ignore_the_table():
+    def value(k):
+        return Fraction(1, k + 1)
+
+    used, fresh = RadialMultiplier(C21, value), RadialMultiplier(C21, value)
+    used.apply(TABLE_INPUT)
+    assert used._table is not None and fresh._table is None
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+def test_one_multiplier_per_parameters():
+    order = BesselOrder(2.0, PrimeContext(2, 1))
+    assert symbol_multiplier(order) is symbol_multiplier(TABLE_ORDER)
+    assert resolvent_multiplier(order, Fraction(1, 2)) is resolvent_multiplier(TABLE_ORDER, Fraction(1, 2))
+    assert semigroup_multiplier(0.7, order) is semigroup_multiplier(0.7, TABLE_ORDER)
+    assert resolvent_multiplier(order, Fraction(1, 2)) is not resolvent_multiplier(order, 0.5)
