@@ -36,12 +36,19 @@ from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum, haar_combina
 from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
 
 
+#: the largest alpha * log2(p) an order may have: at integer alpha the exact
+#: symbol and kernel build powers of p**alpha, and a larger alpha (1e300 is
+#: an integer) would spend minutes or more on one power
+MAX_ORDER_BITS = 2**14
+
+
 @dataclass(frozen=True)
 class BesselOrder:
-    """Order alpha of the operator, constrained to a finite alpha > n.
+    """Order alpha of the operator, constrained to a finite alpha > n with
+    alpha * log2(p) at most MAX_ORDER_BITS.
 
-    The constraint makes the kernel prefactor negative, which is what the
-    sign analysis of the kernel and the heat profile rests on.
+    The constraint alpha > n makes the kernel prefactor negative, which is
+    what the sign analysis of the kernel and the heat profile rests on.
     """
 
     alpha: float
@@ -53,6 +60,11 @@ class BesselOrder:
         if not self.alpha > self.ctx.n:
             raise ValueError(
                 f"order alpha = {self.alpha} must exceed the dimension n = {self.ctx.n}"
+            )
+        # decided on floats, without building p**alpha
+        if self.alpha * math.log2(self.ctx.p) > MAX_ORDER_BITS:
+            raise ValueError(
+                f"order alpha = {self.alpha} is over the bound alpha * log2(p) <= {MAX_ORDER_BITS} at p = {self.ctx.p}"
             )
 
     @property
@@ -115,6 +127,15 @@ def kernel_shells(order: BesselOrder) -> Iterator[float]:
     B = p**(alpha - n), that is gd (1 - B**(gamma+1)) / (gn B**gamma) for
     gamma_p = gn / gd; B**gamma is carried from shell to shell, and the
     int / int division rounds correctly, as ``float`` of the Fraction does.
+    These rationals are (gd / -gn) (B - B**-gamma), gn < 0 < gd and B >= 2,
+    so they increase strictly toward the limit L = gd B / -gn.  Rounding to
+    nearest is monotone, so a row that rounds to the float of L (the
+    correctly rounded ``gd * base / -gn``) is followed only by rows that
+    round to it too: from that row on the float of L is yielded with no
+    more big-integer arithmetic.  The rows reach it after about
+    54 / log2(B) shells, unless L lies exactly halfway between two floats
+    and rounds up, which the rows below it never do; they then run on
+    exactly.
     At other alpha each shell is ``kernel_value``'s float expression, with the
     gamma factor computed once.
     """
@@ -124,10 +145,14 @@ def kernel_shells(order: BesselOrder) -> Iterator[float]:
     if isinstance(gamma, Fraction):
         gn, gd = gamma.numerator, gamma.denominator
         base = p ** (int(alpha) - n)
+        limit = gd * base / -gn
         power = 1
         while True:
             nxt = power * base
-            yield gd * (1 - nxt) / (gn * power)
+            row = gd * (1 - nxt) / (gn * power)
+            yield row
+            if row == limit:
+                yield from itertools.repeat(limit)
             power = nxt
     for g in itertools.count():
         yield _float_kernel(-g, alpha - n, p, gamma)

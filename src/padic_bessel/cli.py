@@ -24,6 +24,7 @@ from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     RandomFunctionConfig,
     deserialize,
+    deserialize_object,
     random_test_function,
     serialize,
     too_many_digit_tuples,
@@ -60,7 +61,7 @@ from padic_bessel.heat import (
     distributional_mass,
     duhamel,
     semigroup_multiplier,
-    tail_envelope,
+    tail_envelopes,
     z_closed,
     z_mass,
     z_oracle,
@@ -98,8 +99,9 @@ def run_kernel(ns: argparse.Namespace) -> int:
     lines = ["gamma,norm,k_alpha"]
     if ns.gamma_max >= 0:
         p = order.ctx.p
-        for g, k in zip(range(ns.gamma_max + 1), kernel_shells(order)):
-            lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(k)}")
+        # one %-format per row: '%.17g' % x prints what _fmt(x) does
+        rows = zip(range(ns.gamma_max + 1), kernel_shells(order))
+        lines += ["%d,%.17g,%.17g" % (g, p ** (-g), k) for g, k in rows]
         mass = kernel_mass(order)
         lines.append(f"mass,{_fmt(mass)},{_fmt(abs(mass - 1.0))}")
     _emit("\n".join(lines) + "\n", ns.out)
@@ -115,8 +117,8 @@ def run_heat(ns: argparse.Namespace) -> int:
     lines = ["gamma,norm,z_value,tail_bound"]
     if ns.gamma_max >= 0:
         p = order.ctx.p
-        for g, z in zip(range(ns.gamma_max + 1), z_shells(t, order)):
-            lines.append(f"{g},{_fmt(p ** (-g))},{_fmt(z)},{_fmt(tail_envelope(g, t, order))}")
+        rows = zip(range(ns.gamma_max + 1), z_shells(t, order), tail_envelopes(t, order))
+        lines += ["%d,%.17g,%.17g,%.17g" % (g, p ** (-g), z, bound) for g, z, bound in rows]
         zm = z_mass(t, order)  # 1 + zm is distributional_mass, without a second sum
         lines.append(f"mass,{_fmt(zm)},{_fmt(1.0 + zm)},{_fmt(abs(zm - math.expm1(-t)))}")
     _emit("\n".join(lines) + "\n", ns.out)
@@ -195,7 +197,7 @@ def _load_forcing(path: str) -> tuple:
         time = entry["time"]
         if isinstance(time, bool) or not isinstance(time, (int, float)):
             raise ValueError(f"forcing time {json.dumps(time)} is not a number")
-        schedule.append((float(time), deserialize(json.dumps(entry["function"]))))
+        schedule.append((float(time), deserialize_object(entry["function"])))
     return tuple(schedule)
 
 

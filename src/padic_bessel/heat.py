@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from padic_bessel.padic import (
@@ -71,15 +71,15 @@ def z_shells(t: float, order: BesselOrder) -> Iterator[float]:
     p, n = order.ctx.p, order.ctx.n
     alpha = order.alpha
     shrink = p ** (-alpha)
+    keep = 1.0 - shrink
+    head, slope = t * keep, n - alpha
     total = 0.0
-    i = 0
-    while True:
+    for i in count():
         x_i = t * p ** (-i * alpha)
-        y_i = x_i * (1.0 - shrink)
+        y_i = x_i * keep
         ratio = math.expm1(-y_i) / y_i if y_i else -1.0
-        total += t * (1.0 - shrink) * p ** (i * (n - alpha)) * math.exp(-x_i * shrink) * ratio
+        total += head * p ** (i * slope) * math.exp(-x_i * shrink) * ratio
         yield total
-        i += 1
 
 
 def z_closed(gamma: int, t: float, order: BesselOrder) -> float:
@@ -100,14 +100,29 @@ def z_value(norm_exp: Union[int, float], t: float, order: BesselOrder) -> float:
     return z_closed(-int(norm_exp), t, order)
 
 
-def tail_envelope(depth: int, t: float, order: BesselOrder) -> float:
-    """Geometric bound on the shell-sum remainder beyond the given depth:
-    t (1 - p**-alpha) p**(depth (n - alpha)) / (1 - p**(n - alpha))."""
+def _envelope_factors(t: float, order: BesselOrder) -> tuple:
+    """(t (1 - p**-alpha), n - alpha, 1 - p**(n - alpha)): the parts of
+    ``tail_envelope`` that do not depend on the depth."""
     p, n = order.ctx.p, order.ctx.n
     alpha = order.alpha
-    return (
-        t * (1.0 - p ** (-alpha)) * p ** (depth * (n - alpha)) / (1.0 - p ** (n - alpha))
-    )
+    return t * (1.0 - p ** (-alpha)), n - alpha, 1.0 - p ** (n - alpha)
+
+
+def tail_envelope(depth: int, t: float, order: BesselOrder) -> float:
+    """Geometric bound on the shell-sum remainder beyond the given depth:
+    t (1 - p**-alpha) p**(depth (n - alpha)) / (1 - p**(n - alpha)),
+    evaluated from left to right."""
+    head, slope, denom = _envelope_factors(t, order)
+    return head * order.ctx.p ** (depth * slope) / denom
+
+
+def tail_envelopes(t: float, order: BesselOrder) -> Iterator[float]:
+    """``tail_envelope`` at depth 0, 1, 2, ... in turn, bit for bit, with
+    the factors that do not depend on the depth computed once."""
+    head, slope, denom = _envelope_factors(t, order)
+    p = order.ctx.p
+    for depth in count():
+        yield head * p ** (depth * slope) / denom
 
 
 MAX_DEPTH = 100_000

@@ -20,6 +20,7 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -679,18 +680,53 @@ def _coeff_to_strings(c: ExactComplex) -> tuple:
 
 
 def serialize(f: BruhatSchwartzFunction) -> str:
-    """Canonical JSON text; identical inputs serialize to identical bytes."""
+    """Canonical JSON text; identical inputs serialize to identical bytes.
+
+    An integer past Python's limit on integer text
+    (``sys.get_int_max_str_digits()``) raises ValueError naming its field;
+    the limit itself is left as it is.
+    """
     f = f.canonicalize()
     terms = []
-    for c, ball in f.terms:
-        re, im = _coeff_to_strings(c)
-        terms.append({
-            "re": re,
-            "im": im,
-            "center": [_num_to_string(x) for x in ball.center.coords],
-            "radius_exp": ball.radius_exp,
-        })
+    for i, (c, ball) in enumerate(f.terms):
+        try:
+            re, im = _coeff_to_strings(c)
+            center = [_num_to_string(x) for x in ball.center.coords]
+        except ValueError:
+            error = _digit_limit_error(i, c, ball)
+            if error is None:
+                raise
+            raise error from None
+        terms.append({"re": re, "im": im, "center": center, "radius_exp": ball.radius_exp})
     return json.dumps({"p": f.ctx.p, "n": f.ctx.n, "terms": terms}, separators=(",", ":"))
+
+
+def _decimal_digits(m: int) -> int:
+    """Decimal digits of |m|, counted without converting it to text."""
+    m = abs(m)
+    k = max(1, int(m.bit_length() * math.log10(2)))  # then corrected
+    while m >= 10**k:
+        k += 1
+    while k > 1 and m < 10 ** (k - 1):
+        k -= 1
+    return k
+
+
+def _digit_limit_error(index: int, c: ExactComplex, ball: Ball) -> Optional[ValueError]:
+    """A ValueError naming the first exact field of a term with an integer
+    over the limit on integer text, or None when no field has one."""
+    limit = sys.get_int_max_str_digits()
+    fields = [("re", c.re), ("im", c.im)] + [(f"center[{j}]", x) for j, x in enumerate(ball.center.coords)]
+    for name, x in fields:
+        if isinstance(x, float):
+            continue
+        digits = max(_decimal_digits(x.numerator), _decimal_digits(x.denominator))
+        if digits > limit:
+            return ValueError(
+                f"term {index} field {name!r} has a {digits}-digit integer, over the limit of "
+                f"{limit} digits for integer text (sys.get_int_max_str_digits())"
+            )
+    return None
 
 
 # "num/den" or "num": Fraction alone would also read "1e-99999999", whose
@@ -727,10 +763,14 @@ def _parse_rational(s) -> tuple:
     if match is None:
         raise FunctionFormatError(f"malformed rational {s!r}")
     num, den = match.groups()
-    try:  # int refuses text over its digit limit
+    try:  # the text matched, so only the limit on integer text refuses it
         num, den = int(num), int(den or 1)
-    except ValueError as exc:
-        raise FunctionFormatError(f"malformed rational {s!r}") from exc
+    except ValueError:
+        digits = max(len(num.lstrip("+-")), len(den or ""))
+        raise FunctionFormatError(
+            f"a rational has a {digits}-digit integer, over the limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer text (sys.get_int_max_str_digits())"
+        ) from None
     if den == 0:
         raise FunctionFormatError(f"malformed rational {s!r}")
     return num, den
@@ -755,6 +795,11 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FunctionFormatError(f"malformed JSON: {exc}") from exc
+    return deserialize_object(obj)
+
+
+def deserialize_object(obj: object) -> BruhatSchwartzFunction:
+    """``deserialize`` of JSON text already parsed into Python objects."""
     if not isinstance(obj, dict):
         raise FunctionFormatError("top level must be an object")
     # type(), not isinstance: JSON true is a bool, which isinstance takes for 1

@@ -14,6 +14,7 @@ from padic_bessel.schwartz import (
     random_test_function,
 )
 from padic_bessel.bessel import (
+    MAX_ORDER_BITS,
     BesselOrder,
     adjoint_defect,
     apply_bessel,
@@ -106,6 +107,37 @@ def test_kernel_shells_are_kernel_value(p, n, alpha):
     order = BesselOrder(alpha, PrimeContext(p, n))
     got = list(itertools.islice(kernel_shells(order), 401))
     assert got == [float(kernel_value(-g, order)) for g in range(401)]
+
+
+@pytest.mark.parametrize("p,n,alpha", [(2, 1, 2.0), (2, 1, 3.0), (3, 2, 4.0), (5, 1, 2.0), (101, 1, 40.0), (7, 1, 60.0)])
+def test_kernel_shells_past_the_stop_row_are_kernel_value(p, n, alpha):
+    # past the row that rounds to the limit the float of the limit is
+    # yielded with no more big-integer arithmetic; the rows stay the
+    # rounded rationals
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    got = list(itertools.islice(kernel_shells(order), 5001))
+    for g in (0, 1, 2, 60, 200, 1000, 5000):
+        assert got[g] == float(kernel_value(-g, order))
+    assert got[5000] == got[200]
+
+
+def test_kernel_shells_run_on_when_the_limit_is_a_tie_that_rounds_up():
+    # p = 2, n = 53, alpha = 54: B = 2 and the limit 2 - 2**-53 lies halfway
+    # between 2 - 2**-52 and 2, and rounds to 2; no row rounds to 2
+    order = BesselOrder(54, PrimeContext(2, 53))
+    got = list(itertools.islice(kernel_shells(order), 120))
+    assert got == [float(kernel_value(-g, order)) for g in range(120)]
+    assert got[-1] == 2 - 2**-52
+
+
+def test_bessel_order_bounds_alpha_log2_p():
+    BesselOrder(MAX_ORDER_BITS, C21)
+    BesselOrder(float(MAX_ORDER_BITS), C21)
+    for alpha in (MAX_ORDER_BITS + 1, 1e8, 1e300):
+        with pytest.raises(ValueError, match=f"alpha \\* log2\\(p\\) <= {MAX_ORDER_BITS}"):
+            BesselOrder(alpha, C21)
+    with pytest.raises(ValueError, match="log2"):
+        BesselOrder(MAX_ORDER_BITS // 2 + 1, PrimeContext(5, 1))
 
 
 def test_kernel_nonnegative_on_support():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import shlex
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_bessel.bessel import BesselOrder, kernel_mass, kernel_value
+from padic_bessel.bessel import MAX_ORDER_BITS, BesselOrder, kernel_mass, kernel_value
 from padic_bessel import cli
 from padic_bessel.cli import main
 from padic_bessel.heat import MAX_DEPTH, z_closed
@@ -658,6 +659,51 @@ def test_kernel_at_a_61_bit_prime_is_fast(capsys):
     assert out.startswith("gamma,norm,k_alpha\n")
 
 
+@pytest.mark.parametrize("p,gamma", [(2**61 - 1, 20000), (2, 100000)])
+def test_a_deep_exact_kernel_table_is_fast(capsys, p, gamma):
+    # exact rows stop their big-integer arithmetic once they round to the limit
+    start = perf_counter()
+    code, out, err = run(capsys, "kernel", "--p", str(p), "--alpha", "3", "--gamma-max", str(gamma))
+    assert perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == gamma + 3
+    assert float(lines[-2].split(",")[2]) == float(kernel_value(-60, BesselOrder(3.0, PrimeContext(p, 1))))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--alpha", "1e7", "--gamma-max", "2"],
+        ["kernel", "--alpha", "1e8"],
+        ["kernel", "--alpha", "1e300", "--gamma-max", "1"],
+        ["verify", "negdef", "--alpha", "1e12"],
+        ["heat", "--p", "5", "--alpha", "7100"],
+    ],
+)
+def test_an_order_over_the_alpha_bound_exits_2_at_once(capsys, argv):
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order alpha = ")
+    assert f"over the bound alpha * log2(p) <= {MAX_ORDER_BITS}" in err
+
+
+def test_fourier_of_an_output_over_the_integer_text_limit_exits_2(tmp_path, capsys):
+    # the transform of 1_{B(0, 2**-2000)} at n = 8 is 2**-16000 on B(0, 2**2000):
+    # a denominator of 4817 digits
+    src = tmp_path / "ball.json"
+    src.write_text(json.dumps({"p": 2, "n": 8, "terms": [{"re": "1", "center": ["0"] * 8, "radius_exp": -2000}]}))
+    code, out, err = run(capsys, "fourier", "--in", str(src))
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: term 0 field 're' has a 4817-digit integer, over the limit of {limit} digits "
+        "for integer text (sys.get_int_max_str_digits())\n"
+    )
+
+
 @pytest.mark.parametrize("p", ["3215031751", "3825123056546413051", "3317044064679887385961981"])
 def test_kernel_refuses_pseudoprimes_and_undecided_p(capsys, p):
     code, out, err = run(capsys, "kernel", "--p", p, "--gamma-max", "1")
@@ -817,7 +863,7 @@ def _exit_code(argv):
     function=function_files(),
     command=st.sampled_from(["fourier", "evolve", "kernel", "heat"]),
     gamma=GAMMAS,
-    alpha=st.sampled_from(["2.5", "1.5", "nan"]),
+    alpha=st.sampled_from(["2.5", "1.5", "nan", "1e300", "100000000"]),
     times=st.sampled_from(["1", "0,0.5", "1e300", "-1", "inf", ""]),
     forced=st.booleans(),
     roundtrip=st.booleans(),

@@ -3,6 +3,7 @@
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -36,6 +37,7 @@ from padic_bessel.heat import (
     semigroup_multiplier,
     solve_cauchy,
     tail_envelope,
+    tail_envelopes,
     weak_pairing,
     z_closed,
     z_mass,
@@ -173,6 +175,14 @@ def test_default_depth_refuses_alpha_next_to_n():
         z_mass(1.0, order)
     # just inside the cap still resolves
     assert default_depth(1.0, BesselOrder(1.001, C21)) <= MAX_DEPTH
+
+
+@pytest.mark.parametrize("p,n,alpha", [(2, 1, 2.0), (3, 2, 2.5), (2, 1, 1.01), (7, 1, 60.0)])
+@pytest.mark.parametrize("t", [1e-300, 0.7, 1e200])
+def test_tail_envelopes_are_tail_envelope_bit_for_bit(p, n, alpha, t):
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    got = list(islice(tail_envelopes(t, order), 1200))
+    assert got == [tail_envelope(g, t, order) for g in range(1200)]
 
 
 @pytest.mark.parametrize("p,n,alpha,gamma", [(2, 1, 2.0, 1100), (5, 2, 3.5, 240), (3, 1, 3.0, 700)])

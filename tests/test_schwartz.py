@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import product as digit_product
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent_multiplier, symbol_multiplier
+from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent, resolvent_multiplier, symbol_multiplier
 from padic_bessel.heat import semigroup_multiplier
 from padic_bessel.spectral import RadialMultiplier
 from padic_bessel.padic import (
@@ -30,6 +31,7 @@ from padic_bessel.schwartz import (
     FunctionFormatError,
     RandomFunctionConfig,
     deserialize,
+    deserialize_object,
     linear_combination,
     random_test_function,
     serialize,
@@ -363,6 +365,39 @@ def test_a_zero_term_too_deep_to_reduce_is_dropped_at_once():
     start = time.perf_counter()
     f = deserialize('{"p":5,"n":2,"terms":[{"re":"0/3125","center":["1/3125","7/25"],"radius_exp":-1000000000}]}')
     assert f.is_zero and time.perf_counter() - start < 1.0
+
+
+def test_deserialize_object_reads_what_deserialize_parses():
+    for seed in range(20):
+        text = serialize(random_test_function(seed, C32, RandomFunctionConfig(complex_coeffs=True)))
+        assert deserialize_object(json.loads(text)) == deserialize(text)
+    with pytest.raises(FunctionFormatError, match="top level must be an object"):
+        deserialize_object([])
+
+
+def test_serialize_names_the_field_over_the_integer_text_limit():
+    # f = 1_{Z_2} + 1_{B(0, 2**-200)}: the resolvent's exact values at
+    # depth 200 have integers of thousands of digits
+    ball = Ball(PAdicVector.zero(C21), -200)
+    f = omega() + BruhatSchwartzFunction.indicator(ball)
+    u = resolvent(BesselOrder(2.0, C21), Fraction(1, 2), f)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=r"term \d+ field '(re|im)' has a \d+-digit integer") as info:
+        serialize(u)
+    assert f"over the limit of {limit} digits for integer text (sys.get_int_max_str_digits())" in str(info.value)
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("field,value", [("re", "1/"), ("center", "-")])
+def test_the_reader_names_the_integer_text_limit(field, value):
+    digits = sys.get_int_max_str_digits() + 1
+    text = value + "7" * digits
+    term = {"re": "1", "center": ["0"], "radius_exp": 0}
+    term[field] = [text] if field == "center" else text
+    with pytest.raises(FunctionFormatError) as info:
+        deserialize(json.dumps({"p": 2, "n": 1, "terms": [term]}))
+    limit = sys.get_int_max_str_digits()
+    assert str(info.value).startswith(f"a rational has a {digits}-digit integer, over the limit of {limit} digits")
 
 
 def test_serialize_independent_of_build_order():
