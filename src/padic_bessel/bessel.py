@@ -32,7 +32,7 @@ from padic_bessel.padic import (
     PrimeContext,
     shell_measure,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum, haar_combination, linear_combination
+from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum, linear_combination
 from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
 
 
@@ -287,8 +287,7 @@ def resolvent_residual(
     parts."""
     if u is None:
         u = resolvent(order, lam, f)
-    parts = [(u, (lam,), None), symbol_multiplier(order).part(u), (f, (-1,), None)]
-    return haar_combination(parts).sup_norm()
+    return linear_combination([(lam, u), (symbol_multiplier(order), u), (-1, f)]).sup_norm()
 
 
 # -- verification battery ----------------------------------------------------
@@ -324,7 +323,8 @@ def c0_dissipativity_margin(
     """||lam f + operator f||_sup - lam ||f||_sup, which must be >= 0.
 
     Exact cell maxima on both sides; the margin is returned so callers can
-    allow float slack.
+    allow float slack.  The operator is applied first: at a float lam, one
+    combination of (lam, f) and (operator, f) would round in another order.
     """
     if not lam > 0:
         raise ValueError(f"lam = {lam} must be positive")

@@ -23,9 +23,10 @@ from padic_bessel.schwartz import (
     MAX_DIGIT_TUPLES,
     BruhatSchwartzFunction,
     RandomFunctionConfig,
-    deserialize,
     deserialize_object,
+    load_json,
     random_test_function,
+    read_object,
     serialize,
     too_many_digit_tuples,
 )
@@ -128,14 +129,15 @@ def run_heat(ns: argparse.Namespace) -> int:
 # -- file-driven commands -------------------------------------------------------
 
 
-def _load_input(ns: argparse.Namespace) -> BruhatSchwartzFunction:
-    """The --in function, checked against any --p/--n flags."""
+def _read_input(ns: argparse.Namespace) -> tuple:
+    """The --in function as ``read_object`` gives it, its space checked
+    against any --p/--n flags: (space, call that builds it)."""
     with open(ns.infile) as fh:
-        f = deserialize(fh.read())
-    for flag, given, actual in (("p", ns.p, f.ctx.p), ("n", ns.n, f.ctx.n)):
+        ctx, build = read_object(load_json(fh.read()))
+    for flag, given, actual in (("p", ns.p, ctx.p), ("n", ns.n, ctx.n)):
         if given is not None and given != actual:
             raise ValueError(f"--{flag} {given} does not match the input file's {flag} = {actual}")
-    return f
+    return ctx, build
 
 
 def _transform_terms(f: BruhatSchwartzFunction, max_cells: int) -> tuple:
@@ -165,7 +167,7 @@ def _transform_terms(f: BruhatSchwartzFunction, max_cells: int) -> tuple:
 def run_fourier(ns: argparse.Namespace) -> int:
     if ns.max_cells < 1:
         raise ValueError(f"--max-cells {ns.max_cells} must be at least 1")
-    f = _load_input(ns)
+    f = _read_input(ns)[1]()
     terms = _transform_terms(f, ns.max_cells)
     transformed = expand(f.ctx, terms)
     if ns.roundtrip:
@@ -202,8 +204,9 @@ def _load_forcing(path: str) -> tuple:
 
 
 def run_evolve(ns: argparse.Namespace) -> int:
-    u0 = _load_input(ns)
-    order = BesselOrder(ns.alpha, u0.ctx)
+    ctx, build = _read_input(ns)
+    order = BesselOrder(ns.alpha, ctx)  # before the canonical form is built
+    u0 = build()
     times = [float(s) for s in ns.t.split(",") if s.strip() != ""]
     if not times:
         raise ValueError("--t must list at least one evaluation time")

@@ -18,8 +18,8 @@ Evolution applies exp(-t * multiplier) on the Haar basis of the digit trie
 forcing piece [a, b] is itself a radial multiplier, the integral of
 exp(-(t - s) * multiplier) over [a, b], in closed form
 (``forcing_multiplier``), so mild solutions carry no quadrature error; the
-semigroup's part for the initial datum and one part per forcing piece make
-one ``haar_combination``.  The pairing of the function part with a test
+pair (semigroup, initial datum) and one (multiplier, forcing) pair per piece
+make one ``linear_combination``.  The pairing of the function part with a test
 function is ``heat_kernel_multiplier`` on the same route, read at the
 origin, so no function here calls the Fourier transform.
 """
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from padic_bessel.padic import (
     ZERO_NORM,
@@ -38,7 +38,7 @@ from padic_bessel.padic import (
     PrimeContext,
     shell_measure,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, haar_combination
+from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
 from padic_bessel.spectral import RadialMultiplier, radial_transform
 from padic_bessel.bessel import MULTIPLIERS_CACHED, BesselOrder, symbol_value
 
@@ -129,27 +129,18 @@ MAX_DEPTH = 100_000
 
 
 def default_depth(t: float, order: BesselOrder, tol: float = 1e-13) -> int:
-    """Smallest depth whose tail envelope drops below tol.
-
-    The envelope is C q**depth with q = p**(n - alpha) < 1, so the depth is
-    log(C / tol) / log(1 / q) rounded up; the comparisons after it absorb the
-    rounding of the logarithms.  Raises ValueError past MAX_DEPTH, which
-    alpha close to n reaches.
+    """Smallest depth whose tail envelope is at most tol: the first one of
+    ``tail_envelopes``.  Every caller sums the shells down to that depth, so
+    the walk costs no more than its use.  Raises ValueError past MAX_DEPTH,
+    which alpha close to n reaches.
     """
-    p, n = order.ctx.p, order.ctx.n
-    decay = (order.alpha - n) * math.log(p)
-    needed = math.log(tail_envelope(0, t, order) / tol) / decay
-    if needed > MAX_DEPTH:
-        raise ValueError(
-            f"heat kernel tail decays too slowly at alpha = {order.alpha}: "
-            f"depth {needed:.3g} needed for tolerance {tol}, at most {MAX_DEPTH} allowed"
-        )
-    depth = max(0, math.ceil(needed))
-    if depth > 0 and tail_envelope(depth - 1, t, order) <= tol:
-        depth -= 1
-    elif tail_envelope(depth, t, order) > tol:
-        depth += 1
-    return depth
+    for depth, envelope in zip(range(MAX_DEPTH + 1), tail_envelopes(t, order)):
+        if envelope <= tol:
+            return depth
+    raise ValueError(
+        f"heat kernel tail decays too slowly at alpha = {order.alpha}: "
+        f"depth over {MAX_DEPTH} needed for tolerance {tol}"
+    )
 
 
 def z_origin_limit(t: float, order: BesselOrder) -> float:
@@ -161,14 +152,13 @@ def heat_kernel_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
     """The transform of the heat kernel's function part, expm1(-t *
     multiplier), at a time t >= 0 as a radial multiplier: the semigroup
     minus the identity.  Its values come from expm1 rather than from the
-    semigroup's, so a small t loses no significance; its drops are the
-    semigroup's."""
-    semigroup = _semigroup(t, order)
+    semigroup's, so a small t loses no significance; its drops are those of
+    ``semigroup_multiplier``."""
 
     def value(k: int) -> float:
         return math.expm1(-t * float(symbol_value(k, order)))
 
-    return RadialMultiplier(order.ctx, value, semigroup.drop)
+    return RadialMultiplier(order.ctx, value, semigroup_multiplier(t, order).drop)
 
 
 def z_oracle(gamma: int, t: float, order: BesselOrder) -> float:
@@ -182,7 +172,7 @@ def z_oracle(gamma: int, t: float, order: BesselOrder) -> float:
     return radial_transform(heat_kernel_multiplier(t, order).profile(), -gamma)
 
 
-def z_mass(t: float, order: BesselOrder, depth: Optional[int] = None) -> float:
+def z_mass(t: float, order: BesselOrder) -> float:
     """Integral of the kernel's function part, which is exp(-t) - 1.
 
     Swapping the shell and telescoping indices turns the double sum into
@@ -190,8 +180,7 @@ def z_mass(t: float, order: BesselOrder, depth: Optional[int] = None) -> float:
     certified depth.
     """
     _require_positive_time(t)
-    if depth is None:
-        depth = default_depth(t, order)
+    depth = default_depth(t, order)
     p = order.ctx.p
     alpha = order.alpha
     shrink = p ** (-alpha)
@@ -317,13 +306,6 @@ def semigroup_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
     Shell differences are exp * expm1 products, as in ``z_shells``, so none
     loses significance when both exponentials are close to 1.
     """
-    return _semigroup(t, order)
-
-
-def _semigroup(t: float, order: BesselOrder) -> RadialMultiplier:
-    """``semigroup_multiplier``, built anew: ``duhamel`` and
-    ``heat_kernel_multiplier`` take a new time on nearly every call, where a
-    shared multiplier would only churn the cache."""
     if not t >= 0:
         raise ValueError(f"time t = {t} must be nonnegative")
 
@@ -481,9 +463,9 @@ def duhamel(
     The forcing is a step function, so the integral is a sum over the
     schedule's pieces f_k in force on [a, b], b cut at t: each is
     ``forcing_multiplier(a, b, t)`` applied to f_k, with no quadrature error.
-    Each time with an active piece is one ``haar_combination`` of the
-    semigroup's part for u0 and one part per active piece, so one graft per
-    part and one merge; with no active piece the result is
+    Each time with an active piece is one ``linear_combination`` of the pair
+    (semigroup, u0) and one (multiplier, f_k) pair per active piece, so one
+    graft per pair and one merge; with no active piece the result is
     ``solve_cauchy``'s, as is.
     """
     if not times:
@@ -497,13 +479,12 @@ def duhamel(
     results = []
     for t in times:
         pieces = [
-            forcing_multiplier(a, min(b, t), t, order).part(f)
+            (forcing_multiplier(a, min(b, t), t, order), f)
             for (a, f), b in zip(problem.forcing, ends + [t])
             if min(b, t) > a and f.terms
         ]
         if pieces:
-            u0 = _semigroup(t, order).part(problem.u0)
-            results.append(haar_combination([u0] + pieces))
+            results.append(linear_combination([(semigroup_multiplier(t, order), problem.u0)] + pieces))
         else:
             results.append(solve_cauchy(problem.u0, t, order))
     return results

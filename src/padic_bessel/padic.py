@@ -149,15 +149,16 @@ def reduce_mod_ball(x: Rational, radius_exp: int, p: int) -> Fraction:
     x by an element of the ball.
     """
     x = Fraction(x)
-    mu = -radius_exp
-    v = valuation(x, p)
-    if v >= mu:
+    if x == 0:
         return Fraction(0)
-    g = int(v)
-    k = mu - g
     a, b = x.numerator, x.denominator
-    a //= p ** _int_valuation(a, p)
-    b //= p ** _int_valuation(b, p)
+    va, vb = _int_valuation(a, p), _int_valuation(b, p)
+    g = va - vb  # the valuation of x
+    k = -radius_exp - g
+    if k <= 0:
+        return Fraction(0)
+    a //= p**va
+    b //= p**vb
     u = a * pow(b, -1, p**k) % p**k
     return u * Fraction(p) ** g
 

@@ -8,11 +8,11 @@ subdivision tree and merging constant siblings bottom-up (``_merge_tree``,
 the one walk that builds canonical output).  The canonical function keeps
 the tree that walk leaves, its ``DigitTrie``: one node per ball on which it
 is not constant.  Sums, scalings, radial multipliers and sums of
-multipliers are one combination (``haar_combination``): each part's trie is
-grafted into one subdivision tree with per-level scales (``_graft``), which
-is merged once; the L2 pairing walks two tries in lockstep.  All structural
-operations (integrals, inner products, suprema) are exact on rational
-coefficients.
+multipliers are one ``linear_combination`` of (m, f) pairs, m a weight or a
+radial multiplier: each f's trie is grafted into one subdivision tree with
+m's per-level scales (``_graft``), which is merged once; the L2 pairing
+walks two tries in lockstep.  All structural operations (integrals, inner
+products, suprema) are exact on rational coefficients.
 """
 from __future__ import annotations
 
@@ -181,7 +181,7 @@ class BruhatSchwartzFunction:
         """
         if self.trie is not None:
             return self
-        return haar_combination([(self, None, None)])
+        return _merge_tree(self.ctx, *_subdivision_tree([(self, None, None)], self.ctx))
 
     def digit_trie(self) -> DigitTrie:
         """The trie of the canonical form."""
@@ -297,21 +297,21 @@ def _subdivision_tree(parts: Sequence[tuple], ctx: PrimeContext) -> tuple:
     root radius exponent root_r; canonical form merges it (``_merge_tree``).
 
     ``parts`` lists (f, values, drops) triples, m given by its shell values
-    and drops as in ``_graft``; values None adds f's terms as they are.  A
-    tree node is [coefficient, {digit index: child node}, ball], the index
-    that of the child's digit tuple in ``_digit_tuples`` and ball the one a
-    leaf was inserted or grafted with, or None.  Each nonzero term adds its
+    and drops as in ``_graft``; values None adds f's terms as they are, and
+    a part with drops has f canonical (``RadialMultiplier.part``).  A tree
+    node is [coefficient, {digit index: child node}, ball], the index that
+    of the child's digit tuple in ``_digit_tuples`` and ball the one a leaf
+    was inserted or grafted with, or None.  Each nonzero term adds its
     coefficient, in order, to the node of its ball.  The trie of a
     canonical function is grafted node by node (``_graft``), linear in the
     trie's nodes, and its radius alone bounds its cells for root_r; the
     terms of any other f, scaled by values[0], go down one tree level per
-    digit from the root, so a part with drops is canonicalized for its trie.
+    digit from the root.
     """
     p = ctx.p
     inserts = []  # per part: its scaled terms, or (trie, values, drops)
     radii, dens = [0], [1]
     for f, values, drops in parts:
-        f = f if drops is None else f.canonicalize()
         if f.trie is not None:
             if f.trie.root is not None:
                 inserts.append((f.trie, values, drops))
@@ -365,7 +365,7 @@ def _add(node: list, c: ExactComplex, ball: Optional[Ball]) -> None:
 def _graft(root: list, root_r: int, trie: DigitTrie, values, drops) -> None:
     """Add m(D) g to the subdivision tree rooted at B(0, p**root_r), where g
     is the function of a digit trie with trie.radius <= root_r: one part of
-    ``haar_combination``.
+    ``linear_combination``.
 
     The radial multiplier m is given per level.  A cell of g of radius
     p**(-j) with value c adds values[j] * c to its node, j clamped into
@@ -577,23 +577,21 @@ def _node_integral(node: list) -> ExactComplex:
     return total
 
 
-def haar_combination(parts: Sequence[tuple]) -> BruhatSchwartzFunction:
-    """The sum of m(D) f over parts (f, values, drops), as in
-    ``_subdivision_tree``, canonical and with its trie: one subdivision
-    tree, each part's trie grafted once, one merge."""
-    if not parts:
+def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
+    """The sum of m f over (m, f) pairs, canonical and with its trie: one
+    subdivision tree, one graft per pair, one merge.  A weight m (a number
+    or an ExactComplex) is the constant multiplier (m,); any other m is a
+    radial multiplier, whose ``m.part(f)`` is its (f, values, drops)."""
+    if not pairs:
         raise ValueError("empty combination")
-    ctx = parts[0][0].ctx
-    for f, _, _ in parts:
+    ctx = pairs[0][1].ctx
+    parts = []
+    for m, f in pairs:
         if f.ctx != ctx:
             raise ContextMismatchError(f"{f.ctx} != {ctx}")
+        # no isinstance test on numeric types: Fraction's metaclass is ABCMeta
+        parts.append(m.part(f) if hasattr(m, "part") else (f, (m,), None))
     return _merge_tree(ctx, *_subdivision_tree(parts, ctx))
-
-
-def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
-    """Sum of weight * function pairs: each weight w the constant multiplier
-    with values (w,)."""
-    return haar_combination([(f, (w,), None) for w, f in pairs])
 
 
 # -- random instances -------------------------------------------------------
@@ -791,15 +789,26 @@ def _digit_depth(terms: list, p: int) -> int:
 
 def deserialize(text: str) -> BruhatSchwartzFunction:
     """Parse the JSON schema back into a canonical function."""
+    return deserialize_object(load_json(text))
+
+
+def load_json(text: str) -> object:
+    """JSON text as Python objects, for ``deserialize_object``."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FunctionFormatError(f"malformed JSON: {exc}") from exc
-    return deserialize_object(obj)
 
 
 def deserialize_object(obj: object) -> BruhatSchwartzFunction:
     """``deserialize`` of JSON text already parsed into Python objects."""
+    return read_object(obj)[1]()
+
+
+def read_object(obj: object) -> tuple:
+    """Every check of ``deserialize_object`` on a parsed function: its
+    PrimeContext and the call that builds its canonical form, which may take
+    seconds, so that a caller can refuse its own arguments first."""
     if not isinstance(obj, dict):
         raise FunctionFormatError("top level must be an object")
     # type(), not isinstance: JSON true is a bool, which isinstance takes for 1
@@ -842,4 +851,4 @@ def deserialize_object(obj: object) -> BruhatSchwartzFunction:
         cells = _cell_count(root, p**n)
         if cells > MAX_CELLS:
             raise FunctionFormatError(f"the canonical form has {cells} cells, over the {MAX_CELLS} accepted")
-    return _merge_tree(ctx, root, root_r)
+    return ctx, lambda: _merge_tree(ctx, root, root_r)

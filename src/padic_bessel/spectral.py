@@ -2,9 +2,9 @@
 
 Radial Fourier multipliers act on test functions through the Haar basis of
 their digit tries (``RadialMultiplier``), never through characters: this
-module derives the per-level scales, and ``schwartz.haar_combination``
-applies them to the trie, which only ``schwartz`` walks, in one sum with any
-other multiplied or weighted parts.
+module derives the per-level scales, and ``schwartz.linear_combination``
+applies them to the trie, which only ``schwartz`` walks, in one sum of
+(m, f) pairs with any other multiplied or weighted functions.
 The transform itself remains, as the oracle of that route and for its own
 identities.  It works on lists of modulated balls
 c * exp(2 pi i phase) * chi_p(eta . x) * 1_B(x) (``ModulatedTerm``), which
@@ -42,7 +42,7 @@ from padic_bessel.padic import (
     reduce_mod_ball,
     shell_character_integral,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, haar_combination
+from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
 
 
 class DivergentTailError(ValueError):
@@ -116,11 +116,12 @@ class RadialMultiplier:
     _table: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def part(self, f: BruhatSchwartzFunction) -> tuple:
-        """m(D) f as one part (f, values, drops) of
-        ``schwartz.haar_combination``: f canonical, the shell values
-        m(0..depth) and the drops down to f's smallest cells, as new lists:
-        copies from the table when it reaches depth, else computed and the
-        shells down to SHELLS_CACHED kept, so deep inputs cannot grow it."""
+        """m(D) f as the part (f, values, drops) that
+        ``schwartz.linear_combination`` grafts for the pair (self, f): f
+        canonical, the shell values m(0..depth) and the drops down to f's
+        smallest cells, as new lists: copies from the table when it reaches
+        depth, else computed and the shells down to SHELLS_CACHED kept, so
+        deep inputs cannot grow it."""
         if f.ctx != self.ctx:
             raise ContextMismatchError(f"{f.ctx} != {self.ctx}")
         f = f.canonicalize()
@@ -142,7 +143,7 @@ class RadialMultiplier:
         """The function m(D) f, canonical, with its trie: f's trie grafted
         with ``part``'s scales and merged as canonical form does, reusing
         f's balls.  Linear in trie nodes times p**n."""
-        return haar_combination([self.part(f)])
+        return linear_combination([(self, f)])
 
     def profile(self) -> RadialProfile:
         """The same shell values as a profile for ``radial_transform``:

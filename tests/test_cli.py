@@ -152,6 +152,16 @@ def test_heat_rejects_alpha_next_to_n(capsys):
     assert "Traceback" not in err
 
 
+def test_heat_table_at_a_time_whose_envelope_quotient_overflows(capsys):
+    # tail_envelope(0) / tol is past the float range at t = 1e300; the
+    # depth of the mass sum must still be found, not blamed on alpha
+    code, out, err = run(capsys, "heat", "--t", "1e300", "--gamma-max", "3")
+    assert (code, err) == (0, "")
+    lines = out.strip().split("\n")
+    assert lines[0] == "gamma,norm,z_value,tail_bound" and len(lines) == 6
+    assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(",")[1:])
+
+
 @pytest.mark.parametrize("command", ["kernel", "heat"])
 def test_tables_refuse_more_shells_than_max_depth_at_once(capsys, command):
     for gamma in (MAX_DEPTH + 1, 10**12):
@@ -636,6 +646,22 @@ def test_evolve_of_nested_balls_2_to_the_minus_1000_is_fast(tmp_path, capsys):
     assert perf_counter() - start < 1.0
     assert (code, err) == (0, "")
     assert out == "time,l2_norm,sup_norm\n1,0.36787944117144228,2.3678794411714423\n"
+
+
+@pytest.mark.parametrize("alpha", ["1e300", "1.5", "nan"])
+def test_evolve_refuses_an_order_before_building_its_input(tmp_path, capsys, alpha):
+    # p = 3, n = 2: B(0, 3^2000) + 2 * 1_{B((1, 1), 3^-2000)} spans 4000
+    # digits, and building its canonical form takes about a second
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"p": 3, "n": 2, "terms": [
+        {"re": "1", "center": ["0", "0"], "radius_exp": 2000},
+        {"re": "2", "center": ["1", "1"], "radius_exp": -2000},
+    ]}))
+    start = perf_counter()
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", "1", "--alpha", alpha)
+    assert perf_counter() - start < 0.2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order alpha = ")
 
 
 def test_a_wide_ball_beside_a_unit_ball_exits_2_fast(tmp_path, capsys):

@@ -757,10 +757,11 @@ def test_the_trie_is_invisible():
 
 @pytest.mark.parametrize("p,n,alpha", GRID)
 def test_haar_combination_is_the_sum_of_its_applied_parts(p, n, alpha):
-    # exact shell values (integer alpha, rational lambda): one graft per part
-    # and one merge give the bytes of each multiplier applied and merged
-    # alone, and the merged outputs summed; a raw part takes the digit walk,
-    # so its scaling is done by hand
+    # one linear_combination of multiplier and weight pairs, at exact shell
+    # values (integer alpha, rational lambda): one graft per pair and one
+    # merge give the bytes of each multiplier applied and merged alone, and
+    # the merged outputs summed; a raw function takes the digit walk, so its
+    # scaling is done by hand
     ctx = PrimeContext(p, n)
     order = BesselOrder(float(math.ceil(alpha)), ctx)
     lam = Fraction(1, 2)
@@ -771,8 +772,8 @@ def test_haar_combination_is_the_sum_of_its_applied_parts(p, n, alpha):
         f, g, h = (random_test_function(seed + k, ctx, cfg) for k in (0, 100, 200))
         raw = BruhatSchwartzFunction(ctx, random_terms(rng, ctx, 3, (1, p, p**2), True))
         for summand in (h, raw):
-            got = schwartz.haar_combination(
-                [symbol_multiplier(order).part(f), resolvent_multiplier(order, lam).part(g), (summand, (w,), None)]
+            got = linear_combination(
+                [(symbol_multiplier(order), f), (resolvent_multiplier(order, lam), g), (w, summand)]
             )
             scaled = BruhatSchwartzFunction(ctx, tuple((c * w, b) for c, b in summand.terms))
             want = linear_combination(
@@ -783,14 +784,13 @@ def test_haar_combination_is_the_sum_of_its_applied_parts(p, n, alpha):
 
 
 def test_haar_combination_puts_a_part_with_drops_in_canonical_form():
-    # 1_{B(0, 2^-3)} built raw, without a trie: its drops must still apply,
-    # giving the four cells of the operator applied to it
+    # 1_{B(0, 2^-3)} built raw, without a trie: the multiplier's drops must
+    # still apply, giving the four cells of the operator applied to it
     order = BesselOrder(2.0, C21)
     zero = PAdicVector.zero(C21)
     f = BruhatSchwartzFunction(C21, ((ExactComplex(1, 0), Ball(zero, -3)),))
     assert f.trie is None
-    _, values, drops = symbol_multiplier(order).part(f)
-    got = schwartz.haar_combination([(f, values, drops)])
+    got = linear_combination([(symbol_multiplier(order), f)])
     assert sorted(c.re for c, _ in got.terms) == [
         Fraction(3, 32), Fraction(9, 64), Fraction(21, 128), Fraction(23, 128)
     ]
@@ -799,7 +799,7 @@ def test_haar_combination_puts_a_part_with_drops_in_canonical_form():
 
 def test_haar_combination_needs_parts_in_one_context():
     with pytest.raises(ValueError):
-        schwartz.haar_combination([])
+        linear_combination([])
     with pytest.raises(ContextMismatchError):
-        schwartz.haar_combination([(BruhatSchwartzFunction.unit_ball(C21), (1,), None),
-                                   (BruhatSchwartzFunction.unit_ball(C31), (1,), None)])
+        linear_combination([(1, BruhatSchwartzFunction.unit_ball(C21)),
+                            (1, BruhatSchwartzFunction.unit_ball(C31))])
