@@ -2,10 +2,12 @@
 
 The operator and its resolvent act on test functions as radial multipliers
 on the Haar basis of the digit trie (``RadialMultiplier``), exact for
-rational symbol values.  The quadratic form of the L2 battery and the
-maximum-principle check read the same route, so no function here calls the
-Fourier transform, and only the oracles call the convolution route.  Two
-independent routes are its oracles, in the tests and ``verify routes``:
+rational symbol values.  The quadratic form and the contraction ratio of
+the L2 battery are Haar energies of f's trie under the same shell values,
+and the maximum-principle check reads the operator's output in one walk of
+f's trie, so no function here calls the Fourier transform or scans cells,
+and only the oracles call the convolution route.  Two independent routes
+are its oracles, in the tests and ``verify routes``:
 convolution against the explicit radial kernel at a point (space side,
 ``apply_bessel_convolution``) and the two Fourier transforms around
 ``radial_terms`` with ``symbol_multiplier`` itself (symbol side).  The
@@ -22,7 +24,6 @@ from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from padic_bessel.padic import (
-    EC_ONE,
     EC_ZERO,
     ZERO_NORM,
     Ball,
@@ -32,7 +33,14 @@ from padic_bessel.padic import (
     PrimeContext,
     shell_measure,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, Supremum, linear_combination
+from padic_bessel.schwartz import (
+    BruhatSchwartzFunction,
+    Supremum,
+    haar_energy,
+    linear_combination,
+    read_leaves,
+    root_of_square,
+)
 from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
 
 
@@ -294,10 +302,12 @@ def resolvent_residual(
 
 
 def quadratic_form(order: BesselOrder, f: BruhatSchwartzFunction) -> float:
-    """<-(operator) f, f>, read off the multiplier route: by Parseval it is
-    minus the integral of symbol * |F f|**2, real because the symbol is, so
-    dissipativity means this never exceeds rounding."""
-    return -float(apply_bessel(order, f).inner_product(f).re)
+    """<-(operator) f, f>, read off f's digit trie as minus its Haar energy
+    under the symbol's shell values (``schwartz.haar_energy``), with no
+    output built: by Parseval it is minus the integral of symbol *
+    |F f|**2, real because the symbol is, so dissipativity means this never
+    exceeds rounding.  Exact at integer alpha on exact coefficients."""
+    return -float(haar_energy(*symbol_multiplier(order).part(f)))
 
 
 def adjoint_defect(
@@ -310,11 +320,18 @@ def adjoint_defect(
 
 
 def contraction_ratio(order: BesselOrder, f: BruhatSchwartzFunction) -> float:
-    """||operator f||_2 / ||f||_2; at most 1 because the symbol is."""
+    """||operator f||_2 / ||f||_2; at most 1 because the symbol is.
+
+    ||operator f||_2**2 is f's Haar energy under the squared shell values,
+    whose drops m(k)**2 - m(k+1)**2 are drop(k) (m(k) + m(k+1)), so no
+    output is built, and its root is taken as ``l2_norm`` takes one."""
     denom = f.l2_norm()
     if denom == 0.0:
         raise ValueError("contraction ratio undefined for the zero function")
-    return apply_bessel(order, f).l2_norm() / denom
+    f, values, drops = symbol_multiplier(order).part(f)
+    squares = [m * m for m in values]
+    square_drops = [drop * (values[k] + values[k + 1]) for k, drop in enumerate(drops)]
+    return root_of_square(haar_energy(f, squares, square_drops)) / denom
 
 
 def c0_dissipativity_margin(
@@ -340,10 +357,11 @@ class PmpReport:
 
     ``probes`` holds one point of every region on which the operator is
     constant and f reaches its supremum (see ``_argmax_probes``), each paired
-    with the value of -(operator) f there; ``worst`` is the largest of
-    these, and ``passed`` says it does not exceed the tolerance.  The
-    principle holds for nonnegative functions and fails on many sign-mixed
-    ones, so ``passed`` is a verdict on the input, not on the code.
+    with the value of -(operator) f there, in the order the walk of f's trie
+    meets them; ``worst`` is the largest of these, and ``passed`` says it
+    does not exceed the tolerance.  The principle holds for nonnegative
+    functions and fails on many sign-mixed ones, so ``passed`` is a verdict
+    on the input, not on the code.
     """
 
     sup_value: Number
@@ -353,9 +371,9 @@ class PmpReport:
     passed: bool
 
 
-def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum) -> list:
-    """Points that together see every value the operator takes on the
-    argmax set of a canonical real f.
+def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum, g: BruhatSchwartzFunction) -> list:
+    """(x, g(x)) for points x that together see every value g = operator f
+    takes on the argmax set of a canonical real f.
 
     The operator is convolution with a radial kernel supported on the unit
     ball, so by the ultrametric inequality it is constant on each cell of f,
@@ -364,27 +382,27 @@ def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum) -> list:
     that reaches it.  A supremum of 0 is probed at the center of every
     maximal zero-valued ball inside a unit ball that meets the support
     (these tile the zeros of f within distance 1 of it), plus one point far
-    outside the support and, when the support misses the unit ball, the
-    origin.  Those maximal balls are the cells of the canonical form of
-    sum_U 1_U - sum_D 1_D, with U those unit balls and D the cells of f
-    inside them.
+    outside the support and, when f is 0 on the unit ball, the origin.
+    Those maximal balls are the None children of the trie nodes of radius
+    p**s, s <= 0, the cells of the canonical form of sum_U 1_U - sum_D 1_D
+    with U those unit balls and D the cells of f inside them, which is
+    never built.  Both kinds are read in one walk of f's trie in lockstep
+    with g's (``schwartz.read_leaves``): g is constant on them, so only
+    the origin's value is read down a path of its own, and the cost is
+    linear in trie nodes.
     """
-    ctx = f.ctx
     if sup.cell is not None:
-        return [ball.center for c, ball in f.terms if c.re == sup.value]
-    level = f.support_norm_exp()
-    outside_exp = (0 if level == ZERO_NORM else max(int(level), 0)) + 1
+        top = sup.value
+        return read_leaves(f, g, lambda leaf, radius: leaf is not None and leaf[0].re == top)
+    ctx = f.ctx
+    trie = f.digit_trie()
+    outside_exp = (0 if trie.root is None else trie.radius) + 1
     coords = [Fraction(1, ctx.p**outside_exp)] + [Fraction(0)] * (ctx.n - 1)
-    probes = [PAdicVector(tuple(coords), ctx)]
-    unit = Ball(PAdicVector.zero(ctx), 0)
-    if all(ball.relation(unit) == "disjoint" for _, ball in f.terms):
-        probes.append(PAdicVector.zero(ctx))
-    small = [ball for _, ball in f.terms if ball.radius_exp < 0]
-    units = {Ball(ball.center, 0).canonical() for ball in small}
-    zeros = BruhatSchwartzFunction(
-        ctx, tuple((EC_ONE, u) for u in units) + tuple((-EC_ONE, d) for d in small)
-    ).canonicalize()
-    probes.extend(ball.center for _, ball in zeros.terms)
+    points = [PAdicVector(tuple(coords), ctx)]
+    if trie.zero_descendant(0) is None:
+        points.append(PAdicVector.zero(ctx))
+    probes = [(x, g.evaluate(x)) for x in points]
+    probes.extend(read_leaves(f, g, lambda leaf, radius: leaf is None and radius < 0))
     return probes
 
 
@@ -393,12 +411,13 @@ def pmp_check(order: BesselOrder, f: BruhatSchwartzFunction, tol: float = 1e-12)
     sup f >= 0, through the probes of ``_argmax_probes``.
 
     The operator is applied once, on the digit trie (``apply_bessel``), and
-    its output is read at each probe.
+    every probe and its value come from one walk of f's trie in lockstep
+    with the output's, so the check is linear in trie nodes.
     """
     f = f.canonicalize()
     sup: Supremum = f.sup_and_argmax()
     g = apply_bessel(order, f)
-    evaluated = tuple((x, -float(g.evaluate(x).re)) for x in _argmax_probes(f, sup))
+    evaluated = tuple((x, -float(value.re)) for x, value in _argmax_probes(f, sup, g))
     worst = max(v for _, v in evaluated)
     return PmpReport(
         sup_value=sup.value,

@@ -10,9 +10,16 @@ the tree that walk leaves, its ``DigitTrie``: one node per ball on which it
 is not constant.  Sums, scalings, radial multipliers and sums of
 multipliers are one ``linear_combination`` of (m, f) pairs, m a weight or a
 radial multiplier: each f's trie is grafted into one subdivision tree with
-m's per-level scales (``_graft``), which is merged once; the L2 pairing
-walks two tries in lockstep.  All structural operations (integrals, inner
-products, suprema) are exact on rational coefficients.
+m's per-level scales (``_graft``), which is merged once.
+
+Queries read the trie too, never scanning the cells: ``evaluate`` walks one
+path, down the digits of the point, and ``ball_integral`` the path of the
+region's center; the L2 pairing walks two tries in lockstep; the pairing of
+a radial multiplier's output with its input is a Haar energy summed over
+one walk (``haar_energy``), and the values of one function on chosen leaves
+of another's trie are read in one lockstep walk (``read_leaves``).  All
+structural operations (integrals, inner products, energies, suprema) are
+exact on rational coefficients.
 """
 from __future__ import annotations
 
@@ -79,6 +86,16 @@ class DigitTrie:
     radius: int
     root: object
 
+    def zero_descendant(self, radius: int):
+        """The node at B(0, p**radius), radius <= self.radius, down the zero
+        digits; or the leaf above it that covers it."""
+        kid = self.root
+        for _ in range(self.radius - radius):
+            if type(kid) is not list:
+                break
+            kid = kid[0]
+        return kid
+
 
 @dataclass(frozen=True)
 class BruhatSchwartzFunction:
@@ -107,14 +124,23 @@ class BruhatSchwartzFunction:
     # -- pointwise structure ----------------------------------------------
 
     def evaluate(self, x: PAdicVector) -> ExactComplex:
-        """Value at x: the sum of coefficients of the balls containing x."""
+        """Value at x, read off one path of the digit trie: x * p**R has
+        its digits from one modular inverse of the p-free part of each
+        denominator (``_digit_indices``), and a point outside B(0, p**R)
+        reads 0.  O(trie depth) for canonical f; any other f is brought to
+        canonical form first."""
         if x.ctx != self.ctx:
             raise ContextMismatchError(f"{x.ctx} != {self.ctx}")
-        total = EC_ZERO
-        for c, ball in self.terms:
-            if ball.contains(x):
-                total = total + c
-        return total
+        trie = self.digit_trie()
+        node = trie.root
+        if node is None:
+            return EC_ZERO
+        indices = _digit_indices(x, trie.radius, self.ctx.p)
+        if indices is None:
+            return EC_ZERO
+        while type(node) is list:
+            node = node[next(indices)]
+        return EC_ZERO if node is None else node[0]
 
     @property
     def is_zero(self) -> bool:
@@ -197,15 +223,31 @@ class BruhatSchwartzFunction:
         return total
 
     def ball_integral(self, region: Ball) -> ExactComplex:
-        """Integral of f over an arbitrary ball (exact nested-or-disjoint cut)."""
-        total = EC_ZERO
-        for c, ball in self.terms:
-            rel = ball.relation(region)
-            if rel == "disjoint":
-                continue
-            smaller = ball if rel in ("inside", "equal") else region
-            total = total + c * smaller.measure
-        return total
+        """Integral of f over an arbitrary ball, read off the digit trie.
+
+        A region that holds B(0, p**R) gets the whole integral and one that
+        misses it 0; any other region is found by walking its center's
+        digits down to its radius.  A cell met on the way covers the region,
+        which then has c * measure, and a node reached at the region's
+        radius is the region, whose integral is its cells' masses.
+        """
+        if region.ctx != self.ctx:
+            raise ContextMismatchError(f"{region.ctx} != {self.ctx}")
+        trie = self.digit_trie()
+        node = trie.root
+        s = region.radius_exp
+        indices = _digit_indices(region.center, max(s, trie.radius), self.ctx.p)
+        if node is None or indices is None:
+            return EC_ZERO
+        if s >= trie.radius:  # the region holds B(0, p**R)
+            return _node_integral(node) if type(node) is list else node[0] * node[1].measure
+        for _ in range(trie.radius - s):
+            if type(node) is not list:
+                break
+            node = node[next(indices)]
+        if node is None:
+            return EC_ZERO
+        return _node_integral(node) if type(node) is list else node[0] * region.measure
 
     def inner_product(self, other: "BruhatSchwartzFunction") -> ExactComplex:
         """L2 pairing <f, g> = integral of f * conj(g).
@@ -226,7 +268,7 @@ class BruhatSchwartzFunction:
         # a frame is [child pairs, radius of the children, next pair]; pairs
         # of nodes are walked first, the other pairs when the frame ends
         stack = []
-        frame = [[(_zero_descendant(f, radius), _zero_descendant(g, radius))], radius, 0]
+        frame = [[(f.zero_descendant(radius), g.zero_descendant(radius))], radius, 0]
         while True:
             kids, radius, i = frame
             if i < len(kids):
@@ -252,9 +294,26 @@ class BruhatSchwartzFunction:
 
     def l2_norm(self) -> float:
         """sqrt(Re <f, f>): canonical cells are disjoint, so the square is
-        the sum of |c|^2 * measure over them, linear in cells."""
-        total = sum((c.abs2() * ball.measure for c, ball in self.canonicalize().terms), 0)
-        return math.sqrt(max(0.0, float(total)))
+        the sum of |c|^2 * measure over them, linear in cells.
+
+        An exact square past the float range has its root taken exactly
+        (``root_of_square``).  A float square that overflows is summed
+        again with each |c| divided by the largest, and that largest |c|
+        multiplies the root; the result is inf only where the norm itself
+        is past the float range.
+        """
+        cells = self.canonicalize().terms
+        try:
+            total = sum((c.abs2() * ball.measure for c, ball in cells), 0)
+        except OverflowError:  # a float square times a measure past the float range
+            total = math.inf
+        root = root_of_square(total)
+        if root == math.inf and isinstance(total, float):
+            top = max(abs(c) for c, _ in cells)
+            if math.isfinite(top):
+                scaled = sum((Fraction((abs(c) / top) ** 2) * ball.measure for c, ball in cells), Fraction(0))
+                root = top * root_of_square(scaled)
+        return root
 
     def sup_norm(self) -> float:
         return max((abs(c) for c, _ in self.canonicalize().terms), default=0.0)
@@ -553,17 +612,6 @@ def _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
     return node
 
 
-def _zero_descendant(trie: DigitTrie, radius: int):
-    """The trie's child at B(0, p**radius), radius <= trie.radius, down the
-    zero digits; or the leaf above it that covers it."""
-    kid = trie.root
-    for _ in range(trie.radius - radius):
-        if type(kid) is not list:
-            break
-        kid = kid[0]
-    return kid
-
-
 def _node_integral(node: list) -> ExactComplex:
     """Haar integral over a trie node: the sum of its cells' masses."""
     total = EC_ZERO
@@ -575,6 +623,189 @@ def _node_integral(node: list) -> ExactComplex:
             elif kid is not None:
                 total = total + kid[0] * kid[1].measure
     return total
+
+
+def _digit_indices(x: PAdicVector, radius: int, p: int):
+    """The child indices of x's path down the digit trie from B(0, p**radius),
+    radius >= 0, one per level as an endless iterator; or None when x lies
+    outside that ball.
+
+    Each coordinate times p**radius is a / b with b prime to p, an element
+    of Z_p whose next digit is a * b**-1 mod p: the one modular inverse of
+    the p-free part of its denominator.  Subtracting the digit times b and
+    dividing by p leaves the rest.  An index packs the n digits, the first
+    coordinate's most significant, in the order of ``_digit_tuples``.
+    """
+    parts = []
+    for coord in x.coords:
+        a, b = coord.numerator, coord.denominator
+        v = valuation(b, p)
+        if v > radius:
+            return None
+        b //= p**v
+        parts.append([a * p ** (radius - v), b, pow(b, -1, p)])
+    return _path_indices(parts, p)
+
+
+def _path_indices(parts: list, p: int):
+    """The endless index iterator of ``_digit_indices`` over its [a, b,
+    b**-1 mod p] parts."""
+    while True:
+        index = 0
+        for part in parts:
+            a, b, inverse = part
+            d = a * inverse % p
+            part[0] = (a - d * b) // p
+            index = index * p + d
+        yield index
+
+
+def root_of_square(total: Number) -> float:
+    """sqrt(max(0, total)) as a float, for a sum of squares.
+
+    ``float(total)`` comes first, so a total in the float range gives the
+    bits it always gave.  An exact total past that range is over 2**1024,
+    so the integer square root of its integer part carries over 500 exact
+    bits; it reads inf only where that root is past the float range too.
+    """
+    try:
+        return math.sqrt(max(0.0, float(total)))
+    except OverflowError:
+        pass
+    q = Fraction(total)
+    try:
+        return float(math.isqrt(q.numerator // q.denominator))
+    except OverflowError:
+        return math.inf
+
+
+def haar_energy(f: BruhatSchwartzFunction, values: Sequence, drops: Sequence) -> Number:
+    """<m(D) f, f> for a radial multiplier m, read off f's digit trie with
+    no output built: ``RadialMultiplier.part(f)`` gives f canonical, the
+    shell values m(0..depth) and the drops m(k) - m(k+1) taken here.
+
+    m is diagonal in the Haar basis of the trie (``RadialMultiplier``), so
+    the pairing is the sum over the nodes of m(level) times the squared L2
+    norm of the node's detail, plus m(0) |mean|**2 times the root's measure.
+    Summed by parts, each cell of radius p**r adds m(max(-r, 0)) |c|**2
+    p**(rn), each node of radius p**s, s <= 0, adds its drop m(-s) -
+    m(1 - s) times |mean|**2 p**(sn), and the other nodes add nothing; no
+    term cancels another.  The squares are summed exactly per radius and
+    each sum is weighted once, so the result is exact for exact shell
+    values and coefficients, and linear in trie nodes times p**n.
+    """
+    trie = f.digit_trie()
+    top = trie.root
+    if top is None:
+        return 0
+    power = f.ctx.p_power
+    n = f.ctx.n
+    if type(top) is not list:
+        return values[0] * (top[0].abs2() * power(trie.radius * n))
+    cells: dict = {}  # radius -> sum of |c|**2 over the cells of that radius
+    means: dict = {}  # radius -> sum of |sum of child means|**2 over the nodes
+    inv = Fraction(1, len(top))
+    # a frame is [trie node, radius, next child, sum of the children's
+    # values and means]; the sum is kept at radius <= 0
+    stack = [[top, trie.radius, 0, EC_ZERO]]
+    while stack:
+        frame = stack[-1]
+        node, radius, i, total = frame
+        summing = radius <= 0
+        for i in range(i, len(node)):
+            kid = node[i]
+            if type(kid) is list:
+                frame[2], frame[3] = i + 1, total
+                stack.append([kid, radius - 1, 0, EC_ZERO])
+                break
+            if kid is None:
+                continue
+            c = kid[0]
+            cells[radius - 1] = cells.get(radius - 1, 0) + c.abs2()
+            if summing:
+                total = total + c
+        else:
+            stack.pop()
+            if summing:
+                means[radius] = means.get(radius, 0) + total.abs2()
+                if radius < 0:
+                    stack[-1][3] = stack[-1][3] + total * inv
+    energy = 0
+    for r, square in cells.items():
+        energy = energy + values[max(-r, 0)] * (square * power(r * n))
+    for s, square in means.items():
+        energy = energy + drops[-s] * (square * power((s - 2) * n))
+    return energy
+
+
+def read_leaves(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction, keep) -> list:
+    """(x, g(x)) for the center x of each leaf of f's digit trie that
+    ``keep(leaf, r)`` accepts, r the radius exponent of the leaf's ball: one
+    walk of f's trie in lockstep with g's, for canonical f and g over one
+    context.
+
+    A leaf is a cell (value, ball) of f, or None where f is 0; a trie that
+    is one cell or None is its own leaf, centered at 0.  Leaves come in
+    canonical cell order, a node's leaves after those of the nodes below
+    it.  Where g is constant on the leaf, as m(D) f is on every cell and
+    zero ball of f, g's value is the one reached in the same step, so the
+    walk is linear in f's trie nodes; elsewhere g is read at the center, on
+    down the zero digits.  Only the centers of kept zero leaves are built.
+    """
+    ctx = f.ctx
+    trie = f.digit_trie()
+    radius = trie.radius
+    width = len(_digit_tuples(ctx.p, ctx.n))
+    g_trie = g.digit_trie()
+    if radius <= g_trie.radius:
+        g_top = g_trie.zero_descendant(radius)
+    else:  # lifted to f's root, the rest of which g leaves at 0
+        g_top = g_trie.root
+        for _ in range(radius - g_trie.radius):
+            g_top = None if g_top is None else [g_top] + [None] * (width - 1)
+    out: list = []
+    top = trie.root
+    if type(top) is not list:
+        if keep(top, radius):
+            center = PAdicVector.zero(ctx) if top is None else top[1].center
+            out.append((center, _value_at_center(g_top)))
+        return out
+    all_digits = _digit_tuples(ctx.p, ctx.n)
+    root_scale = ctx.p**radius
+    # a frame is [f node, g node or leaf, integer center coords U, radius,
+    # integer digit scale, next child], the center being U / root_scale
+    stack = [[top, g_top, (0,) * ctx.n, radius, 1, 0]]
+    while stack:
+        frame = stack[-1]
+        node, g_node, units, radius, scale, i = frame
+        for i in range(i, width):
+            kid = node[i]
+            if type(kid) is list:
+                frame[5] = i + 1
+                g_kid = g_node[i] if type(g_node) is list else g_node
+                child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
+                stack.append([kid, g_kid, child_units, radius - 1, scale * ctx.p, 0])
+                break
+        else:
+            stack.pop()
+            for i, kid in enumerate(node):
+                if type(kid) is list or not keep(kid, radius - 1):
+                    continue
+                if kid is None:
+                    coords = tuple(Fraction(u + d * scale, root_scale) for u, d in zip(units, all_digits[i]))
+                    center = PAdicVector(coords, ctx)
+                else:
+                    center = kid[1].center
+                out.append((center, _value_at_center(g_node[i] if type(g_node) is list else g_node)))
+    return out
+
+
+def _value_at_center(kid) -> ExactComplex:
+    """The value of a trie child at the center of its ball, whose digits
+    below the ball are 0."""
+    while type(kid) is list:
+        kid = kid[0]
+    return EC_ZERO if kid is None else kid[0]
 
 
 def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:

@@ -36,6 +36,7 @@ from padic_bessel.padic import (
     Number,
     PAdicVector,
     PrimeContext,
+    _int_valuation,
     ball_measure,
     character_from_phase,
     fractional_part,
@@ -117,7 +118,8 @@ class RadialMultiplier:
 
     def part(self, f: BruhatSchwartzFunction) -> tuple:
         """m(D) f as the part (f, values, drops) that
-        ``schwartz.linear_combination`` grafts for the pair (self, f): f
+        ``schwartz.linear_combination`` grafts for the pair (self, f), and
+        whose Haar energy <m(D) f, f> ``schwartz.haar_energy`` sums: f
         canonical, the shell values m(0..depth) and the drops down to f's
         smallest cells, as new lists: copies from the table when it reaches
         depth, else computed and the shells down to SHELLS_CACHED kept, so
@@ -216,25 +218,53 @@ def pairing(left, right) -> ExactComplex:
     Two balls are nested or disjoint, so B1 and B2 meet in the smaller one,
     B(b, p**s), or not at all.  On it the integral of chi_p(zeta . x),
     zeta = eta1 - eta2, is p**(sn) chi_p(zeta . b) when ||zeta|| <= p**(-s)
-    and 0 otherwise.  Exact whenever the summed phases are quarters.
+    and 0 otherwise.  Exact whenever the summed phases are quarters.  Both
+    tests are integer cross products of the coordinates' numerators and
+    denominators, read once per term (``_valuations_at_least``), so zeta
+    and the phase are built only for the pairs that pass.
     """
+    right = list(right)
+    if not right:
+        return EC_ZERO
+    p = right[0].ball.ctx.p
+    right = [(term, _coordinate_parts(term.ball.center, p), _coordinate_parts(term.eta, p)) for term in right]
     total = EC_ZERO
     for c1, phase1, eta1, ball1 in left:
-        for c2, phase2, eta2, ball2 in right:
-            r1, r2 = ball1.radius_exp, ball2.radius_exp
-            if (ball1.center - ball2.center).norm_exp > max(r1, r2):
+        x1, e1 = _coordinate_parts(ball1.center, p), _coordinate_parts(eta1, p)
+        r1 = ball1.radius_exp
+        for (c2, phase2, eta2, ball2), x2, e2 in right:
+            r2 = ball2.radius_exp
+            if not _valuations_at_least(x1, x2, -max(r1, r2), p):
                 continue  # disjoint
             inner = ball1 if r1 <= r2 else ball2
             s = inner.radius_exp
-            zeta = eta1 - eta2
-            if zeta.norm_exp > -s:
+            if not _valuations_at_least(e1, e2, s, p):
                 continue  # a nontrivial character integrates to 0
+            zeta = eta1 - eta2
             phase = _shifted(phase1 - phase2, zeta, inner.center)
             value = c1 * c2.conjugate() * ball_measure(s, inner.ctx)
             if phase % 1:
                 value = value * character_from_phase(phase)
             total = total + value
     return total
+
+
+def _coordinate_parts(x: PAdicVector, p: int) -> tuple:
+    """(numerator, denominator, valuation of the denominator) per
+    coordinate of x, as ``_valuations_at_least`` reads them."""
+    return tuple([(c.numerator, c.denominator, _int_valuation(c.denominator, p)) for c in x.coords])
+
+
+def _valuations_at_least(x: tuple, y: tuple, e: int, p: int) -> bool:
+    """Whether every coordinate of x - y has valuation at least e, from the
+    ``_coordinate_parts`` of x and y: the difference a1/b1 - a2/b2 has
+    valuation v(a1 b2 - a2 b1) - v(b1) - v(b2), so p**(e + v(b1) + v(b2))
+    must divide the cross product."""
+    for (a1, b1, v1), (a2, b2, v2) in zip(x, y):
+        k = e + v1 + v2
+        if k > 0 and (a1 * b2 - a2 * b1) % p**k:
+            return False
+    return True
 
 
 def _cell_radius(eta: PAdicVector, s: int) -> int:

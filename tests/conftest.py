@@ -10,7 +10,9 @@ src = Path(__file__).resolve().parents[1] / "src"
 if str(src) not in sys.path:
     sys.path.insert(0, str(src))
 
-from padic_bessel.padic import Ball, Number, PAdicVector
+from padic_bessel.padic import EC_ONE, EC_ZERO, ZERO_NORM, Ball, Number, PAdicVector, ball_measure, character_from_phase
+from padic_bessel.schwartz import BruhatSchwartzFunction
+from padic_bessel.spectral import _shifted
 
 
 def digit_children(ball):
@@ -73,3 +75,76 @@ class ExactComplex:
 
     def as_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+
+# The cell scans that ``evaluate``, ``ball_integral``, the maximum-principle
+# probes and ``pairing`` made before they read the digit trie, kept verbatim
+# as their oracles.
+
+
+def evaluate_by_scan(f, x):
+    """Value at x: the sum of coefficients of the balls containing x."""
+    total = EC_ZERO
+    for c, ball in f.terms:
+        if ball.contains(x):
+            total = total + c
+    return total
+
+
+def ball_integral_by_scan(f, region):
+    """Integral of f over an arbitrary ball (exact nested-or-disjoint cut)."""
+    total = EC_ZERO
+    for c, ball in f.terms:
+        rel = ball.relation(region)
+        if rel == "disjoint":
+            continue
+        smaller = ball if rel in ("inside", "equal") else region
+        total = total + c * smaller.measure
+    return total
+
+
+def zeros_function_probes(f, sup):
+    """The probe points of the maximum-principle check, built from the cell
+    list: the argmax cells' centers, or the far point, the origin when the
+    support misses the unit ball, and the cells of the canonical form of
+    sum_U 1_U - sum_D 1_D (U the unit balls around the cells D of f with
+    radius below 1)."""
+    ctx = f.ctx
+    if sup.cell is not None:
+        return [ball.center for c, ball in f.terms if c.re == sup.value]
+    level = f.support_norm_exp()
+    outside_exp = (0 if level == ZERO_NORM else max(int(level), 0)) + 1
+    coords = [Fraction(1, ctx.p**outside_exp)] + [Fraction(0)] * (ctx.n - 1)
+    probes = [PAdicVector(tuple(coords), ctx)]
+    unit = Ball(PAdicVector.zero(ctx), 0)
+    if all(ball.relation(unit) == "disjoint" for _, ball in f.terms):
+        probes.append(PAdicVector.zero(ctx))
+    small = [ball for _, ball in f.terms if ball.radius_exp < 0]
+    units = {Ball(ball.center, 0).canonical() for ball in small}
+    zeros = BruhatSchwartzFunction(
+        ctx, tuple((EC_ONE, u) for u in units) + tuple((-EC_ONE, d) for d in small)
+    ).canonicalize()
+    probes.extend(ball.center for _, ball in zeros.terms)
+    return probes
+
+
+def pairing_by_pairs(left, right):
+    """The closed-form pairing of two term lists, each pair's nesting and
+    character tests made on the PAdicVector differences."""
+    total = EC_ZERO
+    for c1, phase1, eta1, ball1 in left:
+        for c2, phase2, eta2, ball2 in right:
+            r1, r2 = ball1.radius_exp, ball2.radius_exp
+            if (ball1.center - ball2.center).norm_exp > max(r1, r2):
+                continue  # disjoint
+            inner = ball1 if r1 <= r2 else ball2
+            s = inner.radius_exp
+            zeta = eta1 - eta2
+            if zeta.norm_exp > -s:
+                continue  # a nontrivial character integrates to 0
+            phase = _shifted(phase1 - phase2, zeta, inner.center)
+            value = c1 * c2.conjugate() * ball_measure(s, inner.ctx)
+            if phase % 1:
+                value = value * character_from_phase(phase)
+            total = total + value
+    return total

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_bessel.padic import Ball, PAdicVector, PrimeContext, ZERO_NORM
+from padic_bessel.padic import Ball, ExactComplex, PAdicVector, PrimeContext, ZERO_NORM
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     RandomFunctionConfig,
@@ -37,7 +37,8 @@ from padic_bessel.bessel import (
     symbol_multiplier,
     symbol_value,
 )
-from padic_bessel.spectral import fourier, inverse_fourier
+from padic_bessel.spectral import fourier, inverse_fourier, parseval_defect
+from conftest import evaluate_by_scan, zeros_function_probes
 
 C21 = PrimeContext(2, 1)
 
@@ -584,3 +585,104 @@ def test_negdef_witness_examples():
         assert m >= 1 and float(value) < 0
         expected = 2 * float(symbol_value(m, order)) - 1
         assert abs(float(value) - expected) <= 1e-15
+
+
+# -- the battery's queries on the digit trie against the applied operator ------------
+
+# the (p, n, alpha) points of the benchmark grid
+GRID = [(2, 1, 2.0), (3, 1, 3.0), (2, 2, 4.0), (5, 1, 2.0), (3, 2, 2.5)]
+
+
+def battery_inputs(p, n, complex_coeffs):
+    """Seeded inputs at one grid point: random ones, a sum of off-center
+    balls down to p**-40, its negation and the zero function."""
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"battery:{p}:{n}:{complex_coeffs}")
+    cfg = RandomFunctionConfig(
+        max_terms=4, radius_min=-3, radius_max=2, den_pow_max=1 if p**n <= 9 else 0, complex_coeffs=complex_coeffs
+    )
+    fs = [random_test_function(seed, ctx, cfg) for seed in range(12)]
+    deep = BruhatSchwartzFunction.zero(ctx)
+    for r in (-40, -17, -5, 1):
+        center = PAdicVector.of(ctx, *[Fraction(rng.randint(-30, 30), p ** rng.randint(0, 2)) for _ in range(n)])
+        coeff = ExactComplex(rng.choice([-3, -1, 2, 5]), rng.randint(-2, 2) if complex_coeffs else 0)
+        deep = deep + BruhatSchwartzFunction.indicator(Ball(center, r), coeff)
+    return ctx, fs + [deep, -deep, BruhatSchwartzFunction.zero(ctx)]
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_pmp_probes_are_the_zeros_function_cells(p, n, alpha):
+    ctx, fs = battery_inputs(p, n, complex_coeffs=False)
+    order = BesselOrder(alpha, ctx)
+    positive = zero = 0
+    for f in fs:
+        for h in (f, -f):
+            h = h.canonicalize()
+            sup = h.sup_and_argmax()
+            report = pmp_check(order, h)
+            assert [x for x, _ in report.probes] == zeros_function_probes(h, sup)
+            g = apply_bessel(order, h)
+            for x, value in report.probes:
+                assert value == -float(evaluate_by_scan(g, x).re) == -float(g.evaluate(x).re)
+            positive += sup.cell is not None
+            zero += sup.cell is None
+    assert positive and zero
+
+
+def test_pmp_probes_of_a_deep_ball_are_the_zeros_function_cells():
+    # -1_{B((1, 1), 3**-200)}: 1601 zero balls, read in one walk
+    ctx = PrimeContext(3, 2)
+    order = BesselOrder(2.5, ctx)
+    f = -BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(ctx, 1, 1), -200))
+    report = pmp_check(order, f)
+    assert len(report.probes) == 1601
+    assert [x for x, _ in report.probes] == zeros_function_probes(f, f.sup_and_argmax())
+    positive = pmp_check(order, -f)
+    assert [x for x, _ in positive.probes] == [PAdicVector.of(ctx, 1, 1)] and positive.passed
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_haar_energies_match_the_applied_operator(p, n, alpha):
+    ctx, fs = battery_inputs(p, n, complex_coeffs=True)
+    order = BesselOrder(alpha, ctx)
+    for f in fs + [f.scale(0.1) for f in fs[:4]]:
+        jf = apply_bessel(order, f)
+        quad, quad_oracle = quadratic_form(order, f), -float(jf.inner_product(f).re)
+        if f.is_zero:
+            assert quad == 0.0
+            continue
+        ratio, ratio_oracle = contraction_ratio(order, f), jf.l2_norm() / f.l2_norm()
+        if order.alpha_is_integer and f.is_exact:
+            assert quad == quad_oracle and ratio == ratio_oracle
+        else:
+            assert abs(quad - quad_oracle) <= 1e-12 * abs(quad_oracle)
+            assert abs(ratio - ratio_oracle) <= 1e-12 * ratio_oracle
+
+
+def test_haar_energy_of_a_single_cell_and_of_nothing():
+    order = BesselOrder(2.0, C21)
+    wide = BruhatSchwartzFunction.indicator(Ball(PAdicVector.zero(C21), 3), 2)
+    assert quadratic_form(order, wide) == -32.0
+    assert contraction_ratio(order, wide) == 1.0
+    assert quadratic_form(order, BruhatSchwartzFunction.zero(C21)) == 0.0
+
+
+def test_battery_queries_never_scan_the_cells(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cell scan ran")
+
+    monkeypatch.setattr(Ball, "contains", refuse)
+    monkeypatch.setattr(Ball, "relation", refuse)
+    for p, n, alpha in GRID:
+        ctx, fs = battery_inputs(p, n, complex_coeffs=False)
+        order = BesselOrder(alpha, ctx)
+        for f in fs[:3] + fs[-3:]:
+            x = PAdicVector.of(ctx, *([Fraction(-1, 3)] * n))
+            f.evaluate(x)
+            f.ball_integral(Ball(x, -2))
+            pmp_check(order, f)
+            pmp_check(order, -f)
+            quadratic_form(order, f)
+            if not f.is_zero:
+                contraction_ratio(order, f)
+            parseval_defect(f, fs[1])

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import shlex
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_bessel.bessel import MAX_ORDER_BITS, BesselOrder, kernel_mass, kernel_value
+from padic_bessel.bessel import MAX_ORDER_BITS, BesselOrder, kernel_mass, kernel_value, pmp_check
 from padic_bessel import cli
 from padic_bessel.cli import main
 from padic_bessel.heat import MAX_DEPTH, z_closed
@@ -28,6 +29,7 @@ from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     FunctionFormatError,
     deserialize,
+    random_test_function,
     serialize,
     too_many_digit_tuples,
 )
@@ -438,20 +440,27 @@ def test_evolve_norm_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("p,center,radius_exp", [(2, "0", -1000), (3, "1/9", -1)])
-def test_evolve_of_a_solution_beyond_the_float_range_exits_2(tmp_path, capsys, p, center, radius_exp):
-    # a coefficient of 10**200 has no float square, so the norms read inf:
-    # no row and no snapshot is written
+@pytest.mark.parametrize("p,center,radius_exp", [(2, "0", 0), (2, "0", -1000), (3, "1/9", -1)])
+def test_evolve_norms_past_the_float_range_of_their_squares(tmp_path, capsys, p, center, radius_exp):
+    # a coefficient of 10**200 has no float square, but its norms have
+    # floats: every row is printed and every snapshot written
     src = tmp_path / "f.json"
     term = {"re": str(10**200), "center": [center], "radius_exp": radius_exp}
     src.write_text(json.dumps({"p": p, "n": 1, "terms": [term]}))
     prefix = tmp_path / "snap"
     code, out, err = run(
-        capsys, "evolve", "--in", str(src), "--t", "0.5", "--alpha", "2", "--snapshots", str(prefix)
+        capsys, "evolve", "--in", str(src), "--t", "0,0.5", "--alpha", "2", "--snapshots", str(prefix)
     )
-    assert (code, out) == (2, "")
-    assert err == "error: the solution's norms at t = 0.5 are beyond the float range\n"
-    assert list(tmp_path.glob("snap*")) == []
+    assert (code, err) == (0, "")
+    header, at_zero, at_half = out.strip().split("\n")
+    assert header == "time,l2_norm,sup_norm"
+    l2, sup = (float(x) for x in at_zero.split(",")[1:])
+    assert sup == 1e200
+    assert l2 == pytest.approx(1e200 * math.sqrt(float(Fraction(p) ** radius_exp)), rel=1e-15)
+    if radius_exp == 0:  # the unit ball: both norms are 10**200
+        assert l2 == 1e200
+    assert all(math.isfinite(float(x)) and 0 < float(x) <= 1e200 for x in at_half.split(",")[1:])
+    assert len(list(tmp_path.glob("snap*"))) == 2
 
 
 def test_evolve_homogeneous_snapshot(tmp_path, capsys):
@@ -995,3 +1004,15 @@ def test_tables_print_the_same_before_and_after_any_other_command(tmp_path, caps
         main(["kernel", "--t", "1"])
     capsys.readouterr()
     assert [run(capsys, *argv) for argv in tables] == before
+
+
+def test_the_maximum_principle_search_script_counts_what_pmp_check_decides():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "maximum_principle_search.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "20", "42"], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    ctx = PrimeContext(2, 1)
+    order = BesselOrder(2.5, ctx)
+    violations = sum(not pmp_check(order, random_test_function(42 ^ i, ctx)).passed for i in range(20))
+    assert done.stdout.splitlines()[0] == f"trials=20 violations={violations}"

@@ -36,7 +36,7 @@ from padic_bessel.schwartz import (
     random_test_function,
     serialize,
 )
-from conftest import digit_children
+from conftest import ball_integral_by_scan, digit_children, evaluate_by_scan
 from test_routes import concentric_terms
 
 C21 = PrimeContext(2, 1)
@@ -803,3 +803,143 @@ def test_haar_combination_needs_parts_in_one_context():
     with pytest.raises(ContextMismatchError):
         linear_combination([(1, BruhatSchwartzFunction.unit_ball(C21)),
                             (1, BruhatSchwartzFunction.unit_ball(C31))])
+
+
+# -- pointwise queries on the digit trie against the cell scans ----------------
+
+
+def query_functions(p, n, alpha):
+    """Seeded functions for the trie queries at one grid point: random ones
+    with complex coefficients, a raw term list, a sum of off-center balls
+    down to p**-40 and that sum's operator output."""
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"query:{p}:{n}")
+    cfg = RandomFunctionConfig(max_terms=4, radius_min=-3, radius_max=3, den_pow_max=2, complex_coeffs=True)
+    fs = [random_test_function(seed, ctx, cfg) for seed in range(4)]
+    fs.append(BruhatSchwartzFunction(ctx, random_terms(rng, ctx, 4, (1, p, p**3), True)))
+    deep = BruhatSchwartzFunction.zero(ctx)
+    for r in (-40, -17, -5, 2):
+        center = PAdicVector.of(ctx, *[Fraction(rng.randint(-50, 50), p ** rng.randint(0, 3)) for _ in range(n)])
+        deep = deep + BruhatSchwartzFunction.indicator(Ball(center, r), ExactComplex(rng.randint(1, 9), rng.randint(-3, 3)))
+    fs += [deep, apply_bessel(BesselOrder(alpha, ctx), deep)]
+    return ctx, fs
+
+
+def query_points(ctx, f, rng):
+    """Points off every grid: p-power, non-p and mixed denominators,
+    negative coordinates, the centers of f's cells and points beside them,
+    and points outside f's root ball."""
+    p, n = ctx.p, ctx.n
+    others = [q for q in (2, 3, 5, 7) if q != p][:2]
+    dens = [1, p, p**3, others[0], others[1] * p**2]
+    points = [
+        PAdicVector.of(ctx, *[Fraction(rng.randint(-300, 300), rng.choice(dens)) for _ in range(n)])
+        for _ in range(40)
+    ]
+    for _, ball in f.canonicalize().terms[:12]:
+        r = ball.radius_exp
+        for shift in (Fraction(rng.randint(-5, 5)) * ctx.p_power(-r), ctx.p_power(-r - 1), ctx.p_power(-r + 1)):
+            step = PAdicVector.of(ctx, *[shift * rng.randint(-1, 1) for _ in range(n - 1)], shift)
+            points.append(ball.center + step)
+        points.append(-ball.center)
+    radius = f.digit_trie().radius
+    points.append(PAdicVector.of(ctx, *[Fraction(1, p ** (radius + 1))] * n))
+    points.append(PAdicVector.of(ctx, *([0] * (n - 1)), Fraction(-7, p ** (radius + 3))))
+    return points
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_evaluate_reads_the_trie_as_the_cell_scan_does(p, n, alpha):
+    ctx, fs = query_functions(p, n, alpha)
+    rng = random.Random(f"evaluate:{p}:{n}")
+    for f in fs:
+        for x in query_points(ctx, f, rng):
+            assert f.evaluate(x) == evaluate_by_scan(f, x)
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_ball_integral_reads_the_trie_as_the_relation_scan_does(p, n, alpha):
+    ctx, fs = query_functions(p, n, alpha)
+    rng = random.Random(f"ball_integral:{p}:{n}")
+    for f in fs:
+        for x in query_points(ctx, f, rng):
+            region = Ball(x, rng.randint(-45, 6))
+            got, want = f.ball_integral(region), ball_integral_by_scan(f, region)
+            if f.is_exact:
+                assert got == want
+            else:  # the node's cells are summed in another order
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_ball_integral_of_regions_around_the_root():
+    f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(1, 4)), -3), 3) + omega()
+    assert f.digit_trie().radius == 2
+    for x, r in ((0, 2), (0, 9), (Fraction(1, 8), 3), (Fraction(1, 8), 2), (Fraction(1, 16), 9), (5, -1)):
+        region = Ball(PAdicVector.of(C21, x), r)
+        assert f.ball_integral(region) == ball_integral_by_scan(f, region)
+    assert BruhatSchwartzFunction.zero(C21).ball_integral(Ball(PAdicVector.zero(C21), 3)) == EC_ZERO
+
+
+def test_evaluate_of_a_raw_sum_is_its_canonical_value():
+    # a point outside the root of the canonical form but inside a cancelled term
+    zero = PAdicVector.zero(C21)
+    wide = Ball(zero, 40)
+    f = BruhatSchwartzFunction(C21, ((ExactComplex(3, 0), wide), (ExactComplex(-3, 0), wide)) + omega().terms)
+    assert f.evaluate(PAdicVector.of(C21, Fraction(1, 2**30))) == EC_ZERO
+    assert f.evaluate(PAdicVector.of(C21, Fraction(-1, 3))) == ExactComplex(1, 0)
+
+
+@pytest.mark.parametrize("coeff", [10**200, 1e200], ids=["exact", "float"])
+def test_l2_norm_past_the_float_range_of_the_square(coeff):
+    # 10**400 has no float; the norm 10**200 has
+    zero = PAdicVector.zero(C21)
+    assert BruhatSchwartzFunction.indicator(Ball(zero, 0), coeff).l2_norm() == 1e200
+    deep = BruhatSchwartzFunction.indicator(Ball(zero, -6), coeff)
+    assert deep.l2_norm() == pytest.approx(1.25e199, rel=1e-15)
+    two = deep + BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, 1), -6), 3 * coeff)
+    assert two.l2_norm() == pytest.approx(math.sqrt(10) * 1.25e199, rel=1e-15)
+
+
+def test_l2_norm_is_inf_only_past_the_float_range():
+    zero = PAdicVector.zero(C21)
+    assert BruhatSchwartzFunction.indicator(Ball(zero, 5000)).l2_norm() == math.inf  # 2**2500
+    assert BruhatSchwartzFunction.indicator(Ball(zero, 100), 1e300).l2_norm() == math.inf  # 1e300 * 2**50
+    assert BruhatSchwartzFunction.indicator(Ball(zero, 10), 1e300).l2_norm() == 1e300 * 2.0**5
+    assert BruhatSchwartzFunction.indicator(Ball(zero, 2040)).l2_norm() == 2.0**1020
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_l2_norm_in_range_keeps_its_bits(p, n):
+    ctx = PrimeContext(p, n)
+    for seed in range(10):
+        f = random_test_function(seed, ctx, RandomFunctionConfig(complex_coeffs=True))
+        g = f.scale(0.1)
+        for h in (f, g):
+            total = sum((c.abs2() * ball.measure for c, ball in h.terms), 0)
+            assert h.l2_norm() == math.sqrt(max(0.0, float(total)))
+
+
+def test_root_of_square():
+    assert schwartz.root_of_square(10**400) == 1e200
+    assert schwartz.root_of_square(Fraction(10**401 + 1, 10)) == 1e200
+    assert schwartz.root_of_square(2**2100) == math.inf
+    assert schwartz.root_of_square(Fraction(9, 4)) == 1.5
+    assert schwartz.root_of_square(-1e-300) == 0.0
+    assert schwartz.root_of_square(math.inf) == math.inf
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_read_leaves_reads_any_function_at_the_kept_centers(p, n, alpha):
+    # g finer or coarser than f, with a wider or a narrower root: every leaf
+    # of f is kept, and g is read at its center as ``evaluate`` and, on every
+    # fifth leaf, the cell scan read it
+    ctx, fs = query_functions(p, n, alpha)
+    fs = [f.canonicalize() for f in fs]
+    for f in fs:
+        for g in fs:
+            leaves = schwartz.read_leaves(f, g, lambda leaf, radius: True)
+            assert {x for x, _ in leaves} >= {ball.center for _, ball in f.terms}
+            for i, (x, value) in enumerate(leaves):
+                assert value == g.evaluate(x)
+                if i % 5 == 0:
+                    assert value == evaluate_by_scan(g, x)

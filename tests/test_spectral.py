@@ -45,7 +45,7 @@ from padic_bessel.spectral import (
     radial_terms,
     radial_transform,
 )
-from conftest import digit_children
+from conftest import digit_children, pairing_by_pairs
 
 C21 = PrimeContext(2, 1)
 C31 = PrimeContext(3, 1)
@@ -614,3 +614,47 @@ def test_one_multiplier_per_parameters():
     assert resolvent_multiplier(order, Fraction(1, 2)) is resolvent_multiplier(TABLE_ORDER, Fraction(1, 2))
     assert semigroup_multiplier(0.7, order) is semigroup_multiplier(0.7, TABLE_ORDER)
     assert resolvent_multiplier(order, Fraction(1, 2)) is not resolvent_multiplier(order, 0.5)
+
+
+# the (p, n, alpha) points of the benchmark grid
+GRID = [(2, 1, 2.0), (3, 1, 3.0), (2, 2, 4.0), (5, 1, 2.0), (3, 2, 2.5)]
+
+
+def deep_modulated_terms(rng, ctx):
+    """Terms on balls down to p**-40 and up to p**3, with off-center,
+    negative and non-p-denominator centers and modulations."""
+    p, n = ctx.p, ctx.n
+    other = 3 if p != 3 else 2
+    terms = []
+    for radius in (-40, -17, -2, 0, 3):
+        center = tuple(Fraction(rng.randint(-60, 60), rng.choice([1, p, p**2, other])) for _ in range(n))
+        eta = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, p ** rng.randint(0, 45)])) for _ in range(n))
+        coeff = ExactComplex(Fraction(rng.randint(-9, 9), 4), rng.randint(-3, 3))
+        phase = Fraction(rng.randint(0, 7), 8)
+        terms.append(ModulatedTerm(coeff, phase, PAdicVector(eta, ctx), Ball(PAdicVector(center, ctx), radius)))
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_pairing_equals_the_pairwise_vector_loop(p, n, alpha):
+    ctx = PrimeContext(p, n)
+    order = BesselOrder(alpha, ctx)
+    rng = random.Random(f"pairing:{p}:{n}")
+    cfg = RandomFunctionConfig(max_terms=4, radius_min=-3, radius_max=2, den_pow_max=1, complex_coeffs=True)
+    for seed in range(8):
+        f = random_test_function(seed, ctx, cfg)
+        g = random_test_function(seed + 100, ctx, cfg)
+        lists = [
+            modulated_terms(f),
+            fourier_terms(modulated_terms(f)),
+            fourier_terms(modulated_terms(g)),
+            radial_terms(fourier_terms(modulated_terms(g)), symbol_multiplier(order)),
+            modulated_sum(seed, ctx),
+            deep_modulated_terms(rng, ctx),
+            deep_modulated_terms(rng, ctx),
+            (),
+        ]
+        for left in lists:
+            for right in lists:
+                got, want = pairing(left, right), pairing_by_pairs(left, right)
+                assert got == want and repr(got) == repr(want)
