@@ -23,7 +23,6 @@ from padic_bessel.schwartz import (
     MAX_DIGIT_TUPLES,
     BruhatSchwartzFunction,
     RandomFunctionConfig,
-    deserialize_object,
     load_json,
     random_test_function,
     read_object,
@@ -185,9 +184,11 @@ def run_fourier(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_forcing(path: str) -> tuple:
+def _load_forcing(path: str, ctx: PrimeContext) -> tuple:
+    """The --forcing schedule as (time, function) pairs, each function
+    refused before its canonical form is built when it is not on ctx."""
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = load_json(fh.read())
     if isinstance(obj, dict):
         obj = obj.get("schedule")
     if not isinstance(obj, list):
@@ -199,7 +200,10 @@ def _load_forcing(path: str) -> tuple:
         time = entry["time"]
         if isinstance(time, bool) or not isinstance(time, (int, float)):
             raise ValueError(f"forcing time {json.dumps(time)} is not a number")
-        schedule.append((float(time), deserialize_object(entry["function"])))
+        space, build = read_object(entry["function"])
+        if space != ctx:
+            raise ValueError(f"forcing p, n = {space.p}, {space.n} do not match the input file's {ctx.p}, {ctx.n}")
+        schedule.append((float(time), build()))
     return tuple(schedule)
 
 
@@ -214,7 +218,7 @@ def run_evolve(ns: argparse.Namespace) -> int:
         if not math.isfinite(t):
             raise ValueError(f"--t {t} must be a finite time")
     horizon = ns.horizon if ns.horizon is not None else max(times)
-    forcing = _load_forcing(ns.forcing) if ns.forcing else ()
+    forcing = _load_forcing(ns.forcing, ctx) if ns.forcing else ()
     problem = EvolutionProblem(u0=u0, horizon=horizon, forcing=forcing, steps=ns.steps)
     solutions = duhamel(problem, order, times)
     lines = ["time,l2_norm,sup_norm"]
@@ -234,117 +238,90 @@ def run_evolve(ns: argparse.Namespace) -> int:
 # -- verification suites ---------------------------------------------------------
 
 
-def _random_f(seed: int, ctx: PrimeContext, complex_coeffs: bool = False):
-    # integer centers once p**n is large: modulation flattening costs
-    # p**(n * denominator depth) cells per term
-    cfg = RandomFunctionConfig(
-        complex_coeffs=complex_coeffs,
-        den_pow_max=1 if ctx.p**ctx.n <= 9 else 0,
-    )
-    return random_test_function(seed, ctx, cfg)
+def _draws(seed: int, ctx: PrimeContext, count: int, offset: int = 0, complex_coeffs: bool = False):
+    """The random inputs of ``count`` trials, trial i drawn at seed ^ (offset + i)."""
+    # integer centers once p**n is large: every seed then draws the inputs
+    # the printed rows were recorded with (tests/test_verify_golden.py)
+    cfg = RandomFunctionConfig(complex_coeffs=complex_coeffs, den_pow_max=1 if ctx.p**ctx.n <= 9 else 0)
+    return (random_test_function(seed ^ (offset + i), ctx, cfg) for i in range(count))
+
+
+def _row(
+    check: str, count: int, values: list, tol: Optional[float], default: float = 1e-12, floor: float = 0.0
+) -> tuple:
+    """The printed row of one check, (check, count, worst, tol, passed):
+    worst is the largest of floor and the values, tol is --tol when given
+    and default otherwise (None on a row that does not read --tol), and the
+    row passes when worst <= tol."""
+    tol = default if tol is None else tol
+    worst = max([floor, *values])
+    return (check, count, worst, tol, worst <= tol)
 
 
 def suite_pmp(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
-    tol = tol if tol is not None else 1e-12
-    worst = -math.inf
-    ok = True
-    for i in range(trials):
-        f = _random_f(seed ^ i, order.ctx)
-        report = pmp_check(order, f, tol)
-        worst = max(worst, report.worst)
-        ok = ok and report.passed
-    return [("pmp", trials, worst, tol, ok)]
+    worsts = [pmp_check(order, f).worst for f in _draws(seed, order.ctx, trials)]
+    return [_row("pmp", trials, worsts, tol, floor=-math.inf)]
 
 
 def suite_dissipative(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
-    tol = tol if tol is not None else 1e-12
-    worst = -math.inf
-    for i in range(trials):
-        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
-        worst = max(worst, quadratic_form(order, f))
-    rows = [("dissipative_l2", trials, worst, tol, worst <= tol)]
+    energies = [quadratic_form(order, f) for f in _draws(seed, order.ctx, trials, complex_coeffs=True)]
     pairs = max(1, trials // 2)
-    margin_worst = math.inf
-    for i in range(pairs):
-        f = _random_f(seed ^ (10_000 + i), order.ctx)
-        lam = 0.1 + (i % 20) * 0.5
-        margin_worst = min(margin_worst, c0_dissipativity_margin(order, f, lam))
-    rows.append(("dissipative_sup", pairs, -margin_worst, tol, margin_worst >= -tol))
-    return rows
-
-
-def suite_selfadjoint(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
-    tol = tol if tol is not None else 1e-12
-    worst = 0.0
-    for i in range(trials):
-        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
-        g = _random_f(seed ^ (50_000 + i), order.ctx, complex_coeffs=True)
-        worst = max(worst, abs(adjoint_defect(order, f, g)))
-    return [("selfadjoint", trials, worst, tol, worst <= tol)]
-
-
-def suite_contraction(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
-    tol = tol if tol is not None else 1e-12
-    worst = 0.0
-    for i in range(trials):
-        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
-        if f.is_zero:
-            continue
-        worst = max(worst, contraction_ratio(order, f) - 1.0)
-    return [("contraction", trials, worst, tol, worst <= tol)]
-
-
-def suite_resolvent(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
-    tol = tol if tol is not None else 1e-12
-    worst = 0.0
-    trials = max(1, trials // 3)
-    for i in range(trials):
-        f = _random_f(seed ^ i, order.ctx)
-        for lam in (0.1, 1, 10):
-            worst = max(worst, resolvent_residual(order, lam, f))
-    return [("resolvent", trials * 3, worst, tol, worst <= tol)]
-
-
-def suite_fourier(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
-    tol = tol if tol is not None else 1e-12
-    worst_pars = 0.0
-    worst_refl = 0.0
-    for i in range(trials):
-        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
-        g = _random_f(seed ^ (50_000 + i), order.ctx, complex_coeffs=True)
-        worst_pars = max(worst_pars, abs(parseval_defect(f, g)))
-        doubled = expand(f.ctx, fourier_terms(fourier_terms(modulated_terms(f))))
-        worst_refl = max(worst_refl, (doubled - f.reflect()).sup_norm())
+    drops = [
+        -c0_dissipativity_margin(order, f, 0.1 + (i % 20) * 0.5)
+        for i, f in enumerate(_draws(seed, order.ctx, pairs, offset=10_000))
+    ]
     return [
-        ("fourier_parseval", trials, worst_pars, tol, worst_pars <= tol),
-        ("fourier_reflection", trials, worst_refl, tol, worst_refl <= tol),
+        _row("dissipative_l2", trials, energies, tol, floor=-math.inf),
+        _row("dissipative_sup", pairs, drops, tol, floor=-math.inf),
     ]
 
 
+def _pairs(seed: int, ctx: PrimeContext, trials: int):
+    """Trial i's complex inputs f and g, drawn at seed ^ i and seed ^ (50_000 + i)."""
+    return zip(_draws(seed, ctx, trials, complex_coeffs=True), _draws(seed, ctx, trials, 50_000, True))
+
+
+def suite_selfadjoint(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    defects = [abs(adjoint_defect(order, f, g)) for f, g in _pairs(seed, order.ctx, trials)]
+    return [_row("selfadjoint", trials, defects, tol)]
+
+
+def suite_contraction(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    fs = _draws(seed, order.ctx, trials, complex_coeffs=True)
+    excesses = [contraction_ratio(order, f) - 1.0 for f in fs if not f.is_zero]
+    return [_row("contraction", trials, excesses, tol)]
+
+
+def suite_resolvent(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    draws = max(1, trials // 3)
+    fs = _draws(seed, order.ctx, draws)
+    residuals = [resolvent_residual(order, lam, f) for f in fs for lam in (0.1, 1, 10)]
+    return [_row("resolvent", draws * 3, residuals, tol)]
+
+
+def suite_fourier(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    parseval, reflection = [], []
+    for f, g in _pairs(seed, order.ctx, trials):
+        parseval.append(abs(parseval_defect(f, g)))
+        doubled = expand(f.ctx, fourier_terms(fourier_terms(modulated_terms(f))))
+        reflection.append((doubled - f.reflect()).sup_norm())
+    return [_row("fourier_parseval", trials, parseval, tol), _row("fourier_reflection", trials, reflection, tol)]
+
+
 def suite_heat(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
-    tol_pair = tol if tol is not None else 1e-12
-    tol_mass = tol if tol is not None else 1e-10
-    tol_conv = tol if tol is not None else 1e-9
-    worst_pair = 0.0
-    worst_mass = 0.0
-    for t in (0.1, 1.0, 10.0):
-        for g in range(13):
-            worst_pair = max(worst_pair, abs(z_closed(g, t, order) - z_oracle(g, t, order)))
-        worst_mass = max(worst_mass, abs(z_mass(t, order) - math.expm1(-t)))
-        worst_mass = max(worst_mass, abs(distributional_mass(t, order) - math.exp(-t)))
-    sign_ok = all(
-        z_closed(g, t, order) < 0 for t in (0.1, 1.0, 10.0) for g in range(13)
-    ) and all(z_value(m, 1.0, order) == 0.0 for m in range(1, 4))
-    worst_conv = 0.0
-    for t1, t2 in ((0.5, 0.5), (1.0, 2.0)):
-        for g in (0, 1, 3):
-            d, _ = convolution_defect(t1, t2, g, order)
-            worst_conv = max(worst_conv, d)
+    times = (0.1, 1.0, 10.0)
+    pair, mass = [], []
+    for t in times:
+        pair += [abs(z_closed(g, t, order) - z_oracle(g, t, order)) for g in range(13)]
+        mass += [abs(z_mass(t, order) - math.expm1(-t)), abs(distributional_mass(t, order) - math.exp(-t))]
+    sign_ok = all(z_closed(g, t, order) < 0 for t in times for g in range(13))
+    sign_ok = sign_ok and all(z_value(m, 1.0, order) == 0.0 for m in range(1, 4))
+    conv = [convolution_defect(t1, t2, g, order)[0] for t1, t2 in ((0.5, 0.5), (1.0, 2.0)) for g in (0, 1, 3)]
     return [
-        ("heat_dual_route", 39, worst_pair, tol_pair, worst_pair <= tol_pair),
-        ("heat_sign_support", 42, 0.0 if sign_ok else 1.0, 0.0, sign_ok),
-        ("heat_mass", 6, worst_mass, tol_mass, worst_mass <= tol_mass),
-        ("heat_convolution", 6, worst_conv, tol_conv, worst_conv <= tol_conv),
+        _row("heat_dual_route", len(pair), pair, tol),
+        _row("heat_sign_support", 42, [0.0 if sign_ok else 1.0], None, default=0.0),
+        _row("heat_mass", len(mass), mass, tol, default=1e-10),
+        _row("heat_convolution", len(conv), conv, tol, default=1e-9),
     ]
 
 
@@ -375,18 +352,16 @@ def operator_route_defect(order: BesselOrder, f: BruhatSchwartzFunction) -> floa
 
 
 def suite_routes(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
-    tol = tol if tol is not None else 1e-10
-    worst = 0.0
-    trials = max(1, trials // 4)
-    for i in range(trials):
-        f = _random_f(seed ^ i, order.ctx, complex_coeffs=True)
-        worst = max(worst, operator_route_defect(order, f))
-    return [("operator_routes", trials, worst, tol, worst <= tol)]
+    draws = max(1, trials // 4)
+    defects = [operator_route_defect(order, f) for f in _draws(seed, order.ctx, draws, complex_coeffs=True)]
+    return [_row("operator_routes", draws, defects, tol, default=1e-10)]
 
 
 def suite_negdef(order: BesselOrder, trials: int, seed: int, tol: Optional[float]) -> list:
+    # value is never 0 (that needs alpha * shell = 1 at p = 2, and alpha > n
+    # >= 1), so the row rule's worst <= 0 is the test value < 0
     shell, value = negdef_witness(order)
-    return [(f"negdef_shell_{shell}", 1, float(value), 0.0, value < 0)]
+    return [_row(f"negdef_shell_{shell}", 1, [float(value)], None, default=0.0, floor=-math.inf)]
 
 
 SUITES = {
@@ -410,6 +385,8 @@ def run_verify(ns: argparse.Namespace) -> int:
     for flag in FIXED_SUITES.get(ns.suite, ()):
         if getattr(ns, flag) is not None:
             raise ValueError(f"verify {ns.suite} does not read --{flag}")
+    if ns.tol is not None and not math.isfinite(ns.tol):
+        raise ValueError(f"--tol {ns.tol} must be a finite tolerance")
     trials = 200 if ns.trials is None else ns.trials
     seed = 0 if ns.seed is None else ns.seed
     if trials < 1:

@@ -551,6 +551,44 @@ def test_evolve_rejects_a_forcing_time_that_is_not_a_number(tmp_path, capsys, ti
     assert err == f"error: forcing time {json.dumps(time)} is not a number\n"
 
 
+def test_a_malformed_forcing_file_exits_2_as_a_malformed_input_file_does(tmp_path, capsys):
+    good = tmp_path / "u0.json"
+    good.write_text(serialize(OMEGA))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    as_forcing = run(capsys, "evolve", "--in", str(good), "--t", "1", "--forcing", str(bad))
+    as_input = run(capsys, "evolve", "--in", str(bad), "--t", "1")
+    assert as_forcing == as_input
+    assert as_forcing[:2] == (2, "") and as_forcing[2].startswith("error: malformed JSON: ")
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
+def test_a_forcing_function_on_another_space_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch, p, n):
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    schedule = [OMEGA, BruhatSchwartzFunction.unit_ball(PrimeContext(p, n))]
+    forcing = tmp_path / "forcing.json"
+    entries = [{"time": k * 0.5, "function": json.loads(serialize(f))} for k, f in enumerate(schedule)]
+    forcing.write_text(json.dumps(entries))
+    built = []
+    reader = cli.read_object
+
+    def read_object(obj):
+        ctx, build = reader(obj)
+
+        def counted_build():
+            built.append(ctx)
+            return build()
+
+        return ctx, counted_build
+
+    monkeypatch.setattr(cli, "read_object", read_object)
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", "1", "--forcing", str(forcing))
+    assert (code, out) == (2, "")
+    assert err == f"error: forcing p, n = {p}, {n} do not match the input file's 2, 1\n"
+    assert built == [PrimeContext(2, 1), PrimeContext(2, 1)]  # the --in file, then the first entry
+
+
 def test_evolve_time_beyond_horizon(tmp_path, capsys):
     src = tmp_path / "u0.json"
     src.write_text(serialize(OMEGA))
@@ -787,6 +825,26 @@ def test_verify_fixed_suites_reject_flags_they_do_not_read(capsys, suite, flag):
     code, out, err = run(capsys, "verify", suite, flag, "3")
     assert (code, out) == (2, "")
     assert err == f"error: verify {suite} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("suite", ["pmp", "heat", "all"])
+def test_verify_refuses_a_tolerance_that_is_not_finite(capsys, suite, tol):
+    # --tol inf passed every maximum-principle violation; nan failed every row
+    code, out, err = run(capsys, "verify", suite, f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol {tol} must be a finite tolerance\n"
+
+
+def test_verify_negdef_names_tol_as_unread_before_its_value(capsys):
+    code, out, err = run(capsys, "verify", "negdef", "--tol", "nan")
+    assert (code, out) == (2, "")
+    assert err == "error: verify negdef does not read --tol\n"
+
+
+def test_verify_takes_a_negative_tolerance(capsys):
+    code, out, _ = run(capsys, "verify", "contraction", "--trials", "2", "--tol=-1")
+    assert (code, out) == (1, "check=contraction trials=2 worst=0 tol=-1 FAIL\noverall: FAIL\n")
 
 
 def test_verify_heat_takes_tol(capsys):
