@@ -230,8 +230,15 @@ MULTIPLIERS_CACHED = 128
 @lru_cache(maxsize=MULTIPLIERS_CACHED, typed=True)
 def symbol_multiplier(order: BesselOrder) -> RadialMultiplier:
     """The operator as a radial multiplier, one per order, so its shell
-    table is built once."""
-    return RadialMultiplier(order.ctx, lambda k: symbol_value(k, order))
+    table is built once.  At integer alpha, with A = p**alpha, the drop
+    A**-k - A**-(k+1) is the one fraction (A - 1) / A**(k+1), so deep
+    inputs take no difference of big fractions; a float order keeps the
+    difference of its values."""
+    value = lambda k: symbol_value(k, order)
+    if not order.alpha_is_integer:
+        return RadialMultiplier(order.ctx, value)
+    base = order.ctx.p ** int(order.alpha)
+    return RadialMultiplier(order.ctx, value, lambda k: Fraction(base - 1, base ** (k + 1)))
 
 
 def apply_bessel(order: BesselOrder, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:

@@ -179,12 +179,14 @@ class ExactComplex:
     An exact value is one Gaussian rational (a + b i) / d: integers a, b and
     d with d > 0 and gcd(a, b, d) = 1, so each value has one triple.  Sums,
     differences and products with an exact value, an int or a ``Fraction``
-    take their integer products and one gcd.  A value with a float part
-    keeps its two parts as given (float, int or ``Fraction``) and combines
-    them part by part as Python numbers do, the part of an exact operand
-    being a / d; an exact value times a float uses a / d and b / d, the
-    correctly rounded floats of its parts.  Instances are immutable: ``re``
-    and ``im`` are read-only, and there is no instance dict.
+    take their integer products and one gcd; a sum or difference is taken
+    over the larger denominator when it is a multiple of the other.  A value
+    with a float part keeps its two parts as given (float, int or
+    ``Fraction``) and combines them part by part as Python numbers do, the
+    part of an exact operand being a / d; an exact value times a float uses
+    a / d and b / d, the correctly rounded floats of its parts.  Instances
+    are immutable: ``re`` and ``im`` are read-only, and there is no instance
+    dict.
     """
 
     # (a, b, d) of an exact value; (re, im, 0) of one with a float part
@@ -229,6 +231,12 @@ class ExactComplex:
         if d and e:
             if d == e:
                 return _reduced(self._a + other._a, self._b + other._b, d)
+            if e % d == 0:  # over the larger denominator, as p-powers often are
+                k = e // d
+                return _reduced(self._a * k + other._a, self._b * k + other._b, e)
+            if d % e == 0:
+                k = d // e
+                return _reduced(self._a + other._a * k, self._b + other._b * k, d)
             return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
         if d or e:  # the parts of the exact operand as numbers
             return _make(self.re + other.re, self.im + other.im, 0)
@@ -239,6 +247,12 @@ class ExactComplex:
         if d and e:
             if d == e:
                 return _reduced(self._a - other._a, self._b - other._b, d)
+            if e % d == 0:
+                k = e // d
+                return _reduced(self._a * k - other._a, self._b * k - other._b, e)
+            if d % e == 0:
+                k = d // e
+                return _reduced(self._a - other._a * k, self._b - other._b * k, d)
             return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
         if d or e:  # the parts of the exact operand as numbers
             return _make(self.re - other.re, self.im - other.im, 0)

@@ -4,13 +4,15 @@ A locally constant, compactly supported function is stored as a list of
 (coefficient, ball) terms.  ``canonicalize`` rewrites any term list into the
 unique coarsest partition of a covering ball into sub-balls on which the
 function is constant, by inserting every term into an ultrametric
-subdivision tree and merging constant siblings bottom-up (``_merge_tree``,
-the one walk that builds canonical output).  The canonical function keeps
-the tree that walk leaves, its ``DigitTrie``: one node per ball on which it
-is not constant.  Sums, scalings, radial multipliers and sums of
+subdivision tree and merging constant siblings bottom-up (``_merge_tree``).
+The canonical function keeps the tree that walk leaves, its ``DigitTrie``:
+one node per ball on which it is not constant.  Sums, scalings, radial multipliers and sums of
 multipliers are one ``linear_combination`` of (m, f) pairs, m a weight or a
-radial multiplier: each f's trie is grafted into one subdivision tree with
-m's per-level scales (``_graft``), which is merged once.
+radial multiplier with its per-level scales.  One pair on a canonical f is
+one walk of f's trie that builds the output trie with no tree
+(``_apply_trie``); the parts of a sum are grafted into one subdivision tree
+(``_graft``), which is merged once.  Both close each node by one rule
+(``_close_node``).
 
 Queries read the trie too, never scanning the cells: ``evaluate`` walks one
 path, down the digits of the point, and ``ball_integral`` the path of the
@@ -424,7 +426,7 @@ def _add(node: list, c: ExactComplex, ball: Optional[Ball]) -> None:
 def _graft(root: list, root_r: int, trie: DigitTrie, values, drops) -> None:
     """Add m(D) g to the subdivision tree rooted at B(0, p**root_r), where g
     is the function of a digit trie with trie.radius <= root_r: one part of
-    ``linear_combination``.
+    a sum in ``linear_combination``.
 
     The radial multiplier m is given per level.  A cell of g of radius
     p**(-j) with value c adds values[j] * c to its node, j clamped into
@@ -526,7 +528,7 @@ def _cell_count(root: list, width: int) -> int:
 
 def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFunction:
     """The canonical function of a subdivision tree rooted at B(0, p**root_r),
-    with its trie: the one walk that builds canonical output.
+    with its trie: the walk that builds canonical output from a tree.
 
     A point's value is the sum of the coefficients on its digit path
     (``_subdivision_tree``).  Post-order walk with an explicit stack, so the
@@ -565,6 +567,13 @@ def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFun
             top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
             if stack:
                 stack[-1][5].append(top)
+    return _canonical_function(ctx, top, root_r, out)
+
+
+def _canonical_function(ctx: PrimeContext, top, root_r: int, out: list) -> BruhatSchwartzFunction:
+    """The canonical function whose root B(0, p**root_r) closed as ``top``
+    (``_close_node``), out holding its cells, with its trie."""
+    width = len(_digit_tuples(ctx.p, ctx.n))
     # a root that holds only its zero child stands for B(0, p**(root_r - 1)),
     # so a sum that cancels its widest part leaves no stale radius behind
     while root_r > 0 and type(top) is list and top[0] is not None and top.count(None) == width - 1:
@@ -580,7 +589,7 @@ def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFun
 
 
 def _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
-    """Close one node of ``_merge_tree``'s walk.
+    """Close one node of ``_merge_tree``'s or ``_apply_trie``'s walk.
 
     ``results`` has one entry per child of the ball of radius p**radius
     with integer center ``units`` / root_scale, in digit order: a constant
@@ -808,11 +817,115 @@ def _value_at_center(kid) -> ExactComplex:
     return EC_ZERO if kid is None else kid[0]
 
 
+def _apply_trie(ctx: PrimeContext, f: BruhatSchwartzFunction, values, drops) -> BruhatSchwartzFunction:
+    """m(D) f for canonical f, m given by its shell values and drops as in
+    ``_graft``: f's trie mapped to the output trie with no subdivision tree.
+
+    The result is the one ``_merge_tree`` builds from the tree that
+    ``_graft`` builds for the part alone, with every float operation
+    applied to the same operands in the same order, so the two are
+    bit-identical.  The node drops come first (``_node_drops``); then one
+    pre-order walk carries the running value of the digit path, as
+    ``_merge_tree`` does, gives a cell of radius p**(-j) with value c the
+    value running + values[j] * c and a zero child running, and closes each
+    node with ``_close_node``.  Without drops, a zero product reads as a
+    zero child, as ``_graft`` leaves it out.  Linear in trie nodes times
+    p**n.
+    """
+    trie = f.trie
+    top = trie.root
+    root_r = trie.radius
+    if type(top) is not list:
+        if top is None:
+            return BruhatSchwartzFunction(ctx, (), DigitTrie(0, None))
+        c = top[0] * values[0]
+        if c.is_zero():
+            return BruhatSchwartzFunction(ctx, (), DigitTrie(root_r, None))
+        cell = (c, top[1])
+        return BruhatSchwartzFunction(ctx, (cell,), DigitTrie(root_r, cell))
+    p = ctx.p
+    root_scale = p**root_r
+    all_digits = _digit_tuples(p, ctx.n)
+    width = len(all_digits)
+    last = len(values) - 1
+    node_drops = _node_drops(top, root_r, drops) if drops else None
+    out: list = []
+    k = 0  # the pre-order index of the last node entered
+    # a frame is [trie node, integer center coords U, radius, running value,
+    # integer digit scale, weight of the children's cells, results], as in
+    # ``_merge_tree``
+    running = EC_ZERO if node_drops is None else node_drops[0]
+    stack = [[top, (0,) * ctx.n, root_r, running, 1, values[min(max(1 - root_r, 0), last)], []]]
+    while stack:
+        node, units, radius, running, scale, weight, results = stack[-1]
+        for i in range(len(results), width):
+            kid = node[i]
+            if kid is None:
+                results.append((running, None))
+            elif type(kid) is list:
+                k += 1
+                value = EC_ZERO if node_drops is None else node_drops[k]
+                if running is not EC_ZERO:
+                    value = running + value
+                child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
+                child_weight = values[min(max(2 - radius, 0), last)]
+                stack.append([kid, child_units, radius - 1, value, scale * p, child_weight, []])
+                break
+            else:
+                c = kid[0] * weight
+                if drops is None and c.is_zero():
+                    results.append((running, None))
+                else:
+                    results.append((c if running is EC_ZERO else running + c, kid[1]))
+        else:
+            stack.pop()
+            top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+            if stack:
+                stack[-1][6].append(top)
+    return _canonical_function(ctx, top, root_r, out)
+
+
+def _node_drops(top: list, radius: int, drops) -> list:
+    """Per node of a digit trie rooted at B(0, p**radius), in pre-order,
+    drops[-s] times the mean of the function over the node's ball B of
+    radius p**s when s <= 0, else EC_ZERO: what ``_graft`` adds to B's
+    tree node.  One post-order walk that sums each node's children, cell
+    values and child means, in digit order as ``_graft`` does."""
+    out = [EC_ZERO]
+    inv = Fraction(1, len(top))
+    # a frame is [trie node, radius, next child, sum of the children's
+    # values and means, pre-order index]; the sum is kept at radius <= 0
+    stack = [[top, radius, 0, EC_ZERO, 0]]
+    while stack:
+        frame = stack[-1]
+        node, radius, i, total, index = frame
+        summing = radius <= 0
+        for i in range(i, len(node)):
+            kid = node[i]
+            if type(kid) is list:
+                frame[2], frame[3] = i + 1, total
+                stack.append([kid, radius - 1, 0, EC_ZERO, len(out)])
+                out.append(EC_ZERO)
+                break
+            if summing and kid is not None:
+                total = total + kid[0]
+        else:
+            stack.pop()
+            if summing:
+                mean = total * inv
+                out[index] = mean * drops[-radius]
+                if radius < 0:
+                    stack[-1][3] = stack[-1][3] + mean
+    return out
+
+
 def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
-    """The sum of m f over (m, f) pairs, canonical and with its trie: one
-    subdivision tree, one graft per pair, one merge.  A weight m (a number
-    or an ExactComplex) is the constant multiplier (m,); any other m is a
-    radial multiplier, whose ``m.part(f)`` is its (f, values, drops)."""
+    """The sum of m f over (m, f) pairs, canonical and with its trie.  A
+    weight m (a number or an ExactComplex) is the constant multiplier (m,);
+    any other m is a radial multiplier, whose ``m.part(f)`` is its (f,
+    values, drops).  One pair whose f is canonical is one walk of f's trie
+    (``_apply_trie``); a sum of two or more pairs, or a pair with raw
+    terms, is one subdivision tree, one graft per pair and one merge."""
     if not pairs:
         raise ValueError("empty combination")
     ctx = pairs[0][1].ctx
@@ -822,6 +935,8 @@ def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
             raise ContextMismatchError(f"{f.ctx} != {ctx}")
         # no isinstance test on numeric types: Fraction's metaclass is ABCMeta
         parts.append(m.part(f) if hasattr(m, "part") else (f, (m,), None))
+    if len(parts) == 1 and parts[0][0].trie is not None:
+        return _apply_trie(ctx, *parts[0])
     return _merge_tree(ctx, *_subdivision_tree(parts, ctx))
 
 

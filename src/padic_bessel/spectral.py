@@ -118,7 +118,7 @@ class RadialMultiplier:
 
     def part(self, f: BruhatSchwartzFunction) -> tuple:
         """m(D) f as the part (f, values, drops) that
-        ``schwartz.linear_combination`` grafts for the pair (self, f), and
+        ``schwartz.linear_combination`` applies for the pair (self, f), and
         whose Haar energy <m(D) f, f> ``schwartz.haar_energy`` sums: f
         canonical, the shell values m(0..depth) and the drops down to f's
         smallest cells, as new lists: copies from the table when it reaches
@@ -142,9 +142,10 @@ class RadialMultiplier:
         return f, values, drops
 
     def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
-        """The function m(D) f, canonical, with its trie: f's trie grafted
-        with ``part``'s scales and merged as canonical form does, reusing
-        f's balls.  Linear in trie nodes times p**n."""
+        """The function m(D) f, canonical, with its trie: one walk of f's
+        trie with ``part``'s scales that builds the output trie, closing
+        each node as canonical form does and reusing f's balls, with no
+        subdivision tree.  Linear in trie nodes times p**n."""
         return linear_combination([(self, f)])
 
     def profile(self) -> RadialProfile:

@@ -209,6 +209,17 @@ def test_symbol_values():
     assert abs(symbol_value(2, frac_order) - 2 ** (-3.0)) <= 1e-16
 
 
+@pytest.mark.parametrize("p,n,alpha", [(2, 1, 2.0), (3, 1, 3.0), (2, 2, 4.0), (5, 1, 2.0)])
+def test_symbol_drops_in_closed_form_are_the_differences_of_values(p, n, alpha):
+    multiplier = symbol_multiplier(BesselOrder(alpha, PrimeContext(p, n)))
+    values = [multiplier.value(k) for k in range(301)]
+    drops = [multiplier.drop(k) for k in range(300)]
+    assert all(type(drop) is Fraction for drop in drops)
+    assert drops == [values[k] - values[k + 1] for k in range(300)]
+    # a float order keeps the difference of its values, so its bits stay
+    assert symbol_multiplier(BesselOrder(alpha + 0.5, PrimeContext(p, n))).drop is None
+
+
 def test_khat_matches_symbol():
     for order in orders():
         for m in range(-2, 4):

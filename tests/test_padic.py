@@ -1,6 +1,7 @@
 """Exact arithmetic layer: valuations, norms, characters, shells, balls."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -389,6 +390,24 @@ def test_exact_complex_keeps_the_parts_it_is_given():
         ExactComplex.from_gaussian(1, 0, 0)
     with pytest.raises(TypeError):
         ExactComplex("1", 0)
+
+
+def test_exact_sums_over_one_denominator_match_fractions():
+    # denominators that divide one another, as p-powers do, are added over
+    # the larger one; the reduced triple is that of the Fraction parts
+    rng = random.Random("exact-sums")
+    dens = [1, 7, 16, 3**50, 2**400, 2**800, 2**400 * 3**50]
+    for _ in range(400):
+        x, y = (
+            ExactComplex(*(Fraction(rng.randint(-(10**6), 10**6) * rng.choice((1, 2**399)), d) for _ in "ab"))
+            for d in (rng.choice(dens), rng.choice(dens))
+        )
+        for got, re, im in ((x + y, x.re + y.re, x.im + y.im), (x - y, x.re - y.re, x.im - y.im)):
+            d = math.lcm(Fraction(re).denominator, Fraction(im).denominator)
+            assert got.gaussian == (re * d, im * d, d)
+    x, y = ExactComplex(Fraction(1, 2**400), 0), ExactComplex(Fraction(3, 2**800), Fraction(-1, 2**800))
+    assert (x + y).gaussian == (2**400 + 3, -1, 2**800)
+    assert (y - x).gaussian == (3 - 2**400, -1, 2**800)
 
 
 def test_modulus_past_the_float_range_of_its_square():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent, resolvent_multiplier, symbol_multiplier
-from padic_bessel.heat import semigroup_multiplier
+from padic_bessel.heat import forcing_multiplier, semigroup_multiplier, solve_cauchy
 from padic_bessel.spectral import RadialMultiplier
 from padic_bessel.padic import (
     EC_ZERO,
@@ -803,6 +803,103 @@ def test_haar_combination_needs_parts_in_one_context():
     with pytest.raises(ContextMismatchError):
         linear_combination([(1, BruhatSchwartzFunction.unit_ball(C21)),
                             (1, BruhatSchwartzFunction.unit_ball(C31))])
+
+
+# -- one pair on its trie against the one-pair tree route ----------------------
+
+
+def tree_apply(ctx, part):
+    """The one-pair tree route, kept as the oracle of ``_apply_trie``: the
+    part grafted alone into a subdivision tree, which is then merged."""
+    return schwartz._merge_tree(ctx, *schwartz._subdivision_tree([part], ctx))
+
+
+def coefficient_key(c):
+    """An exact value's Gaussian triple, or the repr of a value with a float
+    part, in which -0.0 and the last bits of each part show."""
+    return c.gaussian or repr(c)
+
+
+def trie_shape(node):
+    """A digit trie node with each cell as its coefficient key and ball."""
+    if type(node) is list:
+        return [trie_shape(kid) for kid in node]
+    return None if node is None else (coefficient_key(node[0]), node[1])
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID + ((7, 1, 1.5),))
+def test_one_pair_on_its_trie_is_the_tree_route_bit_for_bit(p, n, alpha):
+    ctx = PrimeContext(p, n)
+    order = BesselOrder(alpha, ctx)
+    multipliers = [
+        symbol_multiplier(order),
+        resolvent_multiplier(order, Fraction(1, 2)),
+        resolvent_multiplier(order, 0.1),
+        semigroup_multiplier(0.7, order),
+        forcing_multiplier(0.1, 0.5, 0.7, order),
+    ]
+    weights = [0, 0.0, -1, ExactComplex(0, 1), 1, Fraction(-3, 7), 1e-320, ExactComplex(0.5, -0.0)]
+    far = PAdicVector((Fraction(1),) + (Fraction(0),) * (n - 1), ctx)
+    cfg = RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)
+    inputs = [BruhatSchwartzFunction.zero(ctx), omega(ctx)]  # no cell, one cell
+    for seed in range(6):
+        f = random_test_function(seed, ctx, cfg)
+        # float parts, some of them -0.0, which a sum with 0 would turn to 0.0
+        signed = BruhatSchwartzFunction(ctx, tuple((ExactComplex(float(c.re), -0.0), b) for c, b in f.terms))
+        inputs += [f, f.scale(0.1), signed.canonicalize()]
+    # exact resolvent values 200 digits deep have tens of thousands of
+    # decimal digits, past the limit on integer text: these are compared
+    # by their Gaussian triples alone
+    deep = [
+        BruhatSchwartzFunction.indicator(Ball(PAdicVector.zero(ctx), -200)),
+        BruhatSchwartzFunction.indicator(Ball(far, -200), -1),
+    ]
+    for f in inputs + deep:
+        assert f.trie is not None
+        parts = [m.part(f) for m in multipliers] + [(f, (w,), None) for w in weights]
+        for part in parts:
+            got, want = schwartz._apply_trie(ctx, *part), tree_apply(ctx, part)
+            if f not in deep:
+                assert serialize(got) == serialize(want)
+            assert [coefficient_key(c) for c, _ in got.terms] == [coefficient_key(c) for c, _ in want.terms]
+            assert [ball for _, ball in got.terms] == [ball for _, ball in want.terms]
+            assert got.trie.radius == want.trie.radius
+            assert trie_shape(got.trie.root) == trie_shape(want.trie.root)
+
+
+def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
+    # multipliers, scalings and negation of a canonical function walk its
+    # trie alone; raw terms and sums still build and merge a tree
+    order = BesselOrder(2.5, C32)
+    f = random_test_function(5, C32, RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True))
+    raw = BruhatSchwartzFunction(C32, f.terms)
+    built = []
+    subdivision_tree = schwartz._subdivision_tree
+
+    def counted(parts, ctx):
+        built.append(len(parts))
+        return subdivision_tree(parts, ctx)
+
+    def refuse(*args):
+        raise AssertionError("graft called")
+
+    monkeypatch.setattr(schwartz, "_subdivision_tree", counted)
+    monkeypatch.setattr(schwartz, "_graft", refuse)
+    for apply in (
+        lambda: apply_bessel(order, f),
+        lambda: resolvent(order, Fraction(1, 2), f),
+        lambda: solve_cauchy(f, 0.7, order),
+        lambda: f.scale(ExactComplex(0, 1)),
+        lambda: f.scale(0.1),
+        lambda: -f,
+    ):
+        assert apply().trie is not None
+    assert built == []
+    assert raw.trie is None and raw.scale(2) == f.scale(2)
+    assert built == [1]
+    monkeypatch.setattr(schwartz, "_subdivision_tree", subdivision_tree)
+    with pytest.raises(AssertionError, match="graft called"):
+        f + f
 
 
 # -- pointwise queries on the digit trie against the cell scans ----------------
