@@ -465,7 +465,7 @@ def duhamel(
     ``forcing_multiplier(a, b, t)`` applied to f_k, with no quadrature error.
     Each time with an active piece is one ``linear_combination`` of the pair
     (semigroup, u0) and one (multiplier, f_k) pair per active piece, so one
-    graft per pair and one merge; with no active piece the result is
+    lockstep walk of their tries; with no active piece the result is
     ``solve_cauchy``'s, as is.
     """
     if not times:

@@ -6,12 +6,10 @@ unique coarsest partition of a covering ball into sub-balls on which the
 function is constant, by inserting every term into an ultrametric
 subdivision tree and merging constant siblings bottom-up (``_merge_tree``).
 The canonical function keeps the tree that walk leaves, its ``DigitTrie``:
-one node per ball on which it is not constant.  Sums, scalings, radial multipliers and sums of
+one node per ball on which it is not constant.  Sums, scalings and radial
 multipliers are one ``linear_combination`` of (m, f) pairs, m a weight or a
-radial multiplier with its per-level scales.  One pair on a canonical f is
-one walk of f's trie that builds the output trie with no tree
-(``_apply_trie``); the parts of a sum are grafted into one subdivision tree
-(``_graft``), which is merged once.  Both close each node by one rule
+multiplier: one lockstep walk of the parts' tries that builds the output
+trie with no tree (``_combine_tries``), closing each node as the merge does
 (``_close_node``).
 
 Queries read the trie too, never scanning the cells: ``evaluate`` walks one
@@ -34,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as digit_product
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from padic_bessel.padic import (
@@ -200,16 +199,10 @@ class BruhatSchwartzFunction:
         parent, so the result is the coarsest disjoint form and the map is
         idempotent.  The merged tree is kept as the result's ``trie``, and a
         function that carries a trie is canonical.
-
-        Canonical centers have p-power denominators, and root_r is at least
-        each radius and each denominator exponent, so every center x is the
-        integer x * p**root_r: the walk carries these integer digit
-        coordinates and builds a Fraction only for the cells whose ball it
-        was not given.
         """
         if self.trie is not None:
             return self
-        return _merge_tree(self.ctx, *_subdivision_tree([(self, None, None)], self.ctx))
+        return _merge_tree(self.ctx, *_subdivision_tree(self.terms, self.ctx))
 
     def digit_trie(self) -> DigitTrie:
         """The trie of the canonical form."""
@@ -353,136 +346,47 @@ def _digit_tuples(p: int, n: int) -> tuple:
     return tuple(digit_product(range(p), repeat=n))
 
 
-def _subdivision_tree(parts: Sequence[tuple], ctx: PrimeContext) -> tuple:
-    """The subdivision tree of a sum of radial multipliers m(D) f, and its
+def _subdivision_tree(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
+    """The subdivision tree of a list of (coefficient, ball) terms, and its
     root radius exponent root_r; canonical form merges it (``_merge_tree``).
 
-    ``parts`` lists (f, values, drops) triples, m given by its shell values
-    and drops as in ``_graft``; values None adds f's terms as they are, and
-    a part with drops has f canonical (``RadialMultiplier.part``).  A tree
-    node is [coefficient, {digit index: child node}, ball], the index that
-    of the child's digit tuple in ``_digit_tuples`` and ball the one a leaf
-    was inserted or grafted with, or None.  Each nonzero term adds its
-    coefficient, in order, to the node of its ball.  The trie of a
-    canonical function is grafted node by node (``_graft``), linear in the
-    trie's nodes, and its radius alone bounds its cells for root_r; the
-    terms of any other f, scaled by values[0], go down one tree level per
-    digit from the root.
-    """
+    A tree node is [coefficient, {digit index: child node}, ball], the index
+    that of the child's digit tuple in ``_digit_tuples`` and ball the first
+    one inserted there, or None.  Each nonzero term goes down one level per
+    digit and adds its coefficient, in order, to the node of its ball.
+    Canonical centers have p-power denominators at most p**root_r, so each
+    center x gives the integer x * p**root_r: the merge carries these integer
+    digit coordinates and builds a Fraction only for a cell with no ball."""
     p = ctx.p
-    inserts = []  # per part: its scaled terms, or (trie, values, drops)
-    radii, dens = [0], [1]
-    for f, values, drops in parts:
-        if f.trie is not None:
-            if f.trie.root is not None:
-                inserts.append((f.trie, values, drops))
-                radii.append(f.trie.radius)
-            continue
-        # zero terms go first: a zero term's ball may be too deep to reduce
-        terms = f.terms if values is None else [(c * values[0], b) for c, b in f.terms]
-        cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
-        inserts.append(cells)
-        radii.extend(ball.radius_exp for _, ball in cells)
-        dens.extend(x.denominator for _, ball in cells for x in ball.center.coords)
-    root_r = max(radii)
+    # zero terms go first: a zero term's ball may be too deep to reduce
+    cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
+    root_r = max([0] + [ball.radius_exp for _, ball in cells])
     root_scale = p**root_r
-    largest_den = max(dens)
+    largest_den = max([1] + [x.denominator for _, ball in cells for x in ball.center.coords])
     while root_scale < largest_den:
         root_scale *= p
         root_r += 1
 
     root = [EC_ZERO, {}, None]
-    for insert in inserts:
-        if type(insert) is tuple:
-            _graft(root, root_r, *insert)
-            continue
-        for c, ball in insert:
-            depth = root_r - ball.radius_exp
-            # per level, least significant first, the index of the digit
-            # tuple, whose first coordinate is the most significant digit
-            path = [0] * depth
-            for x in ball.center.coords:
-                # the center lies in [0, p**-radius), so U = x * root_scale
-                # has exactly depth digits
-                u = x.numerator * (root_scale // x.denominator)
-                for j in range(depth):
-                    u, d = divmod(u, p)
-                    path[j] = path[j] * p + d
-            node = root
-            for i in path:
-                node = node[1].setdefault(i, [EC_ZERO, {}, None])
-            _add(node, c, ball)
+    for c, ball in cells:
+        depth = root_r - ball.radius_exp
+        # per level, least significant first, the index of the digit
+        # tuple, whose first coordinate is the most significant digit
+        path = [0] * depth
+        for x in ball.center.coords:
+            # the center lies in [0, p**-radius), so U = x * root_scale
+            # has exactly depth digits
+            u = x.numerator * (root_scale // x.denominator)
+            for j in range(depth):
+                u, d = divmod(u, p)
+                path[j] = path[j] * p + d
+        node = root
+        for i in path:
+            node = node[1].setdefault(i, [EC_ZERO, {}, None])
+        node[0] = c if node[0] is EC_ZERO else node[0] + c  # never adding the untouched EC_ZERO
+        if node[2] is None:
+            node[2] = ball
     return root, root_r
-
-
-def _add(node: list, c: ExactComplex, ball: Optional[Ball]) -> None:
-    """Add c to a tree node, never adding the untouched EC_ZERO, and give
-    the node ball unless it has one."""
-    node[0] = c if node[0] is EC_ZERO else node[0] + c
-    if node[2] is None:
-        node[2] = ball
-
-
-def _graft(root: list, root_r: int, trie: DigitTrie, values, drops) -> None:
-    """Add m(D) g to the subdivision tree rooted at B(0, p**root_r), where g
-    is the function of a digit trie with trie.radius <= root_r: one part of
-    a sum in ``linear_combination``.
-
-    The radial multiplier m is given per level.  A cell of g of radius
-    p**(-j) with value c adds values[j] * c to its node, j clamped into
-    [0, len(values) - 1], so a scalar weight w is values (w,).  With drops,
-    each trie node of radius p**(-k), k >= 0, also adds drops[k] times the
-    mean of g over it (the sum that ``spectral.RadialMultiplier`` derives,
-    and ``RadialMultiplier.part`` passes); the means are summed in the same
-    post-order walk.  Without drops, a zero product adds nothing.
-    """
-    top = trie.root
-    if top is None:
-        return
-    node = root
-    for _ in range(root_r - trie.radius):
-        node = node[1].setdefault(0, [EC_ZERO, {}, None])
-    if type(top) is not list:  # one cell, on B(0, p**trie.radius)
-        c = top[0] * values[0]
-        if not c.is_zero():
-            _add(node, c, top[1])
-        return
-    last = len(values) - 1
-    inv = Fraction(1, len(top))
-    # a frame is [tree node, trie node, radius, next child, sum of the
-    # children's values and means]; the sum is kept at radius <= 0 with drops
-    stack = [[node, top, trie.radius, 0, EC_ZERO]]
-    while stack:
-        frame = stack[-1]
-        node, trie_node, radius, i, total = frame
-        children = node[1]
-        weight = values[min(max(1 - radius, 0), last)]
-        summing = drops is not None and radius <= 0
-        for i in range(i, len(trie_node)):
-            kid = trie_node[i]
-            if type(kid) is list:
-                frame[3], frame[4] = i + 1, total
-                stack.append([children.setdefault(i, [EC_ZERO, {}, None]), kid, radius - 1, 0, EC_ZERO])
-                break
-            if kid is None:
-                continue
-            if summing:
-                total = total + kid[0]
-            c = kid[0] * weight
-            if drops is None and c.is_zero():
-                continue  # so f + 0.0 * g stays exact; a multiplier adds all
-            child = children.get(i)
-            if child is None:
-                children[i] = [c, {}, kid[1]]
-            else:
-                _add(child, c, kid[1])
-        else:
-            stack.pop()
-            if summing:
-                mean = total * inv
-                _add(node, mean * drops[-radius], None)
-                if radius < 0:
-                    stack[-1][4] = stack[-1][4] + mean
 
 
 def _cell_count(root: list, width: int) -> int:
@@ -528,26 +432,19 @@ def _cell_count(root: list, width: int) -> int:
 
 def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFunction:
     """The canonical function of a subdivision tree rooted at B(0, p**root_r),
-    with its trie: the walk that builds canonical output from a tree.
-
-    A point's value is the sum of the coefficients on its digit path
-    (``_subdivision_tree``).  Post-order walk with an explicit stack, so the
-    tree depth is not bounded by the recursion limit.  A frame is
-    [children, integer center coords U, radius, running value, integer digit
-    scale, results]; results gets one entry per child in digit order, a
-    constant (value, ball) with the ball of a leaf or None, or the trie node
-    of a subtree that is not constant and whose cells are already in out
-    (``_close_node``).
-    """
+    with its trie.  A point's value is the sum of the coefficients on its
+    digit path (``_subdivision_tree``).  Post-order walk with an explicit
+    stack, so the tree depth is not bounded by the recursion limit; a frame
+    is [children, integer center coords U, radius, running value, integer
+    digit scale, results], results getting one entry per child in digit
+    order (``_close_node``)."""
     p = ctx.p
     root_scale = p**root_r
     all_digits = _digit_tuples(p, ctx.n)
     width = len(all_digits)
     out: list = []
     top = (root[0], root[2])
-    stack = []
-    if root[1]:
-        stack.append([root[1], (0,) * ctx.n, root_r, root[0], 1, []])
+    stack = [[root[1], (0,) * ctx.n, root_r, root[0], 1, []]] if root[1] else []
     while stack:
         children, units, radius, running, scale, results = stack[-1]
         for i in range(len(results), width):
@@ -573,10 +470,9 @@ def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFun
 def _canonical_function(ctx: PrimeContext, top, root_r: int, out: list) -> BruhatSchwartzFunction:
     """The canonical function whose root B(0, p**root_r) closed as ``top``
     (``_close_node``), out holding its cells, with its trie."""
-    width = len(_digit_tuples(ctx.p, ctx.n))
     # a root that holds only its zero child stands for B(0, p**(root_r - 1)),
     # so a sum that cancels its widest part leaves no stale radius behind
-    while root_r > 0 and type(top) is list and top[0] is not None and top.count(None) == width - 1:
+    while root_r > 0 and type(top) is list and top[0] is not None and top.count(None) == len(top) - 1:
         top = top[0]
         root_r -= 1
     if type(top) is list:
@@ -589,15 +485,15 @@ def _canonical_function(ctx: PrimeContext, top, root_r: int, out: list) -> Bruha
 
 
 def _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
-    """Close one node of ``_merge_tree``'s or ``_apply_trie``'s walk.
+    """Close one node of ``_merge_tree``'s or ``_combine_tries``'s walk.
 
     ``results`` has one entry per child of the ball of radius p**radius
     with integer center ``units`` / root_scale, in digit order: a constant
     (value, ball), ball None where no cell is at hand, or the trie node of
-    a child that is not constant.  Children that all hold one value merge,
-    and (value, None) is returned.  Otherwise every nonzero constant child
-    becomes a cell of out, with a ball centered at (units + digits * scale)
-    / root_scale when none was given, and the ball's node is returned.
+    a child that is not constant.  Children that all hold one value merge
+    into (value, None).  Otherwise every nonzero constant child becomes a
+    cell of out, its ball centered at (units + digits * scale) / root_scale
+    when none was given, and the ball's node is returned.
     """
     if type(results[0]) is tuple:
         value = results[0][0]
@@ -817,85 +713,17 @@ def _value_at_center(kid) -> ExactComplex:
     return EC_ZERO if kid is None else kid[0]
 
 
-def _apply_trie(ctx: PrimeContext, f: BruhatSchwartzFunction, values, drops) -> BruhatSchwartzFunction:
-    """m(D) f for canonical f, m given by its shell values and drops as in
-    ``_graft``: f's trie mapped to the output trie with no subdivision tree.
-
-    The result is the one ``_merge_tree`` builds from the tree that
-    ``_graft`` builds for the part alone, with every float operation
-    applied to the same operands in the same order, so the two are
-    bit-identical.  The node drops come first (``_node_drops``); then one
-    pre-order walk carries the running value of the digit path, as
-    ``_merge_tree`` does, gives a cell of radius p**(-j) with value c the
-    value running + values[j] * c and a zero child running, and closes each
-    node with ``_close_node``.  Without drops, a zero product reads as a
-    zero child, as ``_graft`` leaves it out.  Linear in trie nodes times
-    p**n.
-    """
-    trie = f.trie
-    top = trie.root
-    root_r = trie.radius
-    if type(top) is not list:
-        if top is None:
-            return BruhatSchwartzFunction(ctx, (), DigitTrie(0, None))
-        c = top[0] * values[0]
-        if c.is_zero():
-            return BruhatSchwartzFunction(ctx, (), DigitTrie(root_r, None))
-        cell = (c, top[1])
-        return BruhatSchwartzFunction(ctx, (cell,), DigitTrie(root_r, cell))
-    p = ctx.p
-    root_scale = p**root_r
-    all_digits = _digit_tuples(p, ctx.n)
-    width = len(all_digits)
-    last = len(values) - 1
-    node_drops = _node_drops(top, root_r, drops) if drops else None
-    out: list = []
-    k = 0  # the pre-order index of the last node entered
-    # a frame is [trie node, integer center coords U, radius, running value,
-    # integer digit scale, weight of the children's cells, results], as in
-    # ``_merge_tree``
-    running = EC_ZERO if node_drops is None else node_drops[0]
-    stack = [[top, (0,) * ctx.n, root_r, running, 1, values[min(max(1 - root_r, 0), last)], []]]
-    while stack:
-        node, units, radius, running, scale, weight, results = stack[-1]
-        for i in range(len(results), width):
-            kid = node[i]
-            if kid is None:
-                results.append((running, None))
-            elif type(kid) is list:
-                k += 1
-                value = EC_ZERO if node_drops is None else node_drops[k]
-                if running is not EC_ZERO:
-                    value = running + value
-                child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
-                child_weight = values[min(max(2 - radius, 0), last)]
-                stack.append([kid, child_units, radius - 1, value, scale * p, child_weight, []])
-                break
-            else:
-                c = kid[0] * weight
-                if drops is None and c.is_zero():
-                    results.append((running, None))
-                else:
-                    results.append((c if running is EC_ZERO else running + c, kid[1]))
-        else:
-            stack.pop()
-            top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
-            if stack:
-                stack[-1][6].append(top)
-    return _canonical_function(ctx, top, root_r, out)
-
-
-def _node_drops(top: list, radius: int, drops) -> list:
-    """Per node of a digit trie rooted at B(0, p**radius), in pre-order,
-    drops[-s] times the mean of the function over the node's ball B of
-    radius p**s when s <= 0, else EC_ZERO: what ``_graft`` adds to B's
-    tree node.  One post-order walk that sums each node's children, cell
-    values and child means, in digit order as ``_graft`` does."""
-    out = [EC_ZERO]
+def _node_drops(top: list, radius: int, drops, lift: int) -> list:
+    """Per node of a digit trie rooted at B(0, p**radius), in pre-order
+    after lift wrapper nodes above it that add nothing, drops[-s] times the
+    mean of the function over the node's ball of radius p**s when s <= 0,
+    else EC_ZERO (``spectral.RadialMultiplier``): one post-order walk that
+    sums each node's cells and child means in digit order."""
+    out = [EC_ZERO] * (lift + 1)
     inv = Fraction(1, len(top))
     # a frame is [trie node, radius, next child, sum of the children's
     # values and means, pre-order index]; the sum is kept at radius <= 0
-    stack = [[top, radius, 0, EC_ZERO, 0]]
+    stack = [[top, radius, 0, EC_ZERO, lift]]
     while stack:
         frame = stack[-1]
         node, radius, i, total, index = frame
@@ -919,25 +747,147 @@ def _node_drops(top: list, radius: int, drops) -> list:
     return out
 
 
+_NO_DROPS = repeat(EC_ZERO)  # the node drops of a part without drops
+
+
+def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzFunction:
+    """The sum of m(D) f over (f, values, drops) parts, f canonical: one
+    pre-order walk down one digit path in every part's trie at once, from
+    B(0, p**R), R the largest radius of a nonzero part, to which smaller
+    tries are lifted down the zero digits.  Each part holding a ball adds
+    its share in pair order, folded from the untouched EC_ZERO: values[j] *
+    c for a cell of radius p**(-j) and value c (j clamped into values), drop
+    times mean for a node (``_node_drops``); without drops, and for a
+    one-cell root, a zero product adds nothing.  A held ball gets its path's
+    running value plus its shares and the first cell's ball.  Linear in the
+    parts' trie nodes times p**n.
+    """
+    p = ctx.p
+    all_digits = _digit_tuples(p, ctx.n)
+    width = len(all_digits)
+    root_r = 0
+    for f, _, _ in parts:
+        if f.trie.radius > root_r and f.trie.root is not None:
+            root_r = f.trie.radius
+    running, ball = EC_ZERO, None  # the root's shares and cell ball
+    # per part live at the root: (trie node, weight of its cells, whether a
+    # zero product adds nothing, values, last index, node drops in pre-order)
+    live = []
+    for f, values, drops in parts:
+        top, lift = f.trie.root, root_r - f.trie.radius
+        shares = _NO_DROPS
+        if type(top) is list and drops:
+            shares = iter(_node_drops(top, f.trie.radius, drops, lift))
+            share = next(shares)  # the root's
+            if share is not EC_ZERO:
+                running = share if running is EC_ZERO else running + share
+        elif top is None:
+            continue
+        elif type(top) is not list:  # one cell, on B(0, p**f.trie.radius)
+            c = top[0] * values[0]
+            if c.is_zero():  # adds nothing, but a lifted cell holds its ball
+                top = [None] * width
+            elif not lift:
+                running = c if running is EC_ZERO else running + c
+                ball = ball or top[1]
+            if not lift:
+                continue
+        if lift:
+            for _ in range(lift):
+                top = [top] + [None] * (width - 1)
+        last = len(values) - 1
+        live.append((top, values[min(max(1 - root_r, 0), last)], drops is None, values, last, shares))
+    if not live:
+        return _canonical_function(ctx, (running, ball), root_r, [])
+    root_scale, out = p**root_r, []
+    # the parts live at the ball to enter next, and its integer center
+    # coords U, radius, running value and integer digit scale
+    enter, units, radius, scale = live, (0,) * ctx.n, root_r, 1
+    stack = []  # per ball where several parts are live: its entry and results
+    while True:
+        if enter is None:
+            live, units, radius, running, scale, results = stack[-1]
+            for i in range(len(results), width):
+                share, ball, kids = EC_ZERO, None, None
+                for node, weight, skip, values, last, shares in live:
+                    kid = node[i]
+                    if kid is None:
+                        continue
+                    if type(kid) is list:
+                        add = next(shares)
+                        kids = (kids or []) + [(kid, values[min(max(2 - radius, 0), last)], skip, values, last, shares)]
+                    else:
+                        add = kid[0] * weight
+                        if skip and add.is_zero():
+                            continue
+                        ball = ball or kid[1]
+                    if add is not EC_ZERO:
+                        share = add if share is EC_ZERO else share + add
+                if kids is None and share is EC_ZERO:  # no part holds the ball
+                    results.append((running, None))
+                    continue
+                value = share if running is EC_ZERO else running + share
+                if kids is None:
+                    results.append((value, ball))
+                    continue
+                units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
+                enter, radius, running, scale = kids, radius - 1, value, scale * p
+                break
+            if enter is not None:
+                continue
+            stack.pop()
+            top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+        elif len(enter) > 1:
+            stack.append([enter, units, radius, running, scale, []])
+            enter = None
+            continue
+        else:
+            # one live part walks its subtree: [node, U, radius, running, scale, weight, results]
+            node, weight, skip, values, last, shares = enter[0]
+            enter = None
+            own = [[node, units, radius, running, scale, weight, []]]
+            while own:
+                node, units, radius, running, scale, weight, results = own[-1]
+                for i in range(len(results), width):
+                    kid = node[i]
+                    if kid is None:
+                        results.append((running, None))
+                    elif type(kid) is list:
+                        value = next(shares) if running is EC_ZERO else running + next(shares)
+                        child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
+                        child_weight = values[min(max(2 - radius, 0), last)]
+                        own.append([kid, child_units, radius - 1, value, scale * p, child_weight, []])
+                        break
+                    else:
+                        c = kid[0] * weight
+                        zero = skip and c.is_zero()
+                        results.append((running, None) if zero else (c if running is EC_ZERO else running + c, kid[1]))
+                else:
+                    own.pop()
+                    top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+                    if own:
+                        own[-1][6].append(top)
+        if not stack:
+            return _canonical_function(ctx, top, root_r, out)
+        stack[-1][5].append(top)
+
+
 def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
-    """The sum of m f over (m, f) pairs, canonical and with its trie.  A
-    weight m (a number or an ExactComplex) is the constant multiplier (m,);
-    any other m is a radial multiplier, whose ``m.part(f)`` is its (f,
-    values, drops).  One pair whose f is canonical is one walk of f's trie
-    (``_apply_trie``); a sum of two or more pairs, or a pair with raw
-    terms, is one subdivision tree, one graft per pair and one merge."""
+    """The sum of m f over (m, f) pairs, canonical and with its trie: one
+    lockstep walk of the parts' tries (``_combine_tries``).  A weight m (a
+    number or an ExactComplex) is the constant multiplier (m,), and an f
+    without a trie enters as its canonical form; any other m is a radial
+    multiplier, whose ``m.part(f)`` is its (f, values, drops)."""
     if not pairs:
         raise ValueError("empty combination")
     ctx = pairs[0][1].ctx
     parts = []
     for m, f in pairs:
-        if f.ctx != ctx:
+        if f.ctx is not ctx and f.ctx != ctx:
             raise ContextMismatchError(f"{f.ctx} != {ctx}")
         # no isinstance test on numeric types: Fraction's metaclass is ABCMeta
-        parts.append(m.part(f) if hasattr(m, "part") else (f, (m,), None))
-    if len(parts) == 1 and parts[0][0].trie is not None:
-        return _apply_trie(ctx, *parts[0])
-    return _merge_tree(ctx, *_subdivision_tree(parts, ctx))
+        parts.append(m.part(f) if hasattr(m, "part") else (f if f.trie is not None else f.canonicalize(), (m,), None))
+    return _combine_tries(ctx, parts)
 
 
 # -- random instances -------------------------------------------------------
@@ -1191,7 +1141,7 @@ def read_object(obj: object) -> tuple:
         raise FunctionFormatError(
             f"the terms span {depth} p-adic digits, over the {MAX_INPUT_DEPTH} accepted"
         )
-    root, root_r = _subdivision_tree([(BruhatSchwartzFunction(ctx, tuple(terms)), None, None)], ctx)
+    root, root_r = _subdivision_tree(terms, ctx)
     # a term adds at most depth tree nodes, and a node at most p**n cells
     if (1 + len(terms) * depth) * p**n > MAX_CELLS:
         cells = _cell_count(root, p**n)

@@ -142,10 +142,11 @@ class RadialMultiplier:
         return f, values, drops
 
     def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
-        """The function m(D) f, canonical, with its trie: one walk of f's
-        trie with ``part``'s scales that builds the output trie, closing
-        each node as canonical form does and reusing f's balls, with no
-        subdivision tree.  Linear in trie nodes times p**n."""
+        """The function m(D) f, canonical, with its trie: the one-part
+        ``linear_combination``, one walk of f's trie with ``part``'s scales
+        that builds the output trie, closing each node as canonical form
+        does and reusing f's balls, with no subdivision tree.  Linear in
+        trie nodes times p**n."""
         return linear_combination([(self, f)])
 
     def profile(self) -> RadialProfile:

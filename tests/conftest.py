@@ -11,6 +11,7 @@ if str(src) not in sys.path:
     sys.path.insert(0, str(src))
 
 from padic_bessel.padic import EC_ONE, EC_ZERO, ZERO_NORM, Ball, Number, PAdicVector, ball_measure, character_from_phase
+from padic_bessel import schwartz
 from padic_bessel.schwartz import BruhatSchwartzFunction
 from padic_bessel.spectral import _shifted
 
@@ -148,3 +149,84 @@ def pairing_by_pairs(left, right):
                 value = value * character_from_phase(phase)
             total = total + value
     return total
+
+
+# The subdivision-tree route of a sum, kept as the oracle of
+# ``schwartz._combine_tries``: every part's trie grafted node by node into one
+# dict tree, which ``schwartz._merge_tree`` merges once.
+def tree_combination(ctx, parts):
+    """The sum of m(D) f over (f, values, drops) parts with f canonical, as
+    one subdivision tree rooted at B(0, p**R), R >= 0 the largest radius of
+    a nonzero part: one graft per part, then one merge."""
+    root_r = max([0] + [f.trie.radius for f, _, _ in parts if f.trie.root is not None])
+    root = [EC_ZERO, {}, None]
+    for f, values, drops in parts:
+        graft(root, root_r, f.trie, values, drops)
+    return schwartz._merge_tree(ctx, root, root_r)
+
+
+def graft(root, root_r, trie, values, drops):
+    """Add m(D) g to the subdivision tree rooted at B(0, p**root_r), g the
+    function of a digit trie with trie.radius <= root_r.
+
+    A cell of g of radius p**(-j) with value c adds values[j] * c to its
+    node, j clamped into [0, len(values) - 1].  With drops, each trie node
+    of radius p**(-k), k >= 0, also adds drops[k] times the mean of g over
+    it; the means are summed in the same post-order walk.  Without drops,
+    a zero product adds nothing.
+    """
+    top = trie.root
+    if top is None:
+        return
+    node = root
+    for _ in range(root_r - trie.radius):
+        node = node[1].setdefault(0, [EC_ZERO, {}, None])
+    if type(top) is not list:  # one cell, on B(0, p**trie.radius)
+        c = top[0] * values[0]
+        if not c.is_zero():
+            add(node, c, top[1])
+        return
+    last = len(values) - 1
+    inv = Fraction(1, len(top))
+    # a frame is [tree node, trie node, radius, next child, sum of the
+    # children's values and means]; the sum is kept at radius <= 0 with drops
+    stack = [[node, top, trie.radius, 0, EC_ZERO]]
+    while stack:
+        frame = stack[-1]
+        node, trie_node, radius, i, total = frame
+        children = node[1]
+        weight = values[min(max(1 - radius, 0), last)]
+        summing = drops is not None and radius <= 0
+        for i in range(i, len(trie_node)):
+            kid = trie_node[i]
+            if type(kid) is list:
+                frame[3], frame[4] = i + 1, total
+                stack.append([children.setdefault(i, [EC_ZERO, {}, None]), kid, radius - 1, 0, EC_ZERO])
+                break
+            if kid is None:
+                continue
+            if summing:
+                total = total + kid[0]
+            c = kid[0] * weight
+            if drops is None and c.is_zero():
+                continue  # so f + 0.0 * g stays exact; a multiplier adds all
+            child = children.get(i)
+            if child is None:
+                children[i] = [c, {}, kid[1]]
+            else:
+                add(child, c, kid[1])
+        else:
+            stack.pop()
+            if summing:
+                mean = total * inv
+                add(node, mean * drops[-radius], None)
+                if radius < 0:
+                    stack[-1][4] = stack[-1][4] + mean
+
+
+def add(node, c, ball):
+    """Add c to a subdivision tree node, never adding the untouched EC_ZERO,
+    and give the node ball unless it has one."""
+    node[0] = c if node[0] is EC_ZERO else node[0] + c
+    if node[2] is None:
+        node[2] = ball

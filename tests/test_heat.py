@@ -560,28 +560,28 @@ def test_duhamel_step_forcing_fourth_order():
 
 
 def test_duhamel_applies_one_multiplier_per_forcing_piece(monkeypatch):
-    # one part for u0 and one per active piece, all in one merge
-    parts, merges = [], []
-    part, merge_tree = RadialMultiplier.part, schwartz._merge_tree
+    # one part for u0 and one per active piece, all in one walk
+    parts, walks = [], []
+    part, combine_tries = RadialMultiplier.part, schwartz._combine_tries
 
     def counted_part(self, f):
         parts.append(f)
         return part(self, f)
 
-    def counted_merge(*args):
-        merges.append(args)
-        return merge_tree(*args)
+    def counted_walk(*args):
+        walks.append(args)
+        return combine_tries(*args)
 
     monkeypatch.setattr(RadialMultiplier, "part", counted_part)
-    monkeypatch.setattr(schwartz, "_merge_tree", counted_merge)
+    monkeypatch.setattr(schwartz, "_combine_tries", counted_walk)
     order = BesselOrder(2.0, C21)
     problem = step_problem(2, 1, 6)
     for t, active in ((0.2, 1), (0.42, 2), (1.0, 3)):
         parts.clear()
-        merges.clear()
+        walks.clear()
         duhamel(problem, order, [t])
         assert len(parts) == 1 + active
-        assert len(merges) == 1
+        assert len(walks) == 1
 
 
 @pytest.mark.parametrize("p,n,alpha", BENCH_GRID)

@@ -12,8 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_bessel.bessel import BesselOrder, apply_bessel, resolvent, resolvent_multiplier, symbol_multiplier
-from padic_bessel.heat import forcing_multiplier, semigroup_multiplier, solve_cauchy
+from padic_bessel.bessel import (
+    BesselOrder,
+    apply_bessel,
+    c0_dissipativity_margin,
+    resolvent,
+    resolvent_multiplier,
+    resolvent_residual,
+    symbol_multiplier,
+)
+from padic_bessel.heat import EvolutionProblem, duhamel, forcing_multiplier, semigroup_multiplier, solve_cauchy
 from padic_bessel.spectral import RadialMultiplier
 from padic_bessel.padic import (
     EC_ZERO,
@@ -36,7 +44,7 @@ from padic_bessel.schwartz import (
     random_test_function,
     serialize,
 )
-from conftest import ball_integral_by_scan, digit_children, evaluate_by_scan
+from conftest import ball_integral_by_scan, digit_children, evaluate_by_scan, tree_combination
 from test_routes import concentric_terms
 
 C21 = PrimeContext(2, 1)
@@ -231,19 +239,28 @@ def test_linear_combination_matches_pairwise_sum():
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_grafted_sums_match_the_digit_walk(p, n):
-    # canonical summands are grafted by their tries, the raw one is walked;
-    # float and complex weights, and functions whose roots differ
+    # the summands' tries are walked in lockstep, the oracle inserts every
+    # term into one tree; float and complex weights, and functions whose
+    # roots differ
     ctx = PrimeContext(p, n)
     rng = random.Random(f"graft:{p}:{n}")
-    order = BesselOrder(n + 1.5, ctx)
+    orders = (BesselOrder(n + 1, ctx), BesselOrder(n + 1.5, ctx))  # exact and float outputs
     cfg = RandomFunctionConfig(max_terms=4, radius_min=-3, radius_max=2, den_pow_max=1, complex_coeffs=True)
     for seed in range(6):
         f = random_test_function(seed, ctx, cfg)
-        g = apply_bessel(order, random_test_function(seed + 50, ctx, cfg))
+        h = random_test_function(seed + 50, ctx, cfg)
         raw = BruhatSchwartzFunction(ctx, random_terms(rng, ctx, 3, (1, p, p**2), True))
-        pairs = [(0.7, f), (1, raw), (ExactComplex(Fraction(1, 3), -2), g), (-1, f)]
-        walked = BruhatSchwartzFunction(ctx, tuple((c * w, b) for w, h in pairs for c, b in h.terms))
-        assert serialize(linear_combination(pairs)) == serialize(walked.canonicalize())
+        for weight, order in zip((Fraction(7, 10), 0.7), orders):
+            g = apply_bessel(order, h)
+            # the raw summand enters as its canonical form, its cells summed
+            # before the other parts join them: the same value when all is
+            # exact, as at the integer order, but float sums round in that order
+            cells = raw.terms if isinstance(weight, Fraction) else raw.canonicalize().terms
+            pairs = [(weight, f), (1, raw), (ExactComplex(Fraction(1, 3), -2), g), (-1, f)]
+            walked = BruhatSchwartzFunction(
+                ctx, tuple((c * w, b) for w, k in pairs for c, b in (cells if k is raw else k.terms))
+            )
+            assert serialize(linear_combination(pairs)) == serialize(walked.canonicalize())
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
@@ -805,13 +822,7 @@ def test_haar_combination_needs_parts_in_one_context():
                             (1, BruhatSchwartzFunction.unit_ball(C31))])
 
 
-# -- one pair on its trie against the one-pair tree route ----------------------
-
-
-def tree_apply(ctx, part):
-    """The one-pair tree route, kept as the oracle of ``_apply_trie``: the
-    part grafted alone into a subdivision tree, which is then merged."""
-    return schwartz._merge_tree(ctx, *schwartz._subdivision_tree([part], ctx))
+# -- the lockstep walk against the subdivision-tree route ------------------------
 
 
 def coefficient_key(c):
@@ -829,6 +840,8 @@ def trie_shape(node):
 
 @pytest.mark.parametrize("p,n,alpha", GRID + ((7, 1, 1.5),))
 def test_one_pair_on_its_trie_is_the_tree_route_bit_for_bit(p, n, alpha):
+    # every pair alone, then seeded sums of 1-4 pairs, against one graft per
+    # pair and one merge; the deep inputs only alone
     ctx = PrimeContext(p, n)
     order = BesselOrder(alpha, ctx)
     multipliers = [
@@ -841,7 +854,10 @@ def test_one_pair_on_its_trie_is_the_tree_route_bit_for_bit(p, n, alpha):
     weights = [0, 0.0, -1, ExactComplex(0, 1), 1, Fraction(-3, 7), 1e-320, ExactComplex(0.5, -0.0)]
     far = PAdicVector((Fraction(1),) + (Fraction(0),) * (n - 1), ctx)
     cfg = RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)
-    inputs = [BruhatSchwartzFunction.zero(ctx), omega(ctx)]  # no cell, one cell
+    # no cell, one cell, and one cell with a -0.0 part on a larger ball,
+    # under whose root a sum lifts the others
+    wide = BruhatSchwartzFunction.indicator(Ball(PAdicVector.zero(ctx), 2), ExactComplex(1.5, -0.0))
+    inputs = [BruhatSchwartzFunction.zero(ctx), omega(ctx), wide]
     for seed in range(6):
         f = random_test_function(seed, ctx, cfg)
         # float parts, some of them -0.0, which a sum with 0 would turn to 0.0
@@ -854,52 +870,70 @@ def test_one_pair_on_its_trie_is_the_tree_route_bit_for_bit(p, n, alpha):
         BruhatSchwartzFunction.indicator(Ball(PAdicVector.zero(ctx), -200)),
         BruhatSchwartzFunction.indicator(Ball(far, -200), -1),
     ]
-    for f in inputs + deep:
-        assert f.trie is not None
-        parts = [m.part(f) for m in multipliers] + [(f, (w,), None) for w in weights]
-        for part in parts:
-            got, want = schwartz._apply_trie(ctx, *part), tree_apply(ctx, part)
-            if f not in deep:
-                assert serialize(got) == serialize(want)
-            assert [coefficient_key(c) for c, _ in got.terms] == [coefficient_key(c) for c, _ in want.terms]
-            assert [ball for _, ball in got.terms] == [ball for _, ball in want.terms]
-            assert got.trie.radius == want.trie.radius
-            assert trie_shape(got.trie.root) == trie_shape(want.trie.root)
+
+    def part(m, f):
+        return m.part(f) if hasattr(m, "part") else (f, (m,), None)
+
+    sums = [[part(m, f)] for f in inputs + deep for m in multipliers + weights]
+    rng = random.Random(f"lockstep:{p}:{n}")
+    for _ in range(150):
+        sums.append([part(rng.choice(multipliers + weights), rng.choice(inputs)) for _ in range(rng.randint(1, 4))])
+    # a one-cell root that adds nothing, lifted under the -0.0 cell, still
+    # holds its ball, whose value then adds the untouched 0
+    sums += [[part(1, wide), part(w, omega(ctx))] for w in (0, 0.0)]
+    for parts in sums:
+        assert all(f.trie is not None for f, _, _ in parts)
+        got, want = schwartz._combine_tries(ctx, parts), tree_combination(ctx, parts)
+        if not any(f in deep for f, _, _ in parts):
+            assert serialize(got) == serialize(want)
+        assert [coefficient_key(c) for c, _ in got.terms] == [coefficient_key(c) for c, _ in want.terms]
+        assert [ball for _, ball in got.terms] == [ball for _, ball in want.terms]
+        assert got.trie.radius == want.trie.radius
+        assert trie_shape(got.trie.root) == trie_shape(want.trie.root)
 
 
 def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
-    # multipliers, scalings and negation of a canonical function walk its
-    # trie alone; raw terms and sums still build and merge a tree
+    # sums, scalings, negation, the residuals, Duhamel and the multipliers
+    # of canonical functions walk their tries alone; only raw terms still
+    # build and merge a tree, their canonical form
     order = BesselOrder(2.5, C32)
-    f = random_test_function(5, C32, RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True))
+    cfg = RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)
+    f = random_test_function(5, C32, cfg)
+    g = random_test_function(6, C32, cfg)
+    real = random_test_function(7, C32, RandomFunctionConfig(4, -2, 2, den_pow_max=1))
+    problem = EvolutionProblem(u0=f, horizon=1.0, forcing=((0.0, g), (0.3, real), (0.6, f)))
     raw = BruhatSchwartzFunction(C32, f.terms)
-    built = []
-    subdivision_tree = schwartz._subdivision_tree
-
-    def counted(parts, ctx):
-        built.append(len(parts))
-        return subdivision_tree(parts, ctx)
+    subdivision_tree, merge_tree = schwartz._subdivision_tree, schwartz._merge_tree
 
     def refuse(*args):
-        raise AssertionError("graft called")
+        raise AssertionError("tree built")
 
-    monkeypatch.setattr(schwartz, "_subdivision_tree", counted)
-    monkeypatch.setattr(schwartz, "_graft", refuse)
+    monkeypatch.setattr(schwartz, "_subdivision_tree", refuse)
+    monkeypatch.setattr(schwartz, "_merge_tree", refuse)
     for apply in (
-        lambda: apply_bessel(order, f),
-        lambda: resolvent(order, Fraction(1, 2), f),
-        lambda: solve_cauchy(f, 0.7, order),
+        lambda: f + g,
+        lambda: f - g,
         lambda: f.scale(ExactComplex(0, 1)),
         lambda: f.scale(0.1),
         lambda: -f,
+        lambda: apply_bessel(order, f),
+        lambda: resolvent(order, Fraction(1, 2), f),
+        lambda: solve_cauchy(f, 0.7, order),
     ):
         assert apply().trie is not None
-    assert built == []
+    assert math.isfinite(resolvent_residual(order, 0.1, f))
+    assert math.isfinite(c0_dissipativity_margin(order, real, 0.5))
+    assert all(u.trie is not None for u in duhamel(problem, order, [0.2, 0.5, 1.0]))
+    built = []
+
+    def counted(terms, ctx):
+        built.append(terms)
+        return subdivision_tree(terms, ctx)
+
+    monkeypatch.setattr(schwartz, "_subdivision_tree", counted)
+    monkeypatch.setattr(schwartz, "_merge_tree", merge_tree)
     assert raw.trie is None and raw.scale(2) == f.scale(2)
-    assert built == [1]
-    monkeypatch.setattr(schwartz, "_subdivision_tree", subdivision_tree)
-    with pytest.raises(AssertionError, match="graft called"):
-        f + f
+    assert built == [raw.terms]
 
 
 # -- pointwise queries on the digit trie against the cell scans ----------------
