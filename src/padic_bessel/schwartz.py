@@ -3,14 +3,15 @@
 A locally constant, compactly supported function is stored as a list of
 (coefficient, ball) terms.  ``canonicalize`` rewrites any term list into the
 unique coarsest partition of a covering ball into sub-balls on which the
-function is constant, by inserting every term into an ultrametric
-subdivision tree and merging constant siblings bottom-up (``_merge_tree``).
-The canonical function keeps the tree that walk leaves, its ``DigitTrie``:
-one node per ball on which it is not constant.  Sums, scalings and radial
-multipliers are one ``linear_combination`` of (m, f) pairs, m a weight or a
-multiplier: one lockstep walk of the parts' tries that builds the output
-trie with no tree (``_combine_tries``), closing each node as the merge does
-(``_close_node``).
+function is constant, its cells.  The canonical function keeps its
+``DigitTrie``: one node per ball on which it is not constant.  Every
+canonical function is built by one walk (``_combine_tries``) that follows
+one digit path in the tries of all its parts at once and closes each node
+bottom-up, merging constant siblings (``_close_node``).  Sums, scalings and
+radial multipliers are one ``linear_combination`` of (m, f) pairs, m a
+weight or a multiplier, whose parts are the tries of canonical functions; a
+raw term list is one part, its terms inserted down their digit paths into
+a trie of the same shape (``_raw_part``).
 
 Queries read the trie too, never scanning the cells: ``evaluate`` walks one
 path, down the digits of the point, and ``ball_integral`` the path of the
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as digit_product
-from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from padic_bessel.padic import (
@@ -167,7 +167,7 @@ class BruhatSchwartzFunction:
     # -- algebra -----------------------------------------------------------
 
     def _check(self, other: "BruhatSchwartzFunction") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(f"{self.ctx} != {other.ctx}")
 
     def __add__(self, other: "BruhatSchwartzFunction") -> "BruhatSchwartzFunction":
@@ -193,16 +193,17 @@ class BruhatSchwartzFunction:
     def canonicalize(self) -> "BruhatSchwartzFunction":
         """Equivalent function on pairwise-disjoint maximal constant balls.
 
-        Terms are inserted into a subdivision tree rooted at a ball around 0
-        covering every term; leaves carry the accumulated value of their
-        digit path, and sibling groups that agree are merged back into their
-        parent, so the result is the coarsest disjoint form and the map is
-        idempotent.  The merged tree is kept as the result's ``trie``, and a
+        The terms are inserted down their digit paths into a trie rooted at
+        a ball around 0 covering every term (``_raw_part``), and one walk of
+        it carries the accumulated value of each path down and merges the
+        sibling groups that agree back into their parent (``_combine_tries``),
+        so the result is the coarsest disjoint form and the map is
+        idempotent.  The walk's trie is kept as the result's ``trie``, and a
         function that carries a trie is canonical.
         """
         if self.trie is not None:
             return self
-        return _merge_tree(self.ctx, *_subdivision_tree(self.terms, self.ctx))
+        return _combine_tries(self.ctx, [_raw_part(self.terms, self.ctx)])
 
     def digit_trie(self) -> DigitTrie:
         """The trie of the canonical form."""
@@ -346,18 +347,20 @@ def _digit_tuples(p: int, n: int) -> tuple:
     return tuple(digit_product(range(p), repeat=n))
 
 
-def _subdivision_tree(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
-    """The subdivision tree of a list of (coefficient, ball) terms, and its
-    root radius exponent root_r; canonical form merges it (``_merge_tree``).
+def _raw_part(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
+    """A list of (coefficient, ball) terms as the part (trie, (1,), node
+    shares) whose ``_combine_tries`` walk is its canonical form.
 
-    A tree node is [coefficient, {digit index: child node}, ball], the index
-    that of the child's digit tuple in ``_digit_tuples`` and ball the first
-    one inserted there, or None.  Each nonzero term goes down one level per
-    digit and adds its coefficient, in order, to the node of its ball.
+    The trie, rooted at B(0, p**root_r), has the ``DigitTrie`` shape but is
+    not merged.  Each nonzero term goes down one level per digit and adds
+    its coefficient, in order, to the cell of its ball, which keeps the
+    first ball inserted there, or to the share of the node there; a cell
+    met on the way down becomes a node whose share is the cell's value.  A
+    point's value is then the sum of the shares and the cell on its path.
     Canonical centers have p-power denominators at most p**root_r, so each
-    center x gives the integer x * p**root_r: the merge carries these integer
-    digit coordinates and builds a Fraction only for a cell with no ball."""
+    center x gives the integer x * p**root_r, whose digits are the path."""
     p = ctx.p
+    width = len(_digit_tuples(p, ctx.n))
     # zero terms go first: a zero term's ball may be too deep to reduce
     cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
     root_r = max([0] + [ball.radius_exp for _, ball in cells])
@@ -367,7 +370,7 @@ def _subdivision_tree(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
         root_scale *= p
         root_r += 1
 
-    root = [EC_ZERO, {}, None]
+    top, shares = [None], {}  # the root, as the one child of a holder
     for c, ball in cells:
         depth = root_r - ball.radius_exp
         # per level, least significant first, the index of the digit
@@ -380,91 +383,70 @@ def _subdivision_tree(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
             for j in range(depth):
                 u, d = divmod(u, p)
                 path[j] = path[j] * p + d
-        node = root
-        for i in path:
-            node = node[1].setdefault(i, [EC_ZERO, {}, None])
-        node[0] = c if node[0] is EC_ZERO else node[0] + c  # never adding the untouched EC_ZERO
-        if node[2] is None:
-            node[2] = ball
-    return root, root_r
+        node, i = top, 0
+        for j in path:
+            kid = node[i]
+            if type(kid) is not list:
+                node[i] = new = [None] * width
+                if kid is not None:  # a cell met on the way down
+                    shares[id(new)] = kid[0]
+                kid = new
+            node, i = kid, j
+        kid = node[i]
+        if kid is None:
+            node[i] = (c, ball)
+        elif type(kid) is list:
+            share = shares.get(id(kid), EC_ZERO)
+            shares[id(kid)] = c if share is EC_ZERO else share + c  # never adding the untouched EC_ZERO
+        else:
+            node[i] = (kid[0] + c, kid[1])
+    return DigitTrie(root_r, top[0]), (1,), shares
 
 
-def _cell_count(root: list, width: int) -> int:
-    """Cells of the canonical form of a subdivision tree, merged as
-    ``_merge_tree`` merges them but with no ball or center built.
+def _cell_count(part: tuple) -> int:
+    """Cells of the canonical form of a ``_raw_part`` part, merged as
+    ``_close_node`` merges them but with no ball or center built.
 
     A node's result is its constant value, or None when it is not constant;
     a node that is not constant holds one cell per nonzero constant child,
-    and each of its width - len(children) absent children holds the value
-    above it.
+    and each of its absent children holds the value above it.
     """
-    if not root[1]:
-        return 0 if root[0].is_zero() else 1
+    top, shares = part[0].root, part[2]
+    if type(top) is not list:
+        return 0 if top is None or top[0].is_zero() else 1
     cells = 0
-    # a frame is [child nodes, running value, results of the children so far]
-    stack = [[list(root[1].values()), root[0], []]]
+    # a frame is [trie node, running value, next child, results of the
+    # children present so far]
+    stack = [[top, shares.get(id(top), EC_ZERO), 0, []]]
     while True:
-        kids, running, results = stack[-1]
-        if len(results) < len(kids):
-            kid = kids[len(results)]
-            if kid[1]:
-                stack.append([list(kid[1].values()), running + kid[0], []])
-            else:
+        frame = stack[-1]
+        node, running, i, results = frame
+        for i in range(i, len(node)):
+            kid = node[i]
+            if type(kid) is list:
+                frame[2] = i + 1
+                stack.append([kid, running + shares.get(id(kid), EC_ZERO), 0, []])
+                break
+            if kid is not None:
                 results.append(running + kid[0])
-            continue
-        stack.pop()
-        if len(kids) < width:
-            results.append(running)
-        first = results[0]
-        if first is not None and all(r == first for r in results):
-            top = first
-        else:
-            top = None
-            for r in results:
-                if r is not None and not r.is_zero():
-                    cells += 1
-            if len(kids) < width and not running.is_zero():
-                cells += width - len(kids) - 1
-        if not stack:
-            return cells + (top is not None and not top.is_zero())
-        stack[-1][2].append(top)
-
-
-def _merge_tree(ctx: PrimeContext, root: list, root_r: int) -> BruhatSchwartzFunction:
-    """The canonical function of a subdivision tree rooted at B(0, p**root_r),
-    with its trie.  A point's value is the sum of the coefficients on its
-    digit path (``_subdivision_tree``).  Post-order walk with an explicit
-    stack, so the tree depth is not bounded by the recursion limit; a frame
-    is [children, integer center coords U, radius, running value, integer
-    digit scale, results], results getting one entry per child in digit
-    order (``_close_node``)."""
-    p = ctx.p
-    root_scale = p**root_r
-    all_digits = _digit_tuples(p, ctx.n)
-    width = len(all_digits)
-    out: list = []
-    top = (root[0], root[2])
-    stack = [[root[1], (0,) * ctx.n, root_r, root[0], 1, []]] if root[1] else []
-    while stack:
-        children, units, radius, running, scale, results = stack[-1]
-        for i in range(len(results), width):
-            child = children.get(i)
-            if child is None:
-                results.append((running, None))
-                continue
-            value = child[0] if running is EC_ZERO else running + child[0]
-            if not child[1]:
-                results.append((value, child[2]))
-                continue
-            child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
-            stack.append([child[1], child_units, radius - 1, value, scale * p, []])
-            break
         else:
             stack.pop()
-            top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
-            if stack:
-                stack[-1][5].append(top)
-    return _canonical_function(ctx, top, root_r, out)
+            absent = node.count(None)
+            if absent:
+                results.append(running)
+            first = results[0]
+            if first is not None and all(r == first for r in results):
+                top = first
+            else:
+                top = None
+                for r in results:
+                    if r is not None and not r.is_zero():
+                        cells += 1
+                if absent > 1 and not running.is_zero():
+                    cells += absent - 1
+            if not stack:
+                return cells + (top is not None and not top.is_zero())
+            stack[-1][3].append(top)
 
 
 def _canonical_function(ctx: PrimeContext, top, root_r: int, out: list) -> BruhatSchwartzFunction:
@@ -485,7 +467,7 @@ def _canonical_function(ctx: PrimeContext, top, root_r: int, out: list) -> Bruha
 
 
 def _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
-    """Close one node of ``_merge_tree``'s or ``_combine_tries``'s walk.
+    """Close one node of ``_combine_tries``' walk.
 
     ``results`` has one entry per child of the ball of radius p**radius
     with integer center ``units`` / root_scale, in digit order: a constant
@@ -713,27 +695,29 @@ def _value_at_center(kid) -> ExactComplex:
     return EC_ZERO if kid is None else kid[0]
 
 
-def _node_drops(top: list, radius: int, drops, lift: int) -> list:
-    """Per node of a digit trie rooted at B(0, p**radius), in pre-order
-    after lift wrapper nodes above it that add nothing, drops[-s] times the
-    mean of the function over the node's ball of radius p**s when s <= 0,
-    else EC_ZERO (``spectral.RadialMultiplier``): one post-order walk that
-    sums each node's cells and child means in digit order."""
-    out = [EC_ZERO] * (lift + 1)
+def _node_drops(trie: DigitTrie, drops) -> dict:
+    """The node shares of m(D) f for f's digit trie and a radial
+    multiplier's drops (``spectral.RadialMultiplier``): id(node) to drops[-s]
+    times the mean of f over the node's ball of radius p**s, for each node
+    with s <= 0; one post-order walk that sums each node's cells and child
+    means in digit order."""
+    out: dict = {}
+    top = trie.root
+    if type(top) is not list or not drops:
+        return out
     inv = Fraction(1, len(top))
     # a frame is [trie node, radius, next child, sum of the children's
-    # values and means, pre-order index]; the sum is kept at radius <= 0
-    stack = [[top, radius, 0, EC_ZERO, lift]]
+    # values and means]; the sum is kept at radius <= 0
+    stack = [[top, trie.radius, 0, EC_ZERO]]
     while stack:
         frame = stack[-1]
-        node, radius, i, total, index = frame
+        node, radius, i, total = frame
         summing = radius <= 0
         for i in range(i, len(node)):
             kid = node[i]
             if type(kid) is list:
                 frame[2], frame[3] = i + 1, total
-                stack.append([kid, radius - 1, 0, EC_ZERO, len(out)])
-                out.append(EC_ZERO)
+                stack.append([kid, radius - 1, 0, EC_ZERO])
                 break
             if summing and kid is not None:
                 total = total + kid[0]
@@ -741,50 +725,46 @@ def _node_drops(top: list, radius: int, drops, lift: int) -> list:
             stack.pop()
             if summing:
                 mean = total * inv
-                out[index] = mean * drops[-radius]
+                out[id(node)] = mean * drops[-radius]
                 if radius < 0:
                     stack[-1][3] = stack[-1][3] + mean
     return out
 
 
-_NO_DROPS = repeat(EC_ZERO)  # the node drops of a part without drops
-
-
 def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzFunction:
-    """The sum of m(D) f over (f, values, drops) parts, f canonical: one
-    pre-order walk down one digit path in every part's trie at once, from
-    B(0, p**R), R the largest radius of a nonzero part, to which smaller
-    tries are lifted down the zero digits.  Each part holding a ball adds
-    its share in pair order, folded from the untouched EC_ZERO: values[j] *
-    c for a cell of radius p**(-j) and value c (j clamped into values), drop
-    times mean for a node (``_node_drops``); without drops, and for a
-    one-cell root, a zero product adds nothing.  A held ball gets its path's
-    running value plus its shares and the first cell's ball.  Linear in the
-    parts' trie nodes times p**n.
+    """The function of (trie, values, shares) parts, each m(D) f for the
+    trie of f: one pre-order walk down one digit path in every part's trie
+    at once, from B(0, p**R), R the largest radius of a nonzero part, to
+    which smaller tries are lifted down the zero digits.  Each part holding
+    a ball adds its share in pair order, folded from the untouched EC_ZERO:
+    values[j] * c for a cell of radius p**(-j) and value c (j clamped into
+    values), shares[id(node)] for a node, or EC_ZERO where shares has none.
+    A multiplier's shares are its drops times means (``_node_drops``), a
+    raw term list's its node coefficients (``_raw_part``); shares None, for
+    a weight, stands for none, and then, as for a one-cell root, a zero
+    product adds nothing.  A held ball gets its path's running value plus
+    its shares and the first cell's ball.  Linear in the parts' trie nodes
+    times p**n.
     """
     p = ctx.p
     all_digits = _digit_tuples(p, ctx.n)
     width = len(all_digits)
     root_r = 0
-    for f, _, _ in parts:
-        if f.trie.radius > root_r and f.trie.root is not None:
-            root_r = f.trie.radius
+    for trie, _, _ in parts:
+        if trie.radius > root_r and trie.root is not None:
+            root_r = trie.radius
     running, ball = EC_ZERO, None  # the root's shares and cell ball
     # per part live at the root: (trie node, weight of its cells, whether a
-    # zero product adds nothing, values, last index, node drops in pre-order)
+    # zero product adds nothing, values, last index, node shares)
     live = []
-    for f, values, drops in parts:
-        top, lift = f.trie.root, root_r - f.trie.radius
-        shares = _NO_DROPS
-        if type(top) is list and drops:
-            shares = iter(_node_drops(top, f.trie.radius, drops, lift))
-            share = next(shares)  # the root's
-            if share is not EC_ZERO:
-                running = share if running is EC_ZERO else running + share
-        elif top is None:
+    for trie, values, shares in parts:
+        top, lift = trie.root, root_r - trie.radius
+        if top is None:
             continue
-        elif type(top) is not list:  # one cell, on B(0, p**f.trie.radius)
-            c = top[0] * values[0]
+        if type(values[0]) is int and values == (1,):
+            values = (None,)  # the int 1: its products are skipped, since they change no bits
+        if type(top) is not list:  # one cell, on B(0, p**trie.radius)
+            c = top[0] if values[0] is None else top[0] * values[0]
             if c.is_zero():  # adds nothing, but a lifted cell holds its ball
                 top = [None] * width
             elif not lift:
@@ -792,11 +772,14 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzF
                 ball = ball or top[1]
             if not lift:
                 continue
-        if lift:
-            for _ in range(lift):
-                top = [top] + [None] * (width - 1)
+        for _ in range(lift):
+            top = [top] + [None] * (width - 1)
+        skip, shares = shares is None, shares or {}
+        share = shares.get(id(top), EC_ZERO)  # the root's
+        if share is not EC_ZERO:
+            running = share if running is EC_ZERO else running + share
         last = len(values) - 1
-        live.append((top, values[min(max(1 - root_r, 0), last)], drops is None, values, last, shares))
+        live.append((top, values[min(max(1 - root_r, 0), last)], skip, values, last, shares))
     if not live:
         return _canonical_function(ctx, (running, ball), root_r, [])
     root_scale, out = p**root_r, []
@@ -814,10 +797,10 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzF
                     if kid is None:
                         continue
                     if type(kid) is list:
-                        add = next(shares)
+                        add = shares.get(id(kid), EC_ZERO)
                         kids = (kids or []) + [(kid, values[min(max(2 - radius, 0), last)], skip, values, last, shares)]
                     else:
-                        add = kid[0] * weight
+                        add = kid[0] if weight is None else kid[0] * weight
                         if skip and add.is_zero():
                             continue
                         ball = ball or kid[1]
@@ -853,13 +836,14 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzF
                     if kid is None:
                         results.append((running, None))
                     elif type(kid) is list:
-                        value = next(shares) if running is EC_ZERO else running + next(shares)
+                        share = shares.get(id(kid), EC_ZERO)
+                        value = share if running is EC_ZERO else running + share
                         child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
                         child_weight = values[min(max(2 - radius, 0), last)]
                         own.append([kid, child_units, radius - 1, value, scale * p, child_weight, []])
                         break
                     else:
-                        c = kid[0] * weight
+                        c = kid[0] if weight is None else kid[0] * weight
                         zero = skip and c.is_zero()
                         results.append((running, None) if zero else (c if running is EC_ZERO else running + c, kid[1]))
                 else:
@@ -877,7 +861,8 @@ def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
     lockstep walk of the parts' tries (``_combine_tries``).  A weight m (a
     number or an ExactComplex) is the constant multiplier (m,), and an f
     without a trie enters as its canonical form; any other m is a radial
-    multiplier, whose ``m.part(f)`` is its (f, values, drops)."""
+    multiplier, whose ``m.part(f)`` is its (f, values, drops), the drops
+    entering as node shares (``_node_drops``)."""
     if not pairs:
         raise ValueError("empty combination")
     ctx = pairs[0][1].ctx
@@ -886,7 +871,11 @@ def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
         if f.ctx is not ctx and f.ctx != ctx:
             raise ContextMismatchError(f"{f.ctx} != {ctx}")
         # no isinstance test on numeric types: Fraction's metaclass is ABCMeta
-        parts.append(m.part(f) if hasattr(m, "part") else (f if f.trie is not None else f.canonicalize(), (m,), None))
+        if hasattr(m, "part"):
+            f, values, drops = m.part(f)
+            parts.append((f.trie, values, _node_drops(f.trie, drops)))
+        else:
+            parts.append(((f if f.trie is not None else f.canonicalize()).trie, (m,), None))
     return _combine_tries(ctx, parts)
 
 
@@ -1027,7 +1016,7 @@ def _digit_limit_error(index: int, c: ExactComplex, ball: Ball) -> Optional[Valu
 # denominator takes minutes to build
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-#: the deepest input ``deserialize`` reads: canonical form walks one tree
+#: the deepest input ``deserialize`` reads: canonical form walks one trie
 #: level per p-adic digit, from its root radius (at least 0, each radius and
 #: each center denominator exponent) down to the smallest radius, or 0
 MAX_INPUT_DEPTH = 10_000
@@ -1038,7 +1027,7 @@ MAX_INPUT_DEPTH = 10_000
 MAX_CELLS = 2**16
 
 #: the most digit tuples p**n a space may have: canonical form lists all of
-#: them at every node of its tree, and one trial of ``verify all`` took 18 s
+#: them at every node of its trie, and one trial of ``verify all`` took 18 s
 #: at p**n = 2**8
 MAX_DIGIT_TUPLES = 2**8
 
@@ -1141,10 +1130,10 @@ def read_object(obj: object) -> tuple:
         raise FunctionFormatError(
             f"the terms span {depth} p-adic digits, over the {MAX_INPUT_DEPTH} accepted"
         )
-    root, root_r = _subdivision_tree(terms, ctx)
-    # a term adds at most depth tree nodes, and a node at most p**n cells
+    part = _raw_part(terms, ctx)
+    # a term adds at most depth trie nodes, and a node at most p**n cells
     if (1 + len(terms) * depth) * p**n > MAX_CELLS:
-        cells = _cell_count(root, p**n)
+        cells = _cell_count(part)
         if cells > MAX_CELLS:
             raise FunctionFormatError(f"the canonical form has {cells} cells, over the {MAX_CELLS} accepted")
-    return ctx, lambda: _merge_tree(ctx, root, root_r)
+    return ctx, lambda: _combine_tries(ctx, [part])

@@ -124,7 +124,7 @@ class RadialMultiplier:
         smallest cells, as new lists: copies from the table when it reaches
         depth, else computed and the shells down to SHELLS_CACHED kept, so
         deep inputs cannot grow it."""
-        if f.ctx != self.ctx:
+        if f.ctx is not self.ctx and f.ctx != self.ctx:
             raise ContextMismatchError(f"{f.ctx} != {self.ctx}")
         f = f.canonicalize()
         depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
@@ -145,8 +145,7 @@ class RadialMultiplier:
         """The function m(D) f, canonical, with its trie: the one-part
         ``linear_combination``, one walk of f's trie with ``part``'s scales
         that builds the output trie, closing each node as canonical form
-        does and reusing f's balls, with no subdivision tree.  Linear in
-        trie nodes times p**n."""
+        does and reusing f's balls.  Linear in trie nodes times p**n."""
         return linear_combination([(self, f)])
 
     def profile(self) -> RadialProfile:

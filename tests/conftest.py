@@ -151,9 +151,95 @@ def pairing_by_pairs(left, right):
     return total
 
 
-# The subdivision-tree route of a sum, kept as the oracle of
-# ``schwartz._combine_tries``: every part's trie grafted node by node into one
-# dict tree, which ``schwartz._merge_tree`` merges once.
+# The subdivision-tree route of canonical form and of a sum, kept as the
+# oracle of ``schwartz._combine_tries``: raw terms inserted node by node, or
+# every part's trie grafted, into one dict tree, which ``merge_tree`` merges
+# once.
+def subdivision_tree(terms, ctx):
+    """The subdivision tree of a list of (coefficient, ball) terms, and its
+    root radius exponent root_r; canonical form merges it (``merge_tree``).
+
+    A tree node is [coefficient, {digit index: child node}, ball], the index
+    that of the child's digit tuple in ``schwartz._digit_tuples`` and ball
+    the first one inserted there, or None.  Each nonzero term goes down one
+    level per digit and adds its coefficient, in order, to the node of its
+    ball.  Canonical centers have p-power denominators at most p**root_r, so
+    each center x gives the integer x * p**root_r: the merge carries these
+    integer digit coordinates and builds a Fraction only for a cell with no
+    ball."""
+    p = ctx.p
+    # zero terms go first: a zero term's ball may be too deep to reduce
+    cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
+    root_r = max([0] + [ball.radius_exp for _, ball in cells])
+    root_scale = p**root_r
+    largest_den = max([1] + [x.denominator for _, ball in cells for x in ball.center.coords])
+    while root_scale < largest_den:
+        root_scale *= p
+        root_r += 1
+
+    root = [EC_ZERO, {}, None]
+    for c, ball in cells:
+        depth = root_r - ball.radius_exp
+        # per level, least significant first, the index of the digit
+        # tuple, whose first coordinate is the most significant digit
+        path = [0] * depth
+        for x in ball.center.coords:
+            # the center lies in [0, p**-radius), so U = x * root_scale
+            # has exactly depth digits
+            u = x.numerator * (root_scale // x.denominator)
+            for j in range(depth):
+                u, d = divmod(u, p)
+                path[j] = path[j] * p + d
+        node = root
+        for i in path:
+            node = node[1].setdefault(i, [EC_ZERO, {}, None])
+        add(node, c, ball)
+    return root, root_r
+
+
+def merge_tree(ctx, root, root_r):
+    """The canonical function of a subdivision tree rooted at B(0, p**root_r),
+    with its trie.  A point's value is the sum of the coefficients on its
+    digit path (``subdivision_tree``).  Post-order walk with an explicit
+    stack, so the tree depth is not bounded by the recursion limit; a frame
+    is [children, integer center coords U, radius, running value, integer
+    digit scale, results], results getting one entry per child in digit
+    order (``schwartz._close_node``)."""
+    p = ctx.p
+    root_scale = p**root_r
+    all_digits = schwartz._digit_tuples(p, ctx.n)
+    width = len(all_digits)
+    out = []
+    top = (root[0], root[2])
+    stack = [[root[1], (0,) * ctx.n, root_r, root[0], 1, []]] if root[1] else []
+    while stack:
+        children, units, radius, running, scale, results = stack[-1]
+        for i in range(len(results), width):
+            child = children.get(i)
+            if child is None:
+                results.append((running, None))
+                continue
+            value = child[0] if running is EC_ZERO else running + child[0]
+            if not child[1]:
+                results.append((value, child[2]))
+                continue
+            child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
+            stack.append([child[1], child_units, radius - 1, value, scale * p, []])
+            break
+        else:
+            stack.pop()
+            top = schwartz._close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+            if stack:
+                stack[-1][5].append(top)
+    return schwartz._canonical_function(ctx, top, root_r, out)
+
+
+def tree_canonical_form(f):
+    """The canonical form of f's terms, canonical or not, by one subdivision
+    tree and one merge."""
+    return merge_tree(f.ctx, *subdivision_tree(f.terms, f.ctx))
+
+
 def tree_combination(ctx, parts):
     """The sum of m(D) f over (f, values, drops) parts with f canonical, as
     one subdivision tree rooted at B(0, p**R), R >= 0 the largest radius of
@@ -162,7 +248,7 @@ def tree_combination(ctx, parts):
     root = [EC_ZERO, {}, None]
     for f, values, drops in parts:
         graft(root, root_r, f.trie, values, drops)
-    return schwartz._merge_tree(ctx, root, root_r)
+    return merge_tree(ctx, root, root_r)
 
 
 def graft(root, root_r, trie, values, drops):

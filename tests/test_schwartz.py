@@ -22,7 +22,7 @@ from padic_bessel.bessel import (
     symbol_multiplier,
 )
 from padic_bessel.heat import EvolutionProblem, duhamel, forcing_multiplier, semigroup_multiplier, solve_cauchy
-from padic_bessel.spectral import RadialMultiplier
+from padic_bessel.spectral import ModulatedTerm, RadialMultiplier, expand
 from padic_bessel.padic import (
     EC_ZERO,
     ZERO_NORM,
@@ -44,7 +44,7 @@ from padic_bessel.schwartz import (
     random_test_function,
     serialize,
 )
-from conftest import ball_integral_by_scan, digit_children, evaluate_by_scan, tree_combination
+from conftest import ball_integral_by_scan, digit_children, evaluate_by_scan, tree_canonical_form, tree_combination
 from test_routes import concentric_terms
 
 C21 = PrimeContext(2, 1)
@@ -352,6 +352,10 @@ def test_deserialize_rejects_malformed(text):
         deserialize(text)
 
 
+def refuse_walk(ctx, parts):
+    raise AssertionError("canonical cells built")
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_the_reader_counts_canonical_cells_before_it_builds_them(p, n, monkeypatch):
     # overlapping terms with zero sums, nested balls, non-p denominators
@@ -372,7 +376,9 @@ def test_the_reader_counts_canonical_cells_before_it_builds_them(p, n, monkeypat
         assert len(deserialize(text).terms) == cells
         if not cells:
             continue
+        # the refusal comes before the walk that would build the cells
         monkeypatch.setattr(schwartz, "MAX_CELLS", cells - 1)
+        monkeypatch.setattr(schwartz, "_combine_tries", refuse_walk)
         with pytest.raises(FunctionFormatError, match=f"has {cells} cells, over the {cells - 1} accepted"):
             deserialize(text)
 
@@ -487,13 +493,11 @@ def canonicalize_reference(f: BruhatSchwartzFunction) -> tuple:
     always walks f's terms, canonical or not, and returns the cells, since
     only canonical form builds a canonical function.
 
-    Equivalent cells on pairwise-disjoint maximal constant balls.
-
-    Terms are inserted into a subdivision tree rooted at a ball around 0
-    covering every term; leaves carry the accumulated value of their
-    digit path, and sibling groups that agree are merged back into their
-    parent, so the result is the coarsest disjoint form and the map is
-    idempotent.
+    The terms are inserted into a dict subdivision tree keyed by digit
+    tuples, rooted at a ball around 0 covering every term; each point's
+    value is the sum of the coefficients on its digit path, and sibling
+    groups that agree are merged back into their parent, giving the
+    coarsest partition into pairwise-disjoint constant balls.
     """
     terms = [(c, b.canonical()) for c, b in f.terms if not c.is_zero()]
     if not terms:
@@ -874,17 +878,17 @@ def test_one_pair_on_its_trie_is_the_tree_route_bit_for_bit(p, n, alpha):
     def part(m, f):
         return m.part(f) if hasattr(m, "part") else (f, (m,), None)
 
-    sums = [[part(m, f)] for f in inputs + deep for m in multipliers + weights]
+    sums = [[(m, f)] for f in inputs + deep for m in multipliers + weights]
     rng = random.Random(f"lockstep:{p}:{n}")
     for _ in range(150):
-        sums.append([part(rng.choice(multipliers + weights), rng.choice(inputs)) for _ in range(rng.randint(1, 4))])
+        sums.append([(rng.choice(multipliers + weights), rng.choice(inputs)) for _ in range(rng.randint(1, 4))])
     # a one-cell root that adds nothing, lifted under the -0.0 cell, still
     # holds its ball, whose value then adds the untouched 0
-    sums += [[part(1, wide), part(w, omega(ctx))] for w in (0, 0.0)]
-    for parts in sums:
-        assert all(f.trie is not None for f, _, _ in parts)
-        got, want = schwartz._combine_tries(ctx, parts), tree_combination(ctx, parts)
-        if not any(f in deep for f, _, _ in parts):
+    sums += [[(1, wide), (w, omega(ctx))] for w in (0, 0.0)]
+    for pairs in sums:
+        assert all(f.trie is not None for _, f in pairs)
+        got, want = linear_combination(pairs), tree_combination(ctx, [part(m, f) for m, f in pairs])
+        if not any(f in deep for _, f in pairs):
             assert serialize(got) == serialize(want)
         assert [coefficient_key(c) for c, _ in got.terms] == [coefficient_key(c) for c, _ in want.terms]
         assert [ball for _, ball in got.terms] == [ball for _, ball in want.terms]
@@ -894,8 +898,8 @@ def test_one_pair_on_its_trie_is_the_tree_route_bit_for_bit(p, n, alpha):
 
 def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
     # sums, scalings, negation, the residuals, Duhamel and the multipliers
-    # of canonical functions walk their tries alone; only raw terms still
-    # build and merge a tree, their canonical form
+    # of canonical functions walk their tries and insert no raw term; every
+    # raw term list is inserted once and its canonical form is one walk
     order = BesselOrder(2.5, C32)
     cfg = RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)
     f = random_test_function(5, C32, cfg)
@@ -903,13 +907,20 @@ def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
     real = random_test_function(7, C32, RandomFunctionConfig(4, -2, 2, den_pow_max=1))
     problem = EvolutionProblem(u0=f, horizon=1.0, forcing=((0.0, g), (0.3, real), (0.6, f)))
     raw = BruhatSchwartzFunction(C32, f.terms)
-    subdivision_tree, merge_tree = schwartz._subdivision_tree, schwartz._merge_tree
+    text = serialize(f)
+    combine_tries, raw_part = schwartz._combine_tries, schwartz._raw_part
+    walks, inserted = [], []
 
-    def refuse(*args):
-        raise AssertionError("tree built")
+    def counted_walk(ctx, parts):
+        walks.append(len(parts))
+        return combine_tries(ctx, parts)
 
-    monkeypatch.setattr(schwartz, "_subdivision_tree", refuse)
-    monkeypatch.setattr(schwartz, "_merge_tree", refuse)
+    def counted_insert(terms, ctx):
+        inserted.append(terms)
+        return raw_part(terms, ctx)
+
+    monkeypatch.setattr(schwartz, "_combine_tries", counted_walk)
+    monkeypatch.setattr(schwartz, "_raw_part", counted_insert)
     for apply in (
         lambda: f + g,
         lambda: f - g,
@@ -920,20 +931,91 @@ def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
         lambda: resolvent(order, Fraction(1, 2), f),
         lambda: solve_cauchy(f, 0.7, order),
     ):
+        walks.clear()
         assert apply().trie is not None
+        assert len(walks) == 1
     assert math.isfinite(resolvent_residual(order, 0.1, f))
     assert math.isfinite(c0_dissipativity_margin(order, real, 0.5))
     assert all(u.trie is not None for u in duhamel(problem, order, [0.2, 0.5, 1.0]))
-    built = []
+    assert inserted == []
+    modulated = ModulatedTerm(ExactComplex(1, 0), Fraction(0), PAdicVector.of(C32, Fraction(1, 9), 0), Ball(PAdicVector.zero(C32), 0))
+    for build in (
+        raw.canonicalize,
+        lambda: deserialize(text),
+        lambda: random_test_function(5, C32, cfg),
+        lambda: expand(C32, [modulated]),
+        f.reflect,
+        lambda: BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C32, Fraction(1, 3), 2), -2), 3),
+    ):
+        walks.clear()
+        inserted.clear()
+        assert build().trie is not None
+        assert walks == [1] and len(inserted) == 1
+    # a raw summand: its canonical form, then the scaling
+    want = f.scale(2)
+    walks.clear()
+    inserted.clear()
+    assert raw.trie is None and raw.scale(2) == want
+    assert walks == [1, 1] and inserted == [raw.terms]
 
-    def counted(terms, ctx):
-        built.append(terms)
-        return subdivision_tree(terms, ctx)
 
-    monkeypatch.setattr(schwartz, "_subdivision_tree", counted)
-    monkeypatch.setattr(schwartz, "_merge_tree", merge_tree)
-    assert raw.trie is None and raw.scale(2) == f.scale(2)
-    assert built == [raw.terms]
+def raw_term_list(rng, ctx):
+    """A seeded raw term list of 1-5 pieces: single terms, cancelling pairs
+    on one ball (the second center another point of the ball), nested pairs
+    in either order, balls 40 digits deep, zero terms too deep to reduce and
+    terms on B(0, p**3), which holds every other ball; exact, float and
+    -0.0 parts."""
+    p, n = ctx.p, ctx.n
+
+    def center():
+        return PAdicVector(tuple(Fraction(rng.randint(-30, 30), p ** rng.randint(0, 2)) for _ in range(n)), ctx)
+
+    def coeff():
+        if rng.random() < 0.6:
+            return ExactComplex(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])), Fraction(rng.randint(-2, 2), 4))
+        return ExactComplex(rng.choice([-0.0, 0.0, 0.1, -1.5, 2]), rng.choice([-0.0, 0.0, 0.5, Fraction(1, 3)]))
+
+    def beside(ball, r):
+        """A ball of radius p**r, r <= the radius of ball, inside it."""
+        step = PAdicVector(tuple(Fraction(rng.randint(-9, 9)) * ctx.p_power(-ball.radius_exp) for _ in range(n)), ctx)
+        return Ball(ball.center + step, r)
+
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(6)
+        r = rng.choice([-40, -39]) if kind == 3 else rng.randint(-3, 2)
+        ball = Ball(center(), r)
+        c = coeff()
+        if kind == 0:
+            terms.append((c, ball))
+        elif kind == 1:
+            terms += [(c, ball), (-c, beside(ball, r))]
+        elif kind in (2, 3):
+            pair = [(c, ball), (coeff(), beside(ball, r - rng.randint(1, 3)))]
+            terms += pair if rng.random() < 0.5 else pair[::-1]
+        elif kind == 4:
+            terms.append((ExactComplex(rng.choice([0, 0.0, -0.0]), 0), Ball(center(), -(10**9))))
+        else:
+            root = Ball(center(), 3)
+            terms += [(c, root)] if rng.random() < 0.5 else [(c, root), (-c, beside(root, 3))]
+    rng.shuffle(terms)
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n, _ in GRID] + [(2, 3), (7, 1)])
+def test_raw_canonical_form_is_the_tree_route_bit_for_bit(p, n):
+    # raw terms inserted into the trie and closed by the walk, against one
+    # subdivision tree and one merge; the reader's count against both
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"raw:{p}:{n}")
+    for _ in range(150):
+        f = BruhatSchwartzFunction(ctx, raw_term_list(rng, ctx))
+        got, want = f.canonicalize(), tree_canonical_form(f)
+        assert [coefficient_key(c) for c, _ in got.terms] == [coefficient_key(c) for c, _ in want.terms]
+        assert [ball for _, ball in got.terms] == [ball for _, ball in want.terms]
+        assert got.trie.radius == want.trie.radius
+        assert trie_shape(got.trie.root) == trie_shape(want.trie.root)
+        assert schwartz._cell_count(schwartz._raw_part(f.terms, ctx)) == len(want.terms) == len(got.terms)
 
 
 # -- pointwise queries on the digit trie against the cell scans ----------------
