@@ -111,8 +111,8 @@ def run_kernel(ns: argparse.Namespace) -> int:
 def run_heat(ns: argparse.Namespace) -> int:
     if ns.gamma_max > MAX_DEPTH:
         raise ValueError(f"--gamma-max {ns.gamma_max} is over the limit of {MAX_DEPTH} shells")
-    if not ns.t > 0:
-        raise ValueError(f"--t {ns.t} must be positive")
+    if not 0 < ns.t < math.inf:
+        raise ValueError(f"--t {ns.t} must be positive and finite")
     order, t = _order(ns), ns.t
     lines = ["gamma,norm,z_value,tail_bound"]
     if ns.gamma_max >= 0:
@@ -217,6 +217,10 @@ def run_evolve(ns: argparse.Namespace) -> int:
     for t in times:
         if not math.isfinite(t):
             raise ValueError(f"--t {t} must be a finite time")
+        if t < 0:
+            raise ValueError(f"--t {t} must be nonnegative")
+    if ns.horizon is None and max(times) == 0:
+        raise ValueError("--t must list a positive time when --horizon is not given")
     horizon = ns.horizon if ns.horizon is not None else max(times)
     forcing = _load_forcing(ns.forcing, ctx) if ns.forcing else ()
     problem = EvolutionProblem(u0=u0, horizon=horizon, forcing=forcing, steps=ns.steps)

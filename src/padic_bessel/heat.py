@@ -100,29 +100,22 @@ def z_value(norm_exp: Union[int, float], t: float, order: BesselOrder) -> float:
     return z_closed(-int(norm_exp), t, order)
 
 
-def _envelope_factors(t: float, order: BesselOrder) -> tuple:
-    """(t (1 - p**-alpha), n - alpha, 1 - p**(n - alpha)): the parts of
-    ``tail_envelope`` that do not depend on the depth."""
+def tail_envelopes(t: float, order: BesselOrder) -> Iterator[float]:
+    """Geometric bounds on the shell-sum remainder beyond depth 0, 1, 2,
+    ... in turn: t (1 - p**-alpha) p**(depth (n - alpha)) / (1 - p**(n -
+    alpha)), evaluated from left to right, with the factors that do not
+    depend on the depth computed once."""
     p, n = order.ctx.p, order.ctx.n
     alpha = order.alpha
-    return t * (1.0 - p ** (-alpha)), n - alpha, 1.0 - p ** (n - alpha)
+    head, slope, denom = t * (1.0 - p ** (-alpha)), n - alpha, 1.0 - p ** (n - alpha)
+    for depth in count():
+        yield head * p ** (depth * slope) / denom
 
 
 def tail_envelope(depth: int, t: float, order: BesselOrder) -> float:
-    """Geometric bound on the shell-sum remainder beyond the given depth:
-    t (1 - p**-alpha) p**(depth (n - alpha)) / (1 - p**(n - alpha)),
-    evaluated from left to right."""
-    head, slope, denom = _envelope_factors(t, order)
-    return head * order.ctx.p ** (depth * slope) / denom
-
-
-def tail_envelopes(t: float, order: BesselOrder) -> Iterator[float]:
-    """``tail_envelope`` at depth 0, 1, 2, ... in turn, bit for bit, with
-    the factors that do not depend on the depth computed once."""
-    head, slope, denom = _envelope_factors(t, order)
-    p = order.ctx.p
-    for depth in count():
-        yield head * p ** (depth * slope) / denom
+    """Geometric bound on the shell-sum remainder beyond the given depth;
+    the depth-th value of ``tail_envelopes``."""
+    return next(islice(tail_envelopes(t, order), depth, None))
 
 
 MAX_DEPTH = 100_000

@@ -85,6 +85,13 @@ class PrimeContext:
         return Fraction(self.p) ** k
 
 
+def check_context(ctx: PrimeContext, other: PrimeContext) -> None:
+    """Raise ContextMismatchError unless the two contexts are equal, testing
+    identity first: ``!=`` on the frozen dataclass compares field tuples."""
+    if ctx is not other and ctx != other:
+        raise ContextMismatchError(f"{ctx} != {other}")
+
+
 #: the largest |k| whose p**k ``PrimeContext.p_power`` caches, so that deep
 #: inputs, whose powers run to thousands of digits, cannot grow the cache
 P_POWER_CACHED = 64
@@ -243,20 +250,7 @@ class ExactComplex:
         return _make(self._a + other._a, self._b + other._b, 0)
 
     def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        d, e = self._d, other._d
-        if d and e:
-            if d == e:
-                return _reduced(self._a - other._a, self._b - other._b, d)
-            if e % d == 0:
-                k = e // d
-                return _reduced(self._a * k - other._a, self._b * k - other._b, e)
-            if d % e == 0:
-                k = d // e
-                return _reduced(self._a - other._a * k, self._b - other._b * k, d)
-            return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
-        if d or e:  # the parts of the exact operand as numbers
-            return _make(self.re - other.re, self.im - other.im, 0)
-        return _make(self._a - other._a, self._b - other._b, 0)
+        return self + -other
 
     def __neg__(self) -> "ExactComplex":
         return _make(-self._a, -self._b, self._d)
@@ -411,10 +405,6 @@ class PAdicVector:
     def zero(cls, ctx: PrimeContext) -> "PAdicVector":
         return cls((Fraction(0),) * ctx.n, ctx)
 
-    def _check(self, other: "PAdicVector") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError(f"{self.ctx} != {other.ctx}")
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -429,11 +419,11 @@ class PAdicVector:
         return min(valuation(c, self.ctx.p) for c in self.coords)
 
     def __add__(self, other: "PAdicVector") -> "PAdicVector":
-        self._check(other)
+        check_context(self.ctx, other.ctx)
         return PAdicVector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.ctx)
 
     def __sub__(self, other: "PAdicVector") -> "PAdicVector":
-        self._check(other)
+        check_context(self.ctx, other.ctx)
         return PAdicVector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.ctx)
 
     def __neg__(self) -> "PAdicVector":

@@ -16,9 +16,11 @@ a trie of the same shape (``_raw_part``).
 Queries read the trie too, never scanning the cells: ``evaluate`` walks one
 path, down the digits of the point, and ``ball_integral`` the path of the
 region's center; the L2 pairing walks two tries in lockstep; the pairing of
-a radial multiplier's output with its input is a Haar energy summed over
-one walk (``haar_energy``), and the values of one function on chosen leaves
-of another's trie are read in one lockstep walk (``read_leaves``).  All
+a radial multiplier's output with its input is a Haar energy
+(``haar_energy``) summed from the cells and node means of the one
+post-order walk that also gives a multiplier its node shares
+(``_node_sums``); and the values of one function on chosen leaves of
+another's trie are read in one lockstep walk (``read_leaves``).  All
 structural operations (integrals, inner products, energies, suprema) are
 exact on rational coefficients.
 """
@@ -39,11 +41,11 @@ from padic_bessel.padic import (
     EC_ZERO,
     ZERO_NORM,
     Ball,
-    ContextMismatchError,
     ExactComplex,
     Number,
     PAdicVector,
     PrimeContext,
+    check_context,
     is_prime,
     valuation,
 )
@@ -130,8 +132,7 @@ class BruhatSchwartzFunction:
         denominator (``_digit_indices``), and a point outside B(0, p**R)
         reads 0.  O(trie depth) for canonical f; any other f is brought to
         canonical form first."""
-        if x.ctx != self.ctx:
-            raise ContextMismatchError(f"{x.ctx} != {self.ctx}")
+        check_context(x.ctx, self.ctx)
         trie = self.digit_trie()
         node = trie.root
         if node is None:
@@ -165,10 +166,6 @@ class BruhatSchwartzFunction:
         )
 
     # -- algebra -----------------------------------------------------------
-
-    def _check(self, other: "BruhatSchwartzFunction") -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError(f"{self.ctx} != {other.ctx}")
 
     def __add__(self, other: "BruhatSchwartzFunction") -> "BruhatSchwartzFunction":
         return linear_combination([(1, self), (1, other)])
@@ -227,8 +224,7 @@ class BruhatSchwartzFunction:
         which then has c * measure, and a node reached at the region's
         radius is the region, whose integral is its cells' masses.
         """
-        if region.ctx != self.ctx:
-            raise ContextMismatchError(f"{region.ctx} != {self.ctx}")
+        check_context(region.ctx, self.ctx)
         trie = self.digit_trie()
         node = trie.root
         s = region.radius_exp
@@ -256,7 +252,7 @@ class BruhatSchwartzFunction:
         post-order, as canonical form lists its cells, so the self-pairing
         adds its terms in cell order.
         """
-        self._check(other)
+        check_context(self.ctx, other.ctx)
         f, g = self.digit_trie(), other.digit_trie()
         radius = min(f.radius, g.radius)
         n = self.ctx.n
@@ -577,48 +573,25 @@ def haar_energy(f: BruhatSchwartzFunction, values: Sequence, drops: Sequence) ->
     Summed by parts, each cell of radius p**r adds m(max(-r, 0)) |c|**2
     p**(rn), each node of radius p**s, s <= 0, adds its drop m(-s) -
     m(1 - s) times |mean|**2 p**(sn), and the other nodes add nothing; no
-    term cancels another.  The squares are summed exactly per radius and
-    each sum is weighted once, so the result is exact for exact shell
-    values and coefficients, and linear in trie nodes times p**n.
+    term cancels another.  The cells and the node sums come from the one
+    post-order walk that also gives a multiplier its node shares
+    (``_node_sums``), and the squares are summed exactly per radius in the
+    order the walk passes them, each sum weighted once, so the result is
+    exact for exact shell values and coefficients, and linear in trie nodes
+    times p**n.
     """
-    trie = f.digit_trie()
-    top = trie.root
-    if top is None:
-        return 0
+    cells: list = []
+    nodes = _node_sums(f.digit_trie(), cells)
     power = f.ctx.p_power
     n = f.ctx.n
-    if type(top) is not list:
-        return values[0] * (top[0].abs2() * power(trie.radius * n))
-    cells: dict = {}  # radius -> sum of |c|**2 over the cells of that radius
+    squares: dict = {}  # radius -> sum of |c|**2 over the cells of that radius
+    for r, c in cells:
+        squares[r] = squares.get(r, 0) + c.abs2()
     means: dict = {}  # radius -> sum of |sum of child means|**2 over the nodes
-    inv = Fraction(1, len(top))
-    # a frame is [trie node, radius, next child, sum of the children's
-    # values and means]; the sum is kept at radius <= 0
-    stack = [[top, trie.radius, 0, EC_ZERO]]
-    while stack:
-        frame = stack[-1]
-        node, radius, i, total = frame
-        summing = radius <= 0
-        for i in range(i, len(node)):
-            kid = node[i]
-            if type(kid) is list:
-                frame[2], frame[3] = i + 1, total
-                stack.append([kid, radius - 1, 0, EC_ZERO])
-                break
-            if kid is None:
-                continue
-            c = kid[0]
-            cells[radius - 1] = cells.get(radius - 1, 0) + c.abs2()
-            if summing:
-                total = total + c
-        else:
-            stack.pop()
-            if summing:
-                means[radius] = means.get(radius, 0) + total.abs2()
-                if radius < 0:
-                    stack[-1][3] = stack[-1][3] + total * inv
+    for _, s, total, _ in nodes:
+        means[s] = means.get(s, 0) + total.abs2()
     energy = 0
-    for r, square in cells.items():
+    for r, square in squares.items():
         energy = energy + values[max(-r, 0)] * (square * power(r * n))
     for s, square in means.items():
         energy = energy + drops[-s] * (square * power((s - 2) * n))
@@ -695,16 +668,19 @@ def _value_at_center(kid) -> ExactComplex:
     return EC_ZERO if kid is None else kid[0]
 
 
-def _node_drops(trie: DigitTrie, drops) -> dict:
-    """The node shares of m(D) f for f's digit trie and a radial
-    multiplier's drops (``spectral.RadialMultiplier``): id(node) to drops[-s]
-    times the mean of f over the node's ball of radius p**s, for each node
-    with s <= 0; one post-order walk that sums each node's cells and child
-    means in digit order."""
-    out: dict = {}
+def _node_sums(trie: DigitTrie, cells: Optional[list] = None) -> list:
+    """(node, s, total, mean) for each node of the trie of radius p**s,
+    s <= 0, in post-order: total sums the node's cell values and child
+    means in digit order, and mean = total / p**n is the mean of the
+    function over the node's ball.  One post-order walk; it appends each
+    cell it passes, a one-cell root too, to ``cells`` as (r, value), r the
+    radius exponent of the cell's ball, in the order it passes them."""
     top = trie.root
-    if type(top) is not list or not drops:
-        return out
+    if type(top) is not list:
+        if top is not None and cells is not None:
+            cells.append((trie.radius, top[0]))
+        return []
+    out = []
     inv = Fraction(1, len(top))
     # a frame is [trie node, radius, next child, sum of the children's
     # values and means]; the sum is kept at radius <= 0
@@ -719,16 +695,31 @@ def _node_drops(trie: DigitTrie, drops) -> dict:
                 frame[2], frame[3] = i + 1, total
                 stack.append([kid, radius - 1, 0, EC_ZERO])
                 break
-            if summing and kid is not None:
+            if kid is None:
+                continue
+            if cells is not None:
+                cells.append((radius - 1, kid[0]))
+            if summing:
                 total = total + kid[0]
         else:
             stack.pop()
             if summing:
                 mean = total * inv
-                out[id(node)] = mean * drops[-radius]
+                out.append((node, radius, total, mean))
                 if radius < 0:
                     stack[-1][3] = stack[-1][3] + mean
     return out
+
+
+def _node_drops(trie: DigitTrie, drops) -> dict:
+    """The node shares of m(D) f for f's digit trie and a radial
+    multiplier's drops (``spectral.RadialMultiplier``): id(node) to drops[-s]
+    times the mean of f over the node's ball of radius p**s, for each node
+    with s <= 0, from the walk that also sums f's Haar energies
+    (``_node_sums``)."""
+    if not drops:  # f has no node of radius p**s, s <= 0
+        return {}
+    return {id(node): mean * drops[-s] for node, s, _, mean in _node_sums(trie)}
 
 
 def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzFunction:
@@ -868,8 +859,7 @@ def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
     ctx = pairs[0][1].ctx
     parts = []
     for m, f in pairs:
-        if f.ctx is not ctx and f.ctx != ctx:
-            raise ContextMismatchError(f"{f.ctx} != {ctx}")
+        check_context(f.ctx, ctx)
         # no isinstance test on numeric types: Fraction's metaclass is ABCMeta
         if hasattr(m, "part"):
             f, values, drops = m.part(f)

@@ -31,7 +31,6 @@ from typing import Callable, NamedTuple, Optional
 from padic_bessel.padic import (
     EC_ZERO,
     Ball,
-    ContextMismatchError,
     ExactComplex,
     Number,
     PAdicVector,
@@ -39,6 +38,7 @@ from padic_bessel.padic import (
     _int_valuation,
     ball_measure,
     character_from_phase,
+    check_context,
     fractional_part,
     reduce_mod_ball,
     shell_character_integral,
@@ -124,8 +124,7 @@ class RadialMultiplier:
         smallest cells, as new lists: copies from the table when it reaches
         depth, else computed and the shells down to SHELLS_CACHED kept, so
         deep inputs cannot grow it."""
-        if f.ctx is not self.ctx and f.ctx != self.ctx:
-            raise ContextMismatchError(f"{f.ctx} != {self.ctx}")
+        check_context(f.ctx, self.ctx)
         f = f.canonicalize()
         depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
         table = self._table

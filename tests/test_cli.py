@@ -188,6 +188,15 @@ def test_heat_rejects_zero_time(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("gamma_max", ["8", "-1"])
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_heat_refuses_a_time_that_is_not_finite_before_any_row(capsys, t, gamma_max):
+    # inf once ran a 100 000-shell depth search that blamed alpha, and
+    # printed a bare header at --gamma-max -1
+    code, out, err = run(capsys, "heat", "--t", t, "--gamma-max", gamma_max)
+    assert (code, out, err) == (2, "", f"error: --t {t} must be positive and finite\n")
+
+
 def test_heat_deterministic(capsys):
     _, out1, _ = run(capsys, "heat", "--t", "0.3", "--gamma-max", "12")
     _, out2, _ = run(capsys, "heat", "--t", "0.3", "--gamma-max", "12")
@@ -538,6 +547,26 @@ def test_evolve_rejects_non_finite_times(tmp_path, capsys, times, forced):
     code, out, err = run(capsys, "evolve", "--in", str(src), "--t", times, *forcing)
     assert (code, out) == (2, "")
     assert err.startswith("error: --t ") and err.endswith(" must be a finite time\n")
+
+
+@pytest.mark.parametrize("horizon", [[], ["--horizon", "2"]])
+@pytest.mark.parametrize("times", ["-1", "0.5,-1"])
+def test_evolve_names_t_for_a_negative_time(tmp_path, capsys, times, horizon):
+    # without --horizon, -1 once became the horizon, and the message blamed it
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", times, *horizon)
+    assert (code, out, err) == (2, "", "error: --t -1.0 must be nonnegative\n")
+
+
+def test_evolve_at_time_zero_needs_a_horizon_and_names_t(tmp_path, capsys):
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --t must list a positive time when --horizon is not given\n"
+    code, out, err = run(capsys, "evolve", "--in", str(src), "--t", "0", "--horizon", "1")
+    assert (code, err) == (0, "") and out.startswith("time,l2_norm,sup_norm\n0,")
 
 
 @pytest.mark.parametrize("time", [[0], None, {"t": 0}, True, False, "0", "0.5"])
