@@ -681,6 +681,7 @@ def _node_sums(trie: DigitTrie, cells: Optional[list] = None) -> list:
             cells.append((trie.radius, top[0]))
         return []
     out = []
+    add_cell = None if cells is None else cells.append
     inv = Fraction(1, len(top))
     # a frame is [trie node, radius, next child, sum of the children's
     # values and means]; the sum is kept at radius <= 0
@@ -697,8 +698,8 @@ def _node_sums(trie: DigitTrie, cells: Optional[list] = None) -> list:
                 break
             if kid is None:
                 continue
-            if cells is not None:
-                cells.append((radius - 1, kid[0]))
+            if add_cell:
+                add_cell((radius - 1, kid[0]))
             if summing:
                 total = total + kid[0]
         else:
