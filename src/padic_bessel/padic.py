@@ -250,7 +250,10 @@ class ExactComplex:
         return _make(self._a + other._a, self._b + other._b, 0)
 
     def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return self + -other
+        if self._d and other._d:  # x + (-y) reduces to the triple of x - y
+            return self + -other
+        # in floats -0.0 - 0 is -0.0, but -0.0 + -(0) is 0.0: -0 is the int 0
+        return _make(self.re - other.re, self.im - other.im, 0)
 
     def __neg__(self) -> "ExactComplex":
         return _make(-self._a, -self._b, self._d)
