@@ -31,7 +31,6 @@ from padic_bessel.padic import (
     Number,
     PAdicVector,
     PrimeContext,
-    shell_measure,
 )
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
@@ -41,7 +40,7 @@ from padic_bessel.schwartz import (
     read_leaves,
     root_of_square,
 )
-from padic_bessel.spectral import RadialMultiplier, RadialProfile, radial_transform
+from padic_bessel.spectral import RadialMultiplier
 
 
 #: the largest alpha * log2(p) an order may have: at integer alpha the exact
@@ -166,19 +165,6 @@ def kernel_shells(order: BesselOrder) -> Iterator[float]:
         yield _float_kernel(-g, alpha - n, p, gamma)
 
 
-def kernel_profile(order: BesselOrder) -> RadialProfile:
-    """Kernel as a radial profile with exact geometric deep-shell pieces."""
-    ctx = order.ctx
-    alpha = order.alpha
-    gamma = float(padic_gamma(alpha, ctx))
-    p, n = ctx.p, ctx.n
-    return RadialProfile(
-        ctx=ctx,
-        resid=lambda k: kernel_value(k, order),
-        deep_pieces=((1.0 / gamma, alpha - n), (-(p ** (alpha - n)) / gamma, 0)),
-    )
-
-
 def kernel_ball_mass(radius_exp: int, order: BesselOrder) -> Number:
     """Integral of the kernel over the ball of radius p**radius_exp at 0.
 
@@ -201,21 +187,6 @@ def kernel_ball_mass(radius_exp: int, order: BesselOrder) -> Number:
 def kernel_mass(order: BesselOrder) -> Number:
     """Total integral of the kernel (analytically 1)."""
     return kernel_ball_mass(0, order)
-
-
-def kernel_partial_mass(gamma_max: int, order: BesselOrder) -> float:
-    """Mass of the shells down to ||x|| = p**(-gamma_max); increases to 1."""
-    ctx = order.ctx
-    total = 0.0
-    for g, k in zip(range(gamma_max + 1), kernel_shells(order)):
-        total += float(shell_measure(-g, ctx)) * k
-    return total
-
-
-def khat_defect(order: BesselOrder, xi_norm_exp: int) -> float:
-    """|shell-sum transform of the kernel - multiplier| at one frequency."""
-    value = radial_transform(kernel_profile(order), xi_norm_exp)
-    return abs(value - float(symbol_value(xi_norm_exp, order)))
 
 
 # -- the operator ------------------------------------------------------------
@@ -256,7 +227,6 @@ def apply_bessel_convolution(
     remaining kernel mass is added in closed form, so no truncation error
     enters.
     """
-    f = f.canonicalize()
     if not f.terms:
         return EC_ZERO
     ell = min(ball.radius_exp for _, ball in f.terms)
@@ -402,7 +372,7 @@ def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum, g: BruhatSchwartzFu
         top = sup.value
         return read_leaves(f, g, lambda leaf, radius: leaf is not None and leaf[0].re == top)
     ctx = f.ctx
-    trie = f.digit_trie()
+    trie = f.trie
     outside_exp = (0 if trie.root is None else trie.radius) + 1
     coords = [Fraction(1, ctx.p**outside_exp)] + [Fraction(0)] * (ctx.n - 1)
     points = [PAdicVector(tuple(coords), ctx)]
@@ -421,7 +391,6 @@ def pmp_check(order: BesselOrder, f: BruhatSchwartzFunction, tol: float = 1e-12)
     every probe and its value come from one walk of f's trie in lockstep
     with the output's, so the check is linear in trie nodes.
     """
-    f = f.canonicalize()
     sup: Supremum = f.sup_and_argmax()
     g = apply_bessel(order, f)
     evaluated = tuple((x, -float(value.re)) for x, value in _argmax_probes(f, sup, g))

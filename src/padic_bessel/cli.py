@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -465,6 +466,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=None, help="override check tolerances")
     sp.set_defaults(run=run_verify)
 
+    # a token that starts with one '-' and is no option of the command is
+    # the value of the flag before it, as in '--t -inf'; argparse would take
+    # only a plain negative number so, and stop at the parser on the rest
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = re.compile("-[^-]")
     return parser
 
 

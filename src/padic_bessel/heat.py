@@ -19,9 +19,8 @@ forcing piece [a, b] is itself a radial multiplier, the integral of
 exp(-(t - s) * multiplier) over [a, b], in closed form
 (``forcing_multiplier``), so mild solutions carry no quadrature error; the
 pair (semigroup, initial datum) and one (multiplier, forcing) pair per piece
-make one ``linear_combination``.  The pairing of the function part with a test
-function is ``heat_kernel_multiplier`` on the same route, read at the
-origin, so no function here calls the Fourier transform.
+make one ``linear_combination``, so no function here calls the Fourier
+transform.
 """
 from __future__ import annotations
 
@@ -33,8 +32,6 @@ from typing import Callable, Iterator, Sequence, Union
 
 from padic_bessel.padic import (
     ZERO_NORM,
-    ExactComplex,
-    PAdicVector,
     PrimeContext,
     shell_measure,
 )
@@ -137,8 +134,10 @@ def default_depth(t: float, order: BesselOrder, tol: float = 1e-13) -> int:
 
 
 def z_origin_limit(t: float, order: BesselOrder) -> float:
-    """Limit of the shell values toward the origin (converged sum)."""
-    return z_closed(default_depth(t, order, tol=1e-18), t, order)
+    """Limit of the shell values toward the origin (converged sum).  The
+    tail envelope is proportional to t, as the limit is for small t, so the
+    tolerance scales with min(1, t)."""
+    return z_closed(default_depth(t, order, tol=1e-18 * min(1.0, t)), t, order)
 
 
 def heat_kernel_multiplier(t: float, order: BesselOrder) -> RadialMultiplier:
@@ -170,10 +169,11 @@ def z_mass(t: float, order: BesselOrder) -> float:
 
     Swapping the shell and telescoping indices turns the double sum into
     the plain series sum_i (E_i - E_{i+1}), summed here term by term to the
-    certified depth.
+    certified depth, whose tolerance scales with min(1, t), as the mass
+    does for small t.
     """
     _require_positive_time(t)
-    depth = default_depth(t, order)
+    depth = default_depth(t, order, tol=1e-13 * min(1.0, t))
     p = order.ctx.p
     alpha = order.alpha
     shrink = p ** (-alpha)
@@ -270,22 +270,6 @@ def convolution_defect(
         - z_closed(gamma, t2, order)
     )
     return abs(lhs - rhs), tail
-
-
-# -- distributional pairing ----------------------------------------------------
-
-
-def weak_pairing(t: float, phi: BruhatSchwartzFunction, order: BesselOrder) -> ExactComplex:
-    """Distributional pairing of the kernel's function part with phi.
-
-    The function part is the inverse transform of
-    ``heat_kernel_multiplier``, and it is radial, so the pairing is that
-    multiplier applied to phi on its digit trie and read at the origin.
-    The full kernel pairs to phi(0) plus this value and tends to phi(0) as
-    t drops to 0.
-    """
-    _require_positive_time(t)
-    return heat_kernel_multiplier(t, order).apply(phi).evaluate(PAdicVector.zero(order.ctx))
 
 
 # -- evolution ------------------------------------------------------------------
@@ -409,7 +393,7 @@ def solve_cauchy(
     if not t >= 0:
         raise ValueError(f"time t = {t} must be nonnegative")
     if t == 0:
-        return u0.canonicalize()
+        return u0
     return semigroup_multiplier(t, order).apply(u0)
 
 

@@ -438,10 +438,9 @@ class Ball:
     """The ball {x : ||x - center||_p <= p**radius_exp}.
 
     Two balls over one context are disjoint, equal, or nested; membership
-    and all relations are exact.  ``known_canonical`` records that the
-    center is already the reduced representative (digit constructions
-    preserve this), sparing the reduction on hot paths; it never affects
-    equality.
+    is exact.  ``known_canonical`` records that the center is already the
+    reduced representative (digit constructions preserve this), sparing the
+    reduction on hot paths; it never affects equality.
     """
 
     center: PAdicVector
@@ -471,15 +470,6 @@ class Ball:
 
     def contains(self, x: PAdicVector) -> bool:
         return (x - self.center).norm_exp <= self.radius_exp
-
-    def relation(self, other: "Ball") -> str:
-        """One of 'disjoint', 'equal', 'contains', 'inside'."""
-        d = (self.center - other.center).norm_exp
-        if d > max(self.radius_exp, other.radius_exp):
-            return "disjoint"
-        if self.radius_exp == other.radius_exp:
-            return "equal"
-        return "contains" if self.radius_exp > other.radius_exp else "inside"
 
 
 def ball_measure(radius_exp: int, ctx: PrimeContext) -> Fraction:

@@ -1,17 +1,18 @@
 """Test functions on Q_p^n: finite complex combinations of ball indicators.
 
-A locally constant, compactly supported function is stored as a list of
-(coefficient, ball) terms.  ``canonicalize`` rewrites any term list into the
-unique coarsest partition of a covering ball into sub-balls on which the
-function is constant, its cells.  The canonical function keeps its
-``DigitTrie``: one node per ball on which it is not constant.  Every
-canonical function is built by one walk (``_combine_tries``) that follows
-one digit path in the tries of all its parts at once and closes each node
-bottom-up, merging constant siblings (``_close_node``).  Sums, scalings and
-radial multipliers are one ``linear_combination`` of (m, f) pairs, m a
-weight or a multiplier, whose parts are the tries of canonical functions; a
-raw term list is one part, its terms inserted down their digit paths into
-a trie of the same shape (``_raw_part``).
+A locally constant, compactly supported function is stored in canonical
+form: the unique coarsest partition of a covering ball into sub-balls on
+which the function is constant, its cells, as a tuple of (coefficient,
+ball) terms, with its ``DigitTrie``: one node per ball on which it is not
+constant.  Every function carries its trie; a term list given to the
+constructor is put in canonical form there.  Every function is built by one
+walk (``_combine_tries``) that follows one digit path in the tries of all
+its parts at once and closes each node bottom-up, merging constant siblings
+(``_close_node``).  Sums, scalings and radial multipliers are one
+``linear_combination`` of (m, f) pairs, m a weight or a multiplier, whose
+parts are the tries of their functions; a raw term list is one part, its
+terms inserted down their digit paths into a trie of the same shape
+(``_raw_part``).
 
 Queries read the trie too, never scanning the cells: ``evaluate`` walks one
 path, down the digits of the point, and ``ball_integral`` the path of the
@@ -39,7 +40,6 @@ from typing import Optional, Sequence, Union
 
 from padic_bessel.padic import (
     EC_ZERO,
-    ZERO_NORM,
     Ball,
     ExactComplex,
     Number,
@@ -100,13 +100,34 @@ class DigitTrie:
         return kid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BruhatSchwartzFunction:
+    """A test function in canonical form: its cells as (coefficient, ball)
+    terms, with its digit trie.
+
+    ``BruhatSchwartzFunction(ctx, terms)`` takes any term list and puts it
+    in canonical form: the terms are inserted down their digit paths into a
+    trie rooted at a ball around 0 covering every term (``_raw_part``), and
+    one walk of it carries the accumulated value of each path down and
+    merges the sibling groups that agree back into their parent
+    (``_combine_tries``).  So == and hash compare functions, not the way
+    their terms were written.
+    """
+
     ctx: PrimeContext
     terms: tuple
-    # the trie of the canonical form, set on exactly the canonical functions
-    # by the walk that built them; it never enters ==, repr or hash
-    trie: Optional[DigitTrie] = field(default=None, compare=False, repr=False)
+    # the trie of the canonical form; it never enters ==, repr or hash
+    trie: DigitTrie = field(compare=False, repr=False)
+
+    def __init__(self, ctx: PrimeContext, terms: Sequence[tuple], trie: Optional[DigitTrie] = None):
+        """The function of ``terms``; a trie is given only by the walks that
+        built ``terms`` as its canonical cells."""
+        if trie is None:
+            canonical = _combine_tries(ctx, [_raw_part(terms, ctx)])
+            terms, trie = canonical.terms, canonical.trie
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "trie", trie)
 
     # -- constructors ------------------------------------------------------
 
@@ -117,7 +138,7 @@ class BruhatSchwartzFunction:
     @classmethod
     def indicator(cls, ball: Ball, coeff: Union[Number, ExactComplex] = 1) -> "BruhatSchwartzFunction":
         c = coeff if isinstance(coeff, ExactComplex) else ExactComplex(coeff, 0)
-        return cls(ball.ctx, ((c, ball.canonical()),)).canonicalize()
+        return cls(ball.ctx, ((c, ball),))
 
     @classmethod
     def unit_ball(cls, ctx: PrimeContext) -> "BruhatSchwartzFunction":
@@ -130,10 +151,9 @@ class BruhatSchwartzFunction:
         """Value at x, read off one path of the digit trie: x * p**R has
         its digits from one modular inverse of the p-free part of each
         denominator (``_digit_indices``), and a point outside B(0, p**R)
-        reads 0.  O(trie depth) for canonical f; any other f is brought to
-        canonical form first."""
+        reads 0.  O(trie depth)."""
         check_context(x.ctx, self.ctx)
-        trie = self.digit_trie()
+        trie = self.trie
         node = trie.root
         if node is None:
             return EC_ZERO
@@ -146,7 +166,7 @@ class BruhatSchwartzFunction:
 
     @property
     def is_zero(self) -> bool:
-        return not self.canonicalize().terms
+        return not self.terms
 
     @property
     def is_real(self) -> bool:
@@ -155,15 +175,6 @@ class BruhatSchwartzFunction:
     @property
     def is_exact(self) -> bool:
         return all(c.is_exact for c, _ in self.terms)
-
-    def support_norm_exp(self) -> Union[int, float]:
-        """Exponent L with supp(f) inside the ball of radius p**L at 0."""
-        f = self.canonicalize()
-        if not f.terms:
-            return ZERO_NORM
-        return max(
-            max(ball.radius_exp, ball.center.norm_exp) for _, ball in f.terms
-        )
 
     # -- algebra -----------------------------------------------------------
 
@@ -183,28 +194,14 @@ class BruhatSchwartzFunction:
         """The function x -> f(-x)."""
         return BruhatSchwartzFunction(
             self.ctx, tuple((c, Ball(-b.center, b.radius_exp)) for c, b in self.terms)
-        ).canonicalize()
+        )
 
     # -- canonical form ----------------------------------------------------
 
     def canonicalize(self) -> "BruhatSchwartzFunction":
-        """Equivalent function on pairwise-disjoint maximal constant balls.
-
-        The terms are inserted down their digit paths into a trie rooted at
-        a ball around 0 covering every term (``_raw_part``), and one walk of
-        it carries the accumulated value of each path down and merges the
-        sibling groups that agree back into their parent (``_combine_tries``),
-        so the result is the coarsest disjoint form and the map is
-        idempotent.  The walk's trie is kept as the result's ``trie``, and a
-        function that carries a trie is canonical.
-        """
-        if self.trie is not None:
-            return self
-        return _combine_tries(self.ctx, [_raw_part(self.terms, self.ctx)])
-
-    def digit_trie(self) -> DigitTrie:
-        """The trie of the canonical form."""
-        return self.canonicalize().trie
+        """The function itself: every function is built in canonical form,
+        on pairwise-disjoint maximal constant balls."""
+        return self
 
     # -- integration -------------------------------------------------------
 
@@ -225,7 +222,7 @@ class BruhatSchwartzFunction:
         radius is the region, whose integral is its cells' masses.
         """
         check_context(region.ctx, self.ctx)
-        trie = self.digit_trie()
+        trie = self.trie
         node = trie.root
         s = region.radius_exp
         indices = _digit_indices(region.center, max(s, trie.radius), self.ctx.p)
@@ -253,7 +250,7 @@ class BruhatSchwartzFunction:
         adds its terms in cell order.
         """
         check_context(self.ctx, other.ctx)
-        f, g = self.digit_trie(), other.digit_trie()
+        f, g = self.trie, other.trie
         radius = min(f.radius, g.radius)
         n = self.ctx.n
         total = EC_ZERO
@@ -294,7 +291,7 @@ class BruhatSchwartzFunction:
         multiplies the root; the result is inf only where the norm itself
         is past the float range.
         """
-        cells = self.canonicalize().terms
+        cells = self.terms
         try:
             total = sum((c.abs2() * ball.measure for c, ball in cells), 0)
         except OverflowError:  # a float square times a measure past the float range
@@ -308,7 +305,7 @@ class BruhatSchwartzFunction:
         return root
 
     def sup_norm(self) -> float:
-        return max((abs(c) for c, _ in self.canonicalize().terms), default=0.0)
+        return max((abs(c) for c, _ in self.terms), default=0.0)
 
     # -- suprema -----------------------------------------------------------
 
@@ -319,11 +316,10 @@ class BruhatSchwartzFunction:
         supremum is max(0, cell values); when it is 0 the witness cell is
         None, marking the off-support region.
         """
-        f = self.canonicalize()
-        if not f.is_real:
+        if not self.is_real:
             raise ValueError("sup_and_argmax requires a real-valued function")
         best, best_cell = EC_ZERO, None
-        for c, ball in f.terms:
+        for c, ball in self.terms:
             if _real_part_above(c, best):
                 best, best_cell = c, ball
         return Supremum(best.re, best_cell)
@@ -564,8 +560,8 @@ def root_of_square(total: Number) -> float:
 
 def haar_energy(f: BruhatSchwartzFunction, values: Sequence, drops: Sequence) -> Number:
     """<m(D) f, f> for a radial multiplier m, read off f's digit trie with
-    no output built: ``RadialMultiplier.part(f)`` gives f canonical, the
-    shell values m(0..depth) and the drops m(k) - m(k+1) taken here.
+    no output built: ``RadialMultiplier.part(f)`` gives the shell values
+    m(0..depth) and the drops m(k) - m(k+1) taken here.
 
     m is diagonal in the Haar basis of the trie (``RadialMultiplier``), so
     the pairing is the sum over the nodes of m(level) times the squared L2
@@ -581,7 +577,7 @@ def haar_energy(f: BruhatSchwartzFunction, values: Sequence, drops: Sequence) ->
     times p**n.
     """
     cells: list = []
-    nodes = _node_sums(f.digit_trie(), cells)
+    nodes = _node_sums(f.trie, cells)
     power = f.ctx.p_power
     n = f.ctx.n
     squares: dict = {}  # radius -> sum of |c|**2 over the cells of that radius
@@ -601,8 +597,7 @@ def haar_energy(f: BruhatSchwartzFunction, values: Sequence, drops: Sequence) ->
 def read_leaves(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction, keep) -> list:
     """(x, g(x)) for the center x of each leaf of f's digit trie that
     ``keep(leaf, r)`` accepts, r the radius exponent of the leaf's ball: one
-    walk of f's trie in lockstep with g's, for canonical f and g over one
-    context.
+    walk of f's trie in lockstep with g's, for f and g over one context.
 
     A leaf is a cell (value, ball) of f, or None where f is 0; a trie that
     is one cell or None is its own leaf, centered at 0.  Leaves come in
@@ -613,10 +608,10 @@ def read_leaves(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction, keep) -> l
     down the zero digits.  Only the centers of kept zero leaves are built.
     """
     ctx = f.ctx
-    trie = f.digit_trie()
+    trie = f.trie
     radius = trie.radius
     width = len(_digit_tuples(ctx.p, ctx.n))
-    g_trie = g.digit_trie()
+    g_trie = g.trie
     if radius <= g_trie.radius:
         g_top = g_trie.zero_descendant(radius)
     else:  # lifted to f's root, the rest of which g leaves at 0
@@ -851,9 +846,8 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzF
 def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
     """The sum of m f over (m, f) pairs, canonical and with its trie: one
     lockstep walk of the parts' tries (``_combine_tries``).  A weight m (a
-    number or an ExactComplex) is the constant multiplier (m,), and an f
-    without a trie enters as its canonical form; any other m is a radial
-    multiplier, whose ``m.part(f)`` is its (f, values, drops), the drops
+    number or an ExactComplex) is the constant multiplier (m,); any other m
+    is a radial multiplier, whose ``m.part(f)`` is its (f, values, drops), the drops
     entering as node shares (``_node_drops``)."""
     if not pairs:
         raise ValueError("empty combination")
@@ -866,7 +860,7 @@ def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
             f, values, drops = m.part(f)
             parts.append((f.trie, values, _node_drops(f.trie, drops)))
         else:
-            parts.append(((f if f.trie is not None else f.canonicalize()).trie, (m,), None))
+            parts.append((f.trie, (m,), None))
     return _combine_tries(ctx, parts)
 
 
@@ -926,7 +920,7 @@ def random_test_function(
         re = rng.randint(-bound, bound)
         im = rng.randint(-bound, bound) if config.complex_coeffs else 0
         terms.append((ExactComplex.from_gaussian(re, im, d), ball))
-    return BruhatSchwartzFunction(ctx, tuple(terms)).canonicalize()
+    return BruhatSchwartzFunction(ctx, tuple(terms))
 
 
 # -- serialization -----------------------------------------------------------
@@ -960,7 +954,6 @@ def serialize(f: BruhatSchwartzFunction) -> str:
     (``sys.get_int_max_str_digits()``) raises ValueError naming its field;
     the limit itself is left as it is.
     """
-    f = f.canonicalize()
     terms = []
     for i, (c, ball) in enumerate(f.terms):
         try:

@@ -119,13 +119,12 @@ class RadialMultiplier:
     def part(self, f: BruhatSchwartzFunction) -> tuple:
         """m(D) f as the part (f, values, drops) that
         ``schwartz.linear_combination`` applies for the pair (self, f), and
-        whose Haar energy <m(D) f, f> ``schwartz.haar_energy`` sums: f
-        canonical, the shell values m(0..depth) and the drops down to f's
-        smallest cells, as new lists: copies from the table when it reaches
-        depth, else computed and the shells down to SHELLS_CACHED kept, so
-        deep inputs cannot grow it."""
+        whose Haar energy <m(D) f, f> ``schwartz.haar_energy`` sums: f, the
+        shell values m(0..depth) and the drops down to f's smallest cells,
+        as new lists: copies from the table when it reaches depth, else
+        computed and the shells down to SHELLS_CACHED kept, so deep inputs
+        cannot grow it."""
         check_context(f.ctx, self.ctx)
-        f = f.canonicalize()
         depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
         table = self._table
         if table is not None and len(table[0]) > depth:
@@ -181,7 +180,6 @@ def _shifted(phase: Fraction, eta: PAdicVector, a: PAdicVector) -> Fraction:
 
 def modulated_terms(f: BruhatSchwartzFunction) -> tuple:
     """The canonical cells of f as unmodulated terms with phase 0."""
-    f = f.canonicalize()
     zero = PAdicVector.zero(f.ctx)
     return tuple(ModulatedTerm(c, Fraction(0), zero, ball) for c, ball in f.terms)
 
@@ -295,7 +293,7 @@ def expand(ctx: PrimeContext, terms) -> BruhatSchwartzFunction:
             continue
         phase = _shifted(phase, eta, ball.center)
         out.append((c * character_from_phase(phase) if phase else c, ball.canonical()))
-    return BruhatSchwartzFunction(ctx, tuple(out)).canonicalize()
+    return BruhatSchwartzFunction(ctx, tuple(out))
 
 
 def _modulated_cells(term: ModulatedTerm, rho: int) -> list:

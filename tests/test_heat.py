@@ -38,7 +38,6 @@ from padic_bessel.heat import (
     solve_cauchy,
     tail_envelope,
     tail_envelopes,
-    weak_pairing,
     z_closed,
     z_mass,
     z_oracle,
@@ -46,6 +45,7 @@ from padic_bessel.heat import (
     z_shells,
     z_value,
 )
+from conftest import weak_pairing
 
 C21 = PrimeContext(2, 1)
 ORDER = BesselOrder(2.0, C21)
@@ -155,6 +155,19 @@ def test_z_mass_direct_route_agrees():
     for t in (0.1, 1.0, 10.0):
         direct = z_mass_direct(t, ORDER, depth=45)
         assert abs(direct - math.expm1(-t)) <= 1e-10
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+@pytest.mark.parametrize("t", [1e-14, 1e-300])
+def test_mass_and_origin_limit_keep_their_relative_accuracy_at_small_time(p, n, alpha, t):
+    # the tail envelope is proportional to t: under an absolute tolerance of
+    # 1e-13 both sums once stopped at shell 0, and the mass read 25% short
+    # at (2, 1, 2)
+    order = BesselOrder(alpha, PrimeContext(p, n))
+    mass = math.expm1(-t)
+    assert abs(z_mass(t, order) - mass) <= 1e-13 * abs(mass)
+    limit = z_closed(200, t, order)
+    assert abs(z_origin_limit(t, order) - limit) <= 1e-12 * abs(limit)
 
 
 @pytest.mark.parametrize("p,n,alpha", GRID + [(2, 1, 1.01), (7, 3, 3.2)])

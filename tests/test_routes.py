@@ -54,9 +54,9 @@ from padic_bessel.heat import (
     duhamel,
     semigroup_multiplier,
     solve_cauchy,
-    weak_pairing,
 )
 from padic_bessel.spectral import RadialMultiplier, fourier, inverse_fourier, multiply_radial
+from conftest import weak_pairing
 
 LAM = Fraction(1, 2)
 T = 0.7

@@ -22,7 +22,7 @@ from padic_bessel.bessel import (
     symbol_multiplier,
 )
 from padic_bessel.heat import EvolutionProblem, duhamel, forcing_multiplier, semigroup_multiplier, solve_cauchy
-from padic_bessel.spectral import ModulatedTerm, RadialMultiplier, expand
+from padic_bessel.spectral import ModulatedTerm, RadialMultiplier, expand, fourier, inverse_fourier
 from padic_bessel.padic import (
     EC_ZERO,
     ZERO_NORM,
@@ -44,7 +44,15 @@ from padic_bessel.schwartz import (
     random_test_function,
     serialize,
 )
-from conftest import ball_integral_by_scan, digit_children, evaluate_by_scan, tree_canonical_form, tree_combination
+from conftest import (
+    ball_integral_by_scan,
+    digit_children,
+    evaluate_by_scan,
+    relation,
+    support_norm_exp,
+    tree_canonical_form,
+    tree_combination,
+)
 from test_routes import concentric_terms
 
 C21 = PrimeContext(2, 1)
@@ -134,7 +142,7 @@ def test_canonicalize_idempotent_and_disjoint(seed):
     assert f.canonicalize() == f
     for i, (_, b1) in enumerate(f.terms):
         for _, b2 in f.terms[i + 1 :]:
-            assert b1.relation(b2) == "disjoint"
+            assert relation(b1, b2) == "disjoint"
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -476,7 +484,7 @@ def test_support_and_constancy_metadata():
     f = BruhatSchwartzFunction.indicator(Ball(zero, 1)) + BruhatSchwartzFunction.indicator(
         Ball(PAdicVector.of(C21, Fraction(1, 4)), -2), 5
     )
-    assert f.support_norm_exp() == 2
+    assert support_norm_exp(f) == 2
     assert min_radius_exp(f) == -2
     assert min_radius_exp(BruhatSchwartzFunction.zero(C21)) is None
 
@@ -759,21 +767,125 @@ def test_a_sum_that_cancels_its_widest_part_leaves_no_wide_trie():
 
 def test_the_trie_is_invisible():
     """repr, == and serialize of a canonical function, which the benchmark
-    fingerprints, do not see whether it carries its trie; a function built
-    from canonical cells by hand builds its own on first use."""
+    fingerprints, do not see its trie; a function built from canonical
+    cells by hand builds the same trie in its constructor."""
     order = BesselOrder(3.0, C32)
     f = random_test_function(3, C32, RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True))
     bare = BruhatSchwartzFunction(f.ctx, f.terms)
-    assert f.trie is not None and bare.trie is None
+    assert f.trie is not None and bare.trie is not f.trie and bare.trie == f.trie
     before = (repr(f), hash(f), serialize(f))
     assert f == bare and (repr(bare), hash(bare), serialize(bare)) == before
     f.inner_product(bare)
     outputs = [apply_bessel(order, f) for _ in range(3)] + [apply_bessel(order, bare)]
     assert (repr(f), hash(f), serialize(f)) == before
     assert len({repr(u) for u in outputs}) == 1
-    assert bare.trie is None and bare.digit_trie() == f.digit_trie()
+    assert bare.trie == f.trie and bare.canonicalize() is bare
     u = outputs[0]
     assert u == u.canonicalize() and serialize(u) == serialize(BruhatSchwartzFunction(u.ctx, u.terms))
+
+
+def indicator_terms(rng, ctx):
+    """A seeded raw term list of 2-5 pieces: a ball and one inside it, in
+    either order; zero coefficients, exact and float; two terms on one ball,
+    written with two centers, whose imaginary parts cancel; and the p**n
+    children of Z_p^n with one coefficient.  Every part is dyadic, so a sum
+    with a float part does not depend on the order it is taken in."""
+    p, n = ctx.p, ctx.n
+
+    def ball(r):
+        coords = tuple(Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2)) for _ in range(n))
+        return Ball(PAdicVector(coords, ctx), r)
+
+    def inside(outer, r):
+        """Another center of the ball outer, and a ball of radius p**r there."""
+        step = tuple(Fraction(rng.randint(-5, 5)) * ctx.p_power(-outer.radius_exp) for _ in range(n))
+        return Ball(outer.center + PAdicVector(step, ctx), r)
+
+    def coeff(im=None):
+        re = rng.choice([Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4])), rng.choice([0.5, -1.25, 2.0])])
+        if im is None:
+            im = rng.choice([0, Fraction(rng.randint(-2, 2), 4), 0.75])
+        return ExactComplex(re, im)
+
+    terms = []
+    for _ in range(rng.randint(2, 5)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            outer = ball(rng.randint(-2, 2))
+            pair = [(coeff(), outer), (coeff(), inside(outer, outer.radius_exp - rng.randint(1, 3)))]
+            terms += pair if rng.random() < 0.5 else pair[::-1]
+        elif kind == 1:
+            terms.append((ExactComplex(rng.choice([0, 0.0, Fraction(0)]), 0), ball(rng.randint(-3, 2))))
+        elif kind == 2:
+            b = ball(rng.randint(-2, 2))
+            im = rng.choice([Fraction(rng.randint(1, 6), 4), 0.5])
+            terms += [(coeff(im), b), (coeff(-im), inside(b, b.radius_exp))]
+        else:
+            c = coeff()
+            terms += [(c, child) for child in digit_children(Ball(PAdicVector.zero(ctx), 0))]
+    rng.shuffle(terms)
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("p,n,alpha", GRID)
+def test_a_raw_term_list_is_the_sum_of_its_indicators(p, n, alpha):
+    # the constructor puts any term list in canonical form, so == and hash
+    # compare functions, and is_real, is_exact and is_zero read the function
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"indicators:{p}:{n}")
+    unit = Ball(PAdicVector.zero(ctx), 0)
+    halves = tuple((ExactComplex(1, 0), child) for child in digit_children(unit))
+    ball = Ball(PAdicVector.of(ctx, *[Fraction(1, p)] * n), -1)
+    cases = [
+        halves,
+        ((ExactComplex(1, 1), ball), (ExactComplex(1, -1), ball)),
+        ((ExactComplex(0, 0), unit), (ExactComplex(0.0, 0), ball)),
+    ] + [indicator_terms(rng, ctx) for _ in range(60)]
+    for terms in cases:
+        f = BruhatSchwartzFunction(ctx, terms)
+        total = BruhatSchwartzFunction.zero(ctx)
+        for c, b in terms:
+            total = total + BruhatSchwartzFunction.indicator(b, c)
+        assert f == total and hash(f) == hash(total)
+        assert (f.is_real, f.is_exact, f.is_zero) == (total.is_real, total.is_exact, total.is_zero)
+        assert f.trie == total.trie
+        other = total + BruhatSchwartzFunction.indicator(Ball(PAdicVector.zero(ctx), -5))
+        assert f != other
+    assert BruhatSchwartzFunction(ctx, halves) == BruhatSchwartzFunction.unit_ball(ctx)
+    assert BruhatSchwartzFunction(ctx, cases[1]).is_real
+    assert BruhatSchwartzFunction(ctx, cases[2]) == BruhatSchwartzFunction.zero(ctx)
+
+
+def test_every_builder_returns_a_canonical_function_with_its_trie():
+    order = BesselOrder(2.5, C32)
+    cfg = RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)
+    f = random_test_function(5, C32, cfg)
+    g = BruhatSchwartzFunction(C32, random_terms(random.Random(5), C32, 4, (1, 3, 9), True))
+    problem = EvolutionProblem(u0=g, horizon=1.0, forcing=((0.0, f), (0.5, g)))
+    builders = {
+        "constructor": lambda: BruhatSchwartzFunction(C32, f.terms),
+        "indicator": lambda: BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C32, Fraction(1, 3), 2), -2), 3),
+        "unit_ball": lambda: BruhatSchwartzFunction.unit_ball(C32),
+        "zero": lambda: BruhatSchwartzFunction.zero(C32),
+        "random_test_function": lambda: random_test_function(6, C32, cfg),
+        "deserialize": lambda: deserialize(serialize(g)),
+        "fourier": lambda: fourier(g),
+        "inverse_fourier": lambda: inverse_fourier(g),
+        "reflect": g.reflect,
+        "+": lambda: f + g,
+        "-": lambda: f - g,
+        "scale": lambda: g.scale(ExactComplex(0, 1)),
+        "apply_bessel": lambda: apply_bessel(order, g),
+        "resolvent": lambda: resolvent(order, Fraction(1, 2), g),
+        "solve_cauchy": lambda: solve_cauchy(g, 0.7, order),
+        "solve_cauchy at t = 0": lambda: solve_cauchy(g, 0.0, order),
+    }
+    for t, u in zip((0.0, 0.3, 1.0), duhamel(problem, order, [0.0, 0.3, 1.0])):
+        builders[f"duhamel at t = {t}"] = lambda u=u: u
+    for name, build in builders.items():
+        u = build()
+        assert u.trie is not None and u.canonicalize() is u, name
+        assert u == BruhatSchwartzFunction(C32, u.terms), name
 
 
 @pytest.mark.parametrize("p,n,alpha", GRID)
@@ -805,12 +917,13 @@ def test_haar_combination_is_the_sum_of_its_applied_parts(p, n, alpha):
 
 
 def test_haar_combination_puts_a_part_with_drops_in_canonical_form():
-    # 1_{B(0, 2^-3)} built raw, without a trie: the multiplier's drops must
-    # still apply, giving the four cells of the operator applied to it
+    # 1_{B(0, 2^-3)} built from a raw term list, which the constructor puts
+    # in canonical form with its trie: the multiplier's drops apply, giving
+    # the four cells of the operator applied to it
     order = BesselOrder(2.0, C21)
     zero = PAdicVector.zero(C21)
     f = BruhatSchwartzFunction(C21, ((ExactComplex(1, 0), Ball(zero, -3)),))
-    assert f.trie is None
+    assert f.trie is not None and f.canonicalize() is f
     got = linear_combination([(symbol_multiplier(order), f)])
     assert sorted(c.re for c, _ in got.terms) == [
         Fraction(3, 32), Fraction(9, 64), Fraction(21, 128), Fraction(23, 128)
@@ -906,7 +1019,6 @@ def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
     g = random_test_function(6, C32, cfg)
     real = random_test_function(7, C32, RandomFunctionConfig(4, -2, 2, den_pow_max=1))
     problem = EvolutionProblem(u0=f, horizon=1.0, forcing=((0.0, g), (0.3, real), (0.6, f)))
-    raw = BruhatSchwartzFunction(C32, f.terms)
     text = serialize(f)
     combine_tries, raw_part = schwartz._combine_tries, schwartz._raw_part
     walks, inserted = [], []
@@ -940,7 +1052,7 @@ def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
     assert inserted == []
     modulated = ModulatedTerm(ExactComplex(1, 0), Fraction(0), PAdicVector.of(C32, Fraction(1, 9), 0), Ball(PAdicVector.zero(C32), 0))
     for build in (
-        raw.canonicalize,
+        lambda: BruhatSchwartzFunction(C32, f.terms),
         lambda: deserialize(text),
         lambda: random_test_function(5, C32, cfg),
         lambda: expand(C32, [modulated]),
@@ -955,8 +1067,8 @@ def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
     want = f.scale(2)
     walks.clear()
     inserted.clear()
-    assert raw.trie is None and raw.scale(2) == want
-    assert walks == [1, 1] and inserted == [raw.terms]
+    assert BruhatSchwartzFunction(C32, f.terms).scale(2) == want
+    assert walks == [1, 1] and inserted == [f.terms]
 
 
 def raw_term_list(rng, ctx):
@@ -1009,13 +1121,13 @@ def test_raw_canonical_form_is_the_tree_route_bit_for_bit(p, n):
     ctx = PrimeContext(p, n)
     rng = random.Random(f"raw:{p}:{n}")
     for _ in range(150):
-        f = BruhatSchwartzFunction(ctx, raw_term_list(rng, ctx))
-        got, want = f.canonicalize(), tree_canonical_form(f)
+        terms = raw_term_list(rng, ctx)
+        got, want = BruhatSchwartzFunction(ctx, terms), tree_canonical_form(ctx, terms)
         assert [coefficient_key(c) for c, _ in got.terms] == [coefficient_key(c) for c, _ in want.terms]
         assert [ball for _, ball in got.terms] == [ball for _, ball in want.terms]
         assert got.trie.radius == want.trie.radius
         assert trie_shape(got.trie.root) == trie_shape(want.trie.root)
-        assert schwartz._cell_count(schwartz._raw_part(f.terms, ctx)) == len(want.terms) == len(got.terms)
+        assert schwartz._cell_count(schwartz._raw_part(terms, ctx)) == len(want.terms) == len(got.terms)
 
 
 # -- pointwise queries on the digit trie against the cell scans ----------------
@@ -1055,7 +1167,7 @@ def query_points(ctx, f, rng):
             step = PAdicVector.of(ctx, *[shift * rng.randint(-1, 1) for _ in range(n - 1)], shift)
             points.append(ball.center + step)
         points.append(-ball.center)
-    radius = f.digit_trie().radius
+    radius = f.trie.radius
     points.append(PAdicVector.of(ctx, *[Fraction(1, p ** (radius + 1))] * n))
     points.append(PAdicVector.of(ctx, *([0] * (n - 1)), Fraction(-7, p ** (radius + 3))))
     return points
@@ -1086,7 +1198,7 @@ def test_ball_integral_reads_the_trie_as_the_relation_scan_does(p, n, alpha):
 
 def test_ball_integral_of_regions_around_the_root():
     f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(1, 4)), -3), 3) + omega()
-    assert f.digit_trie().radius == 2
+    assert f.trie.radius == 2
     for x, r in ((0, 2), (0, 9), (Fraction(1, 8), 3), (Fraction(1, 8), 2), (Fraction(1, 16), 9), (5, -1)):
         region = Ball(PAdicVector.of(C21, x), r)
         assert f.ball_integral(region) == ball_integral_by_scan(f, region)

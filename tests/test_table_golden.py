@@ -57,8 +57,8 @@ GOLDEN = {
     ('heat', 7, 1, 60.0, 1100, 0.7): "4e92224674eb4efeaaf9309f81ab7837a54fe9fdc03229114b81b7198679db48",
     ('kernel', 7, 1, 60.0, 365, None): "797ae833b298ca293daa7bdd05229faedd15586090558d216a8370e7211e83c9",
     ('heat', 7, 1, 60.0, 365, 0.7): "3bbe07c6740162030ce5cb50e8edaf53bd36447f9615ebb9cdfee28835a65d6f",
-    ('heat', 2, 1, 2.0, 320, 1e-300): "3cb21d2b0344d64427e96ab868b601ba7b0ef24fe7c9a6e8a13fbd62decec8c2",
-    ('heat', 3, 2, 2.5, 320, 1e-300): "ecd3cdc1290fc825b0666054cbcd4e52fd1304c05c200a4ea190af6a74e72a39",
+    ('heat', 2, 1, 2.0, 320, 1e-300): "0064c24c21fddf8e885679e0a113526eb711ccba88c9cc39f69448f9a3ebfe2f",
+    ('heat', 3, 2, 2.5, 320, 1e-300): "80ec737301e2a90f525c22182e499cd6f1fc842e749b79e167b7cc172cad2bb4",
     ('heat', 2, 1, 2.0, 320, 1e+200): "724b01b2c21284a36b584ab40caa0b09b252a0124d91cf73410efdcf42c504ba",
     ('heat', 3, 2, 2.5, 320, 1e+200): "7b2022badda42f8749f03328a91cefdd248c5a100e95ad8fc935a43f59fed830",
 }
