@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Union
@@ -31,6 +30,8 @@ from padic_bessel.padic import (
     Number,
     PAdicVector,
     PrimeContext,
+    frozen_delattr,
+    frozen_setattr,
 )
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
@@ -49,30 +50,42 @@ from padic_bessel.spectral import RadialMultiplier
 MAX_ORDER_BITS = 2**14
 
 
-@dataclass(frozen=True)
 class BesselOrder:
     """Order alpha of the operator, constrained to a finite alpha > n with
     alpha * log2(p) at most MAX_ORDER_BITS.
 
     The constraint alpha > n makes the kernel prefactor negative, which is
     what the sign analysis of the kernel and the heat profile rests on.
+    Immutable; == and hash compare (alpha, ctx), the key of the multiplier
+    caches.
     """
 
-    alpha: float
-    ctx: PrimeContext
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"order alpha = {self.alpha} must be finite")
-        if not self.alpha > self.ctx.n:
-            raise ValueError(
-                f"order alpha = {self.alpha} must exceed the dimension n = {self.ctx.n}"
-            )
+    def __init__(self, alpha: float, ctx: PrimeContext) -> None:
+        if not math.isfinite(alpha):
+            raise ValueError(f"order alpha = {alpha} must be finite")
+        if not alpha > ctx.n:
+            raise ValueError(f"order alpha = {alpha} must exceed the dimension n = {ctx.n}")
         # decided on floats, without building p**alpha
-        if self.alpha * math.log2(self.ctx.p) > MAX_ORDER_BITS:
+        if alpha * math.log2(ctx.p) > MAX_ORDER_BITS:
             raise ValueError(
-                f"order alpha = {self.alpha} is over the bound alpha * log2(p) <= {MAX_ORDER_BITS} at p = {self.ctx.p}"
+                f"order alpha = {alpha} is over the bound alpha * log2(p) <= {MAX_ORDER_BITS} at p = {ctx.p}"
             )
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "ctx", ctx)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BesselOrder:
+            return NotImplemented
+        return (self.alpha, self.ctx) == (other.alpha, other.ctx)
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.ctx))
+
+    def __repr__(self) -> str:
+        return f"BesselOrder(alpha={self.alpha!r}, ctx={self.ctx!r})"
 
     @property
     def alpha_is_integer(self) -> bool:
@@ -328,7 +341,6 @@ def c0_dissipativity_margin(
     return shifted.sup_norm() - lam * f.sup_norm()
 
 
-@dataclass(frozen=True)
 class PmpReport:
     """Positive-maximum-principle check over the whole exact argmax set.
 
@@ -338,14 +350,41 @@ class PmpReport:
     meets them; ``worst`` is the largest of these, and ``passed`` says it
     does not exceed the tolerance.  The principle holds for nonnegative
     functions and fails on many sign-mixed ones, so ``passed`` is a verdict
-    on the input, not on the code.
+    on the input, not on the code.  Immutable; == and hash compare the five
+    fields.
     """
 
-    sup_value: Number
-    witness_cell: Optional[Ball]
-    probes: tuple
-    worst: float
-    passed: bool
+    def __init__(
+        self, sup_value: Number, witness_cell: Optional[Ball], probes: tuple, worst: float, passed: bool
+    ) -> None:
+        object.__setattr__(self, "sup_value", sup_value)
+        object.__setattr__(self, "witness_cell", witness_cell)
+        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "worst", worst)
+        object.__setattr__(self, "passed", passed)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PmpReport:
+            return NotImplemented
+        return (self.sup_value, self.witness_cell, self.probes, self.worst, self.passed) == (
+            other.sup_value,
+            other.witness_cell,
+            other.probes,
+            other.worst,
+            other.passed,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.sup_value, self.witness_cell, self.probes, self.worst, self.passed))
+
+    def __repr__(self) -> str:
+        return (
+            f"PmpReport(sup_value={self.sup_value!r}, witness_cell={self.witness_cell!r}, "
+            f"probes={self.probes!r}, worst={self.worst!r}, passed={self.passed!r})"
+        )
 
 
 def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum, g: BruhatSchwartzFunction) -> list:

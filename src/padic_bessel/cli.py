@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -165,6 +164,8 @@ def _transform_terms(f: BruhatSchwartzFunction, max_cells: int) -> tuple:
 
 
 def run_fourier(ns: argparse.Namespace) -> int:
+    import json
+
     if ns.max_cells < 1:
         raise ValueError(f"--max-cells {ns.max_cells} must be at least 1")
     f = _read_input(ns)[1]()
@@ -188,6 +189,8 @@ def run_fourier(ns: argparse.Namespace) -> int:
 def _load_forcing(path: str, ctx: PrimeContext) -> tuple:
     """The --forcing schedule as (time, function) pairs, each function
     refused before its canonical form is built when it is not on ctx."""
+    import json
+
     with open(path) as fh:
         obj = load_json(fh.read())
     if isinstance(obj, dict):

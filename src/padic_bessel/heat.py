@@ -25,7 +25,6 @@ transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 from typing import Callable, Iterator, Sequence, Union
@@ -33,6 +32,8 @@ from typing import Callable, Iterator, Sequence, Union
 from padic_bessel.padic import (
     ZERO_NORM,
     PrimeContext,
+    frozen_delattr,
+    frozen_setattr,
     shell_measure,
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
@@ -397,7 +398,6 @@ def solve_cauchy(
     return semigroup_multiplier(t, order).apply(u0)
 
 
-@dataclass(frozen=True)
 class EvolutionProblem:
     """Inhomogeneous Cauchy data: initial datum, stepwise forcing, horizon.
 
@@ -405,31 +405,53 @@ class EvolutionProblem:
     a step function of time, each function in force from its tag to the
     next; an empty schedule means the homogeneous problem.  ``steps`` (an
     even count, at least 2) is validated but not read: the forcing integral
-    is taken in closed form.
+    is taken in closed form.  Immutable; == and hash compare the four
+    fields.
     """
 
-    u0: BruhatSchwartzFunction
-    horizon: float
-    forcing: tuple = ()
-    steps: int = 64
-
-    def __post_init__(self) -> None:
-        if not self.horizon > 0:
-            raise ValueError(f"horizon = {self.horizon} must be positive")
-        if self.steps < 2 or self.steps % 2:
-            raise ValueError(f"steps = {self.steps} must be a positive even count")
-        times = [s for s, _ in self.forcing]
+    def __init__(
+        self, u0: BruhatSchwartzFunction, horizon: float, forcing: tuple = (), steps: int = 64
+    ) -> None:
+        if not horizon > 0:
+            raise ValueError(f"horizon = {horizon} must be positive")
+        if steps < 2 or steps % 2:
+            raise ValueError(f"steps = {steps} must be a positive even count")
+        times = [s for s, _ in forcing]
         if times != sorted(times):
             raise ScheduleError("forcing schedule must be sorted by time")
         if times and times[0] > 0:
-            raise ScheduleError(
-                f"forcing schedule starts at {times[0]} > 0, leaving a gap at the origin"
-            )
-        for s, f in self.forcing:
-            if f.ctx != self.u0.ctx:
+            raise ScheduleError(f"forcing schedule starts at {times[0]} > 0, leaving a gap at the origin")
+        for s, f in forcing:
+            if f.ctx != u0.ctx:
                 raise ValueError("forcing functions must share the initial datum's context")
-            if not 0 <= s < self.horizon:
+            if not 0 <= s < horizon:
                 raise ScheduleError(f"forcing tag {s} outside [0, horizon)")
+        object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "forcing", forcing)
+        object.__setattr__(self, "steps", steps)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not EvolutionProblem:
+            return NotImplemented
+        return (self.u0, self.horizon, self.forcing, self.steps) == (
+            other.u0,
+            other.horizon,
+            other.forcing,
+            other.steps,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.u0, self.horizon, self.forcing, self.steps))
+
+    def __repr__(self) -> str:
+        return (
+            f"EvolutionProblem(u0={self.u0!r}, horizon={self.horizon!r}, "
+            f"forcing={self.forcing!r}, steps={self.steps!r})"
+        )
 
 
 def duhamel(

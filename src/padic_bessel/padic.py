@@ -11,7 +11,6 @@ product takes its integer products and one gcd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -64,18 +63,49 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_setattr(self, name: str, value: object) -> None:
+    """``__setattr__`` of the immutable value classes, whose constructors
+    set each field once through ``object.__setattr__``."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def frozen_delattr(self, name: str) -> None:
+    """``__delattr__`` of the immutable value classes."""
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 class PrimeContext:
-    """The ambient space Q_p^n: a prime p and a dimension n >= 1."""
+    """The ambient space Q_p^n: a prime p and a dimension n >= 1.
 
-    p: int
-    n: int
+    Immutable; == and hash compare (p, n).
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ValueError(f"p = {self.p!r} is not a prime integer")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n = {self.n!r} must be a positive integer")
+    __slots__ = ("p", "n")
+
+    def __init__(self, p: int, n: int) -> None:
+        if not isinstance(p, int) or not is_prime(p):
+            raise ValueError(f"p = {p!r} is not a prime integer")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"dimension n = {n!r} must be a positive integer")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PrimeContext:
+            return NotImplemented
+        return (self.p, self.n) == (other.p, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n))
+
+    def __repr__(self) -> str:
+        return f"PrimeContext(p={self.p!r}, n={self.n!r})"
+
+    def __reduce__(self) -> tuple:
+        return PrimeContext, (self.p, self.n)
 
     def p_power(self, k: int) -> Fraction:
         """p**k as an exact rational (k may be negative), from a bounded
@@ -87,7 +117,7 @@ class PrimeContext:
 
 def check_context(ctx: PrimeContext, other: PrimeContext) -> None:
     """Raise ContextMismatchError unless the two contexts are equal, testing
-    identity first: ``!=`` on the frozen dataclass compares field tuples."""
+    identity first: ``!=`` compares the (p, n) tuples."""
     if ctx is not other and ctx != other:
         raise ContextMismatchError(f"{ctx} != {other}")
 
@@ -391,12 +421,34 @@ def character_from_phase(q: Fraction) -> ExactComplex:
     return ExactComplex(math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True, slots=True)
 class PAdicVector:
-    """A point of Q_p^n with exact rational coordinates."""
+    """A point of Q_p^n with exact rational coordinates.
 
-    coords: tuple
-    ctx: PrimeContext
+    Immutable; == and hash compare (coords, ctx).
+    """
+
+    __slots__ = ("coords", "ctx")
+
+    def __init__(self, coords: tuple, ctx: PrimeContext) -> None:
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "ctx", ctx)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PAdicVector:
+            return NotImplemented
+        return (self.coords, self.ctx) == (other.coords, other.ctx)
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.ctx))
+
+    def __repr__(self) -> str:
+        return f"PAdicVector(coords={self.coords!r}, ctx={self.ctx!r})"
+
+    def __reduce__(self) -> tuple:
+        return PAdicVector, (self.coords, self.ctx)
 
     @classmethod
     def of(cls, ctx: PrimeContext, *coords: Rational) -> "PAdicVector":
@@ -433,19 +485,39 @@ class PAdicVector:
         return PAdicVector(tuple(-a for a in self.coords), self.ctx)
 
 
-@dataclass(frozen=True, slots=True)
 class Ball:
     """The ball {x : ||x - center||_p <= p**radius_exp}.
 
     Two balls over one context are disjoint, equal, or nested; membership
     is exact.  ``known_canonical`` records that the center is already the
     reduced representative (digit constructions preserve this), sparing the
-    reduction on hot paths; it never affects equality.
+    reduction on hot paths; it never affects equality or repr.  Immutable;
+    == and hash compare (center, radius_exp).
     """
 
-    center: PAdicVector
-    radius_exp: int
-    known_canonical: bool = field(default=False, compare=False, repr=False)
+    __slots__ = ("center", "radius_exp", "known_canonical")
+
+    def __init__(self, center: PAdicVector, radius_exp: int, known_canonical: bool = False) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius_exp", radius_exp)
+        object.__setattr__(self, "known_canonical", known_canonical)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Ball:
+            return NotImplemented
+        return (self.center, self.radius_exp) == (other.center, other.radius_exp)
+
+    def __hash__(self) -> int:
+        return hash((self.center, self.radius_exp))
+
+    def __repr__(self) -> str:
+        return f"Ball(center={self.center!r}, radius_exp={self.radius_exp!r})"
+
+    def __reduce__(self) -> tuple:
+        return Ball, (self.center, self.radius_exp, self.known_canonical)
 
     @property
     def ctx(self) -> PrimeContext:

@@ -27,12 +27,10 @@ exact on rational coefficients.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as digit_product
@@ -46,6 +44,8 @@ from padic_bessel.padic import (
     PAdicVector,
     PrimeContext,
     check_context,
+    frozen_delattr,
+    frozen_setattr,
     is_prime,
     valuation,
 )
@@ -57,20 +57,34 @@ class FunctionFormatError(ValueError):
     """Serialized test-function text violates the schema."""
 
 
-@dataclass(frozen=True)
 class Supremum:
     """Result of a supremum query over all of Q_p^n.
 
     ``cell`` is a ball on which the maximum is attained, or None when the
     supremum is 0 and is attained off the support (every compactly supported
-    function vanishes near infinity, so 0 always competes).
+    function vanishes near infinity, so 0 always competes).  Immutable; ==
+    and hash compare (value, cell).
     """
 
-    value: Number
-    cell: Optional[Ball]
+    def __init__(self, value: Number, cell: Optional[Ball]) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "cell", cell)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Supremum:
+            return NotImplemented
+        return (self.value, self.cell) == (other.value, other.cell)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.cell))
+
+    def __repr__(self) -> str:
+        return f"Supremum(value={self.value!r}, cell={self.cell!r})"
 
 
-@dataclass(frozen=True)
 class DigitTrie:
     """The canonical partition as a tree of p-adic digits.
 
@@ -83,11 +97,26 @@ class DigitTrie:
     digits d of a node at radius s whose center is U / p**radius (U an
     integer vector) has the center (U + d * p**(radius - s)) / p**radius.
     For a nonzero function, radius is the least R >= 0 with the support in
-    B(0, p**R).
+    B(0, p**R).  Immutable; == and hash compare (radius, root).
     """
 
-    radius: int
-    root: object
+    def __init__(self, radius: int, root: object) -> None:
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "root", root)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DigitTrie:
+            return NotImplemented
+        return (self.radius, self.root) == (other.radius, other.root)
+
+    def __hash__(self) -> int:
+        return hash((self.radius, self.root))
+
+    def __repr__(self) -> str:
+        return f"DigitTrie(radius={self.radius!r}, root={self.root!r})"
 
     def zero_descendant(self, radius: int):
         """The node at B(0, p**radius), radius <= self.radius, down the zero
@@ -100,7 +129,6 @@ class DigitTrie:
         return kid
 
 
-@dataclass(frozen=True, init=False)
 class BruhatSchwartzFunction:
     """A test function in canonical form: its cells as (coefficient, ball)
     terms, with its digit trie.
@@ -111,13 +139,9 @@ class BruhatSchwartzFunction:
     one walk of it carries the accumulated value of each path down and
     merges the sibling groups that agree back into their parent
     (``_combine_tries``).  So == and hash compare functions, not the way
-    their terms were written.
+    their terms were written.  Immutable; == and hash compare (ctx, terms):
+    the trie of the canonical form, ``trie``, never enters ==, repr or hash.
     """
-
-    ctx: PrimeContext
-    terms: tuple
-    # the trie of the canonical form; it never enters ==, repr or hash
-    trie: DigitTrie = field(compare=False, repr=False)
 
     def __init__(self, ctx: PrimeContext, terms: Sequence[tuple], trie: Optional[DigitTrie] = None):
         """The function of ``terms``; a trie is given only by the walks that
@@ -128,6 +152,20 @@ class BruhatSchwartzFunction:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trie", trie)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BruhatSchwartzFunction:
+            return NotImplemented
+        return (self.ctx, self.terms) == (other.ctx, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.terms))
+
+    def __repr__(self) -> str:
+        return f"BruhatSchwartzFunction(ctx={self.ctx!r}, terms={self.terms!r})"
 
     # -- constructors ------------------------------------------------------
 
@@ -874,21 +912,53 @@ _COEFF_BOUND = 10
 _COEFF_DENOMINATOR = 16
 
 
-@dataclass(frozen=True)
 class RandomFunctionConfig:
     """Bounds for the seeded test-function generator.
 
     Kept deliberately small by default: Fourier-side subdivision grows like
     p**(n * (radius span + denominator depth)), so wide centers at large p^n
     are expensive.  Hard caps: at most 8 terms, radius exponents within
-    [-3, 3], center denominators at most p**4.
+    [-3, 3], center denominators at most p**4.  Immutable; == and hash
+    compare the five fields.
     """
 
-    max_terms: int = 3
-    radius_min: int = -1
-    radius_max: int = 1
-    den_pow_max: int = 1
-    complex_coeffs: bool = False
+    def __init__(
+        self,
+        max_terms: int = 3,
+        radius_min: int = -1,
+        radius_max: int = 1,
+        den_pow_max: int = 1,
+        complex_coeffs: bool = False,
+    ) -> None:
+        object.__setattr__(self, "max_terms", max_terms)
+        object.__setattr__(self, "radius_min", radius_min)
+        object.__setattr__(self, "radius_max", radius_max)
+        object.__setattr__(self, "den_pow_max", den_pow_max)
+        object.__setattr__(self, "complex_coeffs", complex_coeffs)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RandomFunctionConfig:
+            return NotImplemented
+        return (self.max_terms, self.radius_min, self.radius_max, self.den_pow_max, self.complex_coeffs) == (
+            other.max_terms,
+            other.radius_min,
+            other.radius_max,
+            other.den_pow_max,
+            other.complex_coeffs,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.max_terms, self.radius_min, self.radius_max, self.den_pow_max, self.complex_coeffs))
+
+    def __repr__(self) -> str:
+        return (
+            f"RandomFunctionConfig(max_terms={self.max_terms!r}, radius_min={self.radius_min!r}, "
+            f"radius_max={self.radius_max!r}, den_pow_max={self.den_pow_max!r}, "
+            f"complex_coeffs={self.complex_coeffs!r})"
+        )
 
     def validate(self) -> None:
         if not (1 <= self.max_terms <= 8):
@@ -965,6 +1035,8 @@ def serialize(f: BruhatSchwartzFunction) -> str:
                 raise
             raise error from None
         terms.append({"re": re, "im": im, "center": center, "radius_exp": ball.radius_exp})
+    import json
+
     return json.dumps({"p": f.ctx.p, "n": f.ctx.n, "terms": terms}, separators=(",", ":"))
 
 
@@ -1063,6 +1135,8 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
 
 def load_json(text: str) -> object:
     """JSON text as Python objects, for ``deserialize_object``."""
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -23,7 +23,6 @@ infinitely many deep shells summed in closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as digit_product
 from typing import Callable, NamedTuple, Optional
@@ -40,6 +39,8 @@ from padic_bessel.padic import (
     character_from_phase,
     check_context,
     fractional_part,
+    frozen_delattr,
+    frozen_setattr,
     reduce_mod_ball,
     shell_character_integral,
 )
@@ -50,7 +51,6 @@ class DivergentTailError(ValueError):
     """The requested shell sum has no convergent tail."""
 
 
-@dataclass(frozen=True)
 class RadialProfile:
     """A function of the norm exponent m (the value at ||x||_p = p**m), the
     input of ``radial_transform`` and of ``multiply_radial``.  An operator's
@@ -65,13 +65,43 @@ class RadialProfile:
 
     ``deep_pieces`` gives resid on the deep shells m <= 0 as a sum
     of exact geometric terms A * p**(m*d) (each needs d + n > 0), which the
-    transform sums in closed form.
+    transform sums in closed form.  Immutable; == and hash compare the four
+    fields.
     """
 
-    ctx: PrimeContext
-    resid: Callable[[int], Number]
-    deep_pieces: tuple = ()
-    constant_on_unit_ball: bool = False
+    def __init__(
+        self,
+        ctx: PrimeContext,
+        resid: Callable[[int], Number],
+        deep_pieces: tuple = (),
+        constant_on_unit_ball: bool = False,
+    ) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "resid", resid)
+        object.__setattr__(self, "deep_pieces", deep_pieces)
+        object.__setattr__(self, "constant_on_unit_ball", constant_on_unit_ball)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RadialProfile:
+            return NotImplemented
+        return (self.ctx, self.resid, self.deep_pieces, self.constant_on_unit_ball) == (
+            other.ctx,
+            other.resid,
+            other.deep_pieces,
+            other.constant_on_unit_ball,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.resid, self.deep_pieces, self.constant_on_unit_ball))
+
+    def __repr__(self) -> str:
+        return (
+            f"RadialProfile(ctx={self.ctx!r}, resid={self.resid!r}, "
+            f"deep_pieces={self.deep_pieces!r}, constant_on_unit_ball={self.constant_on_unit_ball!r})"
+        )
 
 
 #: the deepest shell whose value ``RadialMultiplier`` keeps, so that deep
@@ -79,7 +109,6 @@ class RadialProfile:
 SHELLS_CACHED = 64
 
 
-@dataclass(frozen=True)
 class RadialMultiplier:
     """A radial Fourier multiplier, applied on the Haar basis of the digit trie.
 
@@ -106,15 +135,36 @@ class RadialMultiplier:
 
     The multiplier keeps the values m(0..SHELLS_CACHED) and the drops
     between them once computed, so one multiplier applied many times builds
-    its shell table once; equality, hash and repr ignore the table.
+    its shell table once.  Immutable but for that table; == and hash
+    compare (ctx, value, drop), and repr ignores the table too.
     """
 
-    ctx: PrimeContext
-    value: Callable[[int], Number]
-    drop: Optional[Callable[[int], Number]] = None
-    # (values, drops) of the shells 0..min(depth, SHELLS_CACHED) of the
-    # deepest part so far, replaced whole, so a racing part leaves a valid one
-    _table: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    def __init__(
+        self,
+        ctx: PrimeContext,
+        value: Callable[[int], Number],
+        drop: Optional[Callable[[int], Number]] = None,
+    ) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "drop", drop)
+        # (values, drops) of the shells 0..min(depth, SHELLS_CACHED) of the
+        # deepest part so far, replaced whole, so a racing part leaves a valid one
+        object.__setattr__(self, "_table", None)
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RadialMultiplier:
+            return NotImplemented
+        return (self.ctx, self.value, self.drop) == (other.ctx, other.value, other.drop)
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.value, self.drop))
+
+    def __repr__(self) -> str:
+        return f"RadialMultiplier(ctx={self.ctx!r}, value={self.value!r}, drop={self.drop!r})"
 
     def part(self, f: BruhatSchwartzFunction) -> tuple:
         """m(D) f as the part (f, values, drops) that

@@ -1134,3 +1134,22 @@ def test_the_maximum_principle_search_script_counts_what_pmp_check_decides():
     order = BesselOrder(2.5, ctx)
     violations = sum(not pmp_check(order, random_test_function(42 ^ i, ctx)).passed for i in range(20))
     assert done.stdout.splitlines()[0] == f"trials=20 violations={violations}"
+
+
+def test_a_fresh_interpreter_runs_the_tables_without_dataclasses_inspect_or_json(capsys):
+    """These modules were two thirds of a fresh process's package import;
+    a table command needs none of them, and prints what it prints in-process."""
+    tables = [
+        ["kernel", "--p", "3", "--n", "2", "--alpha", "2.5", "--gamma-max", "40"],
+        ["heat", "--p", "2", "--alpha", "2", "--t", "0.7", "--gamma-max", "60"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "from padic_bessel import cli\n"
+        f"codes = [cli.main(argv) for argv in {tables!r}]\n"
+        "print(codes, sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, timeout=120)
+    assert done.stderr == b"[0, 0] []\n"
+    assert done.stdout == "".join(run(capsys, *argv)[1] for argv in tables).encode()

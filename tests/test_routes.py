@@ -14,7 +14,6 @@ modulated terms (``radial_terms``), so a deep input stays cheap there too.
 import math
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -218,7 +217,8 @@ def test_trie_route_matches_the_concentric_oracle(p, n, alpha, complex_coeffs):
     and the resolvent at integer alpha); within 1e-12 relative in sup norm
     for the float multipliers, which sum in another order."""
     order = BesselOrder(alpha, PrimeContext(p, n))
-    config = replace(CONFIGS[p, n], complex_coeffs=complex_coeffs)
+    c = CONFIGS[p, n]
+    config = RandomFunctionConfig(c.max_terms, c.radius_min, c.radius_max, c.den_pow_max, complex_coeffs)
     exact = (symbol_multiplier(order), resolvent_multiplier(order, LAM))
     for seed in range(8):
         f = random_test_function(4000 * p + 10 * n + seed, order.ctx, config)
