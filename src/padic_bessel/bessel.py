@@ -27,11 +27,10 @@ from padic_bessel.padic import (
     ZERO_NORM,
     Ball,
     ExactComplex,
+    FrozenValue,
     Number,
     PAdicVector,
     PrimeContext,
-    frozen_delattr,
-    frozen_setattr,
 )
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
@@ -50,7 +49,7 @@ from padic_bessel.spectral import RadialMultiplier
 MAX_ORDER_BITS = 2**14
 
 
-class BesselOrder:
+class BesselOrder(FrozenValue):
     """Order alpha of the operator, constrained to a finite alpha > n with
     alpha * log2(p) at most MAX_ORDER_BITS.
 
@@ -59,6 +58,8 @@ class BesselOrder:
     Immutable; == and hash compare (alpha, ctx), the key of the multiplier
     caches.
     """
+
+    _fields = ("alpha", "ctx")
 
     def __init__(self, alpha: float, ctx: PrimeContext) -> None:
         if not math.isfinite(alpha):
@@ -72,20 +73,6 @@ class BesselOrder:
             )
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "ctx", ctx)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not BesselOrder:
-            return NotImplemented
-        return (self.alpha, self.ctx) == (other.alpha, other.ctx)
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.ctx))
-
-    def __repr__(self) -> str:
-        return f"BesselOrder(alpha={self.alpha!r}, ctx={self.ctx!r})"
 
     @property
     def alpha_is_integer(self) -> bool:
@@ -341,7 +328,7 @@ def c0_dissipativity_margin(
     return shifted.sup_norm() - lam * f.sup_norm()
 
 
-class PmpReport:
+class PmpReport(FrozenValue):
     """Positive-maximum-principle check over the whole exact argmax set.
 
     ``probes`` holds one point of every region on which the operator is
@@ -354,6 +341,8 @@ class PmpReport:
     fields.
     """
 
+    _fields = ("sup_value", "witness_cell", "probes", "worst", "passed")
+
     def __init__(
         self, sup_value: Number, witness_cell: Optional[Ball], probes: tuple, worst: float, passed: bool
     ) -> None:
@@ -362,29 +351,6 @@ class PmpReport:
         object.__setattr__(self, "probes", probes)
         object.__setattr__(self, "worst", worst)
         object.__setattr__(self, "passed", passed)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not PmpReport:
-            return NotImplemented
-        return (self.sup_value, self.witness_cell, self.probes, self.worst, self.passed) == (
-            other.sup_value,
-            other.witness_cell,
-            other.probes,
-            other.worst,
-            other.passed,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.sup_value, self.witness_cell, self.probes, self.worst, self.passed))
-
-    def __repr__(self) -> str:
-        return (
-            f"PmpReport(sup_value={self.sup_value!r}, witness_cell={self.witness_cell!r}, "
-            f"probes={self.probes!r}, worst={self.worst!r}, passed={self.passed!r})"
-        )
 
 
 def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum, g: BruhatSchwartzFunction) -> list:

@@ -238,8 +238,7 @@ def run_evolve(ns: argparse.Namespace) -> int:
     _emit("\n".join(lines) + "\n", ns.out)
     if ns.snapshots:
         for idx, u in enumerate(solutions):
-            with open(f"{ns.snapshots}{idx}.json", "w") as fh:
-                fh.write(serialize(u) + "\n")
+            _emit(serialize(u) + "\n", f"{ns.snapshots}{idx}.json")
     return 0
 
 

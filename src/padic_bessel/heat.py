@@ -31,9 +31,8 @@ from typing import Callable, Iterator, Sequence, Union
 
 from padic_bessel.padic import (
     ZERO_NORM,
+    FrozenValue,
     PrimeContext,
-    frozen_delattr,
-    frozen_setattr,
     shell_measure,
 )
 from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
@@ -398,23 +397,27 @@ def solve_cauchy(
     return semigroup_multiplier(t, order).apply(u0)
 
 
-class EvolutionProblem:
+class EvolutionProblem(FrozenValue):
     """Inhomogeneous Cauchy data: initial datum, stepwise forcing, horizon.
 
     The forcing schedule is a sorted tuple of (time, function) pairs read as
     a step function of time, each function in force from its tag to the
-    next; an empty schedule means the homogeneous problem.  ``steps`` (an
-    even count, at least 2) is validated but not read: the forcing integral
-    is taken in closed form.  Immutable; == and hash compare the four
-    fields.
+    next; an empty schedule means the homogeneous problem.  The horizon and
+    the tags are numbers, not bools.  ``steps`` (an even int, at least 2)
+    is validated but not read: the forcing integral is taken in closed
+    form.  Immutable; == and hash compare the four fields.
     """
+
+    _fields = ("u0", "horizon", "forcing", "steps")
 
     def __init__(
         self, u0: BruhatSchwartzFunction, horizon: float, forcing: tuple = (), steps: int = 64
     ) -> None:
+        if isinstance(horizon, bool):
+            raise ValueError(f"horizon = {horizon} must be a number, not a bool")
         if not horizon > 0:
             raise ValueError(f"horizon = {horizon} must be positive")
-        if steps < 2 or steps % 2:
+        if type(steps) is not int or steps < 2 or steps % 2:
             raise ValueError(f"steps = {steps} must be a positive even count")
         times = [s for s, _ in forcing]
         if times != sorted(times):
@@ -422,6 +425,8 @@ class EvolutionProblem:
         if times and times[0] > 0:
             raise ScheduleError(f"forcing schedule starts at {times[0]} > 0, leaving a gap at the origin")
         for s, f in forcing:
+            if isinstance(s, bool):
+                raise ValueError(f"forcing tag {s} must be a number, not a bool")
             if f.ctx != u0.ctx:
                 raise ValueError("forcing functions must share the initial datum's context")
             if not 0 <= s < horizon:
@@ -430,28 +435,6 @@ class EvolutionProblem:
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "forcing", forcing)
         object.__setattr__(self, "steps", steps)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not EvolutionProblem:
-            return NotImplemented
-        return (self.u0, self.horizon, self.forcing, self.steps) == (
-            other.u0,
-            other.horizon,
-            other.forcing,
-            other.steps,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.u0, self.horizon, self.forcing, self.steps))
-
-    def __repr__(self) -> str:
-        return (
-            f"EvolutionProblem(u0={self.u0!r}, horizon={self.horizon!r}, "
-            f"forcing={self.forcing!r}, steps={self.steps!r})"
-        )
 
 
 def duhamel(

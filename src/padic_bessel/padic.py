@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional, Union
 
 Number = Union[int, float, Fraction]
@@ -63,24 +64,60 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def frozen_setattr(self, name: str, value: object) -> None:
-    """``__setattr__`` of the immutable value classes, whose constructors
-    set each field once through ``object.__setattr__``."""
-    raise AttributeError(f"cannot assign to field {name!r}")
+class FrozenValue:
+    """Base of the immutable value classes.
+
+    A subclass names in ``_fields`` the fields that ==, hash and repr read,
+    in order, and its constructor sets each field once through
+    ``object.__setattr__``.  == is NotImplemented unless both operands have
+    the same class, and compares the field tuples; hash is that of the
+    field tuple; repr prints ``Class(field=value, ...)``.  Assigning or
+    deleting an attribute raises AttributeError.  A class with
+    ``__slots__`` is copied and pickled through its constructor, called
+    with its slots in order; the others keep the default, which copies
+    their dict.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce_ex__(self, protocol: int) -> tuple:
+        if not self.__slots__:
+            return super().__reduce_ex__(protocol)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-def frozen_delattr(self, name: str) -> None:
-    """``__delattr__`` of the immutable value classes."""
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-class PrimeContext:
+class PrimeContext(FrozenValue):
     """The ambient space Q_p^n: a prime p and a dimension n >= 1.
 
     Immutable; == and hash compare (p, n).
     """
 
     __slots__ = ("p", "n")
+    _fields = ("p", "n")
 
     def __init__(self, p: int, n: int) -> None:
         if not isinstance(p, int) or not is_prime(p):
@@ -89,23 +126,6 @@ class PrimeContext:
             raise ValueError(f"dimension n = {n!r} must be a positive integer")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not PrimeContext:
-            return NotImplemented
-        return (self.p, self.n) == (other.p, other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n))
-
-    def __repr__(self) -> str:
-        return f"PrimeContext(p={self.p!r}, n={self.n!r})"
-
-    def __reduce__(self) -> tuple:
-        return PrimeContext, (self.p, self.n)
 
     def p_power(self, k: int) -> Fraction:
         """p**k as an exact rational (k may be negative), from a bounded
@@ -117,7 +137,8 @@ class PrimeContext:
 
 def check_context(ctx: PrimeContext, other: PrimeContext) -> None:
     """Raise ContextMismatchError unless the two contexts are equal, testing
-    identity first: ``!=`` compares the (p, n) tuples."""
+    identity first: ``!=`` compares the (p, n) field tuples of
+    ``FrozenValue``."""
     if ctx is not other and ctx != other:
         raise ContextMismatchError(f"{ctx} != {other}")
 
@@ -421,34 +442,18 @@ def character_from_phase(q: Fraction) -> ExactComplex:
     return ExactComplex(math.cos(angle), math.sin(angle))
 
 
-class PAdicVector:
+class PAdicVector(FrozenValue):
     """A point of Q_p^n with exact rational coordinates.
 
     Immutable; == and hash compare (coords, ctx).
     """
 
     __slots__ = ("coords", "ctx")
+    _fields = ("coords", "ctx")
 
     def __init__(self, coords: tuple, ctx: PrimeContext) -> None:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "ctx", ctx)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not PAdicVector:
-            return NotImplemented
-        return (self.coords, self.ctx) == (other.coords, other.ctx)
-
-    def __hash__(self) -> int:
-        return hash((self.coords, self.ctx))
-
-    def __repr__(self) -> str:
-        return f"PAdicVector(coords={self.coords!r}, ctx={self.ctx!r})"
-
-    def __reduce__(self) -> tuple:
-        return PAdicVector, (self.coords, self.ctx)
 
     @classmethod
     def of(cls, ctx: PrimeContext, *coords: Rational) -> "PAdicVector":
@@ -485,7 +490,7 @@ class PAdicVector:
         return PAdicVector(tuple(-a for a in self.coords), self.ctx)
 
 
-class Ball:
+class Ball(FrozenValue):
     """The ball {x : ||x - center||_p <= p**radius_exp}.
 
     Two balls over one context are disjoint, equal, or nested; membership
@@ -496,28 +501,12 @@ class Ball:
     """
 
     __slots__ = ("center", "radius_exp", "known_canonical")
+    _fields = ("center", "radius_exp")
 
     def __init__(self, center: PAdicVector, radius_exp: int, known_canonical: bool = False) -> None:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius_exp", radius_exp)
         object.__setattr__(self, "known_canonical", known_canonical)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Ball:
-            return NotImplemented
-        return (self.center, self.radius_exp) == (other.center, other.radius_exp)
-
-    def __hash__(self) -> int:
-        return hash((self.center, self.radius_exp))
-
-    def __repr__(self) -> str:
-        return f"Ball(center={self.center!r}, radius_exp={self.radius_exp!r})"
-
-    def __reduce__(self) -> tuple:
-        return Ball, (self.center, self.radius_exp, self.known_canonical)
 
     @property
     def ctx(self) -> PrimeContext:

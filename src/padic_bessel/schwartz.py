@@ -40,12 +40,11 @@ from padic_bessel.padic import (
     EC_ZERO,
     Ball,
     ExactComplex,
+    FrozenValue,
     Number,
     PAdicVector,
     PrimeContext,
     check_context,
-    frozen_delattr,
-    frozen_setattr,
     is_prime,
     valuation,
 )
@@ -57,7 +56,7 @@ class FunctionFormatError(ValueError):
     """Serialized test-function text violates the schema."""
 
 
-class Supremum:
+class Supremum(FrozenValue):
     """Result of a supremum query over all of Q_p^n.
 
     ``cell`` is a ball on which the maximum is attained, or None when the
@@ -66,26 +65,14 @@ class Supremum:
     and hash compare (value, cell).
     """
 
+    _fields = ("value", "cell")
+
     def __init__(self, value: Number, cell: Optional[Ball]) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "cell", cell)
 
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Supremum:
-            return NotImplemented
-        return (self.value, self.cell) == (other.value, other.cell)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.cell))
-
-    def __repr__(self) -> str:
-        return f"Supremum(value={self.value!r}, cell={self.cell!r})"
-
-
-class DigitTrie:
+class DigitTrie(FrozenValue):
     """The canonical partition as a tree of p-adic digits.
 
     ``root`` stands for the ball B(0, p**radius).  A node is a list of its
@@ -100,23 +87,11 @@ class DigitTrie:
     B(0, p**R).  Immutable; == and hash compare (radius, root).
     """
 
+    _fields = ("radius", "root")
+
     def __init__(self, radius: int, root: object) -> None:
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "root", root)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not DigitTrie:
-            return NotImplemented
-        return (self.radius, self.root) == (other.radius, other.root)
-
-    def __hash__(self) -> int:
-        return hash((self.radius, self.root))
-
-    def __repr__(self) -> str:
-        return f"DigitTrie(radius={self.radius!r}, root={self.root!r})"
 
     def zero_descendant(self, radius: int):
         """The node at B(0, p**radius), radius <= self.radius, down the zero
@@ -129,7 +104,7 @@ class DigitTrie:
         return kid
 
 
-class BruhatSchwartzFunction:
+class BruhatSchwartzFunction(FrozenValue):
     """A test function in canonical form: its cells as (coefficient, ball)
     terms, with its digit trie.
 
@@ -143,6 +118,8 @@ class BruhatSchwartzFunction:
     the trie of the canonical form, ``trie``, never enters ==, repr or hash.
     """
 
+    _fields = ("ctx", "terms")
+
     def __init__(self, ctx: PrimeContext, terms: Sequence[tuple], trie: Optional[DigitTrie] = None):
         """The function of ``terms``; a trie is given only by the walks that
         built ``terms`` as its canonical cells."""
@@ -152,20 +129,6 @@ class BruhatSchwartzFunction:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trie", trie)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not BruhatSchwartzFunction:
-            return NotImplemented
-        return (self.ctx, self.terms) == (other.ctx, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.terms))
-
-    def __repr__(self) -> str:
-        return f"BruhatSchwartzFunction(ctx={self.ctx!r}, terms={self.terms!r})"
 
     # -- constructors ------------------------------------------------------
 
@@ -912,15 +875,18 @@ _COEFF_BOUND = 10
 _COEFF_DENOMINATOR = 16
 
 
-class RandomFunctionConfig:
+class RandomFunctionConfig(FrozenValue):
     """Bounds for the seeded test-function generator.
 
     Kept deliberately small by default: Fourier-side subdivision grows like
     p**(n * (radius span + denominator depth)), so wide centers at large p^n
     are expensive.  Hard caps: at most 8 terms, radius exponents within
-    [-3, 3], center denominators at most p**4.  Immutable; == and hash
-    compare the five fields.
+    [-3, 3], center denominators at most p**4: the constructor refuses a
+    bound that is not an int (a bool or a float), and ``validate`` one
+    outside its range.  Immutable; == and hash compare the five fields.
     """
+
+    _fields = ("max_terms", "radius_min", "radius_max", "den_pow_max", "complex_coeffs")
 
     def __init__(
         self,
@@ -935,30 +901,9 @@ class RandomFunctionConfig:
         object.__setattr__(self, "radius_max", radius_max)
         object.__setattr__(self, "den_pow_max", den_pow_max)
         object.__setattr__(self, "complex_coeffs", complex_coeffs)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RandomFunctionConfig:
-            return NotImplemented
-        return (self.max_terms, self.radius_min, self.radius_max, self.den_pow_max, self.complex_coeffs) == (
-            other.max_terms,
-            other.radius_min,
-            other.radius_max,
-            other.den_pow_max,
-            other.complex_coeffs,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.max_terms, self.radius_min, self.radius_max, self.den_pow_max, self.complex_coeffs))
-
-    def __repr__(self) -> str:
-        return (
-            f"RandomFunctionConfig(max_terms={self.max_terms!r}, radius_min={self.radius_min!r}, "
-            f"radius_max={self.radius_max!r}, den_pow_max={self.den_pow_max!r}, "
-            f"complex_coeffs={self.complex_coeffs!r})"
-        )
+        for name in ("max_terms", "radius_min", "radius_max", "den_pow_max"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be an integer")
 
     def validate(self) -> None:
         if not (1 <= self.max_terms <= 8):

@@ -31,6 +31,7 @@ from padic_bessel.padic import (
     EC_ZERO,
     Ball,
     ExactComplex,
+    FrozenValue,
     Number,
     PAdicVector,
     PrimeContext,
@@ -39,8 +40,6 @@ from padic_bessel.padic import (
     character_from_phase,
     check_context,
     fractional_part,
-    frozen_delattr,
-    frozen_setattr,
     reduce_mod_ball,
     shell_character_integral,
 )
@@ -51,7 +50,7 @@ class DivergentTailError(ValueError):
     """The requested shell sum has no convergent tail."""
 
 
-class RadialProfile:
+class RadialProfile(FrozenValue):
     """A function of the norm exponent m (the value at ||x||_p = p**m), the
     input of ``radial_transform`` and of ``multiply_radial``.  An operator's
     shell values are a ``RadialMultiplier``, whose ``profile`` reads them
@@ -69,6 +68,8 @@ class RadialProfile:
     fields.
     """
 
+    _fields = ("ctx", "resid", "deep_pieces", "constant_on_unit_ball")
+
     def __init__(
         self,
         ctx: PrimeContext,
@@ -81,35 +82,13 @@ class RadialProfile:
         object.__setattr__(self, "deep_pieces", deep_pieces)
         object.__setattr__(self, "constant_on_unit_ball", constant_on_unit_ball)
 
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RadialProfile:
-            return NotImplemented
-        return (self.ctx, self.resid, self.deep_pieces, self.constant_on_unit_ball) == (
-            other.ctx,
-            other.resid,
-            other.deep_pieces,
-            other.constant_on_unit_ball,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.resid, self.deep_pieces, self.constant_on_unit_ball))
-
-    def __repr__(self) -> str:
-        return (
-            f"RadialProfile(ctx={self.ctx!r}, resid={self.resid!r}, "
-            f"deep_pieces={self.deep_pieces!r}, constant_on_unit_ball={self.constant_on_unit_ball!r})"
-        )
-
 
 #: the deepest shell whose value ``RadialMultiplier`` keeps, so that deep
 #: inputs, whose exact values run to thousands of digits, cannot grow its table
 SHELLS_CACHED = 64
 
 
-class RadialMultiplier:
+class RadialMultiplier(FrozenValue):
     """A radial Fourier multiplier, applied on the Haar basis of the digit trie.
 
     ``value(k)`` is the multiplier m on the frequency shell ||xi|| = p**k for
@@ -139,6 +118,8 @@ class RadialMultiplier:
     compare (ctx, value, drop), and repr ignores the table too.
     """
 
+    _fields = ("ctx", "value", "drop")
+
     def __init__(
         self,
         ctx: PrimeContext,
@@ -151,20 +132,6 @@ class RadialMultiplier:
         # (values, drops) of the shells 0..min(depth, SHELLS_CACHED) of the
         # deepest part so far, replaced whole, so a racing part leaves a valid one
         object.__setattr__(self, "_table", None)
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RadialMultiplier:
-            return NotImplemented
-        return (self.ctx, self.value, self.drop) == (other.ctx, other.value, other.drop)
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.value, self.drop))
-
-    def __repr__(self) -> str:
-        return f"RadialMultiplier(ctx={self.ctx!r}, value={self.value!r}, drop={self.drop!r})"
 
     def part(self, f: BruhatSchwartzFunction) -> tuple:
         """m(D) f as the part (f, values, drops) that

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from padic_bessel.bessel import MAX_ORDER_BITS, BesselOrder, kernel_mass, kernel_value, pmp_check
 from padic_bessel import cli
 from padic_bessel.cli import main
-from padic_bessel.heat import MAX_DEPTH, z_closed
+from padic_bessel.heat import MAX_DEPTH, solve_cauchy, z_closed
 from padic_bessel.padic import Ball, PAdicVector, PrimeContext
 from padic_bessel.schwartz import (
     MAX_DIGIT_TUPLES,
@@ -492,6 +492,11 @@ def test_evolve_homogeneous_snapshot(tmp_path, capsys):
     snap = deserialize((tmp_path / "snap_2.json").read_text())
     expected = OMEGA.scale(math.exp(-1.0))
     assert (snap - expected).sup_norm() <= 1e-15
+    # each snapshot holds the solution's serialized text and one newline, byte for byte
+    order = BesselOrder(2.0, OMEGA.ctx)
+    for idx, t in enumerate((0.25, 0.5, 1.0)):
+        text = serialize(solve_cauchy(OMEGA, t, order)) + "\n"
+        assert (tmp_path / f"snap_{idx}.json").read_bytes() == text.encode()
 
 
 def test_evolve_constant_forcing(tmp_path, capsys):

@@ -169,8 +169,20 @@ OTHER_CTX = PrimeContext(2, 1)
             ValueError,
             "order alpha = 100000.0 is over the bound alpha * log2(p) <= 16384 at p = 3",
         ),
+        (lambda: RandomFunctionConfig(max_terms=True), ValueError, "max_terms = True must be an integer"),
+        (lambda: RandomFunctionConfig(radius_min=-1.0), ValueError, "radius_min = -1.0 must be an integer"),
+        (lambda: RandomFunctionConfig(radius_max=False), ValueError, "radius_max = False must be an integer"),
+        (lambda: RandomFunctionConfig(den_pow_max=2.0), ValueError, "den_pow_max = 2.0 must be an integer"),
         (lambda: EvolutionProblem(F, 0.0), ValueError, "horizon = 0.0 must be positive"),
+        (lambda: EvolutionProblem(F, True), ValueError, "horizon = True must be a number, not a bool"),
         (lambda: EvolutionProblem(F, 1.0, steps=3), ValueError, "steps = 3 must be a positive even count"),
+        (lambda: EvolutionProblem(F, 1.0, steps=2.0), ValueError, "steps = 2.0 must be a positive even count"),
+        (lambda: EvolutionProblem(F, 1.0, steps=True), ValueError, "steps = True must be a positive even count"),
+        (
+            lambda: EvolutionProblem(F, 1.0, ((False, F),)),
+            ValueError,
+            "forcing tag False must be a number, not a bool",
+        ),
         (
             lambda: EvolutionProblem(F, 1.0, ((0.5, F), (0.0, F))),
             ScheduleError,
