@@ -127,6 +127,30 @@ MUTANTS = [
         ("tier1",),
         {},
     ),
+    (
+        "convolution_one_shell_short",
+        "src/padic_bessel/heat.py",
+        "    shells_1 = list(islice(z_shells(t1, order), depth + 1))\n",
+        "    shells_1 = list(islice(z_shells(t1, order), depth))\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "config_max_terms_bound_9",
+        "src/padic_bessel/schwartz.py",
+        "        if not (1 <= self.max_terms <= 8):\n",
+        "        if not (1 <= self.max_terms <= 9):\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "radial_transform_deep_shell_twice",
+        "src/padic_bessel/spectral.py",
+        "    total = _deep_closed_sum(profile, k_lo - 1)\n",
+        "    total = _deep_closed_sum(profile, k_lo)\n",
+        ("tier1", "verify"),
+        {},
+    ),
 ]
 
 _ROW = re.compile(r"^check=(\S+) .* (PASS|FAIL)$", re.M)

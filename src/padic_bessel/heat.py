@@ -11,7 +11,9 @@ against each other:
   product form built from expm1 so no significance is lost, and
 * the regularized inverse transform of ``heat_kernel_multiplier``, the
   semigroup minus the identity (``z_oracle``), a shell sum of its
-  ``profile`` against exact character integrals.
+  ``profile`` against exact character integrals.  It takes any shell, and
+  outside the unit ball it sums to 0 up to rounding, which checks the
+  support.
 
 Evolution applies exp(-t * multiplier) on the Haar basis of the digit trie
 (``RadialMultiplier``).  For step forcing the Duhamel integral over each
@@ -27,10 +29,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import count, islice
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 from padic_bessel.padic import (
-    ZERO_NORM,
     FrozenValue,
     PrimeContext,
     shell_measure,
@@ -87,16 +88,6 @@ def z_closed(gamma: int, t: float, order: BesselOrder) -> float:
     return next(islice(z_shells(t, order), gamma, None))
 
 
-def z_value(norm_exp: Union[int, float], t: float, order: BesselOrder) -> float:
-    """Kernel function part by norm exponent: exactly 0 outside the unit ball."""
-    _require_positive_time(t)
-    if norm_exp == ZERO_NORM:
-        return z_origin_limit(t, order)
-    if norm_exp >= 1:
-        return 0.0
-    return z_closed(-int(norm_exp), t, order)
-
-
 def tail_envelopes(t: float, order: BesselOrder) -> Iterator[float]:
     """Geometric bounds on the shell-sum remainder beyond depth 0, 1, 2,
     ... in turn: t (1 - p**-alpha) p**(depth (n - alpha)) / (1 - p**(n -
@@ -107,12 +98,6 @@ def tail_envelopes(t: float, order: BesselOrder) -> Iterator[float]:
     head, slope, denom = t * (1.0 - p ** (-alpha)), n - alpha, 1.0 - p ** (n - alpha)
     for depth in count():
         yield head * p ** (depth * slope) / denom
-
-
-def tail_envelope(depth: int, t: float, order: BesselOrder) -> float:
-    """Geometric bound on the shell-sum remainder beyond the given depth;
-    the depth-th value of ``tail_envelopes``."""
-    return next(islice(tail_envelopes(t, order), depth, None))
 
 
 MAX_DEPTH = 100_000
@@ -157,9 +142,8 @@ def z_oracle(gamma: int, t: float, order: BesselOrder) -> float:
     """Kernel function part by the independent route: the regularized
     inverse transform of ``heat_kernel_multiplier``, summed shell by shell
     against exact character integrals.  Terminates by itself one shell past
-    gamma."""
-    if gamma < 0:
-        raise ValueError(f"shell index gamma = {gamma} must be >= 0")
+    gamma.  Takes any integer gamma: outside the unit ball (gamma < 0) the
+    shell sum cancels to 0 up to rounding."""
     _require_positive_time(t)
     return radial_transform(heat_kernel_multiplier(t, order).profile(), -gamma)
 
@@ -190,27 +174,6 @@ def distributional_mass(t: float, order: BesselOrder) -> float:
 
 
 # -- convolution of kernel parts ----------------------------------------------
-
-
-def heat_shell_values(t: float, order: BesselOrder) -> Callable[[int], float]:
-    """Shell-profile accessor for the kernel's function part (0 above k = 0).
-
-    Values come from one ``z_shells`` running sum, kept in a list that grows
-    only as deep as the deepest shell asked for, so each equals ``z_closed``
-    and a sweep over the shells costs linear time.
-    """
-    _require_positive_time(t)
-    shells = z_shells(t, order)
-    values: list = []
-
-    def value(k: int) -> float:
-        if k >= 1:
-            return 0.0
-        while len(values) <= -k:
-            values.append(next(shells))
-        return values[-k]
-
-    return value
 
 
 def radial_convolution_at(
@@ -251,24 +214,22 @@ def convolution_defect(
         raise ValueError(f"shell index gamma = {gamma} must be >= 0")
     ctx = order.ctx
     p, n = ctx.p, ctx.n
-    f_prof = heat_shell_values(t1, order)
-    g_prof = heat_shell_values(t2, order)
-    bound_f = abs(z_origin_limit(t1, order)) + tail_envelope(0, t1, order)
-    bound_g = abs(z_origin_limit(t2, order)) + tail_envelope(0, t2, order)
-    m = -gamma
+    z1 = z_closed(gamma, t1, order)
+    z2 = z_closed(gamma, t2, order)
+    bound_1 = abs(z_origin_limit(t1, order)) + next(tail_envelopes(t1, order))
+    bound_2 = abs(z_origin_limit(t2, order)) + next(tail_envelopes(t2, order))
     depth = gamma + 2
     while True:
         deep_volume = p ** ((-depth) * n)
-        tail = (abs(g_prof(m)) * bound_f + abs(f_prof(m)) * bound_g) * deep_volume
+        tail = (abs(z2) * bound_1 + abs(z1) * bound_2) * deep_volume
         if tail <= tol or depth > 10_000:
             break
         depth += max(1, int(math.ceil(math.log(tail / tol, p) / n)))
-    lhs = radial_convolution_at(f_prof, g_prof, m, ctx, depth)
-    rhs = (
-        z_closed(gamma, t1 + t2, order)
-        - z_closed(gamma, t1, order)
-        - z_closed(gamma, t2, order)
-    )
+    # the convolution reads the shells k = -depth, ..., 0
+    shells_1 = list(islice(z_shells(t1, order), depth + 1))
+    shells_2 = list(islice(z_shells(t2, order), depth + 1))
+    lhs = radial_convolution_at(lambda k: shells_1[-k], lambda k: shells_2[-k], -gamma, ctx, depth)
+    rhs = z_closed(gamma, t1 + t2, order) - z1 - z2
     return abs(lhs - rhs), tail
 
 

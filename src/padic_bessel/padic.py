@@ -514,6 +514,7 @@ class Ball(FrozenValue):
 
     @property
     def measure(self) -> Fraction:
+        """Haar measure of the ball, p**(radius_exp * n): the unit ball has mass 1."""
         return self.ctx.p_power(self.radius_exp * self.ctx.n)
 
     def canonical(self) -> "Ball":
@@ -531,11 +532,6 @@ class Ball(FrozenValue):
 
     def contains(self, x: PAdicVector) -> bool:
         return (x - self.center).norm_exp <= self.radius_exp
-
-
-def ball_measure(radius_exp: int, ctx: PrimeContext) -> Fraction:
-    """Haar measure of a ball of radius p**radius_exp (unit ball has mass 1)."""
-    return ctx.p_power(radius_exp * ctx.n)
 
 
 def shell_measure(k: int, ctx: PrimeContext) -> Fraction:

@@ -882,8 +882,9 @@ class RandomFunctionConfig(FrozenValue):
     p**(n * (radius span + denominator depth)), so wide centers at large p^n
     are expensive.  Hard caps: at most 8 terms, radius exponents within
     [-3, 3], center denominators at most p**4: the constructor refuses a
-    bound that is not an int (a bool or a float), and ``validate`` one
-    outside its range.  Immutable; == and hash compare the five fields.
+    bound that is not an int (a bool or a float) or lies outside its range,
+    and a ``complex_coeffs`` that is not a bool.  Immutable; == and hash
+    compare the five fields.
     """
 
     _fields = ("max_terms", "radius_min", "radius_max", "den_pow_max", "complex_coeffs")
@@ -904,8 +905,8 @@ class RandomFunctionConfig(FrozenValue):
         for name in ("max_terms", "radius_min", "radius_max", "den_pow_max"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} = {getattr(self, name)!r} must be an integer")
-
-    def validate(self) -> None:
+        if type(complex_coeffs) is not bool:
+            raise ValueError(f"complex_coeffs = {complex_coeffs!r} must be a bool")
         if not (1 <= self.max_terms <= 8):
             raise ValueError("max_terms must be in [1, 8]")
         if not (-3 <= self.radius_min <= self.radius_max <= 3):
@@ -918,7 +919,6 @@ def random_test_function(
     seed: int, ctx: PrimeContext, config: RandomFunctionConfig = RandomFunctionConfig()
 ) -> BruhatSchwartzFunction:
     """Deterministic pseudo-random test function for property batteries."""
-    config.validate()
     rng = random.Random(seed)
     p = ctx.p
     terms = []
@@ -1075,11 +1075,11 @@ def _digit_depth(terms: list, p: int) -> int:
 
 def deserialize(text: str) -> BruhatSchwartzFunction:
     """Parse the JSON schema back into a canonical function."""
-    return deserialize_object(load_json(text))
+    return read_object(load_json(text))[1]()
 
 
 def load_json(text: str) -> object:
-    """JSON text as Python objects, for ``deserialize_object``."""
+    """JSON text as Python objects, for ``read_object``."""
     import json
 
     try:
@@ -1088,13 +1088,8 @@ def load_json(text: str) -> object:
         raise FunctionFormatError(f"malformed JSON: {exc}") from exc
 
 
-def deserialize_object(obj: object) -> BruhatSchwartzFunction:
-    """``deserialize`` of JSON text already parsed into Python objects."""
-    return read_object(obj)[1]()
-
-
 def read_object(obj: object) -> tuple:
-    """Every check of ``deserialize_object`` on a parsed function: its
+    """Every check of ``deserialize`` on a parsed function: its
     PrimeContext and the call that builds its canonical form, which may take
     seconds, so that a caller can refuse its own arguments first."""
     if not isinstance(obj, dict):

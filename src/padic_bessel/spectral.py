@@ -36,7 +36,6 @@ from padic_bessel.padic import (
     PAdicVector,
     PrimeContext,
     _int_valuation,
-    ball_measure,
     character_from_phase,
     check_context,
     fractional_part,
@@ -214,8 +213,9 @@ def fourier_terms(terms) -> tuple:
     for c, phase, eta, ball in terms:
         a = ball.center
         r = ball.radius_exp
+        ctx = ball.ctx
         dual = Ball(eta, -r, known_canonical=True) if eta.is_zero else Ball(-eta, -r)
-        out.append(ModulatedTerm(c * ball_measure(r, ball.ctx), _shifted(phase, eta, a), a, dual))
+        out.append(ModulatedTerm(c * ctx.p_power(r * ctx.n), _shifted(phase, eta, a), a, dual))
     return tuple(out)
 
 
@@ -241,7 +241,8 @@ def pairing(left, right) -> ExactComplex:
     right = list(right)
     if not right:
         return EC_ZERO
-    p = right[0].ball.ctx.p
+    ctx = right[0].ball.ctx
+    p, n, p_power = ctx.p, ctx.n, ctx.p_power
     right = [(term, _coordinate_parts(term.ball.center, p), _coordinate_parts(term.eta, p)) for term in right]
     total = EC_ZERO
     for c1, phase1, eta1, ball1 in left:
@@ -257,7 +258,7 @@ def pairing(left, right) -> ExactComplex:
                 continue  # a nontrivial character integrates to 0
             zeta = eta1 - eta2
             phase = _shifted(phase1 - phase2, zeta, inner.center)
-            value = c1 * c2.conjugate() * ball_measure(s, inner.ctx)
+            value = c1 * c2.conjugate() * p_power(s * n)
             if phase % 1:
                 value = value * character_from_phase(phase)
             total = total + value

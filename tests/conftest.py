@@ -17,7 +17,6 @@ from padic_bessel.padic import (
     Ball,
     Number,
     PAdicVector,
-    ball_measure,
     character_from_phase,
     shell_measure,
 )
@@ -215,7 +214,7 @@ def pairing_by_pairs(left, right):
             if zeta.norm_exp > -s:
                 continue  # a nontrivial character integrates to 0
             phase = _shifted(phase1 - phase2, zeta, inner.center)
-            value = c1 * c2.conjugate() * ball_measure(s, inner.ctx)
+            value = c1 * c2.conjugate() * inner.measure
             if phase % 1:
                 value = value * character_from_phase(phase)
             total = total + value

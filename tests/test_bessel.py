@@ -380,6 +380,8 @@ def test_c0_dissipativity_examples():
     assert c0_dissipativity_margin(order, BruhatSchwartzFunction.zero(C21), 2.0) == 0.0
     with pytest.raises(ValueError):
         c0_dissipativity_margin(order, omega(), 0.0)
+    with pytest.raises(ValueError, match=r"^sup-norm dissipativity is checked on real functions$"):
+        c0_dissipativity_margin(order, omega().scale(ExactComplex(0, 1)), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(40))

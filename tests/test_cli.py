@@ -155,7 +155,7 @@ def test_heat_rejects_alpha_next_to_n(capsys):
 
 
 def test_heat_table_at_a_time_whose_envelope_quotient_overflows(capsys):
-    # tail_envelope(0) / tol is past the float range at t = 1e300; the
+    # the first tail envelope over tol is past the float range at t = 1e300; the
     # depth of the mass sum must still be found, not blamed on alpha
     code, out, err = run(capsys, "heat", "--t", "1e300", "--gamma-max", "3")
     assert (code, err) == (0, "")
@@ -238,6 +238,12 @@ def test_fourier_malformed_file(tmp_path, capsys):
     src.write_text('{"p":4,"n":1,"terms":[]}')
     code, _, err = run(capsys, "fourier", "--in", str(src))
     assert code == 2
+
+
+def test_fourier_refuses_a_term_that_is_not_an_object(tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"p": 2, "n": 1, "terms": [[]]}))
+    assert run(capsys, "fourier", "--in", str(src)) == (2, "", "error: each term must be an object\n")
 
 
 def _single_ball_file(tmp_path, radius_exp):
@@ -625,6 +631,29 @@ def test_a_malformed_forcing_file_exits_2_as_a_malformed_input_file_does(tmp_pat
     as_input = run(capsys, "evolve", "--in", str(bad), "--t", "1")
     assert as_forcing == as_input
     assert as_forcing[:2] == (2, "") and as_forcing[2].startswith("error: malformed JSON: ")
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ({"schedule": 3}, "forcing file must hold a list (or {'schedule': [...]})"),
+        ([{"time": 0}], "each forcing entry needs 'time' and 'function'"),
+    ],
+)
+def test_evolve_refuses_a_forcing_file_of_the_wrong_shape(tmp_path, capsys, schedule, message):
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps(schedule))
+    got = run(capsys, "evolve", "--in", str(src), "--t", "1", "--forcing", str(forcing))
+    assert got == (2, "", f"error: {message}\n")
+
+
+def test_evolve_refuses_a_time_list_without_a_time(tmp_path, capsys):
+    src = tmp_path / "u0.json"
+    src.write_text(serialize(OMEGA))
+    got = run(capsys, "evolve", "--in", str(src), "--t", ",")
+    assert got == (2, "", "error: --t must list at least one evaluation time\n")
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])

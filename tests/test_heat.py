@@ -33,17 +33,15 @@ from padic_bessel.heat import (
     duhamel,
     forcing_multiplier,
     heat_kernel_multiplier,
-    heat_shell_values,
+    radial_convolution_at,
     semigroup_multiplier,
     solve_cauchy,
-    tail_envelope,
     tail_envelopes,
     z_closed,
     z_mass,
     z_oracle,
     z_origin_limit,
     z_shells,
-    z_value,
 )
 from conftest import weak_pairing
 
@@ -76,12 +74,6 @@ def test_z_closed_rejects_bad_arguments():
         z_closed(0, -1.0, ORDER)
     with pytest.raises(ValueError):
         z_closed(-1, 1.0, ORDER)
-
-
-def test_z_vanishes_outside_unit_ball():
-    for m in (1, 2, 5):
-        assert z_value(m, 1.0, ORDER) == 0.0
-        assert z_oracle is not None  # oracle handles only gamma >= 0 by contract
 
 
 @pytest.mark.parametrize("p,n,alpha", GRID)
@@ -120,14 +112,15 @@ def test_oracle_route_vanishes_outside_unit_ball():
 def test_z_monotone_in_shell_with_envelope_rate():
     order = BesselOrder(2.0, C21)
     t = 1.0
+    envelopes = list(islice(tail_envelopes(t, order), 14))
     previous = z_closed(0, t, order)
     for g in range(1, 14):
         current = z_closed(g, t, order)
         assert current < previous  # strictly more negative: summands are negative
-        assert abs(current - previous) <= tail_envelope(g, t, order)
+        assert abs(current - previous) <= envelopes[g]
         previous = current
     limit = z_origin_limit(t, order)
-    assert abs(limit - z_closed(13, t, order)) <= tail_envelope(13, t, order)
+    assert abs(limit - z_closed(13, t, order)) <= envelopes[13]
 
 
 def test_z_mass_examples():
@@ -176,8 +169,9 @@ def test_default_depth_is_smallest_under_tol(p, n, alpha):
     for t in (1e-3, 0.1, 1.0, 10.0, 100.0):
         for tol in (1e-8, 1e-13, 1e-18):
             depth = default_depth(t, order, tol)
-            assert tail_envelope(depth, t, order) <= tol
-            assert depth == 0 or tail_envelope(depth - 1, t, order) > tol
+            envelopes = list(islice(tail_envelopes(t, order), depth + 1))
+            assert envelopes[depth] <= tol
+            assert depth == 0 or envelopes[depth - 1] > tol
 
 
 def test_default_depth_refuses_alpha_next_to_n():
@@ -195,7 +189,9 @@ def test_default_depth_refuses_alpha_next_to_n():
 def test_tail_envelopes_are_tail_envelope_bit_for_bit(p, n, alpha, t):
     order = BesselOrder(alpha, PrimeContext(p, n))
     got = list(islice(tail_envelopes(t, order), 1200))
-    assert got == [tail_envelope(g, t, order) for g in range(1200)]
+    assert got == [
+        t * (1.0 - p ** (-alpha)) * p ** (depth * (n - alpha)) / (1.0 - p ** (n - alpha)) for depth in range(1200)
+    ]
 
 
 @pytest.mark.parametrize("p,n,alpha,gamma", [(2, 1, 2.0, 1100), (5, 2, 3.5, 240), (3, 1, 3.0, 700)])
@@ -216,16 +212,15 @@ def test_convolution_law(t1, t2, gamma):
     assert tail <= 1e-12
 
 
-def test_heat_shell_values_are_z_closed():
-    # the shared running sum serves shells in any order, deep ones first too
-    for t in (0.5, 1.9):
-        value = heat_shell_values(t, ORDER)
-        ks = [-40, 0, 1, 3, -7, -40, -41, -2]
-        assert [value(k) for k in ks] == [
-            0.0 if k >= 1 else z_closed(-k, t, ORDER) for k in ks
-        ]
-    with pytest.raises(ValueError):
-        heat_shell_values(0.0, ORDER)
+def test_convolution_defect_refuses_a_shell_outside_the_unit_ball():
+    with pytest.raises(ValueError, match=r"^shell index gamma = -1 must be >= 0$"):
+        convolution_defect(1.0, 1.0, -1, ORDER)
+
+
+def test_radial_convolution_vanishes_outside_the_unit_ball():
+    # both profiles live in the unit ball, so their convolution does too
+    for norm_exp in (1, 2, 7):
+        assert radial_convolution_at(lambda k: 1.0, lambda k: -2.0, norm_exp, C21, 5) == 0.0
 
 
 def test_convolution_multiplier_identity_exact():

@@ -181,6 +181,11 @@ def test_vector_norm_examples():
     assert norm_exp_of(Fraction(9, 2), 3) == -2
 
 
+def test_vector_of_refuses_a_coordinate_count_other_than_n():
+    with pytest.raises(ValueError, match=r"^expected 1 coordinates, got 2$"):
+        PAdicVector.of(PrimeContext(2, 1), 1, 2)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     st.lists(rationals, min_size=2, max_size=2),

@@ -25,7 +25,6 @@ from padic_bessel.padic import (
     ContextMismatchError,
     PAdicVector,
     PrimeContext,
-    ball_measure,
     shell_measure,
 )
 from padic_bessel.schwartz import (
@@ -147,9 +146,9 @@ def weak_pairing_fourier(t, phi, order):
         r = ball.radius_exp
         a = ball.center
         if not a.is_zero:
-            total = total + c * (w(a.norm_exp) * float(ball_measure(r, ctx)))
+            total = total + c * (w(a.norm_exp) * float(ball.measure))
         elif r <= 0:
-            total = total + c * (w(0) * float(ball_measure(r, ctx)))
+            total = total + c * (w(0) * float(ball.measure))
         else:
             piece = w(0)
             for k in range(1, r + 1):

@@ -39,9 +39,9 @@ from padic_bessel.schwartz import (
     FunctionFormatError,
     RandomFunctionConfig,
     deserialize,
-    deserialize_object,
     linear_combination,
     random_test_function,
+    read_object,
     serialize,
 )
 from conftest import (
@@ -398,12 +398,13 @@ def test_a_zero_term_too_deep_to_reduce_is_dropped_at_once():
     assert f.is_zero and time.perf_counter() - start < 1.0
 
 
-def test_deserialize_object_reads_what_deserialize_parses():
+def test_read_object_builds_what_deserialize_parses():
     for seed in range(20):
         text = serialize(random_test_function(seed, C32, RandomFunctionConfig(complex_coeffs=True)))
-        assert deserialize_object(json.loads(text)) == deserialize(text)
+        ctx, build = read_object(json.loads(text))
+        assert ctx == C32 and build() == deserialize(text)
     with pytest.raises(FunctionFormatError, match="top level must be an object"):
-        deserialize_object([])
+        read_object([])
 
 
 def test_serialize_names_the_field_over_the_integer_text_limit():

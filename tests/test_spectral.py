@@ -17,7 +17,6 @@ from padic_bessel.padic import (
     PAdicVector,
     PrimeContext,
     ZERO_NORM,
-    ball_measure,
     character_from_phase,
     fractional_part,
 )
@@ -125,7 +124,7 @@ def reference_term_cells(c, ball):
     None marks the single unmodulated dual ball."""
     ctx = ball.ctx
     r = ball.radius_exp
-    scale = ball_measure(r, ctx)
+    scale = ball.measure
     dual = Ball(PAdicVector.zero(ctx), -r, known_canonical=True)
     a = ball.center
     rho = -r if a.is_zero else min(-r, int(a.min_valuation))

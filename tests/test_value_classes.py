@@ -173,6 +173,9 @@ OTHER_CTX = PrimeContext(2, 1)
         (lambda: RandomFunctionConfig(radius_min=-1.0), ValueError, "radius_min = -1.0 must be an integer"),
         (lambda: RandomFunctionConfig(radius_max=False), ValueError, "radius_max = False must be an integer"),
         (lambda: RandomFunctionConfig(den_pow_max=2.0), ValueError, "den_pow_max = 2.0 must be an integer"),
+        (lambda: RandomFunctionConfig(complex_coeffs="no"), ValueError, "complex_coeffs = 'no' must be a bool"),
+        (lambda: RandomFunctionConfig(complex_coeffs=0), ValueError, "complex_coeffs = 0 must be a bool"),
+        (lambda: RandomFunctionConfig(den_pow_max=5), ValueError, "den_pow_max must be in [0, 4]"),
         (lambda: EvolutionProblem(F, 0.0), ValueError, "horizon = 0.0 must be positive"),
         (lambda: EvolutionProblem(F, True), ValueError, "horizon = True must be a number, not a bool"),
         (lambda: EvolutionProblem(F, 1.0, steps=3), ValueError, "steps = 3 must be a positive even count"),
