@@ -151,6 +151,38 @@ MUTANTS = [
         ("tier1", "verify"),
         {},
     ),
+    (
+        "emit_without_ftruncate",
+        "src/padic_bessel/cli.py",
+        "            os.ftruncate(fd, len(data))\n",
+        "            pass\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "emit_with_default_mode",
+        "src/padic_bessel/cli.py",
+        "    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)\n",
+        "    fd = os.open(out, os.O_WRONLY | os.O_CREAT)\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "emit_cuts_every_file",
+        "src/padic_bessel/cli.py",
+        "        if stat.S_ISREG(os.fstat(fd).st_mode):\n",
+        "        if True:\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "load_json_without_recursion_clause",
+        "src/padic_bessel/schwartz.py",
+        "    except (json.JSONDecodeError, RecursionError) as exc:\n",
+        "    except json.JSONDecodeError as exc:\n",
+        ("tier1",),
+        {},
+    ),
 ]
 
 _ROW = re.compile(r"^check=(\S+) .* (PASS|FAIL)$", re.M)

@@ -6,13 +6,17 @@ input errors, among them results beyond the float range.  All outputs are
 deterministic for fixed flags and seed; floats are printed with 17
 significant digits so CSV values round-trip.  ``main`` may be called again
 and again in one process; it builds its parser once, on the first call.
+Output files (--out, --snapshots) are rewritten in place and cut to the
+length of the new output, not truncated first (``_emit``).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import math
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -81,11 +85,30 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Print text, or write it to the file out: the one writer of every
+    --out and --snapshots file.
+
+    The file is rewritten in place: the bytes go over what it holds, and a
+    regular file is then cut to their length, since truncating an existing
+    file on open, as ``open(out, "w")`` does, costs several times the write
+    (README, "Command line").  Devices and pipes are not cut, so /dev/null
+    and a FIFO take the output.  A new file gets the mode ``open(out, "w")``
+    gives it.  The rewrite is not atomic: a run stopped between the write
+    and the cut leaves the new bytes followed by the old tail.
+    """
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        return
+    data = text.encode()
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # -- tables -------------------------------------------------------------------

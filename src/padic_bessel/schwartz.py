@@ -1079,12 +1079,13 @@ def deserialize(text: str) -> BruhatSchwartzFunction:
 
 
 def load_json(text: str) -> object:
-    """JSON text as Python objects, for ``read_object``."""
+    """JSON text as Python objects, for ``read_object``.  Text nested too
+    deeply for the decoder is malformed too."""
     import json
 
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FunctionFormatError(f"malformed JSON: {exc}") from exc
 
 

@@ -5,7 +5,9 @@ import importlib.util
 import io
 import json
 import math
+import os
 import shlex
+import stat
 import subprocess
 import sys
 import tempfile
@@ -751,6 +753,111 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("gamma,norm,k_alpha\n")
+
+
+# -- output files, rewritten in place and cut to length (cli._emit) -------------
+# each test names the mutant of scripts/mutants.py (or the writer) it kills
+
+
+def test_a_shorter_rerun_into_the_same_out_leaves_no_stale_tail(tmp_path, capsys):
+    # kills emit_without_ftruncate
+    target = tmp_path / "k.csv"
+    assert run(capsys, "kernel", "--gamma-max", "50", "--out", str(target)) == (0, "", "")
+    assert run(capsys, "kernel", "--gamma-max", "3", "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == run(capsys, "kernel", "--gamma-max", "3")[1].encode()
+
+
+def _evolve_into(capsys, src, folder):
+    """The files of one evolve run with --out and --snapshots in folder."""
+    folder.mkdir(exist_ok=True)
+    argv = ["--out", str(folder / "series.csv"), "--snapshots", str(folder / "snap_")]
+    assert run(capsys, "evolve", "--in", str(src), "--t", "0,0.25,1", "--alpha", "2.5", *argv) == (0, "", "")
+    return {path.name: path.read_bytes() for path in sorted(folder.iterdir())}
+
+
+def test_an_evolve_rerun_into_the_same_paths_writes_what_a_fresh_run_does(tmp_path, capsys):
+    # kills emit_without_ftruncate on the snapshots
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps({"p": 2, "n": 1, "terms": [
+        {"re": str(k + 1), "im": "1/3", "center": [str(k)], "radius_exp": -k} for k in range(1, 9)
+    ]}))
+    small = tmp_path / "small.json"
+    small.write_text(serialize(OMEGA))
+    first = _evolve_into(capsys, large, tmp_path / "runs")
+    rerun = _evolve_into(capsys, small, tmp_path / "runs")
+    fresh = _evolve_into(capsys, small, tmp_path / "fresh")
+    assert sorted(rerun) == ["series.csv", "snap_0.json", "snap_1.json", "snap_2.json"]
+    assert all(len(first[name]) > len(fresh[name]) for name in fresh if name.startswith("snap_"))
+    assert rerun == fresh
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_a_new_out_file_gets_the_mode_open_gives_it(tmp_path, capsys, umask):
+    # kills emit_with_default_mode (os.open's 0o777 before the umask)
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "by_open.csv", "w"):
+            pass
+        code = run(capsys, "kernel", "--gamma-max", "1", "--out", str(tmp_path / "by_cli.csv"))[0]
+    finally:
+        os.umask(old)
+    assert code == 0
+    mode = stat.S_IMODE((tmp_path / "by_cli.csv").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "by_open.csv").stat().st_mode)
+
+
+def test_out_to_the_null_device_exits_0(capsys):
+    # kills emit_cuts_every_file: a character device cannot be cut
+    assert run(capsys, "kernel", "--gamma-max", "3", "--out", os.devnull) == (0, "", "")
+
+
+def test_a_hard_link_to_the_out_file_reads_the_rerun(tmp_path, capsys):
+    # the file is rewritten, not replaced: kills a writer that writes a
+    # temporary file and renames it over --out
+    target, link = tmp_path / "k.csv", tmp_path / "link.csv"
+    assert run(capsys, "kernel", "--gamma-max", "8", "--out", str(target))[0] == 0
+    os.link(target, link)
+    argv = ["kernel", "--alpha", "3", "--gamma-max", "2"]
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert link.read_bytes() == run(capsys, *argv)[1].encode()
+
+
+@pytest.mark.parametrize("command", ["kernel", "heat", "fourier", "evolve", "verify"])
+def test_out_holds_exactly_what_the_command_prints(tmp_path, capsys, command):
+    # kills a writer that changes the bytes: another encoding, translated
+    # newlines, or a partial write taken for the whole
+    src = _terms_file(tmp_path, [
+        {"re": "3", "center": ["0"], "radius_exp": 0},
+        {"re": "1", "im": "-1/2", "center": ["1"], "radius_exp": -2},
+    ])
+    argv = {
+        "kernel": ["kernel", "--p", "3", "--alpha", "2.5", "--gamma-max", "40"],
+        "heat": ["heat", "--t", "0.5", "--gamma-max", "40"],
+        "fourier": ["fourier", "--in", str(src), "--roundtrip"],
+        "evolve": ["evolve", "--in", str(src), "--t", "0.25,1", "--alpha", "3"],
+        "verify": ["verify", "all", "--trials", "2"],
+    }[command]
+    code, printed, err = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+    assert printed and target.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("role", ["fourier_in", "evolve_in", "evolve_forcing"])
+def test_json_nested_past_the_decoder_depth_exits_2_as_malformed_json(tmp_path, capsys, role):
+    # kills load_json_without_recursion_clause; at the default recursion
+    # limit 1000 levels already raised RecursionError through the CLI
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    good = tmp_path / "u0.json"
+    good.write_text(serialize(OMEGA))
+    argv = {
+        "fourier_in": ["fourier", "--in", str(deep)],
+        "evolve_in": ["evolve", "--in", str(deep), "--t", "1"],
+        "evolve_forcing": ["evolve", "--in", str(good), "--t", "1", "--forcing", str(deep)],
+    }[role]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: malformed JSON: ")
 
 
 

@@ -360,6 +360,12 @@ def test_deserialize_rejects_malformed(text):
         deserialize(text)
 
 
+def test_deserialize_refuses_json_nested_past_the_decoder_depth():
+    # the decoder raises RecursionError, not JSONDecodeError, on such text
+    with pytest.raises(FunctionFormatError, match="^malformed JSON: "):
+        deserialize("[" * 100_000 + "]" * 100_000)
+
+
 def refuse_walk(ctx, parts):
     raise AssertionError("canonical cells built")
 
