@@ -176,6 +176,38 @@ MUTANTS = [
         {},
     ),
     (
+        "raw_path_without_the_inverse",
+        "src/padic_bessel/schwartz.py",
+        "        parts = [[num * p ** (root_r - w), b, pow(b, -1, p)] for num, b, w in units]\n",
+        "        parts = [[num * p ** (root_r - w), b, 1] for num, b, w in units]\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "raw_root_without_the_valuations",
+        "src/padic_bessel/schwartz.py",
+        "            if w > root_r:\n                root_r = w\n",
+        "            pass\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "serialize_quotes_the_radius",
+        "src/padic_bessel/schwartz.py",
+        '"radius_exp":%d}',
+        '"radius_exp":"%d"}',
+        ("tier1",),
+        {},
+    ),
+    (
+        "main_parses_the_command_name_too",
+        "src/padic_bessel/cli.py",
+        "        ns, extras = command.parse_known_args(args[1:])\n",
+        "        ns, extras = command.parse_known_args(args)\n",
+        ("tier1",),
+        {},
+    ),
+    (
         "load_json_without_recursion_clause",
         "src/padic_bessel/schwartz.py",
         "    except (json.JSONDecodeError, RecursionError) as exc:\n",

@@ -499,8 +499,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _commands() -> dict:
+    """The parser of each command by its name: the choices of the top-level
+    parser's subparsers action."""
+    actions = _build_parser()._actions
+    return next(action.choices for action in actions if isinstance(action, argparse._SubParsersAction))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = _build_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    An argv that starts with a command is parsed by that command's own
+    parser, as the top-level parse hands it on, but without first scanning
+    every argument a second time; any other argv, and one with arguments
+    the command does not take, goes to the top-level parser, so its help
+    and error text are the top-level parse's.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    command = _commands().get(args[0]) if args else None
+    if command is not None:
+        ns, extras = command.parse_known_args(args[1:])
+        ns.command = args[0]
+    if command is None or extras:  # the top-level parse prints its help or error
+        ns = _build_parser().parse_args(args)
     try:
         return ns.run(ns)
     except (ValueError, OverflowError, OSError) as exc:

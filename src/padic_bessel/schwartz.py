@@ -12,7 +12,11 @@ its parts at once and closes each node bottom-up, merging constant siblings
 ``linear_combination`` of (m, f) pairs, m a weight or a multiplier, whose
 parts are the tries of their functions; a raw term list is one part, its
 terms inserted down their digit paths into a trie of the same shape
-(``_raw_part``).
+(``_raw_part``).  A path is read off the integers of its center, the
+numerator and the p-free part of the denominator of each coordinate, with
+no center reduced: the walk builds each cell's ball from its integer
+center U / p**R, and the reader (``read_object``) hands the integers of
+its text straight to ``_raw_part``.
 
 Queries read the trie too, never scanning the cells: ``evaluate`` walks one
 path, down the digits of the point, and ``ball_integral`` the path of the
@@ -33,7 +37,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as digit_product
+from itertools import islice, product as digit_product
 from typing import Optional, Sequence, Union
 
 from padic_bessel.padic import (
@@ -44,6 +48,7 @@ from padic_bessel.padic import (
     Number,
     PAdicVector,
     PrimeContext,
+    _int_valuation,
     check_context,
     is_prime,
     valuation,
@@ -291,10 +296,26 @@ class BruhatSchwartzFunction(FrozenValue):
         again with each |c| divided by the largest, and that largest |c|
         multiplies the root; the result is inf only where the norm itself
         is past the float range.
+
+        A float |c|^2 times a measure is |c|^2 * float(measure), as
+        ``Fraction`` computes it, so each radius has its float measure taken
+        once; ``sum`` then adds the products from the int 0, as it always
+        did.
         """
         cells = self.terms
+        floats = {}  # radius exponent -> float measure of its balls
+        products = []
         try:
-            total = sum((c.abs2() * ball.measure for c, ball in cells), 0)
+            for c, ball in cells:
+                square = c.abs2()
+                if type(square) is float:
+                    measure = floats.get(ball.radius_exp)
+                    if measure is None:
+                        measure = floats[ball.radius_exp] = float(ball.measure)
+                    products.append(square * measure)
+                else:
+                    products.append(square * ball.measure)
+            total = sum(products, 0)
         except OverflowError:  # a float square times a measure past the float range
             total = math.inf
         root = root_of_square(total)
@@ -341,43 +362,66 @@ def _digit_tuples(p: int, n: int) -> tuple:
 
 
 def _raw_part(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
-    """A list of (coefficient, ball) terms as the part (trie, (1,), node
-    shares) whose ``_combine_tries`` walk is its canonical form.
+    """A list of terms as the part (trie, (1,), node shares) whose
+    ``_combine_tries`` walk is its canonical form.
 
-    The trie, rooted at B(0, p**root_r), has the ``DigitTrie`` shape but is
-    not merged.  Each nonzero term goes down one level per digit and adds
-    its coefficient, in order, to the cell of its ball, which keeps the
-    first ball inserted there, or to the share of the node there; a cell
-    met on the way down becomes a node whose share is the cell's value.  A
-    point's value is then the sum of the shares and the cell on its path.
-    Canonical centers have p-power denominators at most p**root_r, so each
-    center x gives the integer x * p**root_r, whose digits are the path."""
+    A term is (coefficient, ball), the ball a ``Ball`` or, as the reader
+    gives it (``read_object``), (coords, radius_exp) with coords the
+    integer (num, den) pairs of its center in lowest terms, den > 0.  The
+    trie, rooted at B(0, p**R), has the ``DigitTrie`` shape but is not
+    merged.  Each nonzero term goes down one level per digit and adds its
+    coefficient, in order, to the cell of its ball or to the share of the
+    node there; a cell met on the way down becomes a node whose share is
+    the cell's value.  A point's value is then the sum of the shares and
+    the cell on its path.  A cell keeps the first ball inserted there when
+    that ball is ``known_canonical``; any other cell gets its ball from the
+    walk's integer center (``_close_node``).
+
+    R is the least R >= 0 with every radius r <= R and -v(x) <= R for each
+    coordinate x (which only binds where v(x) < -r), so the valuations of
+    the denominators decide it and no center is reduced.  Each x * p**R is
+    then a / b with b prime to p, whose first R - r digits, found from the
+    one modular inverse of b mod p (``_path_indices``), are the ball's
+    path.  Terms in the reader's form that span more than MAX_INPUT_DEPTH
+    digits, R less the smallest radius (or 0), are refused before any path
+    is walked."""
     p = ctx.p
     width = len(_digit_tuples(p, ctx.n))
-    # zero terms go first: a zero term's ball may be too deep to reduce
-    cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
-    root_r = max([0] + [ball.radius_exp for _, ball in cells])
-    root_scale = p**root_r
-    largest_den = max([1] + [x.denominator for _, ball in cells for x in ball.center.coords])
-    while root_scale < largest_den:
-        root_scale *= p
-        root_r += 1
+    # per nonzero term: (coefficient, radius, ball kept on its cell, and
+    # per coordinate (numerator, p-free part of the denominator, valuation
+    # of the denominator))
+    cells = []
+    root_r = low = 0
+    bounded = False
+    for c, ball in terms:
+        if c.is_zero():  # before any valuation: a zero term's ball may be too deep to reduce
+            continue
+        if type(ball) is Ball:
+            r = ball.radius_exp
+            coords = [(x.numerator, x.denominator) for x in ball.center.coords]
+            kept = ball if ball.known_canonical else None
+        else:
+            coords, r = ball
+            kept, bounded = None, True
+        units = []
+        for num, den in coords:
+            w = 0 if den % p else _int_valuation(den, p)
+            if w > root_r:
+                root_r = w
+            units.append((num, den // p**w if w else den, w))
+        if r > root_r:
+            root_r = r
+        if r < low:
+            low = r
+        cells.append((c, r, kept, units))
+    if bounded and root_r - low > MAX_INPUT_DEPTH:
+        raise FunctionFormatError(f"the terms span {root_r - low} p-adic digits, over the {MAX_INPUT_DEPTH} accepted")
 
     top, shares = [None], {}  # the root, as the one child of a holder
-    for c, ball in cells:
-        depth = root_r - ball.radius_exp
-        # per level, least significant first, the index of the digit
-        # tuple, whose first coordinate is the most significant digit
-        path = [0] * depth
-        for x in ball.center.coords:
-            # the center lies in [0, p**-radius), so U = x * root_scale
-            # has exactly depth digits
-            u = x.numerator * (root_scale // x.denominator)
-            for j in range(depth):
-                u, d = divmod(u, p)
-                path[j] = path[j] * p + d
+    for c, r, kept, units in cells:
+        parts = [[num * p ** (root_r - w), b, pow(b, -1, p)] for num, b, w in units]
         node, i = top, 0
-        for j in path:
+        for j in islice(_path_indices(parts, p), root_r - r):
             kid = node[i]
             if type(kid) is not list:
                 node[i] = new = [None] * width
@@ -387,7 +431,7 @@ def _raw_part(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
             node, i = kid, j
         kid = node[i]
         if kid is None:
-            node[i] = (c, ball)
+            node[i] = (c, kept)
         elif type(kid) is list:
             share = shares.get(id(kid), EC_ZERO)
             shares[id(kid)] = c if share is EC_ZERO else share + c  # never adding the untouched EC_ZERO
@@ -943,8 +987,10 @@ def random_test_function(
 
 def _num_to_string(x: Number) -> str:
     """The text "num/den" in lowest terms, or "num"; a float as its exact
-    value."""
-    return str(Fraction(x) if isinstance(x, float) else x)
+    value, from ``float.as_integer_ratio``, as ``Fraction(x)`` reads it."""
+    if isinstance(x, float):
+        return _ratio_to_string(*x.as_integer_ratio())
+    return str(x)
 
 
 def _ratio_to_string(a: int, d: int) -> str:
@@ -965,7 +1011,10 @@ def _coeff_to_strings(c: ExactComplex) -> tuple:
 def serialize(f: BruhatSchwartzFunction) -> str:
     """Canonical JSON text; identical inputs serialize to identical bytes.
 
-    An integer past Python's limit on integer text
+    The text is written directly, one %-format per term, as the bytes of
+    ``json.dumps`` with separators (",", ":") of {"p", "n", "terms": [{"re",
+    "im", "center", "radius_exp"}]}: every field is digits, "-" and "/", so
+    nothing needs escaping.  An integer past Python's limit on integer text
     (``sys.get_int_max_str_digits()``) raises ValueError naming its field;
     the limit itself is left as it is.
     """
@@ -973,16 +1022,14 @@ def serialize(f: BruhatSchwartzFunction) -> str:
     for i, (c, ball) in enumerate(f.terms):
         try:
             re, im = _coeff_to_strings(c)
-            center = [_num_to_string(x) for x in ball.center.coords]
+            center = '","'.join([_num_to_string(x) for x in ball.center.coords])
         except ValueError:
             error = _digit_limit_error(i, c, ball)
             if error is None:
                 raise
             raise error from None
-        terms.append({"re": re, "im": im, "center": center, "radius_exp": ball.radius_exp})
-    import json
-
-    return json.dumps({"p": f.ctx.p, "n": f.ctx.n, "terms": terms}, separators=(",", ":"))
+        terms.append('{"re":"%s","im":"%s","center":["%s"],"radius_exp":%d}' % (re, im, center, ball.radius_exp))
+    return '{"p":%d,"n":%d,"terms":[%s]}' % (f.ctx.p, f.ctx.n, ",".join(terms))
 
 
 def _decimal_digits(m: int) -> int:
@@ -1060,19 +1107,6 @@ def _parse_rational(s) -> tuple:
     return num, den
 
 
-def _digit_depth(terms: list, p: int) -> int:
-    """Digits canonical form walks for the nonzero terms (0 for none)."""
-    balls = [ball for c, ball in terms if not c.is_zero()]
-    if not balls:
-        return 0
-    root = max(
-        [0]
-        + [ball.radius_exp for ball in balls]
-        + [-valuation(x, p) for ball in balls for x in ball.center.coords if x]
-    )
-    return root - min([0] + [ball.radius_exp for ball in balls])
-
-
 def deserialize(text: str) -> BruhatSchwartzFunction:
     """Parse the JSON schema back into a canonical function."""
     return read_object(load_json(text))[1]()
@@ -1092,7 +1126,11 @@ def load_json(text: str) -> object:
 def read_object(obj: object) -> tuple:
     """Every check of ``deserialize`` on a parsed function: its
     PrimeContext and the call that builds its canonical form, which may take
-    seconds, so that a caller can refuse its own arguments first."""
+    seconds, so that a caller can refuse its own arguments first.
+
+    Each center goes to ``_raw_part`` as the integers of its text, reduced
+    by one gcd: no ``Fraction``, point or ball is built per term, and the
+    walk builds the balls of the cells from their integer centers."""
     if not isinstance(obj, dict):
         raise FunctionFormatError("top level must be an object")
     # type(), not isinstance: JSON true is a bool, which isinstance takes for 1
@@ -1110,6 +1148,7 @@ def read_object(obj: object) -> tuple:
     if not isinstance(raw_terms, list):
         raise FunctionFormatError("'terms' must be a list")
     terms = []
+    low = 0  # the smallest radius of a nonzero term, or 0
     for entry in raw_terms:
         if not isinstance(entry, dict):
             raise FunctionFormatError("each term must be an object")
@@ -1121,15 +1160,17 @@ def read_object(obj: object) -> tuple:
         radius = entry.get("radius_exp")
         if type(radius) is not int:
             raise FunctionFormatError("radius_exp must be an integer")
-        coords = tuple(Fraction(*_parse_rational(x)) for x in center)
+        coords = []
+        for x in center:
+            num, den = _parse_rational(x)
+            g = math.gcd(num, den)
+            coords.append((num // g, den // g))
         coeff = ExactComplex.from_gaussian(re_num * im_den, im_num * re_den, re_den * im_den)
-        terms.append((coeff, Ball(PAdicVector(coords, ctx), radius)))
-    depth = _digit_depth(terms, p)
-    if depth > MAX_INPUT_DEPTH:
-        raise FunctionFormatError(
-            f"the terms span {depth} p-adic digits, over the {MAX_INPUT_DEPTH} accepted"
-        )
-    part = _raw_part(terms, ctx)
+        if not coeff.is_zero() and radius < low:
+            low = radius
+        terms.append((coeff, (coords, radius)))
+    part = _raw_part(terms, ctx)  # refuses terms deeper than MAX_INPUT_DEPTH
+    depth = part[0].radius - low
     # a term adds at most depth trie nodes, and a node at most p**n cells
     if (1 + len(terms) * depth) * p**n > MAX_CELLS:
         cells = _cell_count(part)

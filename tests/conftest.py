@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -308,6 +309,84 @@ def tree_canonical_form(ctx, terms):
     """The canonical form of a term list, canonical or not, by one
     subdivision tree and one merge."""
     return merge_tree(ctx, *subdivision_tree(terms, ctx))
+
+
+# The raw-term route of ``schwartz._raw_part`` before it read integer digit
+# paths: every ball reduced by ``Ball.canonical()`` and kept on its cell,
+# kept as the oracle of the integer route and of the reader.
+def canonical_raw_part(terms, ctx):
+    """A list of (coefficient, ball) terms as the part (trie, (1,), node
+    shares) whose ``_combine_tries`` walk is its canonical form.
+
+    The trie, rooted at B(0, p**root_r), has the ``DigitTrie`` shape but is
+    not merged.  Each nonzero term goes down one level per digit and adds
+    its coefficient, in order, to the cell of its ball, which keeps the
+    first ball inserted there, or to the share of the node there; a cell
+    met on the way down becomes a node whose share is the cell's value.
+    Canonical centers have p-power denominators at most p**root_r, so each
+    center x gives the integer x * p**root_r, whose digits are the path."""
+    p = ctx.p
+    width = len(schwartz._digit_tuples(p, ctx.n))
+    # zero terms go first: a zero term's ball may be too deep to reduce
+    cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
+    root_r = max([0] + [ball.radius_exp for _, ball in cells])
+    root_scale = p**root_r
+    largest_den = max([1] + [x.denominator for _, ball in cells for x in ball.center.coords])
+    while root_scale < largest_den:
+        root_scale *= p
+        root_r += 1
+
+    top, shares = [None], {}  # the root, as the one child of a holder
+    for c, ball in cells:
+        depth = root_r - ball.radius_exp
+        # per level, least significant first, the index of the digit
+        # tuple, whose first coordinate is the most significant digit
+        path = [0] * depth
+        for x in ball.center.coords:
+            u = x.numerator * (root_scale // x.denominator)
+            for j in range(depth):
+                u, d = divmod(u, p)
+                path[j] = path[j] * p + d
+        node, i = top, 0
+        for j in path:
+            kid = node[i]
+            if type(kid) is not list:
+                node[i] = new = [None] * width
+                if kid is not None:  # a cell met on the way down
+                    shares[id(new)] = kid[0]
+                kid = new
+            node, i = kid, j
+        kid = node[i]
+        if kid is None:
+            node[i] = (c, ball)
+        elif type(kid) is list:
+            share = shares.get(id(kid), EC_ZERO)
+            shares[id(kid)] = c if share is EC_ZERO else share + c
+        else:
+            node[i] = (kid[0] + c, kid[1])
+    return schwartz.DigitTrie(root_r, top[0]), (1,), shares
+
+
+def canonical_form_by_reduction(ctx, terms):
+    """The canonical form of a term list by ``canonical_raw_part`` and one
+    walk."""
+    return schwartz._combine_tries(ctx, [canonical_raw_part(terms, ctx)])
+
+
+def deserialize_by_fractions(text):
+    """``schwartz.deserialize`` as it read centers before the integer route:
+    every check of ``read_object``, then one ``Fraction`` per coordinate and
+    a ``Ball`` per term, reduced by ``canonical_raw_part``."""
+    obj = json.loads(text)
+    ctx = schwartz.read_object(obj)[0]
+    terms = []
+    for entry in obj["terms"]:
+        re_num, re_den = schwartz._parse_rational(entry.get("re", "0"))
+        im_num, im_den = schwartz._parse_rational(entry.get("im", "0"))
+        coords = tuple(Fraction(*schwartz._parse_rational(x)) for x in entry["center"])
+        coeff = schwartz.ExactComplex.from_gaussian(re_num * im_den, im_num * re_den, re_den * im_den)
+        terms.append((coeff, Ball(PAdicVector(coords, ctx), entry["radius_exp"])))
+    return canonical_form_by_reduction(ctx, terms)
 
 
 def tree_combination(ctx, parts):

@@ -1294,3 +1294,83 @@ def test_a_fresh_interpreter_runs_the_tables_without_dataclasses_inspect_or_json
     done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, timeout=120)
     assert done.stderr == b"[0, 0] []\n"
     assert done.stdout == "".join(run(capsys, *argv)[1] for argv in tables).encode()
+
+
+# -- one parser per call ------------------------------------------------------------
+
+PARSED_ARGVS = [
+    ["kernel", "--p", "3", "--n", "2", "--alpha", "2.5", "--gamma-max", "4", "--out", "k.csv"],
+    ["kernel", "--gamma", "5"],
+    ["kernel"],
+    ["heat", "--p", "5", "--alpha", "3", "--t", "0.25", "--gamma-max", "7", "--out", "h.csv"],
+    ["heat", "--gamma", "5", "--t", "-inf"],
+    ["heat", "--t=-1e-3", "--al", "4"],
+    ["fourier", "--in", "f.json", "--p", "2", "--n", "1", "--roundtrip", "--max-cells", "9", "--out", "o.json"],
+    ["fourier", "--in", "-f.json", "--max", "5"],
+    ["evolve", "--in", "u0.json", "--t", "0.25,0.5", "--p", "3", "--n", "2", "--alpha", "2.5",
+     "--forcing", "g.json", "--steps", "16", "--horizon", "2", "--snapshots", "s_", "--out", "e.csv"],
+    ["evolve", "--in", "u0.json", "--t", "-1", "--st", "8", "--hor", "-2"],
+    ["verify", "all", "--p", "3", "--n", "2", "--alpha", "2.5", "--trials", "3", "--seed", "7", "--tol", "1e-9",
+     "--out", "v.txt"],
+    ["verify", "--tri", "2", "pmp", "--tol", "-1"],
+    ["verify", "negdef"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=[" ".join(a) for a in PARSED_ARGVS])
+def test_main_parses_as_the_two_level_parse(argv):
+    # each command's run records the namespace main parsed instead of running
+    captured = []
+    restore = [(command, command.get_default("run")) for command in cli._commands().values()]
+    try:
+        for command, _ in restore:
+            command.set_defaults(run=captured.append)
+        main(argv)
+        want = cli._build_parser().parse_args(argv)
+    finally:
+        for command, run_command in restore:
+            command.set_defaults(run=run_command)
+    (got,) = captured
+    assert vars(got) == vars(want) and got.command == argv[0]
+
+
+def _exit_of(call):
+    """(exit code, stdout, stderr) of a call that exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
+        call()
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+REFUSED_ARGVS = [
+    ["-h"],
+    ["--help"],
+    ["heat", "-h"],
+    ["evolve", "--help"],
+    ["heat", "--t", "x"],
+    ["kernel", "--gamma-max", "1.5"],
+    ["verify", "nonsense"],
+    ["heat", "--bogus"],
+    ["heat", "--t", "1", "extra", "words"],
+    ["verify", "pmp", "--trials", "1", "again"],
+    ["evolve", "--in", "u0.json"],
+    ["fourier", "--in", "f.json", "--alpha", "2"],
+    ["--", "heat"],
+    ["--p", "2", "kernel"],
+    ["bogus"],
+    ["Kernel"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGVS, ids=[" ".join(a) or "no arguments" for a in REFUSED_ARGVS])
+def test_main_refuses_as_the_two_level_parse(argv):
+    got = _exit_of(lambda: main(argv))
+    assert got == _exit_of(lambda: cli._build_parser().parse_args(argv))
+    assert got[0] in (0, 2)
+
+
+def test_main_reads_sys_argv_without_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["padic-bessel", "kernel", "--gamma-max", "1"])
+    assert main() == 0
+    assert capsys.readouterr().out == run(capsys, "kernel", "--gamma-max", "1")[1]

@@ -46,6 +46,8 @@ from padic_bessel.schwartz import (
 )
 from conftest import (
     ball_integral_by_scan,
+    canonical_form_by_reduction,
+    deserialize_by_fractions,
     digit_children,
     evaluate_by_scan,
     relation,
@@ -1275,3 +1277,254 @@ def test_read_leaves_reads_any_function_at_the_kept_centers(p, n, alpha):
                 assert value == g.evaluate(x)
                 if i % 5 == 0:
                     assert value == evaluate_by_scan(g, x)
+
+
+# -- the integer reader and the direct writer against their old routes -------
+
+# the (p, n) of the grid, and p**n = 81 and 256
+READ_POINTS = [(p, n) for p, n, _ in GRID] + [(3, 4), (2, 8)]
+
+
+def unreduced(rng, num, den):
+    """The text of num/den, at times with num and den scaled by one factor."""
+    k = rng.choice([1, 1, 2, 3])
+    return str(num * k) if den == 1 and k == 1 else f"{num * k}/{den * k}"
+
+
+def raw_file_terms(rng, ctx, count, den_pow):
+    """count seeded file terms: centers with p-power and p-free denominator
+    parts, negative too, often unreduced, radii -3..3, some zero
+    coefficients."""
+    p, n = ctx.p, ctx.n
+    free = [q for q in (1, 2, 3, 5, 7) if q % p]
+    terms = []
+    for _ in range(count):
+        center = [unreduced(rng, rng.randint(-30, 30), p ** rng.randint(0, den_pow) * rng.choice(free)) for _ in range(n)]
+        re = unreduced(rng, rng.choice([0, 1, -2, 3, 5]), rng.choice([1, 2, 4, 9]))
+        im = unreduced(rng, rng.choice([0, 0, 1, -1]), rng.choice([1, 3]))
+        terms.append({"re": re, "im": im, "center": center, "radius_exp": rng.randint(-3, 3)})
+    return terms
+
+
+def assert_reads_as_before(text, shape=True):
+    """The reader builds what the Fraction reader built, with its trie
+    (its shape compared unless it is too deep for ``trie_shape``)."""
+    got, want = deserialize(text), deserialize_by_fractions(text)
+    assert got == want and serialize(got) == serialize(want)
+    assert got.trie.radius == want.trie.radius
+    assert not shape or trie_shape(got.trie.root) == trie_shape(want.trie.root)
+
+
+def assert_builds_as_before(ctx, terms):
+    """The constructor builds what the reduced balls built, with its trie."""
+    got, want = BruhatSchwartzFunction(ctx, terms), canonical_form_by_reduction(ctx, terms)
+    assert got == want and serialize(got) == serialize(want)
+    assert [coefficient_key(c) for c, _ in got.terms] == [coefficient_key(c) for c, _ in want.terms]
+    assert got.trie.radius == want.trie.radius and trie_shape(got.trie.root) == trie_shape(want.trie.root)
+
+
+@pytest.mark.parametrize("p,n", READ_POINTS)
+def test_the_integer_reader_builds_what_the_fraction_reader_built(p, n):
+    ctx = PrimeContext(p, n)
+    rng = random.Random(f"read:{p}:{n}")
+    wide = p**n > 25
+    for _ in range(12 if wide else 40):
+        terms = raw_file_terms(rng, ctx, rng.randint(1, 3 if wide else 6), 1 if wide else 3)
+        assert_reads_as_before(json.dumps({"p": p, "n": n, "terms": terms}))
+
+
+@pytest.mark.parametrize("p,n", READ_POINTS)
+def test_the_constructor_builds_what_the_reduced_balls_built(p, n):
+    # seeded functions, their raw term lists, reflections and re-read terms
+    ctx = PrimeContext(p, n)
+    wide = p**n > 25
+    cfg = RandomFunctionConfig(3, -1, 1, 1, True) if wide else RandomFunctionConfig(6, -3, 3, 4, True)
+    rng = random.Random(f"build:{p}:{n}")
+    for seed in range(8 if wide else 30):
+        f = random_test_function(seed, ctx, cfg)
+        assert f == canonical_form_by_reduction(ctx, f.terms)
+        assert_builds_as_before(ctx, f.terms + tuple((c * 0.5, Ball(-b.center, b.radius_exp)) for c, b in f.terms))
+        assert_builds_as_before(ctx, raw_term_list(rng, ctx))
+        assert f.reflect() == canonical_form_by_reduction(ctx, [(c, Ball(-b.center, b.radius_exp)) for c, b in f.terms])
+        assert deserialize(serialize(f)) == f
+
+
+EDGE_FILES = [
+    # denominators prime to p
+    (2, 1, [("1", ["1/3"], -4), ("1", ["0"], 0)]),
+    (3, 1, [("1", ["1/2"], -3), ("2", ["5/4"], -1)]),
+    (5, 1, [("1", ["2/3"], -2), ("1", ["-7/6"], 1)]),
+    (3, 2, [("1", ["1/2", "4/15"], -2), ("-1/2", ["1/9", "-1/7"], 0)]),
+    # unreduced text
+    (2, 1, [("2/4", ["2/4"], -2), ("0/5", ["6/8"], -1), ("3", ["0/5"], 0)]),
+    # negative centers, and centers outside the widest ball
+    (2, 2, [("1", ["-7/4", "-1"], -1), ("5", ["-33", "1/16"], 1), ("2", ["1/32", "0"], 2)]),
+    (3, 1, [("1", ["100/27"], 0), ("1", ["-1/81"], -1)]),
+    # a zero coefficient on a ball deeper than MAX_INPUT_DEPTH
+    (5, 2, [("0", ["1/3125", "7/25"], -(10**9)), ("1", ["1/5", "0"], -1)]),
+    (2, 1, [("0/7", ["1"], -(schwartz.MAX_INPUT_DEPTH + 5)), ("1", ["1"], -3)]),
+    # terms that cancel to 0, on one ball written twice
+    (2, 1, [("1", ["1/2"], -1), ("-1", ["5/2"], -1)]),
+    (3, 2, [("2", ["1", "2"], 0), ("-2", ["4", "-1"], 0)]),
+    # a cell met on the way down, in either order
+    (2, 1, [("1", ["0"], 1), ("2", ["1/2"], -2)]),
+    (2, 1, [("2", ["1/2"], -2), ("1", ["0"], 1)]),
+    (3, 1, [("1", ["0"], 0), ("1", ["1"], -1), ("1", ["1"], -1), ("-1", ["4"], -3)]),
+]
+
+
+@pytest.mark.parametrize("p,n,terms", EDGE_FILES)
+def test_the_integer_reader_on_edge_inputs(p, n, terms):
+    entries = [{"re": re, "center": center, "radius_exp": r} for re, center, r in terms]
+    text = json.dumps({"p": p, "n": n, "terms": entries})
+    assert_reads_as_before(text)
+    # and the constructor on the same terms as balls, the zero ones skipped
+    ctx = PrimeContext(p, n)
+    balls = [
+        (ExactComplex(Fraction(re), 0), Ball(PAdicVector.of(ctx, *map(Fraction, center)), r))
+        for re, center, r in terms
+        if Fraction(re)
+    ]
+    assert_builds_as_before(ctx, balls)
+
+
+REFUSALS = [
+    # texts the reader refused before the integer route, and the messages it printed
+    (
+        '{"p":3,"n":1,"terms":[{"re":"1","center":["1/9"],"radius_exp":-9999}]}',
+        "the terms span 10001 p-adic digits, over the 10000 accepted",
+    ),
+    (
+        '{"p":2,"n":1,"terms":[{"re":"1","center":["1/%d"],"radius_exp":0}]}' % 2**10001,
+        "the terms span 10001 p-adic digits, over the 10000 accepted",
+    ),
+    (
+        '{"p":2,"n":8,"terms":[{"re":"1","center":["0","0","0","0","0","0","0","0"],"radius_exp":0},'
+        '{"re":"1","center":["1","0","0","0","0","0","0","0"],"radius_exp":-300}]}',
+        "the canonical form has 76501 cells, over the 65536 accepted",
+    ),
+    (
+        '{"p":2,"n":1,"terms":[{"re":"1/%s","center":["0"],"radius_exp":0}]}' % ("7" * 4301),
+        "a rational has a 4301-digit integer, over the limit of 4300 digits for integer text "
+        "(sys.get_int_max_str_digits())",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message", REFUSALS, ids=["depth", "denominator_depth", "cells", "digits"])
+def test_the_reader_refuses_as_before(text, message):
+    if "4300" in message and sys.get_int_max_str_digits() != 4300:
+        pytest.skip("the message names the interpreter's default limit on integer text")
+    with pytest.raises(FunctionFormatError) as info:
+        deserialize(text)
+    assert str(info.value) == message
+
+
+def test_a_depth_at_the_limit_is_read():
+    # 1/(3 * 2**10000) is 10000 digits below the root at p = 2
+    text = '{"p":2,"n":1,"terms":[{"re":"1","center":["1/%d"],"radius_exp":0}]}' % (3 * 2**10000)
+    assert_reads_as_before(text, shape=False)
+
+
+@pytest.mark.parametrize(
+    "coeff,center,message",
+    [
+        (ExactComplex(Fraction(1, 3**9100), 0), Fraction(1, 8), "term 0 field 're' has a 4342-digit integer"),
+        (ExactComplex(0, 10**4400), Fraction(1, 8), "term 0 field 'im' has a 4401-digit integer"),
+        (ExactComplex(1, 0), Fraction(1, 2**15000), "term 0 field 'center[0]' has a 4516-digit integer"),
+    ],
+)
+def test_serialize_refuses_as_before(coeff, center, message):
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("the message names the interpreter's default limit on integer text")
+    f = BruhatSchwartzFunction(C21, ((coeff, Ball(PAdicVector.of(C21, center), -15001)),))
+    with pytest.raises(ValueError) as info:
+        serialize(f)
+    assert str(info.value) == message + ", over the limit of 4300 digits for integer text (sys.get_int_max_str_digits())"
+
+
+def serialize_by_json(f):
+    """``serialize`` as it wrote its text before: the dict schema through
+    ``json.dumps``, each number as ``str(Fraction(x))``."""
+    terms = [
+        {
+            "re": str(Fraction(c.re)),
+            "im": str(Fraction(c.im)),
+            "center": [str(Fraction(x)) for x in ball.center.coords],
+            "radius_exp": ball.radius_exp,
+        }
+        for c, ball in f.terms
+    ]
+    return json.dumps({"p": f.ctx.p, "n": f.ctx.n, "terms": terms}, separators=(",", ":"))
+
+
+FLOAT_PARTS = [-0.0, 5e-324, 1e308, -1e308, 0.1, -2.5, 2.0**-1074 * 3, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+def test_serialize_writes_the_bytes_of_json_dumps(n, kind):
+    ctx = PrimeContext(3, n)
+    rng = random.Random(f"write:{n}:{kind}")
+    cfg = RandomFunctionConfig(4, -3, 3, 4, True)
+    assert serialize(BruhatSchwartzFunction.zero(ctx)) == serialize_by_json(BruhatSchwartzFunction.zero(ctx))
+    for seed in range(15):
+        f = random_test_function(seed, ctx, cfg)
+        if kind != "exact":
+            pairs = [(rng.choice(FLOAT_PARTS), rng.choice(FLOAT_PARTS + [Fraction(1, 3), 7])) for _ in f.terms]
+            floats = tuple((ExactComplex(a, b), ball) for (a, b), (_, ball) in zip(pairs, f.terms))
+            g = BruhatSchwartzFunction(ctx, floats)
+            f = g if kind == "float" else f + g
+        assert serialize(f) == serialize_by_json(f)
+
+
+def test_a_float_is_written_as_fraction_writes_it():
+    for x in FLOAT_PARTS + [0.0, -5e-324, 1.7976931348623157e308, 123456789.125]:
+        assert schwartz._num_to_string(x) == str(Fraction(x))
+    for x, error in ((math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)):
+        with pytest.raises(error) as want:
+            Fraction(x)
+        with pytest.raises(error) as got:
+            schwartz._num_to_string(x)
+        assert str(got.value) == str(want.value)
+
+
+def l2_norm_by_sum(f):
+    """``l2_norm`` as it summed before: each |c|**2 times the ``Fraction``
+    measure, folded by ``sum`` from the int 0."""
+    cells = f.terms
+    try:
+        total = sum((c.abs2() * ball.measure for c, ball in cells), 0)
+    except OverflowError:
+        total = math.inf
+    root = schwartz.root_of_square(total)
+    if root == math.inf and isinstance(total, float):
+        top = max(abs(c) for c, _ in cells)
+        if math.isfinite(top):
+            scaled = sum((Fraction((abs(c) / top) ** 2) * ball.measure for c, ball in cells), Fraction(0))
+            root = top * schwartz.root_of_square(scaled)
+    return root
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n, _ in GRID])
+def test_l2_norm_is_the_old_sum_bit_for_bit(p, n):
+    ctx = PrimeContext(p, n)
+    cfg = RandomFunctionConfig(8, -3, 3, 2, True)
+    for seed in range(25):
+        f = random_test_function(seed, ctx, cfg)
+        g = random_test_function(seed + 100, ctx, cfg)
+        for h in (f, f.scale(0.1), f + g.scale(1 / 3), f.scale(1e-160) - g.scale(0.7), f.scale(1e160)):
+            assert h.l2_norm().hex() == l2_norm_by_sum(h).hex()
+
+
+@pytest.mark.parametrize(
+    "coeff,radius_exp",
+    [(1e200, 0), (1e200, -3), (1e300, 100), (1e300, 10), (0.5, 1100), (1e-100, 1100), (3, 1100)],
+)
+def test_l2_norm_past_the_float_range_is_the_old_sum_bit_for_bit(coeff, radius_exp):
+    zero = PAdicVector.zero(C21)
+    f = BruhatSchwartzFunction.indicator(Ball(zero, radius_exp), coeff)
+    g = f + BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(1, 2)), -1), 2)
+    h = g + BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(1, 4)), -2), 0.25)
+    for u in (f, g, h):
+        assert u.l2_norm().hex() == l2_norm_by_sum(u).hex()
