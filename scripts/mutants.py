@@ -111,8 +111,8 @@ MUTANTS = [
     (
         "pmp_first_tied_cell_only",
         "src/padic_bessel/bessel.py",
-        "        return read_leaves(f, g, lambda leaf, radius: leaf is not None and leaf[0].re == top)\n",
-        "        return read_leaves(f, g, lambda leaf, radius: leaf is not None and leaf[0].re == top)[:1]\n",
+        "        return read_leaves(f, g, lambda leaf, radius: leaf is not None and leaf.re == top)\n",
+        "        return read_leaves(f, g, lambda leaf, radius: leaf is not None and leaf.re == top)[:1]\n",
         ("tier1", "verify"),
         {
             "verify": "the pmp row prints FAIL on the unchanged code at every grid point, as sign-mixed "
@@ -178,8 +178,8 @@ MUTANTS = [
     (
         "raw_path_without_the_inverse",
         "src/padic_bessel/schwartz.py",
-        "        parts = [[num * p ** (root_r - w), b, pow(b, -1, p)] for num, b, w in units]\n",
-        "        parts = [[num * p ** (root_r - w), b, 1] for num, b, w in units]\n",
+        "        parts.append([a * p ** (radius - w), b, pow(b, -1, p)])\n",
+        "        parts.append([a * p ** (radius - w), b, 1])\n",
         ("tier1",),
         {},
     ),
@@ -188,6 +188,47 @@ MUTANTS = [
         "src/padic_bessel/schwartz.py",
         "            if w > root_r:\n                root_r = w\n",
         "            pass\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "cells_leaves_before_child_nodes",
+        "src/padic_bessel/schwartz.py",
+        "        node, units, radius, scale, i = frame\n"
+        "        for i in range(i, len(node)):\n"
+        "            kid = node[i]\n"
+        "            if type(kid) is list:\n"
+        "                frame[4] = i + 1\n"
+        "                child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))\n"
+        "                stack.append([kid, child_units, radius - 1, scale * p, 0])\n"
+        "                break\n"
+        "        else:\n"
+        "            stack.pop()\n"
+        "            for kid, digits in zip(node, all_digits):\n"
+        "                if kid is not None and type(kid) is not list:\n"
+        "                    yield kid, radius - 1, (units, scale, digits)\n",
+        "        node, units, radius, scale, i = frame\n"
+        "        if i == 0:\n"
+        "            for kid, digits in zip(node, all_digits):\n"
+        "                if kid is not None and type(kid) is not list:\n"
+        "                    yield kid, radius - 1, (units, scale, digits)\n"
+        "        for i in range(i, len(node)):\n"
+        "            kid = node[i]\n"
+        "            if type(kid) is list:\n"
+        "                frame[4] = i + 1\n"
+        "                child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))\n"
+        "                stack.append([kid, child_units, radius - 1, scale * p, 0])\n"
+        "                break\n"
+        "        else:\n"
+        "            stack.pop()\n",
+        ("tier1",),
+        {},
+    ),
+    (
+        "reader_counts_one_cell_short",
+        "src/padic_bessel/schwartz.py",
+        "    cells = cell_count(f)\n",
+        "    cells = cell_count(f) - 1\n",
         ("tier1",),
         {},
     ),

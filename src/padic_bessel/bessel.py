@@ -39,6 +39,9 @@ from padic_bessel.schwartz import (
     linear_combination,
     read_leaves,
     root_of_square,
+    smallest_cell_radius,
+    support_radius,
+    zero_on_unit_ball,
 )
 from padic_bessel.spectral import RadialMultiplier
 
@@ -227,9 +230,9 @@ def apply_bessel_convolution(
     remaining kernel mass is added in closed form, so no truncation error
     enters.
     """
-    if not f.terms:
+    if f.is_zero:
         return EC_ZERO
-    ell = min(ball.radius_exp for _, ball in f.terms)
+    ell = smallest_cell_radius(f)
     total = f.evaluate(x) * kernel_ball_mass(ell, order)
     for k in range(min(ell, 0) + 1, 1):
         ring = f.ball_integral(Ball(x, k)) - f.ball_integral(Ball(x, k - 1))
@@ -375,13 +378,11 @@ def _argmax_probes(f: BruhatSchwartzFunction, sup: Supremum, g: BruhatSchwartzFu
     """
     if sup.cell is not None:
         top = sup.value
-        return read_leaves(f, g, lambda leaf, radius: leaf is not None and leaf[0].re == top)
+        return read_leaves(f, g, lambda leaf, radius: leaf is not None and leaf.re == top)
     ctx = f.ctx
-    trie = f.trie
-    outside_exp = (0 if trie.root is None else trie.radius) + 1
-    coords = [Fraction(1, ctx.p**outside_exp)] + [Fraction(0)] * (ctx.n - 1)
+    coords = [Fraction(1, ctx.p ** (support_radius(f) + 1))] + [Fraction(0)] * (ctx.n - 1)
     points = [PAdicVector(tuple(coords), ctx)]
-    if trie.zero_descendant(0) is None:
+    if zero_on_unit_ball(f):
         points.append(PAdicVector.zero(ctx))
     probes = [(x, g.evaluate(x)) for x in points]
     probes.extend(read_leaves(f, g, lambda leaf, radius: leaf is None and radius < 0))

@@ -27,6 +27,7 @@ from padic_bessel.schwartz import (
     MAX_DIGIT_TUPLES,
     BruhatSchwartzFunction,
     RandomFunctionConfig,
+    cell_count,
     load_json,
     random_test_function,
     read_object,
@@ -166,12 +167,13 @@ def _transform_terms(f: BruhatSchwartzFunction, max_cells: int) -> tuple:
     max_cells cells.
 
     A term expands into p**e cells (``cell_exponents``), at least one, so a
-    function of more cells than max_cells is refused before any term is
-    built.  An exponent e > log2(max_cells) alone is over budget, so no
-    power beyond that is built.
+    function of more cells than max_cells is refused before any term or
+    ball is built.  An exponent e > log2(max_cells) alone is over budget,
+    so no power beyond that is built.
     """
-    if len(f.terms) > max_cells:
-        raise ValueError(f"the transform would build at least {len(f.terms)} cells, over --max-cells {max_cells}")
+    cells = cell_count(f)
+    if cells > max_cells:
+        raise ValueError(f"the transform would build at least {cells} cells, over --max-cells {max_cells}")
     terms = fourier_terms(modulated_terms(f))
     exps = cell_exponents(terms)
     top = max(exps, default=0)
@@ -210,7 +212,7 @@ def run_fourier(ns: argparse.Namespace) -> int:
 
 def _load_forcing(path: str, ctx: PrimeContext) -> tuple:
     """The --forcing schedule as (time, function) pairs, each function
-    refused before its canonical form is built when it is not on ctx."""
+    refused when it is not on ctx before a later entry is read."""
     import json
 
     with open(path) as fh:
@@ -235,7 +237,7 @@ def _load_forcing(path: str, ctx: PrimeContext) -> tuple:
 
 def run_evolve(ns: argparse.Namespace) -> int:
     ctx, build = _read_input(ns)
-    order = BesselOrder(ns.alpha, ctx)  # before the canonical form is built
+    order = BesselOrder(ns.alpha, ctx)
     u0 = build()
     times = [float(s) for s in ns.t.split(",") if s.strip() != ""]
     if not times:

@@ -424,7 +424,7 @@ def duhamel(
         pieces = [
             (forcing_multiplier(a, min(b, t), t, order), f)
             for (a, f), b in zip(problem.forcing, ends + [t])
-            if min(b, t) > a and f.terms
+            if min(b, t) > a and not f.is_zero
         ]
         if pieces:
             results.append(linear_combination([(semigroup_multiplier(t, order), problem.u0)] + pieces))

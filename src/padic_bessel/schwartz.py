@@ -2,10 +2,10 @@
 
 A locally constant, compactly supported function is stored in canonical
 form: the unique coarsest partition of a covering ball into sub-balls on
-which the function is constant, its cells, as a tuple of (coefficient,
-ball) terms, with its ``DigitTrie``: one node per ball on which it is not
-constant.  Every function carries its trie; a term list given to the
-constructor is put in canonical form there.  Every function is built by one
+which the function is constant, its cells.  The function is its
+``DigitTrie``: one node per ball on which it is not constant, and at each
+leaf the function's value on the leaf's ball.  A term list given to the
+constructor is put in canonical form there.  Every trie is built by one
 walk (``_combine_tries``) that follows one digit path in the tries of all
 its parts at once and closes each node bottom-up, merging constant siblings
 (``_close_node``).  Sums, scalings and radial multipliers are one
@@ -14,16 +14,19 @@ parts are the tries of their functions; a raw term list is one part, its
 terms inserted down their digit paths into a trie of the same shape
 (``_raw_part``).  A path is read off the integers of its center, the
 numerator and the p-free part of the denominator of each coordinate, with
-no center reduced: the walk builds each cell's ball from its integer
-center U / p**R, and the reader (``read_object``) hands the integers of
-its text straight to ``_raw_part``.
+no center reduced (``_digit_indices``), and the reader (``read_object``)
+hands the integers of its text straight to ``_raw_part``.  No walk builds a
+ball: the cells as (coefficient, ball) terms, ``terms``, are built on first
+read by one post-order walk (``_cells``) that turns each leaf's digit path
+into its ball's integer center U / p**R (``_cell_ball``).
 
-Queries read the trie too, never scanning the cells: ``evaluate`` walks one
-path, down the digits of the point, and ``ball_integral`` the path of the
-region's center; the L2 pairing walks two tries in lockstep; the pairing of
-a radial multiplier's output with its input is a Haar energy
-(``haar_energy``) summed from the cells and node means of the one
-post-order walk that also gives a multiplier its node shares
+Queries read the trie too, never the cells: ``evaluate`` walks one path,
+down the digits of the point, and ``ball_integral`` the path of the
+region's center; ``integral``, the norms and the tests of zero, reality and
+exactness fold the leaves in cell order; the L2 pairing walks two tries in
+lockstep; the pairing of a radial multiplier's output with its input is a
+Haar energy (``haar_energy``) summed from the cells and node means of the
+one post-order walk that also gives a multiplier its node shares
 (``_node_sums``); and the values of one function on chosen leaves of
 another's trie are read in one lockstep walk (``read_leaves``).  All
 structural operations (integrals, inner products, energies, suprema) are
@@ -36,7 +39,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product as digit_product
 from typing import Optional, Sequence, Union
 
@@ -51,7 +54,6 @@ from padic_bessel.padic import (
     _int_valuation,
     check_context,
     is_prime,
-    valuation,
 )
 
 Term = tuple  # (ExactComplex, Ball)
@@ -82,13 +84,14 @@ class DigitTrie(FrozenValue):
 
     ``root`` stands for the ball B(0, p**radius).  A node is a list of its
     p**n children in the digit order of ``itertools.product(range(p),
-    repeat=n)``; a child is a node, a cell (value, ball) of the function's
-    terms, or None where the function is 0.  The nodes are the balls on
-    which the function is not constant.  The root itself is a node, the one
-    cell on B(0, p**radius), or None for the zero function.  A child with
-    digits d of a node at radius s whose center is U / p**radius (U an
-    integer vector) has the center (U + d * p**(radius - s)) / p**radius.
-    For a nonzero function, radius is the least R >= 0 with the support in
+    repeat=n)``; a child is a node, a leaf, or None where the function is
+    0.  A leaf is the function's nonzero value (an ``ExactComplex``) on the
+    child's ball, one cell of its canonical form.  The nodes are the balls
+    on which the function is not constant.  The root itself is a node, the
+    value on the one cell B(0, p**radius), or None for the zero function.
+    A child with digits d of a node at radius s whose center is U /
+    p**radius (U an integer vector) has the center (U + d * p**(radius -
+    s)) / p**radius.  radius is the least R >= 0 with the support in
     B(0, p**R).  Immutable; == and hash compare (radius, root).
     """
 
@@ -110,36 +113,42 @@ class DigitTrie(FrozenValue):
 
 
 class BruhatSchwartzFunction(FrozenValue):
-    """A test function in canonical form: its cells as (coefficient, ball)
-    terms, with its digit trie.
+    """A test function in canonical form: its digit trie, and its cells as
+    (coefficient, ball) terms.
 
     ``BruhatSchwartzFunction(ctx, terms)`` takes any term list and puts it
     in canonical form: the terms are inserted down their digit paths into a
     trie rooted at a ball around 0 covering every term (``_raw_part``), and
     one walk of it carries the accumulated value of each path down and
     merges the sibling groups that agree back into their parent
-    (``_combine_tries``).  So == and hash compare functions, not the way
-    their terms were written.  Immutable; == and hash compare (ctx, terms):
-    the trie of the canonical form, ``trie``, never enters ==, repr or hash.
+    (``_combine_tries``).  The walks that build a canonical trie hand it
+    over as ``trie``.  ``terms`` is built from the trie the first time it is
+    read, in cell order, a node's cells after those of the nodes below it
+    (``_cells``); no query builds it.  So == and hash compare functions,
+    not the way their terms were written.  Immutable; == and hash compare
+    (ctx, terms): the trie never enters ==, repr or hash.
     """
 
     _fields = ("ctx", "terms")
 
-    def __init__(self, ctx: PrimeContext, terms: Sequence[tuple], trie: Optional[DigitTrie] = None):
-        """The function of ``terms``; a trie is given only by the walks that
-        built ``terms`` as its canonical cells."""
+    def __init__(self, ctx: PrimeContext, terms: Sequence[tuple] = (), *, trie: Optional[DigitTrie] = None):
+        """The function of ``terms``, or of ``trie``, a canonical trie."""
         if trie is None:
-            canonical = _combine_tries(ctx, [_raw_part(terms, ctx)])
-            terms, trie = canonical.terms, canonical.trie
+            trie = _combine_tries(ctx, [_raw_part(terms, ctx)])
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trie", trie)
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The cells as (coefficient, ball) terms, in cell order."""
+        root_scale = self.ctx.p**self.trie.radius
+        return tuple((c, _cell_ball(self.ctx, root_scale, r, at)) for c, r, at in _cells(self.trie, self.ctx))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: PrimeContext) -> "BruhatSchwartzFunction":
-        return cls(ctx, (), DigitTrie(0, None))
+        return cls(ctx, trie=DigitTrie(0, None))
 
     @classmethod
     def indicator(cls, ball: Ball, coeff: Union[Number, ExactComplex] = 1) -> "BruhatSchwartzFunction":
@@ -163,24 +172,24 @@ class BruhatSchwartzFunction(FrozenValue):
         node = trie.root
         if node is None:
             return EC_ZERO
-        indices = _digit_indices(x, trie.radius, self.ctx.p)
+        indices = _digit_indices([(c.numerator, c.denominator) for c in x.coords], trie.radius, self.ctx.p)
         if indices is None:
             return EC_ZERO
         while type(node) is list:
             node = node[next(indices)]
-        return EC_ZERO if node is None else node[0]
+        return EC_ZERO if node is None else node
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.trie.root is None
 
     @property
     def is_real(self) -> bool:
-        return all(c.im == 0 for c, _ in self.terms)
+        return all(c.im == 0 for c, _, _ in _cells(self.trie, self.ctx))
 
     @property
     def is_exact(self) -> bool:
-        return all(c.is_exact for c, _ in self.terms)
+        return all(c.is_exact for c, _, _ in _cells(self.trie, self.ctx))
 
     # -- algebra -----------------------------------------------------------
 
@@ -212,10 +221,11 @@ class BruhatSchwartzFunction(FrozenValue):
     # -- integration -------------------------------------------------------
 
     def integral(self) -> ExactComplex:
-        """Haar integral: sum of coefficient * ball measure over the terms."""
+        """Haar integral: sum of coefficient * ball measure over the cells."""
+        power, n = self.ctx.p_power, self.ctx.n
         total = EC_ZERO
-        for c, ball in self.terms:
-            total = total + c * ball.measure
+        for c, r, _ in _cells(self.trie, self.ctx):
+            total = total + c * power(r * n)
         return total
 
     def ball_integral(self, region: Ball) -> ExactComplex:
@@ -231,18 +241,21 @@ class BruhatSchwartzFunction(FrozenValue):
         trie = self.trie
         node = trie.root
         s = region.radius_exp
-        indices = _digit_indices(region.center, max(s, trie.radius), self.ctx.p)
+        coords = [(c.numerator, c.denominator) for c in region.center.coords]
+        indices = _digit_indices(coords, max(s, trie.radius), self.ctx.p)
         if node is None or indices is None:
             return EC_ZERO
         if s >= trie.radius:  # the region holds B(0, p**R)
-            return _node_integral(node) if type(node) is list else node[0] * node[1].measure
+            if type(node) is list:
+                return _node_integral(node, trie.radius, self.ctx)
+            return node * self.ctx.p_power(trie.radius * self.ctx.n)
         for _ in range(trie.radius - s):
             if type(node) is not list:
                 break
             node = node[next(indices)]
         if node is None:
             return EC_ZERO
-        return _node_integral(node) if type(node) is list else node[0] * region.measure
+        return _node_integral(node, s, self.ctx) if type(node) is list else node * region.measure
 
     def inner_product(self, other: "BruhatSchwartzFunction") -> ExactComplex:
         """L2 pairing <f, g> = integral of f * conj(g).
@@ -278,11 +291,11 @@ class BruhatSchwartzFunction(FrozenValue):
                     continue
                 if type(a) is list:
                     if type(b) is not list:
-                        total = total + _node_integral(a) * b[0].conjugate()
+                        total = total + _node_integral(a, radius, self.ctx) * b.conjugate()
                 elif type(b) is list:
-                    total = total + a[0] * _node_integral(b).conjugate()
+                    total = total + a * _node_integral(b, radius, self.ctx).conjugate()
                 else:
-                    total = total + a[0] * b[0].conjugate() * self.ctx.p_power(radius * n)
+                    total = total + a * b.conjugate() * self.ctx.p_power(radius * n)
             if not stack:
                 return total
             frame = stack.pop()
@@ -300,34 +313,35 @@ class BruhatSchwartzFunction(FrozenValue):
         A float |c|^2 times a measure is |c|^2 * float(measure), as
         ``Fraction`` computes it, so each radius has its float measure taken
         once; ``sum`` then adds the products from the int 0, as it always
-        did.
+        did.  The cells are read off the trie, in cell order.
         """
-        cells = self.terms
+        power, n = self.ctx.p_power, self.ctx.n
         floats = {}  # radius exponent -> float measure of its balls
         products = []
         try:
-            for c, ball in cells:
+            for c, r, _ in _cells(self.trie, self.ctx):
                 square = c.abs2()
                 if type(square) is float:
-                    measure = floats.get(ball.radius_exp)
+                    measure = floats.get(r)
                     if measure is None:
-                        measure = floats[ball.radius_exp] = float(ball.measure)
+                        measure = floats[r] = float(power(r * n))
                     products.append(square * measure)
                 else:
-                    products.append(square * ball.measure)
+                    products.append(square * power(r * n))
             total = sum(products, 0)
         except OverflowError:  # a float square times a measure past the float range
             total = math.inf
         root = root_of_square(total)
         if root == math.inf and isinstance(total, float):
+            cells = [(c, r) for c, r, _ in _cells(self.trie, self.ctx)]
             top = max(abs(c) for c, _ in cells)
             if math.isfinite(top):
-                scaled = sum((Fraction((abs(c) / top) ** 2) * ball.measure for c, ball in cells), Fraction(0))
+                scaled = sum((Fraction((abs(c) / top) ** 2) * power(r * n) for c, r in cells), Fraction(0))
                 root = top * root_of_square(scaled)
         return root
 
     def sup_norm(self) -> float:
-        return max((abs(c) for c, _ in self.terms), default=0.0)
+        return max((abs(c) for c, _, _ in _cells(self.trie, self.ctx)), default=0.0)
 
     # -- suprema -----------------------------------------------------------
 
@@ -336,14 +350,17 @@ class BruhatSchwartzFunction(FrozenValue):
 
         The value 0 is always attained outside the (compact) support, so the
         supremum is max(0, cell values); when it is 0 the witness cell is
-        None, marking the off-support region.
+        None, marking the off-support region.  Only the witness's ball is
+        built.
         """
         if not self.is_real:
             raise ValueError("sup_and_argmax requires a real-valued function")
         best, best_cell = EC_ZERO, None
-        for c, ball in self.terms:
+        for c, r, at in _cells(self.trie, self.ctx):
             if _real_part_above(c, best):
-                best, best_cell = c, ball
+                best, best_cell = c, (r, at)
+        if best_cell is not None:
+            best_cell = _cell_ball(self.ctx, self.ctx.p**self.trie.radius, *best_cell)
         return Supremum(best.re, best_cell)
 
 
@@ -369,28 +386,22 @@ def _raw_part(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
     gives it (``read_object``), (coords, radius_exp) with coords the
     integer (num, den) pairs of its center in lowest terms, den > 0.  The
     trie, rooted at B(0, p**R), has the ``DigitTrie`` shape but is not
-    merged.  Each nonzero term goes down one level per digit and adds its
-    coefficient, in order, to the cell of its ball or to the share of the
-    node there; a cell met on the way down becomes a node whose share is
-    the cell's value.  A point's value is then the sum of the shares and
-    the cell on its path.  A cell keeps the first ball inserted there when
-    that ball is ``known_canonical``; any other cell gets its ball from the
-    walk's integer center (``_close_node``).
+    merged, and its leaves may be 0.  Each nonzero term goes down one level
+    per digit and adds its coefficient, in order, to the leaf of its ball
+    or to the share of the node there; a leaf met on the way down becomes a
+    node whose share is the leaf's value.  A point's value is then the sum
+    of the shares and the leaf on its path.
 
     R is the least R >= 0 with every radius r <= R and -v(x) <= R for each
     coordinate x (which only binds where v(x) < -r), so the valuations of
-    the denominators decide it and no center is reduced.  Each x * p**R is
-    then a / b with b prime to p, whose first R - r digits, found from the
-    one modular inverse of b mod p (``_path_indices``), are the ball's
-    path.  Terms in the reader's form that span more than MAX_INPUT_DEPTH
-    digits, R less the smallest radius (or 0), are refused before any path
-    is walked."""
+    the denominators decide it and no center is reduced.  The ball's path
+    is then the first R - r digits of its center times p**R
+    (``_digit_indices``).  Terms in the reader's form that span more than
+    MAX_INPUT_DEPTH digits, R less the smallest radius (or 0), are refused
+    before any path is walked."""
     p = ctx.p
     width = len(_digit_tuples(p, ctx.n))
-    # per nonzero term: (coefficient, radius, ball kept on its cell, and
-    # per coordinate (numerator, p-free part of the denominator, valuation
-    # of the denominator))
-    cells = []
+    cells = []  # per nonzero term: (coefficient, radius, center as (num, den) pairs)
     root_r = low = 0
     bounded = False
     for c, ball in terms:
@@ -399,160 +410,182 @@ def _raw_part(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
         if type(ball) is Ball:
             r = ball.radius_exp
             coords = [(x.numerator, x.denominator) for x in ball.center.coords]
-            kept = ball if ball.known_canonical else None
         else:
             coords, r = ball
-            kept, bounded = None, True
-        units = []
-        for num, den in coords:
+            bounded = True
+        for _, den in coords:
             w = 0 if den % p else _int_valuation(den, p)
             if w > root_r:
                 root_r = w
-            units.append((num, den // p**w if w else den, w))
         if r > root_r:
             root_r = r
         if r < low:
             low = r
-        cells.append((c, r, kept, units))
+        cells.append((c, r, coords))
     if bounded and root_r - low > MAX_INPUT_DEPTH:
         raise FunctionFormatError(f"the terms span {root_r - low} p-adic digits, over the {MAX_INPUT_DEPTH} accepted")
 
     top, shares = [None], {}  # the root, as the one child of a holder
-    for c, r, kept, units in cells:
-        parts = [[num * p ** (root_r - w), b, pow(b, -1, p)] for num, b, w in units]
+    for c, r, coords in cells:
         node, i = top, 0
-        for j in islice(_path_indices(parts, p), root_r - r):
+        for j in islice(_digit_indices(coords, root_r, p), root_r - r):
             kid = node[i]
             if type(kid) is not list:
                 node[i] = new = [None] * width
-                if kid is not None:  # a cell met on the way down
-                    shares[id(new)] = kid[0]
+                if kid is not None:  # a leaf met on the way down
+                    shares[id(new)] = kid
                 kid = new
             node, i = kid, j
         kid = node[i]
         if kid is None:
-            node[i] = (c, kept)
+            node[i] = c
         elif type(kid) is list:
             share = shares.get(id(kid), EC_ZERO)
             shares[id(kid)] = c if share is EC_ZERO else share + c  # never adding the untouched EC_ZERO
         else:
-            node[i] = (kid[0] + c, kid[1])
+            node[i] = kid + c
     return DigitTrie(root_r, top[0]), (1,), shares
 
 
-def _cell_count(part: tuple) -> int:
-    """Cells of the canonical form of a ``_raw_part`` part, merged as
-    ``_close_node`` merges them but with no ball or center built.
-
-    A node's result is its constant value, or None when it is not constant;
-    a node that is not constant holds one cell per nonzero constant child,
-    and each of its absent children holds the value above it.
-    """
-    top, shares = part[0].root, part[2]
-    if type(top) is not list:
-        return 0 if top is None or top[0].is_zero() else 1
-    cells = 0
-    # a frame is [trie node, running value, next child, results of the
-    # children present so far]
-    stack = [[top, shares.get(id(top), EC_ZERO), 0, []]]
-    while True:
-        frame = stack[-1]
-        node, running, i, results = frame
-        for i in range(i, len(node)):
-            kid = node[i]
-            if type(kid) is list:
-                frame[2] = i + 1
-                stack.append([kid, running + shares.get(id(kid), EC_ZERO), 0, []])
-                break
-            if kid is not None:
-                results.append(running + kid[0])
-        else:
-            stack.pop()
-            absent = node.count(None)
-            if absent:
-                results.append(running)
-            first = results[0]
-            if first is not None and all(r == first for r in results):
-                top = first
-            else:
-                top = None
-                for r in results:
-                    if r is not None and not r.is_zero():
-                        cells += 1
-                if absent > 1 and not running.is_zero():
-                    cells += absent - 1
-            if not stack:
-                return cells + (top is not None and not top.is_zero())
-            stack[-1][3].append(top)
-
-
-def _canonical_function(ctx: PrimeContext, top, root_r: int, out: list) -> BruhatSchwartzFunction:
-    """The canonical function whose root B(0, p**root_r) closed as ``top``
-    (``_close_node``), out holding its cells, with its trie."""
+def _canonical_trie(top, root_r: int) -> DigitTrie:
+    """The canonical trie whose root B(0, p**root_r) closed as ``top``
+    (``_close_node``)."""
     # a root that holds only its zero child stands for B(0, p**(root_r - 1)),
     # so a sum that cancels its widest part leaves no stale radius behind
     while root_r > 0 and type(top) is list and top[0] is not None and top.count(None) == len(top) - 1:
         top = top[0]
         root_r -= 1
-    if type(top) is list:
-        return BruhatSchwartzFunction(ctx, tuple(out), DigitTrie(root_r, top))
-    value, ball = top
-    if value.is_zero():
-        return BruhatSchwartzFunction(ctx, (), DigitTrie(root_r, None))
-    cell = (value, ball or Ball(PAdicVector.zero(ctx), root_r, known_canonical=True))
-    return BruhatSchwartzFunction(ctx, (cell,), DigitTrie(root_r, cell))
+    if type(top) is not list and top.is_zero():
+        return DigitTrie(0, None)
+    return DigitTrie(root_r, top)
 
 
-def _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out):
+def _close_node(results):
     """Close one node of ``_combine_tries``' walk.
 
-    ``results`` has one entry per child of the ball of radius p**radius
-    with integer center ``units`` / root_scale, in digit order: a constant
-    (value, ball), ball None where no cell is at hand, or the trie node of
-    a child that is not constant.  Children that all hold one value merge
-    into (value, None).  Otherwise every nonzero constant child becomes a
-    cell of out, its ball centered at (units + digits * scale) / root_scale
-    when none was given, and the ball's node is returned.
+    ``results`` has one entry per child, in digit order: the value of a
+    child on which the function is constant, or the trie node of one on
+    which it is not.  Children that all hold one value merge into that
+    value; otherwise the node is returned, a zero value as None.
     """
-    if type(results[0]) is tuple:
-        value = results[0][0]
+    first = results[0]
+    if type(first) is not list:
         for r in results:
-            if type(r) is not tuple or r[0] != value:
+            if type(r) is list or r != first:
                 break
         else:
-            return (value, None)
-    node = []
-    for r, digits in zip(results, all_digits):
-        if type(r) is list:
-            node.append(r)
-        elif r[0].is_zero():
-            node.append(None)
+            return first
+    return [None if type(r) is not list and r.is_zero() else r for r in results]
+
+
+def _cells(trie: DigitTrie, ctx: PrimeContext):
+    """(c, r, at) for each cell of the trie, in cell order: c its value, r
+    the radius exponent of its ball, at where the ball lies (``_cell_ball``).
+
+    One post-order walk: a node's cells come after those of the nodes below
+    it, its child nodes in digit order and then its leaves in digit order.
+    at is (U, scale, digits) for the leaf with digits of a node whose
+    center is U / p**R and whose children lie scale = p**(R - s) apart, s
+    the node's radius exponent; a root that is a leaf is at U = digits = 0.
+    """
+    top = trie.root
+    if type(top) is not list:
+        if top is not None:
+            yield top, trie.radius, ((0,) * ctx.n, 1, (0,) * ctx.n)
+        return
+    p = ctx.p
+    all_digits = _digit_tuples(p, ctx.n)
+    # a frame is [trie node, integer center coords U, radius, integer digit
+    # scale, next child]
+    stack = [[top, (0,) * ctx.n, trie.radius, 1, 0]]
+    while stack:
+        frame = stack[-1]
+        node, units, radius, scale, i = frame
+        for i in range(i, len(node)):
+            kid = node[i]
+            if type(kid) is list:
+                frame[4] = i + 1
+                child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
+                stack.append([kid, child_units, radius - 1, scale * p, 0])
+                break
         else:
-            if r[1] is None:
-                coords = tuple(Fraction(u + d * scale, root_scale) for u, d in zip(units, digits))
-                r = (r[0], Ball(PAdicVector(coords, ctx), radius - 1, known_canonical=True))
-            out.append(r)
-            node.append(r)
-    return node
+            stack.pop()
+            for kid, digits in zip(node, all_digits):
+                if kid is not None and type(kid) is not list:
+                    yield kid, radius - 1, (units, scale, digits)
 
 
-def _node_integral(node: list) -> ExactComplex:
-    """Haar integral over a trie node: the sum of its cells' masses."""
-    total = EC_ZERO
-    stack = [node]
+def _cell_ball(ctx: PrimeContext, root_scale: int, r: int, at) -> Ball:
+    """The ball of radius p**r of a cell that ``_cells`` places at ``at``,
+    in a trie whose root has radius p**R, root_scale = p**R: the one place
+    a cell's ball is built."""
+    units, scale, digits = at
+    coords = tuple(Fraction(u + d * scale, root_scale) for u, d in zip(units, digits))
+    return Ball(PAdicVector(coords, ctx), r, known_canonical=True)
+
+
+def cell_count(f: BruhatSchwartzFunction) -> int:
+    """The number of cells of f: the leaves of its trie, counted with no
+    ball built."""
+    top = f.trie.root
+    if type(top) is not list:
+        return 0 if top is None else 1
+    count, stack = 0, [top]
     while stack:
         for kid in stack.pop():
             if type(kid) is list:
                 stack.append(kid)
             elif kid is not None:
-                total = total + kid[0] * kid[1].measure
+                count += 1
+    return count
+
+
+def smallest_cell_radius(f: BruhatSchwartzFunction) -> int:
+    """The radius exponent of f's smallest cells, read off its trie with no
+    ball built: one less than that of its deepest node, each of whose
+    children is a cell or 0.  The root's radius when the root is a leaf or
+    f is 0."""
+    trie = f.trie
+    low = trie.radius
+    stack = [(trie.root, trie.radius)] if type(trie.root) is list else []
+    while stack:
+        node, radius = stack.pop()
+        low = min(low, radius - 1)
+        stack.extend((kid, radius - 1) for kid in node if type(kid) is list)
+    return low
+
+
+def support_radius(f: BruhatSchwartzFunction) -> int:
+    """The least R >= 0 with f zero outside B(0, p**R)."""
+    return f.trie.radius
+
+
+def zero_on_unit_ball(f: BruhatSchwartzFunction) -> bool:
+    """Whether f is 0 on all of Z_p^n."""
+    return f.trie.zero_descendant(0) is None
+
+
+def _node_integral(node: list, radius: int, ctx: PrimeContext) -> ExactComplex:
+    """Haar integral over a trie node of radius p**radius: the sum of its
+    cells' masses."""
+    power, n = ctx.p_power, ctx.n
+    total = EC_ZERO
+    stack = [(node, radius)]
+    while stack:
+        node, radius = stack.pop()
+        for kid in node:
+            if type(kid) is list:
+                stack.append((kid, radius - 1))
+            elif kid is not None:
+                total = total + kid * power((radius - 1) * n)
     return total
 
 
-def _digit_indices(x: PAdicVector, radius: int, p: int):
-    """The child indices of x's path down the digit trie from B(0, p**radius),
-    radius >= 0, one per level as an endless iterator; or None when x lies
-    outside that ball.
+def _digit_indices(coords, radius: int, p: int):
+    """The child indices of a point's path down the digit trie from B(0,
+    p**radius), radius >= 0, one per level as an endless iterator; or None
+    when the point lies outside that ball.  ``coords`` are the point's
+    coordinates as integer (num, den) pairs in lowest terms, den > 0.
 
     Each coordinate times p**radius is a / b with b prime to p, an element
     of Z_p whose next digit is a * b**-1 mod p: the one modular inverse of
@@ -561,13 +594,12 @@ def _digit_indices(x: PAdicVector, radius: int, p: int):
     coordinate's most significant, in the order of ``_digit_tuples``.
     """
     parts = []
-    for coord in x.coords:
-        a, b = coord.numerator, coord.denominator
-        v = valuation(b, p)
-        if v > radius:
+    for a, den in coords:
+        w = 0 if den % p else _int_valuation(den, p)
+        if w > radius:
             return None
-        b //= p**v
-        parts.append([a * p ** (radius - v), b, pow(b, -1, p)])
+        b = den // p**w
+        parts.append([a * p ** (radius - w), b, pow(b, -1, p)])
     return _path_indices(parts, p)
 
 
@@ -644,13 +676,13 @@ def read_leaves(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction, keep) -> l
     ``keep(leaf, r)`` accepts, r the radius exponent of the leaf's ball: one
     walk of f's trie in lockstep with g's, for f and g over one context.
 
-    A leaf is a cell (value, ball) of f, or None where f is 0; a trie that
+    A leaf is the value of a cell of f, or None where f is 0; a trie that
     is one cell or None is its own leaf, centered at 0.  Leaves come in
     canonical cell order, a node's leaves after those of the nodes below
     it.  Where g is constant on the leaf, as m(D) f is on every cell and
     zero ball of f, g's value is the one reached in the same step, so the
     walk is linear in f's trie nodes; elsewhere g is read at the center, on
-    down the zero digits.  Only the centers of kept zero leaves are built.
+    down the zero digits.  Only the centers of kept leaves are built.
     """
     ctx = f.ctx
     trie = f.trie
@@ -667,8 +699,7 @@ def read_leaves(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction, keep) -> l
     top = trie.root
     if type(top) is not list:
         if keep(top, radius):
-            center = PAdicVector.zero(ctx) if top is None else top[1].center
-            out.append((center, _value_at_center(g_top)))
+            out.append((PAdicVector.zero(ctx), _value_at_center(g_top)))
         return out
     all_digits = _digit_tuples(ctx.p, ctx.n)
     root_scale = ctx.p**radius
@@ -691,12 +722,8 @@ def read_leaves(f: BruhatSchwartzFunction, g: BruhatSchwartzFunction, keep) -> l
             for i, kid in enumerate(node):
                 if type(kid) is list or not keep(kid, radius - 1):
                     continue
-                if kid is None:
-                    coords = tuple(Fraction(u + d * scale, root_scale) for u, d in zip(units, all_digits[i]))
-                    center = PAdicVector(coords, ctx)
-                else:
-                    center = kid[1].center
-                out.append((center, _value_at_center(g_node[i] if type(g_node) is list else g_node)))
+                coords = tuple(Fraction(u + d * scale, root_scale) for u, d in zip(units, all_digits[i]))
+                out.append((PAdicVector(coords, ctx), _value_at_center(g_node[i] if type(g_node) is list else g_node)))
     return out
 
 
@@ -705,7 +732,7 @@ def _value_at_center(kid) -> ExactComplex:
     below the ball are 0."""
     while type(kid) is list:
         kid = kid[0]
-    return EC_ZERO if kid is None else kid[0]
+    return EC_ZERO if kid is None else kid
 
 
 def _node_sums(trie: DigitTrie, cells: Optional[list] = None) -> list:
@@ -718,7 +745,7 @@ def _node_sums(trie: DigitTrie, cells: Optional[list] = None) -> list:
     top = trie.root
     if type(top) is not list:
         if top is not None and cells is not None:
-            cells.append((trie.radius, top[0]))
+            cells.append((trie.radius, top))
         return []
     out = []
     add_cell = None if cells is None else cells.append
@@ -739,9 +766,9 @@ def _node_sums(trie: DigitTrie, cells: Optional[list] = None) -> list:
             if kid is None:
                 continue
             if add_cell:
-                add_cell((radius - 1, kid[0]))
+                add_cell((radius - 1, kid))
             if summing:
-                total = total + kid[0]
+                total = total + kid
         else:
             stack.pop()
             if summing:
@@ -763,30 +790,28 @@ def _node_drops(trie: DigitTrie, drops) -> dict:
     return {id(node): mean * drops[-s] for node, s, _, mean in _node_sums(trie)}
 
 
-def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzFunction:
-    """The function of (trie, values, shares) parts, each m(D) f for the
-    trie of f: one pre-order walk down one digit path in every part's trie
-    at once, from B(0, p**R), R the largest radius of a nonzero part, to
-    which smaller tries are lifted down the zero digits.  Each part holding
-    a ball adds its share in pair order, folded from the untouched EC_ZERO:
-    values[j] * c for a cell of radius p**(-j) and value c (j clamped into
-    values), shares[id(node)] for a node, or EC_ZERO where shares has none.
-    A multiplier's shares are its drops times means (``_node_drops``), a
-    raw term list's its node coefficients (``_raw_part``); shares None, for
-    a weight, stands for none, and then, as for a one-cell root, a zero
-    product adds nothing.  A held ball gets its path's running value plus
-    its shares and the first cell's ball.  Linear in the parts' trie nodes
-    times p**n.
+def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> DigitTrie:
+    """The canonical trie of the function of (trie, values, shares) parts,
+    each m(D) f for the trie of f: one pre-order walk down one digit path
+    in every part's trie at once, from B(0, p**R), R the largest radius of
+    a nonzero part, to which smaller tries are lifted down the zero digits.
+    Each part holding a ball adds its share in pair order, folded from the
+    untouched EC_ZERO: values[j] * c for a leaf of radius p**(-j) and value
+    c (j clamped into values), shares[id(node)] for a node, or EC_ZERO
+    where shares has none.  A multiplier's shares are its drops times means
+    (``_node_drops``), a raw term list's its node coefficients
+    (``_raw_part``); shares None, for a weight, stands for none, and then,
+    as for a one-cell root, a zero product adds nothing.  A held ball gets
+    its path's running value plus its shares.  Linear in the parts' trie
+    nodes times p**n.
     """
-    p = ctx.p
-    all_digits = _digit_tuples(p, ctx.n)
-    width = len(all_digits)
+    width = len(_digit_tuples(ctx.p, ctx.n))
     root_r = 0
     for trie, _, _ in parts:
         if trie.radius > root_r and trie.root is not None:
             root_r = trie.radius
-    running, ball = EC_ZERO, None  # the root's shares and cell ball
-    # per part live at the root: (trie node, weight of its cells, whether a
+    running = EC_ZERO  # the root's shares
+    # per part live at the root: (trie node, weight of its leaves, whether a
     # zero product adds nothing, values, last index, node shares)
     live = []
     for trie, values, shares in parts:
@@ -796,12 +821,11 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzF
         if type(values[0]) is int and values == (1,):
             values = (None,)  # the int 1: its products are skipped, since they change no bits
         if type(top) is not list:  # one cell, on B(0, p**trie.radius)
-            c = top[0] if values[0] is None else top[0] * values[0]
-            if c.is_zero():  # adds nothing, but a lifted cell holds its ball
+            c = top if values[0] is None else top * values[0]
+            if c.is_zero():  # adds nothing, but a lifted cell still leads the walk down its path
                 top = [None] * width
             elif not lift:
                 running = c if running is EC_ZERO else running + c
-                ball = ball or top[1]
             if not lift:
                 continue
         for _ in range(lift):
@@ -813,17 +837,15 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzF
         last = len(values) - 1
         live.append((top, values[min(max(1 - root_r, 0), last)], skip, values, last, shares))
     if not live:
-        return _canonical_function(ctx, (running, ball), root_r, [])
-    root_scale, out = p**root_r, []
-    # the parts live at the ball to enter next, and its integer center
-    # coords U, radius, running value and integer digit scale
-    enter, units, radius, scale = live, (0,) * ctx.n, root_r, 1
+        return _canonical_trie(running, root_r)
+    # the parts live at the ball to enter next, and its radius and running value
+    enter, radius = live, root_r
     stack = []  # per ball where several parts are live: its entry and results
     while True:
         if enter is None:
-            live, units, radius, running, scale, results = stack[-1]
+            live, radius, running, results = stack[-1]
             for i in range(len(results), width):
-                share, ball, kids = EC_ZERO, None, None
+                share, kids = EC_ZERO, None
                 for node, weight, skip, values, last, shares in live:
                     kid = node[i]
                     if kid is None:
@@ -832,60 +854,56 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> BruhatSchwartzF
                         add = shares.get(id(kid), EC_ZERO)
                         kids = (kids or []) + [(kid, values[min(max(2 - radius, 0), last)], skip, values, last, shares)]
                     else:
-                        add = kid[0] if weight is None else kid[0] * weight
+                        add = kid if weight is None else kid * weight
                         if skip and add.is_zero():
                             continue
-                        ball = ball or kid[1]
                     if add is not EC_ZERO:
                         share = add if share is EC_ZERO else share + add
                 if kids is None and share is EC_ZERO:  # no part holds the ball
-                    results.append((running, None))
+                    results.append(running)
                     continue
                 value = share if running is EC_ZERO else running + share
                 if kids is None:
-                    results.append((value, ball))
+                    results.append(value)
                     continue
-                units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
-                enter, radius, running, scale = kids, radius - 1, value, scale * p
+                enter, radius, running = kids, radius - 1, value
                 break
             if enter is not None:
                 continue
             stack.pop()
-            top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+            top = _close_node(results)
         elif len(enter) > 1:
-            stack.append([enter, units, radius, running, scale, []])
+            stack.append([enter, radius, running, []])
             enter = None
             continue
         else:
-            # one live part walks its subtree: [node, U, radius, running, scale, weight, results]
+            # one live part walks its subtree: [node, radius, running, weight, results]
             node, weight, skip, values, last, shares = enter[0]
             enter = None
-            own = [[node, units, radius, running, scale, weight, []]]
+            own = [[node, radius, running, weight, []]]
             while own:
-                node, units, radius, running, scale, weight, results = own[-1]
+                node, radius, running, weight, results = own[-1]
                 for i in range(len(results), width):
                     kid = node[i]
                     if kid is None:
-                        results.append((running, None))
+                        results.append(running)
                     elif type(kid) is list:
                         share = shares.get(id(kid), EC_ZERO)
                         value = share if running is EC_ZERO else running + share
-                        child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
-                        child_weight = values[min(max(2 - radius, 0), last)]
-                        own.append([kid, child_units, radius - 1, value, scale * p, child_weight, []])
+                        own.append([kid, radius - 1, value, values[min(max(2 - radius, 0), last)], []])
                         break
                     else:
-                        c = kid[0] if weight is None else kid[0] * weight
+                        c = kid if weight is None else kid * weight
                         zero = skip and c.is_zero()
-                        results.append((running, None) if zero else (c if running is EC_ZERO else running + c, kid[1]))
+                        results.append(running if zero else c if running is EC_ZERO else running + c)
                 else:
                     own.pop()
-                    top = _close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+                    top = _close_node(results)
                     if own:
-                        own[-1][6].append(top)
+                        own[-1][4].append(top)
         if not stack:
-            return _canonical_function(ctx, top, root_r, out)
-        stack[-1][5].append(top)
+            return _canonical_trie(top, root_r)
+        stack[-1][3].append(top)
 
 
 def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
@@ -906,7 +924,7 @@ def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
             parts.append((f.trie, values, _node_drops(f.trie, drops)))
         else:
             parts.append((f.trie, (m,), None))
-    return _combine_tries(ctx, parts)
+    return BruhatSchwartzFunction(ctx, trie=_combine_tries(ctx, parts))
 
 
 # -- random instances -------------------------------------------------------
@@ -1014,21 +1032,24 @@ def serialize(f: BruhatSchwartzFunction) -> str:
     The text is written directly, one %-format per term, as the bytes of
     ``json.dumps`` with separators (",", ":") of {"p", "n", "terms": [{"re",
     "im", "center", "radius_exp"}]}: every field is digits, "-" and "/", so
-    nothing needs escaping.  An integer past Python's limit on integer text
+    nothing needs escaping.  The cells are read off the trie (``_cells``),
+    each center coordinate written from its integer numerator over p**R,
+    with no ball built.  An integer past Python's limit on integer text
     (``sys.get_int_max_str_digits()``) raises ValueError naming its field;
     the limit itself is left as it is.
     """
+    root_scale = f.ctx.p**f.trie.radius
     terms = []
-    for i, (c, ball) in enumerate(f.terms):
+    for i, (c, r, (units, scale, digits)) in enumerate(_cells(f.trie, f.ctx)):
         try:
             re, im = _coeff_to_strings(c)
-            center = '","'.join([_num_to_string(x) for x in ball.center.coords])
+            center = '","'.join([_ratio_to_string(u + d * scale, root_scale) for u, d in zip(units, digits)])
         except ValueError:
-            error = _digit_limit_error(i, c, ball)
+            error = _digit_limit_error(i, c, _cell_ball(f.ctx, root_scale, r, (units, scale, digits)))
             if error is None:
                 raise
             raise error from None
-        terms.append('{"re":"%s","im":"%s","center":["%s"],"radius_exp":%d}' % (re, im, center, ball.radius_exp))
+        terms.append('{"re":"%s","im":"%s","center":["%s"],"radius_exp":%d}' % (re, im, center, r))
     return '{"p":%d,"n":%d,"terms":[%s]}' % (f.ctx.p, f.ctx.n, ",".join(terms))
 
 
@@ -1125,12 +1146,12 @@ def load_json(text: str) -> object:
 
 def read_object(obj: object) -> tuple:
     """Every check of ``deserialize`` on a parsed function: its
-    PrimeContext and the call that builds its canonical form, which may take
-    seconds, so that a caller can refuse its own arguments first.
+    PrimeContext and the call that gives the function.
 
     Each center goes to ``_raw_part`` as the integers of its text, reduced
-    by one gcd: no ``Fraction``, point or ball is built per term, and the
-    walk builds the balls of the cells from their integer centers."""
+    by one gcd, and one walk gives the canonical trie: no ``Fraction``,
+    point or ball is built, so the cells over MAX_CELLS are counted on the
+    trie's leaves (``cell_count``) before any is built."""
     if not isinstance(obj, dict):
         raise FunctionFormatError("top level must be an object")
     # type(), not isinstance: JSON true is a bool, which isinstance takes for 1
@@ -1148,7 +1169,6 @@ def read_object(obj: object) -> tuple:
     if not isinstance(raw_terms, list):
         raise FunctionFormatError("'terms' must be a list")
     terms = []
-    low = 0  # the smallest radius of a nonzero term, or 0
     for entry in raw_terms:
         if not isinstance(entry, dict):
             raise FunctionFormatError("each term must be an object")
@@ -1166,14 +1186,9 @@ def read_object(obj: object) -> tuple:
             g = math.gcd(num, den)
             coords.append((num // g, den // g))
         coeff = ExactComplex.from_gaussian(re_num * im_den, im_num * re_den, re_den * im_den)
-        if not coeff.is_zero() and radius < low:
-            low = radius
         terms.append((coeff, (coords, radius)))
-    part = _raw_part(terms, ctx)  # refuses terms deeper than MAX_INPUT_DEPTH
-    depth = part[0].radius - low
-    # a term adds at most depth trie nodes, and a node at most p**n cells
-    if (1 + len(terms) * depth) * p**n > MAX_CELLS:
-        cells = _cell_count(part)
-        if cells > MAX_CELLS:
-            raise FunctionFormatError(f"the canonical form has {cells} cells, over the {MAX_CELLS} accepted")
-    return ctx, lambda: _combine_tries(ctx, [part])
+    f = BruhatSchwartzFunction(ctx, terms)  # refuses terms deeper than MAX_INPUT_DEPTH
+    cells = cell_count(f)
+    if cells > MAX_CELLS:
+        raise FunctionFormatError(f"the canonical form has {cells} cells, over the {MAX_CELLS} accepted")
+    return ctx, lambda: f

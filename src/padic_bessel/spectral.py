@@ -42,7 +42,7 @@ from padic_bessel.padic import (
     reduce_mod_ball,
     shell_character_integral,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
+from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination, smallest_cell_radius
 
 
 class DivergentTailError(ValueError):
@@ -141,7 +141,7 @@ class RadialMultiplier(FrozenValue):
         computed and the shells down to SHELLS_CACHED kept, so deep inputs
         cannot grow it."""
         check_context(f.ctx, self.ctx)
-        depth = max([0] + [-ball.radius_exp for _, ball in f.terms])
+        depth = max(0, -smallest_cell_radius(f))
         table = self._table
         if table is not None and len(table[0]) > depth:
             return f, table[0][: depth + 1], table[1][:depth]
@@ -159,7 +159,7 @@ class RadialMultiplier(FrozenValue):
         """The function m(D) f, canonical, with its trie: the one-part
         ``linear_combination``, one walk of f's trie with ``part``'s scales
         that builds the output trie, closing each node as canonical form
-        does and reusing f's balls.  Linear in trie nodes times p**n."""
+        does, with no ball built.  Linear in trie nodes times p**n."""
         return linear_combination([(self, f)])
 
     def profile(self) -> RadialProfile:
@@ -310,7 +310,7 @@ def expand(ctx: PrimeContext, terms) -> BruhatSchwartzFunction:
             out.extend(_modulated_cells(term, rho))
             continue
         phase = _shifted(phase, eta, ball.center)
-        out.append((c * character_from_phase(phase) if phase else c, ball.canonical()))
+        out.append((c * character_from_phase(phase) if phase else c, ball))
     return BruhatSchwartzFunction(ctx, tuple(out))
 
 

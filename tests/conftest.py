@@ -92,6 +92,20 @@ class ExactComplex:
 # Queries and oracles that no module of the library reads, kept for the tests.
 
 
+def count_balls(monkeypatch):
+    """A list that gets one entry per ``Ball`` built until monkeypatch is
+    undone: the positional arguments of the construction."""
+    built = []
+    init = Ball.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ball, "__init__", counted)
+    return built
+
+
 def support_norm_exp(f):
     """Exponent L with supp(f) inside the ball of radius p**L at 0."""
     if not f.terms:
@@ -200,6 +214,71 @@ def zeros_function_probes(f, sup):
     return probes
 
 
+# The term loops of the queries that fold the digit trie's leaves, as they
+# read ``terms`` before, kept as their oracles.
+
+
+def queries_by_terms(f):
+    """{query: call} of f's leaf queries, each folded over ``f.terms``:
+    is_zero, is_real, is_exact, integral, sup_norm, l2_norm and
+    sup_and_argmax."""
+    cells = f.terms
+
+    def integral():
+        total = EC_ZERO
+        for c, ball in cells:
+            total = total + c * ball.measure
+        return total
+
+    def sup_and_argmax():
+        if not all(c.im == 0 for c, _ in cells):
+            raise ValueError("sup_and_argmax requires a real-valued function")
+        best, best_cell = EC_ZERO, None
+        for c, ball in cells:
+            if schwartz._real_part_above(c, best):
+                best, best_cell = c, ball
+        return schwartz.Supremum(best.re, best_cell)
+
+    return {
+        "is_zero": lambda: not cells,
+        "is_real": lambda: all(c.im == 0 for c, _ in cells),
+        "is_exact": lambda: all(c.is_exact for c, _ in cells),
+        "integral": integral,
+        "sup_norm": lambda: max((abs(c) for c, _ in cells), default=0.0),
+        "l2_norm": lambda: l2_norm_by_terms(cells),
+        "sup_and_argmax": sup_and_argmax,
+    }
+
+
+def l2_norm_by_terms(cells):
+    """``l2_norm`` over (coefficient, ball) cells: each float |c|**2 times its
+    radius's float measure, taken once, each exact one times the Fraction
+    measure, added by ``sum`` from the int 0; an overflowing float sum is
+    summed again with each |c| divided by the largest."""
+    floats = {}
+    products = []
+    try:
+        for c, ball in cells:
+            square = c.abs2()
+            if type(square) is float:
+                measure = floats.get(ball.radius_exp)
+                if measure is None:
+                    measure = floats[ball.radius_exp] = float(ball.measure)
+                products.append(square * measure)
+            else:
+                products.append(square * ball.measure)
+        total = sum(products, 0)
+    except OverflowError:
+        total = math.inf
+    root = schwartz.root_of_square(total)
+    if root == math.inf and isinstance(total, float):
+        top = max(abs(c) for c, _ in cells)
+        if math.isfinite(top):
+            scaled = sum((Fraction((abs(c) / top) ** 2) * ball.measure for c, ball in cells), Fraction(0))
+            root = top * schwartz.root_of_square(scaled)
+    return root
+
+
 def pairing_by_pairs(left, right):
     """The closed-form pairing of two term lists, each pair's nesting and
     character tests made on the PAdicVector differences."""
@@ -230,14 +309,12 @@ def subdivision_tree(terms, ctx):
     """The subdivision tree of a list of (coefficient, ball) terms, and its
     root radius exponent root_r; canonical form merges it (``merge_tree``).
 
-    A tree node is [coefficient, {digit index: child node}, ball], the index
-    that of the child's digit tuple in ``schwartz._digit_tuples`` and ball
-    the first one inserted there, or None.  Each nonzero term goes down one
-    level per digit and adds its coefficient, in order, to the node of its
-    ball.  Canonical centers have p-power denominators at most p**root_r, so
-    each center x gives the integer x * p**root_r: the merge carries these
-    integer digit coordinates and builds a Fraction only for a cell with no
-    ball."""
+    A tree node is [coefficient, {digit index: child node}], the index that
+    of the child's digit tuple in ``schwartz._digit_tuples``.  Each nonzero
+    term goes down one level per digit and adds its coefficient, in order,
+    to the node of its ball.  Canonical centers have p-power denominators at
+    most p**root_r, so each center x gives the integer x * p**root_r, whose
+    digits are the path."""
     p = ctx.p
     # zero terms go first: a zero term's ball may be too deep to reduce
     cells = [(c, b.canonical()) for c, b in terms if not c.is_zero()]
@@ -248,7 +325,7 @@ def subdivision_tree(terms, ctx):
         root_scale *= p
         root_r += 1
 
-    root = [EC_ZERO, {}, None]
+    root = [EC_ZERO, {}]
     for c, ball in cells:
         depth = root_r - ball.radius_exp
         # per level, least significant first, the index of the digit
@@ -263,8 +340,8 @@ def subdivision_tree(terms, ctx):
                 path[j] = path[j] * p + d
         node = root
         for i in path:
-            node = node[1].setdefault(i, [EC_ZERO, {}, None])
-        add(node, c, ball)
+            node = node[1].setdefault(i, [EC_ZERO, {}])
+        add(node, c)
     return root, root_r
 
 
@@ -273,36 +350,30 @@ def merge_tree(ctx, root, root_r):
     with its trie.  A point's value is the sum of the coefficients on its
     digit path (``subdivision_tree``).  Post-order walk with an explicit
     stack, so the tree depth is not bounded by the recursion limit; a frame
-    is [children, integer center coords U, radius, running value, integer
-    digit scale, results], results getting one entry per child in digit
-    order (``schwartz._close_node``)."""
-    p = ctx.p
-    root_scale = p**root_r
-    all_digits = schwartz._digit_tuples(p, ctx.n)
-    width = len(all_digits)
-    out = []
-    top = (root[0], root[2])
-    stack = [[root[1], (0,) * ctx.n, root_r, root[0], 1, []]] if root[1] else []
+    is [children, running value, results], results getting one entry per
+    child in digit order (``schwartz._close_node``)."""
+    width = len(schwartz._digit_tuples(ctx.p, ctx.n))
+    top = root[0]
+    stack = [[root[1], root[0], []]] if root[1] else []
     while stack:
-        children, units, radius, running, scale, results = stack[-1]
+        children, running, results = stack[-1]
         for i in range(len(results), width):
             child = children.get(i)
             if child is None:
-                results.append((running, None))
+                results.append(running)
                 continue
             value = child[0] if running is EC_ZERO else running + child[0]
             if not child[1]:
-                results.append((value, child[2]))
+                results.append(value)
                 continue
-            child_units = tuple(u + d * scale for u, d in zip(units, all_digits[i]))
-            stack.append([child[1], child_units, radius - 1, value, scale * p, []])
+            stack.append([child[1], value, []])
             break
         else:
             stack.pop()
-            top = schwartz._close_node(results, units, radius, scale, root_scale, ctx, all_digits, out)
+            top = schwartz._close_node(results)
             if stack:
-                stack[-1][5].append(top)
-    return schwartz._canonical_function(ctx, top, root_r, out)
+                stack[-1][2].append(top)
+    return BruhatSchwartzFunction(ctx, trie=schwartz._canonical_trie(top, root_r))
 
 
 def tree_canonical_form(ctx, terms):
@@ -320,9 +391,9 @@ def canonical_raw_part(terms, ctx):
 
     The trie, rooted at B(0, p**root_r), has the ``DigitTrie`` shape but is
     not merged.  Each nonzero term goes down one level per digit and adds
-    its coefficient, in order, to the cell of its ball, which keeps the
-    first ball inserted there, or to the share of the node there; a cell
-    met on the way down becomes a node whose share is the cell's value.
+    its coefficient, in order, to the leaf of its ball or to the share of
+    the node there; a leaf met on the way down becomes a node whose share
+    is the leaf's value.
     Canonical centers have p-power denominators at most p**root_r, so each
     center x gives the integer x * p**root_r, whose digits are the path."""
     p = ctx.p
@@ -352,25 +423,25 @@ def canonical_raw_part(terms, ctx):
             kid = node[i]
             if type(kid) is not list:
                 node[i] = new = [None] * width
-                if kid is not None:  # a cell met on the way down
-                    shares[id(new)] = kid[0]
+                if kid is not None:  # a leaf met on the way down
+                    shares[id(new)] = kid
                 kid = new
             node, i = kid, j
         kid = node[i]
         if kid is None:
-            node[i] = (c, ball)
+            node[i] = c
         elif type(kid) is list:
             share = shares.get(id(kid), EC_ZERO)
             shares[id(kid)] = c if share is EC_ZERO else share + c
         else:
-            node[i] = (kid[0] + c, kid[1])
+            node[i] = kid + c
     return schwartz.DigitTrie(root_r, top[0]), (1,), shares
 
 
 def canonical_form_by_reduction(ctx, terms):
     """The canonical form of a term list by ``canonical_raw_part`` and one
     walk."""
-    return schwartz._combine_tries(ctx, [canonical_raw_part(terms, ctx)])
+    return BruhatSchwartzFunction(ctx, trie=schwartz._combine_tries(ctx, [canonical_raw_part(terms, ctx)]))
 
 
 def deserialize_by_fractions(text):
@@ -394,7 +465,7 @@ def tree_combination(ctx, parts):
     one subdivision tree rooted at B(0, p**R), R >= 0 the largest radius of
     a nonzero part: one graft per part, then one merge."""
     root_r = max([0] + [f.trie.radius for f, _, _ in parts if f.trie.root is not None])
-    root = [EC_ZERO, {}, None]
+    root = [EC_ZERO, {}]
     for f, values, drops in parts:
         graft(root, root_r, f.trie, values, drops)
     return merge_tree(ctx, root, root_r)
@@ -415,11 +486,11 @@ def graft(root, root_r, trie, values, drops):
         return
     node = root
     for _ in range(root_r - trie.radius):
-        node = node[1].setdefault(0, [EC_ZERO, {}, None])
+        node = node[1].setdefault(0, [EC_ZERO, {}])
     if type(top) is not list:  # one cell, on B(0, p**trie.radius)
-        c = top[0] * values[0]
+        c = top * values[0]
         if not c.is_zero():
-            add(node, c, top[1])
+            add(node, c)
         return
     last = len(values) - 1
     inv = Fraction(1, len(top))
@@ -436,32 +507,29 @@ def graft(root, root_r, trie, values, drops):
             kid = trie_node[i]
             if type(kid) is list:
                 frame[3], frame[4] = i + 1, total
-                stack.append([children.setdefault(i, [EC_ZERO, {}, None]), kid, radius - 1, 0, EC_ZERO])
+                stack.append([children.setdefault(i, [EC_ZERO, {}]), kid, radius - 1, 0, EC_ZERO])
                 break
             if kid is None:
                 continue
             if summing:
-                total = total + kid[0]
-            c = kid[0] * weight
+                total = total + kid
+            c = kid * weight
             if drops is None and c.is_zero():
                 continue  # so f + 0.0 * g stays exact; a multiplier adds all
             child = children.get(i)
             if child is None:
-                children[i] = [c, {}, kid[1]]
+                children[i] = [c, {}]
             else:
-                add(child, c, kid[1])
+                add(child, c)
         else:
             stack.pop()
             if summing:
                 mean = total * inv
-                add(node, mean * drops[-radius], None)
+                add(node, mean * drops[-radius])
                 if radius < 0:
                     stack[-1][4] = stack[-1][4] + mean
 
 
-def add(node, c, ball):
-    """Add c to a subdivision tree node, never adding the untouched EC_ZERO,
-    and give the node ball unless it has one."""
+def add(node, c):
+    """Add c to a subdivision tree node, never adding the untouched EC_ZERO."""
     node[0] = c if node[0] is EC_ZERO else node[0] + c
-    if node[2] is None:
-        node[2] = ball

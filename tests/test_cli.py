@@ -406,6 +406,21 @@ def test_fourier_cell_budget_counts_every_term_not_the_double_transform(tmp_path
     assert (code, err) == (2, "error: --max-cells 0 must be at least 1\n")
 
 
+def test_fourier_counts_a_file_over_its_budget_without_building_a_ball(tmp_path, capsys):
+    # B(0, 3^5000) + 2 B((1,1), 3^-1000) at p = 3, n = 2: 48 001 cells with
+    # centers of up to 6000 digits, whose balls took about 4 s to build
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"p": 3, "n": 2, "terms": [
+        {"re": "1", "center": ["0", "0"], "radius_exp": 5000},
+        {"re": "2", "center": ["1", "1"], "radius_exp": -1000},
+    ]}))
+    start = perf_counter()
+    code, out, err = run(capsys, "fourier", "--in", str(src), "--max-cells", "10")
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: the transform would build at least 48001 cells, over --max-cells 10\n"
+
+
 def test_fourier_roundtrip_is_one_exact_cell_at_p_3(tmp_path, capsys):
     # the cell route gave 9 inexact cells: rounded phases block merging
     f = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(PrimeContext(3, 1), Fraction(1, 3)), -1))

@@ -38,7 +38,9 @@ from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     FunctionFormatError,
     RandomFunctionConfig,
+    cell_count,
     deserialize,
+    haar_energy,
     linear_combination,
     random_test_function,
     read_object,
@@ -47,9 +49,12 @@ from padic_bessel.schwartz import (
 from conftest import (
     ball_integral_by_scan,
     canonical_form_by_reduction,
+    count_balls,
     deserialize_by_fractions,
     digit_children,
     evaluate_by_scan,
+    l2_norm_by_terms,
+    queries_by_terms,
     relation,
     support_norm_exp,
     tree_canonical_form,
@@ -284,7 +289,7 @@ def test_a_constant_multiplier_is_the_scaling(p, n):
             assert serialize(RadialMultiplier(ctx, lambda k: w).apply(f)) == serialize(f.scale(w))
 
 
-def test_a_sum_of_deep_canonical_functions_is_fast():
+def test_a_sum_of_deep_canonical_functions_is_fast(monkeypatch):
     # 4801 cells down to 3^-300 beside a ball of radius 3^300: the digit walk
     # inserted every cell 600 levels deep
     ctx = PrimeContext(3, 2)
@@ -293,12 +298,14 @@ def test_a_sum_of_deep_canonical_functions_is_fast():
         (ExactComplex(2, 0), Ball(PAdicVector.of(ctx, 1, 1), -300)),
     )).canonicalize()
     assert len(f.terms) == 4801
+    built = count_balls(monkeypatch)
     start = time.perf_counter()
     total = f + f.scale(2)
     assert time.perf_counter() - start < 1.0
+    # the sum walks the tries and builds no ball until its cells are read
+    assert built == []
     assert [c for c, _ in total.terms] == [c * 3 for c, _ in f.terms]
-    # the sum's cells are f's own balls, not rebuilt from digits
-    assert all(mine is theirs for (_, mine), (_, theirs) in zip(total.terms, f.terms))
+    assert [ball for _, ball in total.terms] == [ball for _, ball in f.terms]
 
 
 def test_random_function_deterministic_and_pinned():
@@ -368,10 +375,6 @@ def test_deserialize_refuses_json_nested_past_the_decoder_depth():
         deserialize("[" * 100_000 + "]" * 100_000)
 
 
-def refuse_walk(ctx, parts):
-    raise AssertionError("canonical cells built")
-
-
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_the_reader_counts_canonical_cells_before_it_builds_them(p, n, monkeypatch):
     # overlapping terms with zero sums, nested balls, non-p denominators
@@ -392,11 +395,12 @@ def test_the_reader_counts_canonical_cells_before_it_builds_them(p, n, monkeypat
         assert len(deserialize(text).terms) == cells
         if not cells:
             continue
-        # the refusal comes before the walk that would build the cells
+        # the cells are counted on the trie, before any ball is built
         monkeypatch.setattr(schwartz, "MAX_CELLS", cells - 1)
-        monkeypatch.setattr(schwartz, "_combine_tries", refuse_walk)
+        built = count_balls(monkeypatch)
         with pytest.raises(FunctionFormatError, match=f"has {cells} cells, over the {cells - 1} accepted"):
             deserialize(text)
+        assert built == []
 
 
 def test_a_zero_term_too_deep_to_reduce_is_dropped_at_once():
@@ -958,10 +962,10 @@ def coefficient_key(c):
 
 
 def trie_shape(node):
-    """A digit trie node with each cell as its coefficient key and ball."""
+    """A digit trie node with each leaf as its coefficient key."""
     if type(node) is list:
         return [trie_shape(kid) for kid in node]
-    return None if node is None else (coefficient_key(node[0]), node[1])
+    return None if node is None else coefficient_key(node)
 
 
 @pytest.mark.parametrize("p,n,alpha", GRID + ((7, 1, 1.5),))
@@ -1136,7 +1140,7 @@ def test_raw_canonical_form_is_the_tree_route_bit_for_bit(p, n):
         assert [ball for _, ball in got.terms] == [ball for _, ball in want.terms]
         assert got.trie.radius == want.trie.radius
         assert trie_shape(got.trie.root) == trie_shape(want.trie.root)
-        assert schwartz._cell_count(schwartz._raw_part(terms, ctx)) == len(want.terms) == len(got.terms)
+        assert cell_count(got) == len(want.terms) == len(got.terms)
 
 
 # -- pointwise queries on the digit trie against the cell scans ----------------
@@ -1528,3 +1532,110 @@ def test_l2_norm_past_the_float_range_is_the_old_sum_bit_for_bit(coeff, radius_e
     h = g + BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C21, Fraction(1, 4)), -2), 0.25)
     for u in (f, g, h):
         assert u.l2_norm().hex() == l2_norm_by_sum(u).hex()
+
+
+# -- cells on demand ------------------------------------------------------------
+
+
+def bits(call):
+    """What call() returns, with every float as its hex text so that ==
+    compares bits, or the type and text of what it raises."""
+    try:
+        x = call()
+    except (OverflowError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    return value_bits(x)
+
+
+def value_bits(x):
+    """x with every float as its hex text."""
+    if isinstance(x, ExactComplex):
+        return ("ExactComplex", value_bits(x.re), value_bits(x.im))
+    if isinstance(x, schwartz.Supremum):
+        return ("Supremum", value_bits(x.value), x.cell)
+    if isinstance(x, float):
+        return ("float", x.hex())
+    return (type(x).__name__, x)
+
+
+def trie_queries(f):
+    """The leaf queries of ``queries_by_terms``, read off f's trie."""
+    return {
+        "is_zero": lambda: f.is_zero,
+        "is_real": lambda: f.is_real,
+        "is_exact": lambda: f.is_exact,
+        "integral": f.integral,
+        "sup_norm": f.sup_norm,
+        "l2_norm": f.l2_norm,
+        "sup_and_argmax": f.sup_and_argmax,
+    }
+
+
+def float_square_overflows(f):
+    """Whether l2_norm's float sum of |c|**2 times the measures overflows."""
+    try:
+        return sum(c.abs2() * float(ball.measure) for c, ball in f.terms) == math.inf
+    except OverflowError:
+        return True
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n, _ in GRID])
+def test_the_trie_queries_are_the_term_loops_bit_for_bit(p, n):
+    # seeded exact and float functions, complex and real, and wide balls
+    # whose float squares overflow, so that l2_norm sums them again scaled
+    ctx = PrimeContext(p, n)
+    zero = PAdicVector.zero(ctx)
+    beside = Ball(PAdicVector.of(ctx, *[Fraction(1, p)] * n), -1)
+    fs = [BruhatSchwartzFunction.zero(ctx)]
+    for seed in range(12):
+        f = random_test_function(seed, ctx, RandomFunctionConfig(8, -3, 3, 2, True))
+        real = random_test_function(seed, ctx, RandomFunctionConfig(8, -3, 3, 2))
+        fs += [f, f.scale(0.1), f.scale(1e160), real, real.scale(1 / 3), real - real.scale(1e-9)]
+    rescaled = 0
+    for coeff, radius_exp in ((1e200, 0), (1e300, 10), (0.5, 1100), (-1e200, -2)):
+        wide = BruhatSchwartzFunction.indicator(Ball(zero, radius_exp), coeff)
+        for f in (wide, wide + BruhatSchwartzFunction.indicator(beside, 2)):
+            fs.append(f)
+            rescaled += float_square_overflows(f) and l2_norm_by_terms(f.terms) < math.inf
+    assert rescaled >= 4
+    for f in fs:
+        want = queries_by_terms(f)
+        got = trie_queries(f)
+        assert {name: bits(call) for name, call in got.items()} == {name: bits(call) for name, call in want.items()}
+
+
+def test_no_ball_is_built_until_the_cells_are_read(monkeypatch):
+    # the constructor on a raw term list, the reader, sums, the operator,
+    # Duhamel and the trie queries walk tries only; reading .terms then
+    # builds one ball per cell
+    order = BesselOrder(2.5, C32)
+    cfg = RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)
+    f = random_test_function(5, C32, cfg)
+    g = random_test_function(6, C32, cfg)
+    real = random_test_function(7, C32, RandomFunctionConfig(4, -2, 2, den_pow_max=1))
+    terms = f.terms + g.terms
+    text = serialize(g)
+    x = PAdicVector.of(C32, Fraction(1, 3), 2)
+    region = Ball(x, -1)
+    multiplier = symbol_multiplier(order)
+    built = count_balls(monkeypatch)
+    raw = BruhatSchwartzFunction(C32, terms)
+    read = deserialize(text)
+    total = linear_combination([(2, f), (multiplier, g), (ExactComplex(0, 1), raw)])
+    u = apply_bessel(order, read)
+    problem = EvolutionProblem(u0=f, horizon=1.0, forcing=((0.0, g), (0.5, raw)))
+    outputs = [raw, read, total, u] + duhamel(problem, order, [0.3, 1.0])
+    for h in outputs:
+        h.inner_product(f)
+        haar_energy(h, *multiplier.part(h)[1:])
+        h.sup_norm()
+        h.l2_norm()
+        h.integral()
+        h.evaluate(x)
+        h.ball_integral(region)
+        assert not h.is_zero and h.is_exact in (True, False) and h.is_real in (True, False)
+    assert built == []
+    assert real.sup_and_argmax().cell is not None and len(built) == 1
+    built.clear()
+    cells = [cell_count(h) for h in outputs]
+    assert [len(h.terms) for h in outputs] == cells and len(built) == sum(cells)
