@@ -70,8 +70,8 @@ MUTANTS = [
     (
         "node_drops_zero_after_drop_0",
         "src/padic_bessel/schwartz.py",
-        "    return {id(node): mean * drops[-s] for node, s, _, mean in _node_sums(trie)}\n",
-        "    return {id(node): mean * (drops[-s] if s == 0 else 0) for node, s, _, mean in _node_sums(trie)}\n",
+        "{id(node): mean * drops[-s] for node, s, _, mean in nodes}",
+        "{id(node): mean * (drops[-s] if s == 0 else 0) for node, s, _, mean in nodes}",
         ("tier1", "verify"),
         {
             "verify": "random verify draws have no ball smaller than p**-1, so no row "
@@ -81,14 +81,29 @@ MUTANTS = [
     (
         "node_drops_shell_2_scaled",
         "src/padic_bessel/schwartz.py",
-        "    return {id(node): mean * drops[-s] for node, s, _, mean in _node_sums(trie)}\n",
-        "    return {id(node): mean * drops[-s] * (1 + 1e-6 if s == -1 else 1)\n"
-        "            for node, s, _, mean in _node_sums(trie)}\n",
+        "{id(node): mean * drops[-s] for node, s, _, mean in nodes}",
+        "{id(node): mean * drops[-s] * (1 + 1e-6 if s == -1 else 1) for node, s, _, mean in nodes}",
         ("tier1", "verify"),
         {
             "verify": "random verify draws have no ball smaller than p**-1, so no row "
             "meets the shell-2 share (ROADMAP item 11)"
         },
+    ),
+    (
+        "child_entered_with_the_running_value",
+        "src/padic_bessel/schwartz.py",
+        "            stack.append([kids, radius - 1, value, []])\n",
+        "            stack.append([kids, radius - 1, running, []])\n",
+        ("tier1", "verify"),
+        {},
+    ),
+    (
+        "shell_depth_one_short",
+        "src/padic_bessel/schwartz.py",
+        "    return 1 - min(s for _, s, _, _ in nodes) if nodes else 0\n",
+        "    return -min(s for _, s, _, _ in nodes) if nodes else 0\n",
+        ("tier1", "verify"),
+        {},
     ),
     (
         "forcing_drop_as_value_difference",

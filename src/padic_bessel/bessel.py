@@ -31,6 +31,7 @@ from padic_bessel.padic import (
     Number,
     PAdicVector,
     PrimeContext,
+    check_context,
 )
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
@@ -283,11 +284,13 @@ def resolvent_residual(
 
 def quadratic_form(order: BesselOrder, f: BruhatSchwartzFunction) -> float:
     """<-(operator) f, f>, read off f's digit trie as minus its Haar energy
-    under the symbol's shell values (``schwartz.haar_energy``), with no
-    output built: by Parseval it is minus the integral of symbol *
-    |F f|**2, real because the symbol is, so dissipativity means this never
-    exceeds rounding.  Exact at integer alpha on exact coefficients."""
-    return -float(haar_energy(*symbol_multiplier(order).part(f)))
+    under the symbol's shell values (``schwartz.haar_energy``), in one walk
+    of f with no output built: by Parseval it is minus the integral of
+    symbol * |F f|**2, real because the symbol is, so dissipativity means
+    this never exceeds rounding.  Exact at integer alpha on exact
+    coefficients."""
+    check_context(f.ctx, order.ctx)
+    return -float(haar_energy(f, symbol_multiplier(order).shells))
 
 
 def adjoint_defect(
@@ -303,15 +306,19 @@ def contraction_ratio(order: BesselOrder, f: BruhatSchwartzFunction) -> float:
     """||operator f||_2 / ||f||_2; at most 1 because the symbol is.
 
     ||operator f||_2**2 is f's Haar energy under the squared shell values,
-    whose drops m(k)**2 - m(k+1)**2 are drop(k) (m(k) + m(k+1)), so no
-    output is built, and its root is taken as ``l2_norm`` takes one."""
+    whose drops m(k)**2 - m(k+1)**2 are drop(k) (m(k) + m(k+1)), so one
+    walk of f gives it with no output built, and its root is taken as
+    ``l2_norm`` takes one."""
     denom = f.l2_norm()
     if denom == 0.0:
         raise ValueError("contraction ratio undefined for the zero function")
-    f, values, drops = symbol_multiplier(order).part(f)
-    squares = [m * m for m in values]
-    square_drops = [drop * (values[k] + values[k + 1]) for k, drop in enumerate(drops)]
-    return root_of_square(haar_energy(f, squares, square_drops)) / denom
+    check_context(f.ctx, order.ctx)
+
+    def squared_shells(depth: int) -> tuple:
+        values, drops = symbol_multiplier(order).shells(depth)
+        return [m * m for m in values], [drop * (values[k] + values[k + 1]) for k, drop in enumerate(drops)]
+
+    return root_of_square(haar_energy(f, squared_shells)) / denom
 
 
 def c0_dissipativity_margin(

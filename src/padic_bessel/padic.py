@@ -494,19 +494,15 @@ class Ball(FrozenValue):
     """The ball {x : ||x - center||_p <= p**radius_exp}.
 
     Two balls over one context are disjoint, equal, or nested; membership
-    is exact.  ``known_canonical`` records that the center is already the
-    reduced representative (digit constructions preserve this), sparing the
-    reduction on hot paths; it never affects equality or repr.  Immutable;
-    == and hash compare (center, radius_exp).
+    is exact.  Immutable; == and hash compare (center, radius_exp).
     """
 
-    __slots__ = ("center", "radius_exp", "known_canonical")
+    __slots__ = ("center", "radius_exp")
     _fields = ("center", "radius_exp")
 
-    def __init__(self, center: PAdicVector, radius_exp: int, known_canonical: bool = False) -> None:
+    def __init__(self, center: PAdicVector, radius_exp: int) -> None:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius_exp", radius_exp)
-        object.__setattr__(self, "known_canonical", known_canonical)
 
     @property
     def ctx(self) -> PrimeContext:
@@ -519,12 +515,10 @@ class Ball(FrozenValue):
 
     def canonical(self) -> "Ball":
         """Same ball with the center reduced to its canonical representative."""
-        if self.known_canonical:
-            return self
         p = self.ctx.p
         coords = tuple(reduce_mod_ball(c, self.radius_exp, p) for c in self.center.coords)
         center = self.center if coords == self.center.coords else PAdicVector(coords, self.ctx)
-        return Ball(center, self.radius_exp, known_canonical=True)
+        return Ball(center, self.radius_exp)
 
     def key(self):
         c = self.canonical()

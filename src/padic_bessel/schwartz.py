@@ -8,7 +8,8 @@ leaf the function's value on the leaf's ball.  A term list given to the
 constructor is put in canonical form there.  Every trie is built by one
 walk (``_combine_tries``) that follows one digit path in the tries of all
 its parts at once and closes each node bottom-up, merging constant siblings
-(``_close_node``).  Sums, scalings and radial multipliers are one
+(``_close_node``), but for a reflection, which permutes each node's
+children (``reflect``).  Sums, scalings and radial multipliers are one
 ``linear_combination`` of (m, f) pairs, m a weight or a multiplier, whose
 parts are the tries of their functions; a raw term list is one part, its
 terms inserted down their digit paths into a trie of the same shape
@@ -26,7 +27,7 @@ region's center; ``integral``, the norms and the tests of zero, reality and
 exactness fold the leaves in cell order; the L2 pairing walks two tries in
 lockstep; the pairing of a radial multiplier's output with its input is a
 Haar energy (``haar_energy``) summed from the cells and node means of the
-one post-order walk that also gives a multiplier its node shares
+one post-order walk that also gives a multiplier its depth and node shares
 (``_node_sums``); and the values of one function on chosen leaves of
 another's trie are read in one lockstep walk (``read_leaves``).  All
 structural operations (integrals, inner products, energies, suprema) are
@@ -206,10 +207,28 @@ class BruhatSchwartzFunction(FrozenValue):
         return linear_combination([(factor, self)])
 
     def reflect(self) -> "BruhatSchwartzFunction":
-        """The function x -> f(-x)."""
-        return BruhatSchwartzFunction(
-            self.ctx, tuple((c, Ball(-b.center, b.radius_exp)) for c, b in self.terms)
-        )
+        """The function x -> f(-x), as one walk of the trie with no ball
+        built.  A path down the trie reads the digits of x * p**R, least
+        significant first, and each coordinate of -x keeps the zero digits
+        of x up to its first nonzero digit d, which becomes p - d, while
+        every later digit d becomes p - 1 - d.  So each node's children are
+        permuted by its coordinates' borrows (``_negated_children``), and
+        the leaf values and the root radius are kept."""
+        top = self.trie.root
+        if type(top) is not list:  # 0, or one cell on B(0, p**R)
+            return self
+        p, n = self.ctx.p, self.ctx.n
+        out = [None] * len(top)
+        stack = [(top, 0, out)]
+        while stack:
+            node, borrows, new = stack.pop()
+            for kid, (i, kid_borrows) in zip(node, _negated_children(p, n, borrows)):
+                if type(kid) is list:
+                    new[i] = [None] * len(kid)
+                    stack.append((kid, kid_borrows, new[i]))
+                else:
+                    new[i] = kid
+        return BruhatSchwartzFunction(self.ctx, trie=DigitTrie(self.trie.radius, out))
 
     # -- canonical form ----------------------------------------------------
 
@@ -378,6 +397,24 @@ def _digit_tuples(p: int, n: int) -> tuple:
     return tuple(digit_product(range(p), repeat=n))
 
 
+@lru_cache(maxsize=1024)
+def _negated_children(p: int, n: int, borrows: int) -> tuple:
+    """Per child of a trie node, in digit order: the index of the child
+    that holds the negated points, and the borrows below it.  Bit j of
+    ``borrows`` is set when coordinate j has a nonzero digit above the
+    node; negation then takes its digit d to p - 1 - d, and otherwise to
+    (p - d) mod p."""
+    out = []
+    for digits in _digit_tuples(p, n):
+        index, below = 0, borrows
+        for j, d in enumerate(digits):
+            index = index * p + (-d - (borrows >> j & 1)) % p
+            if d:
+                below |= 1 << j
+        out.append((index, below))
+    return tuple(out)
+
+
 def _raw_part(terms: Sequence[tuple], ctx: PrimeContext) -> tuple:
     """A list of terms as the part (trie, (1,), node shares) whose
     ``_combine_tries`` walk is its canonical form.
@@ -521,7 +558,7 @@ def _cell_ball(ctx: PrimeContext, root_scale: int, r: int, at) -> Ball:
     a cell's ball is built."""
     units, scale, digits = at
     coords = tuple(Fraction(u + d * scale, root_scale) for u, d in zip(units, digits))
-    return Ball(PAdicVector(coords, ctx), r, known_canonical=True)
+    return Ball(PAdicVector(coords, ctx), r)
 
 
 def cell_count(f: BruhatSchwartzFunction) -> int:
@@ -635,10 +672,11 @@ def root_of_square(total: Number) -> float:
         return math.inf
 
 
-def haar_energy(f: BruhatSchwartzFunction, values: Sequence, drops: Sequence) -> Number:
+def haar_energy(f: BruhatSchwartzFunction, shells) -> Number:
     """<m(D) f, f> for a radial multiplier m, read off f's digit trie with
-    no output built: ``RadialMultiplier.part(f)`` gives the shell values
-    m(0..depth) and the drops m(k) - m(k+1) taken here.
+    no output built: ``shells(depth)`` gives the shell values m(0..depth)
+    and the drops m(k) - m(k+1), k < depth, for the depth of f's smallest
+    cells, as ``RadialMultiplier.shells`` does.
 
     m is diagonal in the Haar basis of the trie (``RadialMultiplier``), so
     the pairing is the sum over the nodes of m(level) times the squared L2
@@ -646,15 +684,16 @@ def haar_energy(f: BruhatSchwartzFunction, values: Sequence, drops: Sequence) ->
     Summed by parts, each cell of radius p**r adds m(max(-r, 0)) |c|**2
     p**(rn), each node of radius p**s, s <= 0, adds its drop m(-s) -
     m(1 - s) times |mean|**2 p**(sn), and the other nodes add nothing; no
-    term cancels another.  The cells and the node sums come from the one
-    post-order walk that also gives a multiplier its node shares
-    (``_node_sums``), and the squares are summed exactly per radius in the
-    order the walk passes them, each sum weighted once, so the result is
-    exact for exact shell values and coefficients, and linear in trie nodes
-    times p**n.
+    term cancels another.  The cells, the node sums and the depth come from
+    one post-order walk, the one that also gives a multiplier its node
+    shares (``_node_sums``), and the squares are summed exactly per radius
+    in the order the walk passes them, each sum weighted once, so the
+    result is exact for exact shell values and coefficients, and linear in
+    trie nodes times p**n.
     """
     cells: list = []
     nodes = _node_sums(f.trie, cells)
+    values, drops = shells(_shell_depth(nodes))
     power = f.ctx.p_power
     n = f.ctx.n
     squares: dict = {}  # radius -> sum of |c|**2 over the cells of that radius
@@ -741,7 +780,10 @@ def _node_sums(trie: DigitTrie, cells: Optional[list] = None) -> list:
     means in digit order, and mean = total / p**n is the mean of the
     function over the node's ball.  One post-order walk; it appends each
     cell it passes, a one-cell root too, to ``cells`` as (r, value), r the
-    radius exponent of the cell's ball, in the order it passes them."""
+    radius exponent of the cell's ball, in the order it passes them.  It is
+    the one walk of f that a multiplier part (``linear_combination``) and a
+    Haar energy (``haar_energy``) run, each reading its depth off the nodes
+    (``_shell_depth``)."""
     top = trie.root
     if type(top) is not list:
         if top is not None and cells is not None:
@@ -779,15 +821,11 @@ def _node_sums(trie: DigitTrie, cells: Optional[list] = None) -> list:
     return out
 
 
-def _node_drops(trie: DigitTrie, drops) -> dict:
-    """The node shares of m(D) f for f's digit trie and a radial
-    multiplier's drops (``spectral.RadialMultiplier``): id(node) to drops[-s]
-    times the mean of f over the node's ball of radius p**s, for each node
-    with s <= 0, from the walk that also sums f's Haar energies
-    (``_node_sums``)."""
-    if not drops:  # f has no node of radius p**s, s <= 0
-        return {}
-    return {id(node): mean * drops[-s] for node, s, _, mean in _node_sums(trie)}
+def _shell_depth(nodes: list) -> int:
+    """The deepest shell m(D) reads on a trie whose ``_node_sums`` are
+    ``nodes``: 1 - the smallest node radius exponent, so the smallest
+    cells' shell, or 0 when no node has radius p**s, s <= 0."""
+    return 1 - min(s for _, s, _, _ in nodes) if nodes else 0
 
 
 def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> DigitTrie:
@@ -799,11 +837,12 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> DigitTrie:
     untouched EC_ZERO: values[j] * c for a leaf of radius p**(-j) and value
     c (j clamped into values), shares[id(node)] for a node, or EC_ZERO
     where shares has none.  A multiplier's shares are its drops times means
-    (``_node_drops``), a raw term list's its node coefficients
+    (``linear_combination``), a raw term list's its node coefficients
     (``_raw_part``); shares None, for a weight, stands for none, and then,
     as for a one-cell root, a zero product adds nothing.  A held ball gets
-    its path's running value plus its shares.  Linear in the parts' trie
-    nodes times p**n.
+    its path's running value plus its shares, and a node is entered with
+    that value, one loop for every ball whether one part is live there or
+    several.  Linear in the parts' trie nodes times p**n.
     """
     width = len(_digit_tuples(ctx.p, ctx.n))
     root_r = 0
@@ -838,80 +877,54 @@ def _combine_tries(ctx: PrimeContext, parts: Sequence[tuple]) -> DigitTrie:
         live.append((top, values[min(max(1 - root_r, 0), last)], skip, values, last, shares))
     if not live:
         return _canonical_trie(running, root_r)
-    # the parts live at the ball to enter next, and its radius and running value
-    enter, radius = live, root_r
-    stack = []  # per ball where several parts are live: its entry and results
+    # a frame is [parts live at its ball, radius, running value, results]
+    stack = [[live, root_r, running, []]]
     while True:
-        if enter is None:
-            live, radius, running, results = stack[-1]
-            for i in range(len(results), width):
-                share, kids = EC_ZERO, None
-                for node, weight, skip, values, last, shares in live:
-                    kid = node[i]
-                    if kid is None:
-                        continue
-                    if type(kid) is list:
-                        add = shares.get(id(kid), EC_ZERO)
-                        kids = (kids or []) + [(kid, values[min(max(2 - radius, 0), last)], skip, values, last, shares)]
+        live, radius, running, results = stack[-1]
+        for i in range(len(results), width):
+            share, kids = EC_ZERO, None
+            for node, weight, skip, values, last, shares in live:
+                kid = node[i]
+                if kid is None:
+                    continue
+                if type(kid) is list:
+                    add = shares.get(id(kid), EC_ZERO)
+                    entry = (kid, values[min(max(2 - radius, 0), last)], skip, values, last, shares)
+                    if kids is None:
+                        kids = [entry]
                     else:
-                        add = kid if weight is None else kid * weight
-                        if skip and add.is_zero():
-                            continue
-                    if add is not EC_ZERO:
-                        share = add if share is EC_ZERO else share + add
-                if kids is None and share is EC_ZERO:  # no part holds the ball
-                    results.append(running)
-                    continue
-                value = share if running is EC_ZERO else running + share
-                if kids is None:
-                    results.append(value)
-                    continue
-                enter, radius, running = kids, radius - 1, value
-                break
-            if enter is not None:
+                        kids.append(entry)
+                else:
+                    add = kid if weight is None else kid * weight
+                    if skip and add.is_zero():
+                        continue
+                if add is not EC_ZERO:
+                    share = add if share is EC_ZERO else share + add
+            if kids is None and share is EC_ZERO:  # no part holds the ball
+                results.append(running)
                 continue
+            value = share if running is EC_ZERO else running + share
+            if kids is None:
+                results.append(value)
+                continue
+            stack.append([kids, radius - 1, value, []])
+            break
+        else:
             stack.pop()
             top = _close_node(results)
-        elif len(enter) > 1:
-            stack.append([enter, radius, running, []])
-            enter = None
-            continue
-        else:
-            # one live part walks its subtree: [node, radius, running, weight, results]
-            node, weight, skip, values, last, shares = enter[0]
-            enter = None
-            own = [[node, radius, running, weight, []]]
-            while own:
-                node, radius, running, weight, results = own[-1]
-                for i in range(len(results), width):
-                    kid = node[i]
-                    if kid is None:
-                        results.append(running)
-                    elif type(kid) is list:
-                        share = shares.get(id(kid), EC_ZERO)
-                        value = share if running is EC_ZERO else running + share
-                        own.append([kid, radius - 1, value, values[min(max(2 - radius, 0), last)], []])
-                        break
-                    else:
-                        c = kid if weight is None else kid * weight
-                        zero = skip and c.is_zero()
-                        results.append(running if zero else c if running is EC_ZERO else running + c)
-                else:
-                    own.pop()
-                    top = _close_node(results)
-                    if own:
-                        own[-1][4].append(top)
-        if not stack:
-            return _canonical_trie(top, root_r)
-        stack[-1][3].append(top)
+            if not stack:
+                return _canonical_trie(top, root_r)
+            stack[-1][3].append(top)
 
 
 def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
     """The sum of m f over (m, f) pairs, canonical and with its trie: one
     lockstep walk of the parts' tries (``_combine_tries``).  A weight m (a
     number or an ExactComplex) is the constant multiplier (m,); any other m
-    is a radial multiplier, whose ``m.part(f)`` is its (f, values, drops), the drops
-    entering as node shares (``_node_drops``)."""
+    is a radial multiplier, whose part is one node walk of f's trie
+    (``_node_sums``): its depth picks the shell values and drops
+    ``m.shells(depth)`` hands over, and each node's drop times its mean is
+    the node's share."""
     if not pairs:
         raise ValueError("empty combination")
     ctx = pairs[0][1].ctx
@@ -919,9 +932,11 @@ def linear_combination(pairs: Sequence[tuple]) -> BruhatSchwartzFunction:
     for m, f in pairs:
         check_context(f.ctx, ctx)
         # no isinstance test on numeric types: Fraction's metaclass is ABCMeta
-        if hasattr(m, "part"):
-            f, values, drops = m.part(f)
-            parts.append((f.trie, values, _node_drops(f.trie, drops)))
+        if hasattr(m, "shells"):
+            check_context(m.ctx, ctx)
+            nodes = _node_sums(f.trie)
+            values, drops = m.shells(_shell_depth(nodes))
+            parts.append((f.trie, values, {id(node): mean * drops[-s] for node, s, _, mean in nodes}))
         else:
             parts.append((f.trie, (m,), None))
     return BruhatSchwartzFunction(ctx, trie=_combine_tries(ctx, parts))

@@ -2,9 +2,10 @@
 
 Radial Fourier multipliers act on test functions through the Haar basis of
 their digit tries (``RadialMultiplier``), never through characters: this
-module derives the per-level scales, and ``schwartz.linear_combination``
-applies them to the trie, which only ``schwartz`` walks, in one sum of
-(m, f) pairs with any other multiplied or weighted functions.
+module derives the per-level scales (``RadialMultiplier.shells``), and
+``schwartz.linear_combination`` applies them to the trie, which only
+``schwartz`` walks, in one sum of (m, f) pairs with any other multiplied
+or weighted functions.
 The transform itself remains, as the oracle of that route and for its own
 identities.  It works on lists of modulated balls
 c * exp(2 pi i phase) * chi_p(eta . x) * 1_B(x) (``ModulatedTerm``), which
@@ -37,12 +38,11 @@ from padic_bessel.padic import (
     PrimeContext,
     _int_valuation,
     character_from_phase,
-    check_context,
     fractional_part,
     reduce_mod_ball,
     shell_character_integral,
 )
-from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination, smallest_cell_radius
+from padic_bessel.schwartz import BruhatSchwartzFunction, linear_combination
 
 
 class DivergentTailError(ValueError):
@@ -109,7 +109,9 @@ class RadialMultiplier(FrozenValue):
         + m(j) c,
 
     and m(0) c on a cell of radius p**r, r >= 0.  No character is ever
-    evaluated, and exact shell values give exact output at every p.
+    evaluated, and exact shell values give exact output at every p.  So
+    the multiplier hands over only its shell table (``shells``), and never
+    reads a function: ``schwartz`` walks the trie.
 
     The multiplier keeps the values m(0..SHELLS_CACHED) and the drops
     between them once computed, so one multiplier applied many times builds
@@ -129,22 +131,20 @@ class RadialMultiplier(FrozenValue):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "drop", drop)
         # (values, drops) of the shells 0..min(depth, SHELLS_CACHED) of the
-        # deepest part so far, replaced whole, so a racing part leaves a valid one
+        # deepest ``shells`` call so far, replaced whole, so a racing call
+        # leaves a valid one
         object.__setattr__(self, "_table", None)
 
-    def part(self, f: BruhatSchwartzFunction) -> tuple:
-        """m(D) f as the part (f, values, drops) that
-        ``schwartz.linear_combination`` applies for the pair (self, f), and
-        whose Haar energy <m(D) f, f> ``schwartz.haar_energy`` sums: f, the
-        shell values m(0..depth) and the drops down to f's smallest cells,
-        as new lists: copies from the table when it reaches depth, else
-        computed and the shells down to SHELLS_CACHED kept, so deep inputs
-        cannot grow it."""
-        check_context(f.ctx, self.ctx)
-        depth = max(0, -smallest_cell_radius(f))
+    def shells(self, depth: int) -> tuple:
+        """(values, drops) for an input whose smallest cells have radius
+        p**(-depth), depth >= 0, as ``schwartz.linear_combination`` applies
+        them and ``schwartz.haar_energy`` sums them: the shell values
+        m(0..depth) and the drops m(k) - m(k+1), k < depth, as new lists:
+        copies from the table when it reaches depth, else computed and the
+        shells down to SHELLS_CACHED kept, so deep inputs cannot grow it."""
         table = self._table
         if table is not None and len(table[0]) > depth:
-            return f, table[0][: depth + 1], table[1][:depth]
+            return table[0][: depth + 1], table[1][:depth]
         values = [self.value(k) for k in range(depth + 1)]
         if self.drop is None:
             drops = [values[k] - values[k + 1] for k in range(depth)]
@@ -153,13 +153,14 @@ class RadialMultiplier(FrozenValue):
         if table is None or len(table[0]) <= SHELLS_CACHED:
             table = (values[: SHELLS_CACHED + 1], drops[:SHELLS_CACHED])
             object.__setattr__(self, "_table", table)
-        return f, values, drops
+        return values, drops
 
     def apply(self, f: BruhatSchwartzFunction) -> BruhatSchwartzFunction:
         """The function m(D) f, canonical, with its trie: the one-part
-        ``linear_combination``, one walk of f's trie with ``part``'s scales
-        that builds the output trie, closing each node as canonical form
-        does, with no ball built.  Linear in trie nodes times p**n."""
+        ``linear_combination``, one node walk of f's trie for its depth and
+        node shares, then one walk with ``shells``' scales that builds the
+        output trie, closing each node as canonical form does, with no ball
+        built.  Linear in trie nodes times p**n."""
         return linear_combination([(self, f)])
 
     def profile(self) -> RadialProfile:
@@ -214,7 +215,7 @@ def fourier_terms(terms) -> tuple:
         a = ball.center
         r = ball.radius_exp
         ctx = ball.ctx
-        dual = Ball(eta, -r, known_canonical=True) if eta.is_zero else Ball(-eta, -r)
+        dual = Ball(-eta, -r)
         out.append(ModulatedTerm(c * ctx.p_power(r * ctx.n), _shifted(phase, eta, a), a, dual))
     return tuple(out)
 
@@ -351,7 +352,7 @@ def _modulated_cells(term: ModulatedTerm, rho: int) -> list:
             q = Fraction(residue, modulus)
             value = values[residue] = coeff * character_from_phase(q + base if base else q)
         center = PAdicVector(tuple(xs[y] for xs, y in zip(coords, ys)), ctx)
-        out.append((value, Ball(center, rho, known_canonical=True)))
+        out.append((value, Ball(center, rho)))
     return out
 
 
@@ -388,9 +389,9 @@ def radial_terms(terms, multiplier: RadialMultiplier) -> tuple:
             out.append(ModulatedTerm(c * multiplier.value(max(norm, 0)), phase, eta, ball))
             continue
         values = [multiplier.value(k) for k in range(max(s, 0) + 1)]
-        out.append(ModulatedTerm(c * values[-1], phase, eta, Ball(zero, s, known_canonical=True)))
+        out.append(ModulatedTerm(c * values[-1], phase, eta, Ball(zero, s)))
         out.extend(
-            ModulatedTerm(c * (values[k] - values[k + 1]), phase, eta, Ball(zero, k, known_canonical=True))
+            ModulatedTerm(c * (values[k] - values[k + 1]), phase, eta, Ball(zero, k))
             for k in range(s - 1, -1, -1)
             if values[k] != values[k + 1]
         )

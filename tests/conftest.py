@@ -37,7 +37,7 @@ def digit_children(ball):
     offset_scale = Fraction(ctx.p) ** (-ball.radius_exp)
     for digits in digit_product(range(ctx.p), repeat=ctx.n):
         coords = tuple(c + d * offset_scale for c, d in zip(ball.center.coords, digits))
-        yield Ball(PAdicVector(coords, ctx), ball.radius_exp - 1, known_canonical=ball.known_canonical)
+        yield Ball(PAdicVector(coords, ctx), ball.radius_exp - 1)
 
 
 # The arithmetic of ExactComplex as two exact-or-float parts, kept verbatim

@@ -60,7 +60,7 @@ def energy_lines(order):
     lines = []
     for f in energy_inputs(order):
         ratio = "zero" if f.is_zero else repr(contraction_ratio(order, f))
-        energies = [repr(haar_energy(*m.part(f))) for m in multipliers]
+        energies = [repr(haar_energy(f, m.shells)) for m in multipliers]
         lines.append(" ".join([repr(quadratic_form(order, f)), ratio] + energies))
     return lines
 

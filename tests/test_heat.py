@@ -568,19 +568,19 @@ def test_duhamel_step_forcing_fourth_order():
 
 
 def test_duhamel_applies_one_multiplier_per_forcing_piece(monkeypatch):
-    # one part for u0 and one per active piece, all in one walk
+    # one shell table for u0 and one per active piece, all in one walk
     parts, walks = [], []
-    part, combine_tries = RadialMultiplier.part, schwartz._combine_tries
+    shells, combine_tries = RadialMultiplier.shells, schwartz._combine_tries
 
-    def counted_part(self, f):
-        parts.append(f)
-        return part(self, f)
+    def counted_shells(self, depth):
+        parts.append(depth)
+        return shells(self, depth)
 
     def counted_walk(*args):
         walks.append(args)
         return combine_tries(*args)
 
-    monkeypatch.setattr(RadialMultiplier, "part", counted_part)
+    monkeypatch.setattr(RadialMultiplier, "shells", counted_shells)
     monkeypatch.setattr(schwartz, "_combine_tries", counted_walk)
     order = BesselOrder(2.0, C21)
     problem = step_problem(2, 1, 6)

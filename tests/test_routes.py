@@ -107,7 +107,7 @@ def concentric_terms(multiplier, f):
             if drops[k]:
                 weight = drops[k] * ctx.p_power((r + k) * n)
                 center = PAdicVector(tuple(x % p**k for x in coords), ctx)
-                out.append((c * weight, Ball(center, -k, known_canonical=True)))
+                out.append((c * weight, Ball(center, -k)))
         out.append((c * values[-r], ball))
     return tuple(out)
 

@@ -16,6 +16,8 @@ from padic_bessel.bessel import (
     BesselOrder,
     apply_bessel,
     c0_dissipativity_margin,
+    contraction_ratio,
+    quadratic_form,
     resolvent,
     resolvent_multiplier,
     resolvent_residual,
@@ -33,7 +35,7 @@ from padic_bessel.padic import (
     PrimeContext,
     reduce_mod_ball,
 )
-from padic_bessel import schwartz
+from padic_bessel import schwartz, spectral
 from padic_bessel.schwartz import (
     BruhatSchwartzFunction,
     FunctionFormatError,
@@ -588,7 +590,7 @@ def canonicalize_reference(f: BruhatSchwartzFunction) -> tuple:
         if top is None or any(v is None or v != top for v, _ in results[1:]):
             for value, child_coords in results:
                 if value is not None and not value.is_zero():
-                    cell = Ball(PAdicVector(child_coords, ctx), radius - 1, known_canonical=True)
+                    cell = Ball(PAdicVector(child_coords, ctx), radius - 1)
                     out.append((value, cell))
             top = None
         if stack:
@@ -598,7 +600,7 @@ def canonicalize_reference(f: BruhatSchwartzFunction) -> tuple:
     elif top.is_zero():
         cells = []
     else:
-        cells = [(top, Ball(PAdicVector(zero_coords, ctx), root_r, known_canonical=True))]
+        cells = [(top, Ball(PAdicVector(zero_coords, ctx), root_r))]
     return tuple(cells)
 
 
@@ -684,23 +686,19 @@ def test_canonicalize_matches_the_fraction_walk_on_operator_outputs():
         assert_matches_reference(f)
 
 
-def test_apply_marks_canonical_only_reduced_centers():
-    # the oracle's concentric balls, and the cells of the trie route
-    checked = 0
-    for f in operator_term_lists():
-        for g in (f, f.canonicalize()):
-            p = g.ctx.p
-            for _, ball in g.terms:
-                if ball.known_canonical:
-                    reduced = tuple(reduce_mod_ball(x, ball.radius_exp, p) for x in ball.center.coords)
-                    assert ball.center.coords == reduced
-                    checked += 1
-    assert checked > 0
+def test_the_cells_of_the_trie_route_have_reduced_centers():
+    # the cells of the oracle's concentric term lists and of the operator,
+    # each built from its digit path, are their own canonical balls
     order = BesselOrder(3.0, C31)
     f = random_test_function(5, C31, RandomFunctionConfig(4, -3, 1, den_pow_max=1))
-    for _, ball in apply_bessel(order, f).terms:
-        assert ball.known_canonical
-        assert ball.center.coords == tuple(reduce_mod_ball(x, ball.radius_exp, 3) for x in ball.center.coords)
+    checked = 0
+    for g in operator_term_lists() + [apply_bessel(order, f)]:
+        p = g.ctx.p
+        for _, ball in g.terms:
+            assert ball.center.coords == tuple(reduce_mod_ball(x, ball.radius_exp, p) for x in ball.center.coords)
+            assert ball.canonical() == ball
+            checked += 1
+    assert checked > 3 * 4 * len(GRID)
 
 
 # -- the digit trie ---------------------------------------------------------------
@@ -1002,7 +1000,9 @@ def test_one_pair_on_its_trie_is_the_tree_route_bit_for_bit(p, n, alpha):
     ]
 
     def part(m, f):
-        return m.part(f) if hasattr(m, "part") else (f, (m,), None)
+        if not hasattr(m, "shells"):
+            return f, (m,), None
+        return (f, *m.shells(max(0, -schwartz.smallest_cell_radius(f))))
 
     sums = [[(m, f)] for f in inputs + deep for m in multipliers + weights]
     rng = random.Random(f"lockstep:{p}:{n}")
@@ -1063,13 +1063,15 @@ def test_one_pair_on_a_canonical_function_builds_no_tree(monkeypatch):
     assert math.isfinite(c0_dissipativity_margin(order, real, 0.5))
     assert all(u.trie is not None for u in duhamel(problem, order, [0.2, 0.5, 1.0]))
     assert inserted == []
+    # the reflection permutes the trie's children: no combination at all
+    walks.clear()
+    assert f.reflect().trie is not None and walks == [] and inserted == []
     modulated = ModulatedTerm(ExactComplex(1, 0), Fraction(0), PAdicVector.of(C32, Fraction(1, 9), 0), Ball(PAdicVector.zero(C32), 0))
     for build in (
         lambda: BruhatSchwartzFunction(C32, f.terms),
         lambda: deserialize(text),
         lambda: random_test_function(5, C32, cfg),
         lambda: expand(C32, [modulated]),
-        f.reflect,
         lambda: BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C32, Fraction(1, 3), 2), -2), 3),
     ):
         walks.clear()
@@ -1338,19 +1340,46 @@ def test_the_integer_reader_builds_what_the_fraction_reader_built(p, n):
 
 
 @pytest.mark.parametrize("p,n", READ_POINTS)
-def test_the_constructor_builds_what_the_reduced_balls_built(p, n):
-    # seeded functions, their raw term lists, reflections and re-read terms
+def test_the_constructor_builds_what_the_reduced_balls_built(p, n, monkeypatch):
+    # seeded functions, their raw term lists, reflections and re-read terms;
+    # the reflection permutes the trie and builds no ball
     ctx = PrimeContext(p, n)
     wide = p**n > 25
     cfg = RandomFunctionConfig(3, -1, 1, 1, True) if wide else RandomFunctionConfig(6, -3, 3, 4, True)
     rng = random.Random(f"build:{p}:{n}")
+    built = count_balls(monkeypatch)
     for seed in range(8 if wide else 30):
         f = random_test_function(seed, ctx, cfg)
         assert f == canonical_form_by_reduction(ctx, f.terms)
         assert_builds_as_before(ctx, f.terms + tuple((c * 0.5, Ball(-b.center, b.radius_exp)) for c, b in f.terms))
         assert_builds_as_before(ctx, raw_term_list(rng, ctx))
-        assert f.reflect() == canonical_form_by_reduction(ctx, [(c, Ball(-b.center, b.radius_exp)) for c, b in f.terms])
+        want = canonical_form_by_reduction(ctx, [(c, Ball(-b.center, b.radius_exp)) for c, b in f.terms])
+        before = len(built)
+        got = f.reflect()
+        assert len(built) == before
+        assert got.trie == want.trie and serialize(got) == serialize(want) and got == want
         assert deserialize(serialize(f)) == f
+
+
+def test_reflect_turns_a_deep_file_in_one_walk(monkeypatch):
+    # B(0, 3^5000) + 2 B((1,1), 3^-1000) at p = 3, n = 2: 48 001 cells 6000
+    # digits deep, and its reflection is the same file with center (-1, -1).
+    # Neither side's balls are built, serialize of either takes seconds and
+    # == on the tries recurses once per level, so the difference is tested
+    def read(c):
+        return deserialize(json.dumps({"p": 3, "n": 2, "terms": [
+            {"re": "1", "center": ["0", "0"], "radius_exp": 5000},
+            {"re": "2", "center": [c, c], "radius_exp": -1000},
+        ]}))
+
+    f, want = read("1"), read("-1")
+    built = count_balls(monkeypatch)
+    start = time.perf_counter()
+    got = f.reflect()
+    assert time.perf_counter() - start < 1.0
+    assert got.trie.radius == want.trie.radius == 5000 and cell_count(got) == 48001
+    assert (got - want).is_zero and not (f - want).is_zero
+    assert built == []
 
 
 EDGE_FILES = [
@@ -1627,7 +1656,7 @@ def test_no_ball_is_built_until_the_cells_are_read(monkeypatch):
     outputs = [raw, read, total, u] + duhamel(problem, order, [0.3, 1.0])
     for h in outputs:
         h.inner_product(f)
-        haar_energy(h, *multiplier.part(h)[1:])
+        haar_energy(h, multiplier.shells)
         h.sup_norm()
         h.l2_norm()
         h.integral()
@@ -1639,3 +1668,40 @@ def test_no_ball_is_built_until_the_cells_are_read(monkeypatch):
     built.clear()
     cells = [cell_count(h) for h in outputs]
     assert [len(h.terms) for h in outputs] == cells and len(built) == sum(cells)
+
+
+def test_each_multiplier_part_and_energy_walks_its_input_once(monkeypatch):
+    # one node walk of the input gives a multiplier part its depth and node
+    # shares, and a Haar energy its depth and sums: on a one-cell root, on a
+    # trie with no node below the unit ball and on a deep one alike
+    order = BesselOrder(2.5, C32)
+    cfg = RandomFunctionConfig(4, -2, 2, den_pow_max=1, complex_coeffs=True)
+    deep, other = random_test_function(5, C32, cfg), random_test_function(6, C32, cfg)
+    shallow = BruhatSchwartzFunction.indicator(Ball(PAdicVector.of(C32, Fraction(1, 3), 0), 0))
+    inputs = [BruhatSchwartzFunction.unit_ball(C32), shallow, deep]
+    assert [-schwartz.smallest_cell_radius(f) > 0 for f in inputs] == [False, False, True]
+    problem = EvolutionProblem(u0=deep, horizon=1.0, forcing=((0.0, shallow), (0.5, other)))
+    walks, depth_reads = [], []
+    node_sums, smallest = schwartz._node_sums, schwartz.smallest_cell_radius
+
+    def counted_walk(trie, *args):
+        walks.append(trie)
+        return node_sums(trie, *args)
+
+    def counted_depth(f):
+        depth_reads.append(f)
+        return smallest(f)
+
+    monkeypatch.setattr(schwartz, "_node_sums", counted_walk)
+    monkeypatch.setattr(schwartz, "smallest_cell_radius", counted_depth)
+    assert not hasattr(spectral, "smallest_cell_radius")
+    for f in inputs:
+        for call in (apply_bessel, lambda order, f: resolvent(order, Fraction(1, 2), f),
+                     lambda order, f: solve_cauchy(f, 0.3, order), quadratic_form, contraction_ratio):
+            walks.clear()
+            call(order, f)
+            assert [id(trie) for trie in walks] == [id(f.trie)]
+    walks.clear()
+    duhamel(problem, order, [0.7])
+    assert [id(trie) for trie in walks] == [id(deep.trie), id(shallow.trie), id(other.trie)]
+    assert depth_reads == []

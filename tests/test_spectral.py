@@ -25,6 +25,7 @@ from padic_bessel.schwartz import (
     RandomFunctionConfig,
     random_test_function,
     serialize,
+    smallest_cell_radius,
 )
 from padic_bessel.spectral import (
     SHELLS_CACHED,
@@ -105,7 +106,7 @@ def modulated_cells_reference(dual, a, rho):
 
     def descend(center_coords, level, phase):
         if level == rho:
-            yield phase, Ball(PAdicVector(center_coords, ctx), rho, known_canonical=True)
+            yield phase, Ball(PAdicVector(center_coords, ctx), rho)
             return
         offset = Fraction(p) ** (-level)
         for digits in digit_product(range(p), repeat=n):
@@ -125,7 +126,7 @@ def reference_term_cells(c, ball):
     ctx = ball.ctx
     r = ball.radius_exp
     scale = ball.measure
-    dual = Ball(PAdicVector.zero(ctx), -r, known_canonical=True)
+    dual = Ball(PAdicVector.zero(ctx), -r)
     a = ball.center
     rho = -r if a.is_zero else min(-r, int(a.min_valuation))
     if rho == -r:
@@ -429,10 +430,10 @@ def multiply_radial_by_cosets(f, profile):
         elif ball.radius_exp <= 0:
             out.append((c * profile.resid(0), ball))
         else:
-            out.append((c * profile.resid(0), Ball(zero, 0, known_canonical=True)))
+            out.append((c * profile.resid(0), Ball(zero, 0)))
             for k in range(1, ball.radius_exp + 1):
                 val = profile.resid(k)
-                shell_ball = Ball(zero, k, known_canonical=True)
+                shell_ball = Ball(zero, k)
                 for child in digit_children(shell_ball):
                     if child.center.norm_exp > child.radius_exp:  # misses 0
                         out.append((c * val, child))
@@ -581,17 +582,19 @@ def test_an_input_past_the_cached_shells_reads_them_all():
         for f in (deep, TABLE_INPUT, deep):
             got, want = cached.apply(f), hand.apply(f)
             assert got == want and got.is_exact == want.is_exact
-        _, values, drops = cached.part(deep)
+        values, drops = cached.shells(200)
         assert (len(values), len(drops)) == (201, 200)
         assert [len(shells) for shells in cached._table] == [SHELLS_CACHED + 1, SHELLS_CACHED]
 
 
 def test_lists_a_part_returns_are_its_callers_own():
-    # the first part of a new multiplier fills its table, a later one reads it
+    # the first shells of a new multiplier fill its table, later ones read it
     want = serialize(apply_bessel(TABLE_ORDER, TABLE_INPUT))
+    depth = -smallest_cell_radius(TABLE_INPUT)
+    assert depth > 0
     for multiplier in (RadialMultiplier(C21, lambda k: symbol_value(k, TABLE_ORDER)), symbol_multiplier(TABLE_ORDER)):
         for _ in range(2):
-            _, values, drops = multiplier.part(TABLE_INPUT)
+            values, drops = multiplier.shells(depth)
             values[:] = [0] * len(values)
             drops[:] = [7] * len(drops)
             assert serialize(multiplier.apply(TABLE_INPUT)) == want

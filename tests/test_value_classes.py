@@ -54,7 +54,7 @@ CASES = [
         lambda: Ball(center=CENTER, radius_exp=-1),
         {"center": CENTER, "radius_exp": -1},
         lambda: Ball(center=CENTER, radius_exp=-2),
-        ("known_canonical", lambda: Ball(center=CENTER, radius_exp=-1, known_canonical=True)),
+        None,
         BALL_TEXT,
     ),
     (
